@@ -1,9 +1,11 @@
 """Directed citation graph with cumulative monthly snapshots and seeded sampling.
 
 Edges point citing -> cited.  Adjacency is stored in CSR-style numpy arrays
-in both orientations, which keeps million-node graphs cheap to hold and
-lets snapshotting and sampling run as vectorized masks.  Graphs are
-immutable once built; snapshot and sample return new graphs.
+in both orientations, over node positions (indices into the sorted
+`node_ids`) rather than article ids, so the arrays feed scipy.sparse and
+the kernels as they are.  The accessors translate back and return ids.
+Graphs are immutable once built; snapshot and sample return new graphs,
+which inherit the parent's sorted row order through masks alone.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import ArticleStore
 from .months import normalize_month
@@ -20,25 +23,13 @@ class GraphError(ValueError):
     """Malformed edge input or unknown node."""
 
 
-def _csr_from_edges(
-    node_ids: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """indptr over node positions plus dst values sorted within each row."""
-    n = len(node_ids)
-    src_pos = np.searchsorted(node_ids, src)
-    order = np.lexsort((dst, src_pos))
-    counts = np.bincount(src_pos, minlength=n)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return indptr.astype(np.int64), dst[order]
-
-
 @dataclass
 class CitationGraph:
-    node_ids: np.ndarray  # sorted int64 article ids
+    node_ids: np.ndarray  # sorted int64 article ids; a node's position indexes this
     out_indptr: np.ndarray
-    out_targets: np.ndarray  # cited ids, sorted within each citing row
+    out_targets: np.ndarray  # positions of cited nodes, sorted within each citing row
     in_indptr: np.ndarray
-    in_sources: np.ndarray  # citing ids, sorted within each cited row
+    in_sources: np.ndarray  # positions of citing nodes, sorted within each cited row
     month: str | None = None
     sample_seed: int | None = None
     self_loops_dropped: int = 0
@@ -53,10 +44,6 @@ class CitationGraph:
     def num_edges(self) -> int:
         return len(self.out_targets)
 
-    def __contains__(self, article_id: int) -> bool:
-        i = int(np.searchsorted(self.node_ids, article_id))
-        return i < len(self.node_ids) and int(self.node_ids[i]) == article_id
-
     def _position(self, article_id: int) -> int:
         i = int(np.searchsorted(self.node_ids, article_id))
         if i >= len(self.node_ids) or int(self.node_ids[i]) != article_id:
@@ -64,14 +51,14 @@ class CitationGraph:
         return i
 
     def successors_of(self, article_id: int) -> np.ndarray:
-        """Articles cited by `article_id` (its references), sorted."""
+        """Ids of the articles cited by `article_id` (its references), sorted."""
         i = self._position(article_id)
-        return self.out_targets[self.out_indptr[i] : self.out_indptr[i + 1]]
+        return self.node_ids[self.out_targets[self.out_indptr[i] : self.out_indptr[i + 1]]]
 
     def predecessors_of(self, article_id: int) -> np.ndarray:
-        """Articles citing `article_id`, sorted."""
+        """Ids of the articles citing `article_id`, sorted."""
         i = self._position(article_id)
-        return self.in_sources[self.in_indptr[i] : self.in_indptr[i + 1]]
+        return self.node_ids[self.in_sources[self.in_indptr[i] : self.in_indptr[i + 1]]]
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
@@ -80,27 +67,17 @@ class CitationGraph:
         return np.diff(self.in_indptr)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(citing, cited) arrays in citing-major order."""
+        """(citing, cited) id arrays in citing-major order."""
         citing = np.repeat(self.node_ids, self.out_degrees())
-        return citing, self.out_targets.copy()
+        return citing, self.node_ids[self.out_targets]
 
 
-def _assemble(
-    node_ids: np.ndarray,
-    citing: np.ndarray,
-    cited: np.ndarray,
-    **meta,
-) -> CitationGraph:
-    out_indptr, out_targets = _csr_from_edges(node_ids, citing, cited)
-    in_indptr, in_sources = _csr_from_edges(node_ids, cited, citing)
-    return CitationGraph(
-        node_ids=node_ids,
-        out_indptr=out_indptr,
-        out_targets=out_targets,
-        in_indptr=in_indptr,
-        in_sources=in_sources,
-        **meta,
-    )
+def _positions(node_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of `ids` in sorted `node_ids`, and which ids are present there."""
+    if len(node_ids) == 0:
+        return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
+    pos = np.minimum(np.searchsorted(node_ids, ids), len(node_ids) - 1)
+    return pos, node_ids[pos] == ids
 
 
 def build_graph(
@@ -120,37 +97,69 @@ def build_graph(
         citing, cited = pairs[:, 0], pairs[:, 1]
 
     node_ids = store.ids.copy()
+    n = len(node_ids)
+    src, src_known = _positions(node_ids, citing)
+    dst, dst_known = _positions(node_ids, cited)
     self_loops = citing == cited
-    known = np.isin(citing, node_ids) & np.isin(cited, node_ids)
+    known = src_known & dst_known
     keep = known & ~self_loops
-    citing, cited = citing[keep], cited[keep]
-
-    stacked = np.stack([citing, cited], axis=1)
-    unique = np.unique(stacked, axis=0) if len(stacked) else stacked
-    return _assemble(
-        node_ids,
-        unique[:, 0] if len(unique) else citing,
-        unique[:, 1] if len(unique) else cited,
+    # One int64 key per edge; sorted, it is the out-CSR in citing-major order.
+    key = np.sort(src[keep] * n + dst[keep])
+    distinct = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=distinct[1:])
+    unique = key[distinct]
+    indptr = np.searchsorted(unique, np.arange(n + 1, dtype=np.int64) * n)
+    out = sparse.csr_matrix(
+        (np.ones(len(unique), dtype=np.int8), unique % n, indptr), shape=(n, n)
+    )
+    into = out.tocsc()  # counting sort: citing positions stay sorted within each column
+    return CitationGraph(
+        node_ids=node_ids,
+        out_indptr=out.indptr,
+        out_targets=out.indices,
+        in_indptr=into.indptr,
+        in_sources=into.indices,
         self_loops_dropped=int(self_loops.sum()),
         unknown_dropped=int((~known & ~self_loops).sum()),
-        duplicates_dropped=int(len(stacked) - len(unique)),
+        duplicates_dropped=int(len(key) - len(unique)),
     )
 
 
-def _induced(g: CitationGraph, keep_ids: np.ndarray, **meta) -> CitationGraph:
-    """Subgraph on `keep_ids` (sorted, unique) with edges inside it."""
-    citing, cited = g.edge_arrays()
-    mask = np.isin(citing, keep_ids, assume_unique=False) & np.isin(
-        cited, keep_ids, assume_unique=False
+def _masked_csr(
+    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray, new_pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and entries of a CSR whose both ends are kept, renumbered."""
+    edge_keep = np.repeat(keep, np.diff(indptr))
+    edge_keep &= keep[indices]
+    kept_before = np.zeros(len(indices) + 1, dtype=indptr.dtype)
+    np.cumsum(edge_keep, out=kept_before[1:])
+    rows = np.append(keep, True)  # kept rows plus the closing offset
+    return kept_before[indptr[rows]], new_pos[indices[edge_keep]]
+
+
+def _induced(g: CitationGraph, keep: np.ndarray, **meta) -> CitationGraph:
+    """Subgraph on the nodes where the boolean mask `keep` is set.
+
+    The parent's rows are sorted, and masking keeps that order, so no sort
+    is needed; positions are renumbered with a running count of kept nodes.
+    """
+    new_pos = np.cumsum(keep, dtype=g.out_targets.dtype) - 1
+    out_indptr, out_targets = _masked_csr(g.out_indptr, g.out_targets, keep, new_pos)
+    in_indptr, in_sources = _masked_csr(g.in_indptr, g.in_sources, keep, new_pos)
+    return CitationGraph(
+        node_ids=g.node_ids[keep],
+        out_indptr=out_indptr,
+        out_targets=out_targets,
+        in_indptr=in_indptr,
+        in_sources=in_sources,
+        **meta,
     )
-    return _assemble(keep_ids, citing[mask], cited[mask], **meta)
 
 
 def cumulative_snapshot(g: CitationGraph, store: ArticleStore, month: str) -> CitationGraph:
     """Induced subgraph over articles published in `month` or earlier."""
     month = normalize_month(month)
-    eligible = store.ids_up_to(month)
-    keep = g.node_ids[np.isin(g.node_ids, eligible)]
+    keep = np.isin(g.node_ids, store.ids_up_to(month))
     return _induced(g, keep, month=month, sample_seed=g.sample_seed)
 
 
@@ -163,15 +172,10 @@ def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    if fraction == 1.0:
-        citing, cited = g.edge_arrays()
-        return _assemble(
-            g.node_ids.copy(), citing, cited, month=g.month, sample_seed=seed
-        )
     k = int(np.floor(fraction * g.num_nodes))
     rng = np.random.Generator(np.random.PCG64(seed))
-    perm = rng.permutation(g.num_nodes)
-    keep = np.sort(g.node_ids[perm[:k]])
+    keep = np.zeros(g.num_nodes, dtype=bool)
+    keep[rng.permutation(g.num_nodes)[:k]] = True
     return _induced(g, keep, month=g.month, sample_seed=seed)
 
 

@@ -53,12 +53,10 @@ def disruption_of(g: CitationGraph, focal: int) -> float:
     return (n_i - n_j) / denominator
 
 
-def _adjacency(g: CitationGraph) -> sparse.csr_matrix:
-    """Binary citing -> cited adjacency over node positions."""
-    n = g.num_nodes
-    indices = np.searchsorted(g.node_ids, g.out_targets).astype(np.int32 if n < 2**31 else np.int64)
+def _binary(indptr: np.ndarray, indices: np.ndarray, n: int) -> sparse.csr_matrix:
+    """0/1 sparse matrix over node positions from one of the graph's CSRs."""
     return sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int32), indices, g.out_indptr), shape=(n, n)
+        (np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n)
     )
 
 
@@ -72,8 +70,8 @@ def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScor
     if n == 0:
         return ArticleScores(values={}, graph_size_m=0)
 
-    A = _adjacency(g)
-    AT = A.T.tocsr()
+    A = _binary(g.out_indptr, g.out_targets, n)  # [f, r] = 1 iff f cites r
+    AT = _binary(g.in_indptr, g.in_sources, n)  # its transpose
     indeg = np.diff(AT.indptr).astype(np.int64)
     # Work per focal: total citations received by its references.
     per_focal_work = (A @ indeg).astype(np.int64)
@@ -140,9 +138,8 @@ def pagerank(
     beta = 1.0 - alpha
 
     outdeg = np.diff(g.out_indptr).astype(np.float64)
-    src_pos = np.searchsorted(g.node_ids, g.in_sources)
-    weights = 1.0 / outdeg[src_pos]  # sources always have outdeg >= 1
-    P = sparse.csr_matrix((weights, src_pos, g.in_indptr), shape=(n, n))
+    weights = 1.0 / outdeg[g.in_sources]  # sources always have outdeg >= 1
+    P = sparse.csr_matrix((weights, g.in_sources, g.in_indptr), shape=(n, n))
 
     x = np.ones(n, dtype=np.float64)
     converged = False

@@ -72,10 +72,6 @@ class Hierarchy:
     def roots(self) -> tuple[str, ...]:
         return self._by_level.get(1, ())
 
-    @property
-    def max_level(self) -> int:
-        return max(self._by_level) if self._by_level else 0
-
     def levels(self) -> dict[int, tuple[str, ...]]:
         return dict(self._by_level)
 

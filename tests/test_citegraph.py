@@ -10,6 +10,7 @@ from kosrank.citegraph import (
     sample_nodes,
 )
 from kosrank.corpus import Article, store_from_articles
+from kosrank.months import month_index
 
 
 def two_article_store():
@@ -37,6 +38,33 @@ class TestBuild:
         g = build_graph([(2, 99), (98, 1)], two_article_store())
         assert g.num_edges == 0
         assert g.unknown_dropped == 2
+
+    def test_array_input_counts_every_drop(self):
+        citing = np.array([2, 2, 1, 1, 2, 99, 2, 1, 99], dtype=np.int64)
+        cited = np.array([1, 1, 1, 2, 2, 1, 98, 2, 99], dtype=np.int64)
+        g = build_graph((citing, cited), two_article_store())
+        assert g.self_loops_dropped == 3  # (1, 1), (2, 2) and the unknown (99, 99)
+        assert g.unknown_dropped == 2
+        assert g.duplicates_dropped == 2
+        assert g.num_edges == 2
+        assert g.successors_of(1).tolist() == [2]
+        assert g.successors_of(2).tolist() == [1]
+
+    def test_empty_store(self):
+        empty = store_from_articles([])
+        g = build_graph((np.array([5, 7], dtype=np.int64), np.array([6, 7], dtype=np.int64)), empty)
+        assert (g.num_nodes, g.num_edges) == (0, 0)
+        assert (g.unknown_dropped, g.self_loops_dropped) == (1, 1)
+        assert g.out_indptr.tolist() == g.in_indptr.tolist() == [0]
+        assert cumulative_snapshot(g, empty, "2014-01").num_nodes == 0
+        assert sample_nodes(g, 0.5, seed=1).num_nodes == 0
+
+    def test_empty_edge_array(self):
+        none = np.array([], dtype=np.int64)
+        g = build_graph((none, none), two_article_store())
+        assert (g.num_nodes, g.num_edges, g.duplicates_dropped) == (2, 0, 0)
+        assert g.out_indptr.tolist() == g.in_indptr.tolist() == [0, 0, 0]
+        assert g.predecessors_of(1).tolist() == []
 
     def test_degree_sums_match_edge_count(self):
         rng = np.random.default_rng(11)
@@ -137,3 +165,61 @@ class TestParseCitations:
     def test_malformed_row(self):
         with pytest.raises(GraphError, match="line 1"):
             parse_citations(["2,1\n"])
+
+
+class TestPositionsAreNotIds:
+    """Ids far from 0..n-1 with uneven gaps, so reading a position as an id,
+    or an id as a position, cannot go unnoticed."""
+
+    @staticmethod
+    def gapped_graph(rng, n=300, m=1500):
+        ids = 10**12 + 7 * np.sort(rng.choice(10 * n, size=n, replace=False))
+        months = rng.integers(1, 7, size=n)
+        store = store_from_articles(
+            Article(int(i), f"2014-{int(mo):02d}", ()) for i, mo in zip(ids, months)
+        )
+        citing, cited = rng.choice(ids, size=m), rng.choice(ids, size=m)
+        edges = {(u, v) for u, v in zip(citing.tolist(), cited.tolist()) if u != v}
+        return store, build_graph((citing, cited), store), edges
+
+    @staticmethod
+    def assert_induced(g, edges, keep):
+        keep = sorted(keep)
+        kept = set(keep)
+        want = {(u, v) for u, v in edges if u in kept and v in kept}
+        assert g.node_ids.tolist() == keep
+        citing, cited = g.edge_arrays()
+        assert len(citing) == len(want)
+        assert set(zip(citing.tolist(), cited.tolist())) == want
+        for v in keep:
+            assert g.predecessors_of(v).tolist() == sorted(u for u, w in want if w == v)
+        for indptr, positions in ((g.out_indptr, g.out_targets), (g.in_indptr, g.in_sources)):
+            for row in np.split(positions, indptr[1:-1]):
+                assert bool(np.all(np.diff(row) > 0))
+        # The in-CSR, read back as (citing, cited) position pairs, is the out-CSR.
+        nodes = np.arange(g.num_nodes)
+        out_src, out_dst = np.repeat(nodes, g.out_degrees()), g.out_targets
+        in_dst, in_src = np.repeat(nodes, g.in_degrees()), g.in_sources
+        order = np.lexsort((in_dst, in_src))
+        assert np.array_equal(in_src[order], out_src)
+        assert np.array_equal(in_dst[order], out_dst)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_snapshots_and_samples_keep_exactly_the_induced_edges(self, seed):
+        rng = np.random.default_rng(seed)
+        store, g, edges = self.gapped_graph(rng)
+        self.assert_induced(g, edges, store.ids.tolist())
+
+        month = f"2014-{int(rng.integers(1, 7)):02d}"
+        snap = cumulative_snapshot(g, store, month)
+        eligible = [a.id for a in store.articles.values()
+                    if month_index(a.month) <= month_index(month)]
+        self.assert_induced(snap, edges, eligible)
+
+        for parent in (g, snap):
+            fraction = float(rng.uniform(0.05, 1.0))
+            sample_seed = int(rng.integers(2**32))
+            sampled = sample_nodes(parent, fraction, seed=sample_seed)
+            k = int(np.floor(fraction * parent.num_nodes))
+            perm = np.random.Generator(np.random.PCG64(sample_seed)).permutation(parent.num_nodes)
+            self.assert_induced(sampled, edges, parent.node_ids[perm[:k]].tolist())
