@@ -35,6 +35,12 @@ class PipelineConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            # an int passes for a float field; a bool never passes for a number
+            accepted = {"str": str, "int": int, "float": (int, float)}[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
         if self.first_month:
             self.first_month = normalize_month(self.first_month)
         if self.last_month:

@@ -13,7 +13,7 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .months import month_index, normalize_month
+from .months import month_from_index, month_index, normalize_month
 
 
 class CorpusError(ValueError):
@@ -35,9 +35,6 @@ class ArticleStore:
     articles: dict[int, Article]
     _ids: np.ndarray = field(init=False, repr=False, compare=False)
     _month_idx: np.ndarray = field(init=False, repr=False, compare=False)
-    _by_month: dict[str, tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         ids = np.fromiter(self.articles.keys(), dtype=np.int64, count=len(self.articles))
@@ -48,16 +45,9 @@ class ArticleStore:
             dtype=np.int64,
             count=len(self._ids),
         )
-        by_month: dict[str, list[int]] = {}
-        for article in self.articles.values():
-            by_month.setdefault(article.month, []).append(article.id)
-        self._by_month = {m: tuple(sorted(ids)) for m, ids in by_month.items()}
 
     def __len__(self) -> int:
         return len(self.articles)
-
-    def __contains__(self, article_id: int) -> bool:
-        return article_id in self.articles
 
     @property
     def ids(self) -> np.ndarray:
@@ -65,18 +55,15 @@ class ArticleStore:
         return self._ids
 
     def months(self) -> list[str]:
-        return sorted(self._by_month)
+        return [month_from_index(i) for i in np.unique(self._month_idx).tolist()]
 
     def articles_in_month(self, month: str) -> set[int]:
-        return set(self._by_month.get(normalize_month(month), ()))
+        return set(self._ids[self._month_idx == month_index(normalize_month(month))].tolist())
 
     def ids_up_to(self, month: str) -> np.ndarray:
         """Sorted ids of articles published in `month` or earlier."""
         cutoff = month_index(normalize_month(month))
         return self._ids[self._month_idx <= cutoff]
-
-    def articles_up_to(self, month: str) -> set[int]:
-        return set(int(i) for i in self.ids_up_to(month))
 
     def retracted_ids(self) -> set[int]:
         return {a.id for a in self.articles.values() if a.retracted}

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,7 +18,7 @@ from .hierarchy import Hierarchy
 from .months import year_of
 
 CHANGE_TYPES = ("description", "extension", "move", "removal")
-EXACT_LIMIT = 10  # per-group size cap for the enumeration path
+EXACT_LIMIT = 10  # per-group size cap for the exact path
 
 
 class EvaluationError(ValueError):
@@ -65,61 +64,42 @@ def parse_changes(lines: Iterable[str]) -> list[ChangeRecord]:
     return records
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=values.__getitem__)
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mid = (i + j) / 2 + 1
-        for idx in order[i : j + 1]:
-            ranks[idx] = mid
-        i = j + 1
-    return ranks
-
-
 def _exact_two_sided_p(n1: int, n2: int, u_observed: float) -> float:
-    # No ties: enumerate every assignment of pooled ranks to group one.
-    offset = n1 * (n1 + 1) / 2
-    count = 0
-    total = 0
-    for positions in combinations(range(1, n1 + n2 + 1), n1):
-        total += 1
-        if sum(positions) - offset <= u_observed:
-            count += 1
-    return min(1.0, 2.0 * count / total)
+    # No ties: count the assignments of pooled ranks 1..n1+n2 to group one
+    # by rank sum; ways[k, s] is the number of k-subsets summing to s.
+    n = n1 + n2
+    top = n1 * (2 * n - n1 + 1) // 2  # largest rank sum of n1 ranks
+    ways = np.zeros((n1 + 1, top + 1), dtype=np.int64)
+    ways[0, 0] = 1
+    for rank in range(1, n + 1):
+        ways[1:, rank:] = ways[1:, rank:] + ways[:-1, : top + 1 - rank]
+    u_of_sum = np.arange(top + 1) - n1 * (n1 + 1) / 2
+    count = int(ways[n1, u_of_sum <= u_observed].sum())
+    return min(1.0, 2.0 * count / math.comb(n, n1))
 
 
 def mann_whitney(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """Two-sided Mann-Whitney test with U = min(U1, U2).
 
-    Exact p by full enumeration when both groups have at most 10
-    observations and the pooled sample is tie-free; otherwise a normal
+    Exact p from the rank-sum distribution when both groups have at most
+    10 observations and the pooled sample is tie-free; otherwise a normal
     approximation with tie correction and 0.5 continuity correction.
     """
     if not len(a) or not len(b):
         raise EvaluationError("both samples must be non-empty")
     n1, n2 = len(a), len(b)
-    pooled = list(a) + list(b)
-    ranks = _midranks(pooled)
-    r1 = sum(ranks[:n1])
+    pooled = np.array(list(a) + list(b), dtype=np.float64)
+    r1 = float(rankdata(pooled)[:n1].sum())
     u1 = n1 * n2 + n1 * (n1 + 1) / 2 - r1
     u2 = n1 * n2 - u1
     u = min(u1, u2)
 
-    tie_free = len(set(pooled)) == len(pooled)
-    if max(n1, n2) <= EXACT_LIMIT and tie_free:
+    ties = np.unique(pooled, return_counts=True)[1]
+    if max(n1, n2) <= EXACT_LIMIT and len(ties) == len(pooled):
         return TestResult(u, _exact_two_sided_p(n1, n2, u), n1, n2, "exact")
 
     n = n1 + n2
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for value in pooled:
-        seen[value] = seen.get(value, 0) + 1
-    for t in seen.values():
-        tie_term += t**3 - t
+    tie_term = int((ties**3 - ties).sum())
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if variance <= 0:
         return TestResult(u, 1.0, n1, n2, "normal-approx")
@@ -132,13 +112,11 @@ def descriptor_scores(
     node_values: Mapping[str, float], h: Hierarchy
 ) -> dict[str, float]:
     """Sum each descriptor's tree-node scores; descriptors with no scored
-    node are omitted."""
-    result: dict[str, float] = {}
-    for descriptor, codes in h.descriptor_map.items():
-        scored = [node_values[c] for c in sorted(codes) if c in node_values]
-        if scored:
-            result[descriptor] = sum(scored)
-    return result
+    node are omitted.  Each sum runs in ascending code order."""
+    values, given = h.node_vector(node_values)
+    sums = h.descriptor_nodes @ values
+    scored = np.flatnonzero(h.descriptor_nodes @ given.astype(np.int32))
+    return dict(zip([h.descriptors[i] for i in scored], sums[scored].tolist()))
 
 
 def evolution_cohorts(
@@ -173,32 +151,21 @@ def retraction_cohorts(
     months in which the article appears.
     """
     months = sorted(m for m in monthly_values if year_of(m) == year)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    code_cache: dict[int, tuple[str, ...]] = {}
+    members = {m: np.fromiter(monthly_members.get(m, ()), dtype=np.int64) for m in months}
+    ids = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *members.values()]))
+    articles = [store.articles[i] for i in ids.tolist()]
+    rows, _ = h.incidence([article.descriptors for article in articles])
+    sums = np.zeros(len(ids), dtype=np.float64)
+    counts = np.zeros(len(ids), dtype=np.int64)
     for month in months:
-        values = monthly_values[month]
-        for article_id in sorted(monthly_members.get(month, ())):
-            article_id = int(article_id)
-            codes = code_cache.get(article_id)
-            if codes is None:
-                article = store.articles[article_id]
-                mapped, _ = h.treenodes_of(article.descriptors)
-                codes = tuple(sorted(mapped))
-                code_cache[article_id] = codes
-            score = sum(values.get(c, 0.0) for c in codes)
-            sums[article_id] = sums.get(article_id, 0.0) + score
-            counts[article_id] = counts.get(article_id, 0) + 1
+        pos = np.searchsorted(ids, members[month])
+        values, _ = h.node_vector(monthly_values[month])
+        np.add.at(sums, pos, (rows @ values)[pos])
+        np.add.at(counts, pos, 1)
 
-    retracted: list[float] = []
-    other: list[float] = []
-    for article_id in sorted(sums):
-        mean = sums[article_id] / counts[article_id]
-        if store.articles[article_id].retracted:
-            retracted.append(mean)
-        else:
-            other.append(mean)
-    return retracted, other
+    means = sums / counts
+    retracted = np.array([article.retracted for article in articles], dtype=bool)
+    return means[retracted].tolist(), means[~retracted].tolist()
 
 
 def aspect_correlation(

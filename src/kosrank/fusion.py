@@ -89,22 +89,6 @@ def mean_ranks(rankings: Iterable[Mapping[str, int]]) -> dict[str, float]:
     return {code: totals[code] / counts[code] for code in totals}
 
 
-def top_k(ranking: RelevanceRanking, k: int) -> list[str]:
-    """The k best-ranked codes, best first; fewer if the scope is small."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ordered = sorted(ranking.rank, key=ranking.rank.get)
-    return ordered[:k]
-
-
-def bottom_k(ranking: RelevanceRanking, k: int) -> list[str]:
-    """The k worst-ranked codes, worst first."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ordered = sorted(ranking.rank, key=ranking.rank.get, reverse=True)
-    return ordered[:k]
-
-
 def top_k_by_mean_rank(means: Mapping[str, float], k: int) -> list[str]:
     """Best average rank first; ties break on tree code."""
     return [c for c, _ in sorted(means.items(), key=lambda kv: (kv[1], kv[0]))][:k]

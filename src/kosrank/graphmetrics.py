@@ -86,7 +86,7 @@ def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScor
         _disruption_batch(A, AT, start, stop, result)
         start = stop
 
-    values = {int(g.node_ids[i]): float(result[i]) for i in range(n)}
+    values = dict(zip(g.node_ids.tolist(), result.tolist()))
     return ArticleScores(values=values, graph_size_m=n)
 
 
@@ -151,19 +151,8 @@ def pagerank(
             converged = True
             break
 
-    values = {int(g.node_ids[i]): float(x[i]) for i in range(n)}
+    values = dict(zip(g.node_ids.tolist(), x.tolist()))
     return ArticleScores(values=values, graph_size_m=n, converged=converged)
-
-
-def write_article_scores_csv(
-    scores: ArticleScores, metric: str, month: str, out, config_hash: str | None = None
-) -> None:
-    """Per-article score dump: `article_id, metric, month, value`."""
-    if config_hash:
-        out.write(f"# config_hash={config_hash}\n")
-    out.write("article_id,metric,month,value\n")
-    for article_id in sorted(scores.values):
-        out.write(f"{article_id},{metric},{month},{format(scores.values[article_id], '.17g')}\n")
 
 
 def aggregate_to_nodes(

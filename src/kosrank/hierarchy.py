@@ -4,12 +4,24 @@ Tree codes are dotted hierarchical addresses: a bare category letter ("D"),
 a two-digit second level ("D12"), then three-digit segments ("D12.776",
 "M01.060.116").  The level of a code is its depth: 1 for a bare letter,
 otherwise 2 plus the number of dot separators.
+
+A Hierarchy also carries one positional form: node i is `codes[i]` (sorted,
+so position order is code order), `parent[i]` its parent's position (-1 at
+a root), `level[i]` its depth, `closure` the 0/1 ancestor-or-self matrix and
+`descriptor_nodes` the descriptor x node map; `incidence` lays annotations
+out as rows on these columns.  Float sums over positions add one term at a
+time in ascending order, never by numpy's pairwise reductions, so every
+output keeps its bits from run to run.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, TextIO
+from itertools import chain, repeat
+from typing import Collection, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
+
+import numpy as np
+from scipy import sparse
 
 TREE_CODE_RE = re.compile(r"^[A-Z](\d{2}(\.\d{3})*)?$")
 
@@ -51,38 +63,53 @@ class Hierarchy:
     """Immutable concept tree plus descriptor-to-node mappings.
 
     All ancestors of every node are present, so the only roots are the
-    category letters.  Children lists are sorted lexicographically.
+    category letters.  The positional fields are derived from the three
+    above and take no part in equality.
     """
 
     nodes: frozenset[str]
     labels: dict[str, str]
     descriptor_map: dict[str, frozenset[str]]
-    children: dict[str, tuple[str, ...]]
-    _by_level: dict[int, tuple[str, ...]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    codes: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    position: dict[str, int] = field(init=False, repr=False, compare=False)
+    parent: np.ndarray = field(init=False, repr=False, compare=False)
+    level: np.ndarray = field(init=False, repr=False, compare=False)
+    closure: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    descriptors: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    descriptor_nodes: sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        by_level: dict[int, list[str]] = {}
-        for code in self.nodes:
-            by_level.setdefault(level_of(code), []).append(code)
-        self._by_level = {lvl: tuple(sorted(codes)) for lvl, codes in by_level.items()}
+        self.codes = tuple(sorted(self.nodes))
+        self.position = {code: i for i, code in enumerate(self.codes)}
+        n = len(self.codes)
+        self.parent = np.array(
+            [self.position.get(parent_of(c), -1) for c in self.codes], dtype=np.int64
+        )
+        self.level = np.array([level_of(c) for c in self.codes], dtype=np.int64)
+        # closure[i, j] = 1 iff node j is node i or one of its ancestors
+        lineage = [(c, *ancestors_of(c)) for c in self.codes]
+        self.closure, _ = membership(lineage, self.position, n)
+        self.descriptors = tuple(sorted(self.descriptor_map))
+        self.descriptor_nodes, _ = membership(
+            [self.descriptor_map[d] for d in self.descriptors], self.position, n
+        )
 
     @property
     def roots(self) -> tuple[str, ...]:
-        return self._by_level.get(1, ())
+        return tuple(self.codes[i] for i in np.flatnonzero(self.parent < 0))
 
     def levels(self) -> dict[int, tuple[str, ...]]:
-        return dict(self._by_level)
-
-    def nodes_at_level(self, level: int) -> set[str]:
-        """Nodes whose depth equals `level`; empty set if none."""
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-        return set(self._by_level.get(level, ()))
+        """Level -> its codes in order, deepest level last."""
+        return {
+            lvl: tuple(self.codes[i] for i in np.flatnonzero(self.level == lvl))
+            for lvl in np.unique(self.level).tolist()
+        }
 
     def children_of(self, code: str) -> tuple[str, ...]:
-        return self.children.get(code, ())
+        """Child codes in lexicographic order; () for a leaf or unknown code."""
+        if code not in self.position:
+            return ()
+        return tuple(self.codes[i] for i in np.flatnonzero(self.parent == self.position[code]))
 
     def treenodes_of(self, descriptors: Iterable[str]) -> tuple[set[str], int]:
         """Union of the tree codes mapped by the given descriptor ids.
@@ -99,6 +126,51 @@ class Hierarchy:
             else:
                 codes.update(mapped)
         return codes, unknown
+
+    def incidence(self, annotations: Sequence[Sequence[str]]) -> tuple[sparse.csr_matrix, int]:
+        """Binary matrix, one row per descriptor list, marking the mapped nodes.
+
+        Columns are node positions; each row's indices are sorted.  The
+        second value counts the descriptor ids that are not in the map.
+        """
+        row_of = {d: i for i, d in enumerate(self.descriptors)}
+        annotated, unknown = membership(annotations, row_of, len(self.descriptors))
+        marks = (annotated @ self.descriptor_nodes).tocsr()
+        marks.data[:] = 1
+        marks.sort_indices()
+        return marks, unknown
+
+    def node_vector(self, values: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+        """`values` laid out by node position (0 where absent), and which
+        positions were given.  Codes outside the tree are ignored."""
+        vector = np.zeros(len(self.codes), dtype=np.float64)
+        given = np.zeros(len(self.codes), dtype=bool)
+        for code, value in values.items():
+            i = self.position.get(code)
+            if i is not None:
+                vector[i] = value
+                given[i] = True
+        return vector, given
+
+
+def membership(
+    groups: Sequence[Collection[Hashable]], index: Mapping[Hashable, int], width: int
+) -> tuple[sparse.csr_matrix, int]:
+    """0/1 CSR matrix whose row r marks column index[k] for each k in groups[r].
+
+    Indices come out sorted and repeats count once.  Keys missing from
+    `index` are skipped; the second value counts them.
+    """
+    cols = np.fromiter(map(index.get, chain.from_iterable(groups), repeat(-1)), dtype=np.int64)
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    known = cols >= 0
+    matrix = sparse.csr_matrix(
+        (np.ones(int(known.sum()), dtype=np.int32), (rows[known], cols[known])),
+        shape=(len(groups), width),
+    )
+    matrix.sum_duplicates()
+    matrix.data[:] = 1
+    return matrix, int(len(cols) - known.sum())
 
 
 def build_hierarchy(
@@ -117,18 +189,10 @@ def build_hierarchy(
         nodes.update(codes)
     for code in list(nodes):
         nodes.update(ancestors_of(code))
-
-    children: dict[str, list[str]] = {}
-    for code in nodes:
-        parent = parent_of(code)
-        if parent is not None:
-            children.setdefault(parent, []).append(code)
-
     return Hierarchy(
         nodes=frozenset(nodes),
         labels={code: labels.get(code, "") for code in sorted(nodes)},
         descriptor_map={d: frozenset(c) for d, c in sorted(descriptor_map.items())},
-        children={p: tuple(sorted(cs)) for p, cs in sorted(children.items())},
     )
 
 
@@ -189,11 +253,8 @@ def write_hierarchy(h: Hierarchy, out: TextIO) -> None:
     One listing row per node carries the label; mapping rows follow with
     empty label columns.
     """
-    mappings_by_code: dict[str, list[str]] = {}
-    for descriptor, codes in h.descriptor_map.items():
-        for code in codes:
-            mappings_by_code.setdefault(code, []).append(descriptor)
-    for code in sorted(h.nodes):
+    by_node = h.descriptor_nodes.T.tocsr()  # node x descriptor, indices sorted
+    for i, code in enumerate(h.codes):
         out.write(f"{code}\t\t{h.labels.get(code, '')}\n")
-        for descriptor in sorted(mappings_by_code.get(code, ())):
-            out.write(f"{code}\t{descriptor}\t\n")
+        for row in by_node.indices[by_node.indptr[i] : by_node.indptr[i + 1]]:
+            out.write(f"{code}\t{h.descriptors[row]}\t\n")

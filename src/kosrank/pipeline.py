@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import citegraph, evaluate, fusion, graphmetrics, infometrics, propagation
 from .config import PipelineConfig
@@ -37,7 +38,14 @@ class IngestData:
     store: ArticleStore
     graph: citegraph.CitationGraph
     changes: list[ChangeRecord]
-    unknown_descriptor_refs: int
+    # article x node: rows over store.ids, columns over hierarchy.codes
+    incidence: sparse.csr_matrix = field(init=False, repr=False)
+    unknown_descriptor_refs: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.incidence, self.unknown_descriptor_refs = self.hierarchy.incidence(
+            [self.store.articles[i].descriptors for i in self.store.ids.tolist()]
+        )
 
     def report_lines(self) -> list[str]:
         g = self.graph
@@ -84,23 +92,7 @@ def ingest(cfg: PipelineConfig) -> IngestData:
             with chpath.open() as fh:
                 changes = evaluate.parse_changes(fh)
 
-    unknown = 0
-    known = hierarchy.descriptor_map
-    for article in store.articles.values():
-        unknown += sum(1 for d in article.descriptors if d not in known)
-    return IngestData(hierarchy, hreport, store, graph, changes, unknown)
-
-
-def _article_codes(
-    h: Hierarchy, store: ArticleStore, ids: np.ndarray
-) -> dict[int, tuple[str, ...]]:
-    mapping: dict[int, tuple[str, ...]] = {}
-    for raw_id in ids:
-        article_id = int(raw_id)
-        codes, _ = h.treenodes_of(store.articles[article_id].descriptors)
-        if codes:
-            mapping[article_id] = tuple(sorted(codes))
-    return mapping
+    return IngestData(hierarchy, hreport, store, graph, changes)
 
 
 @dataclass
@@ -122,7 +114,14 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
     seed = cfg.base_seed + index
     snapshot = citegraph.cumulative_snapshot(data.graph, data.store, month)
     sampled = citegraph.sample_nodes(snapshot, cfg.sample_fraction, seed)
-    member_codes = _article_codes(h, data.store, sampled.node_ids)
+    rows = data.incidence[np.searchsorted(data.store.ids, sampled.node_ids)]
+    member_codes = {
+        article_id: tuple(h.codes[j] for j in columns)
+        for article_id, columns in zip(
+            sampled.node_ids.tolist(), np.split(rows.indices, rows.indptr[1:-1])
+        )
+        if len(columns)
+    }
 
     influence_scores = graphmetrics.pagerank(
         sampled, alpha=cfg.pagerank_alpha, tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter
@@ -142,19 +141,17 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
         results[aspect] = AspectScores(aspect=aspect, month=month, values=values)
 
     month_ids = sorted(data.store.articles_in_month(month))
-    pairs: list[tuple[int, str]] = []
-    for article_id in month_ids:
-        codes, _ = h.treenodes_of(data.store.articles[article_id].descriptors)
-        pairs.extend((article_id, code) for code in sorted(codes))
-    counts = infometrics.mapping_counts(h, pairs)
+    incidence = data.incidence[np.searchsorted(data.store.ids, month_ids)]
+    closed = incidence @ h.closure
+    counts = infometrics.subtree_counts(h, incidence, closed)
     results["informativeness"] = AspectScores(
         aspect="informativeness",
         month=month,
         values=infometrics.informativeness(counts, mode=cfg.informativeness_mode),
     )
-    matrix = infometrics.build_mapping_matrix(h, pairs)
+    usefulness = infometrics.category_utility(closed, len(h.codes))
     results["usefulness"] = AspectScores(
-        aspect="usefulness", month=month, values=infometrics.usefulness(matrix)
+        aspect="usefulness", month=month, values=dict(zip(h.codes, usefulness.tolist()))
     )
     return MonthResult(month=month, seed=seed, member_ids=sampled.node_ids, scores=results)
 
@@ -392,13 +389,10 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
                 continue
             # node values averaged over the release year's months, then
             # summed per descriptor inside evolution_cohorts
-            sums: dict[str, float] = {}
-            counts: dict[str, int] = {}
-            for month in months:
-                for code, v in month_values(name, month).items():
-                    sums[code] = sums.get(code, 0.0) + v
-                    counts[code] = counts.get(code, 0) + 1
-            node_means = {code: sums[code] / counts[code] for code in sums}
+            vectors = [h.node_vector(month_values(name, month)) for month in months]
+            sums = sum(values for values, _ in vectors)
+            counts = sum(given.astype(np.int64) for _, given in vectors)
+            node_means = {h.codes[i]: sums[i] / counts[i] for i in np.flatnonzero(counts)}
             evolving, stable = evaluate.evolution_cohorts(node_means, release_changes, h)
             if not evolving or not stable:
                 evolution_rows.append(

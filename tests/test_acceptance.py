@@ -217,7 +217,7 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
         sample_fraction=0.10,
         base_seed=seed,
     )
-    data = IngestData(h, HierarchyParseReport(), store, graph, changes, 0)
+    data = IngestData(h, HierarchyParseReport(), store, graph, changes)
     window = cfg.window()
     relevance: dict[str, dict[str, float]] = {}
     members: dict[str, list[int]] = {}

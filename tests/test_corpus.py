@@ -56,8 +56,8 @@ class TestQueries:
 
     def test_cumulative(self):
         store = self.make_store()
-        assert store.articles_up_to("2014-02") == {1, 2}
-        assert store.articles_up_to("2013-12") == set()
+        assert store.ids_up_to("2014-02").tolist() == [1, 2]
+        assert store.ids_up_to("2013-12").tolist() == []
 
     def test_retracted_ids(self):
         assert self.make_store().retracted_ids() == set()

@@ -77,6 +77,22 @@ class TestMannWhitney:
             forced = mann_whitney(list(a) * 2, list(b) * 2)  # ties force approx path
             assert forced.method == "normal-approx"
 
+    def test_exact_p_equals_enumeration_bit_for_bit(self):
+        for n1 in range(1, 7):
+            for n2 in range(1, 7):
+                a = [float(2 * i) for i in range(n1)]
+                b = [float(2 * j + 1) for j in range(n2)]
+                for shift in range(-2 * n2 - 2, 2 * n1 + 2, 2):
+                    moved = [x + shift for x in a]
+                    result = mann_whitney(moved, b)
+                    assert result.method == "exact"
+                    count = sum(
+                        1
+                        for pos in combinations(range(1, n1 + n2 + 1), n1)
+                        if sum(pos) - n1 * (n1 + 1) / 2 <= result.u_statistic
+                    )
+                    assert result.p_value == min(1.0, 2.0 * count / math.comb(n1 + n2, n1))
+
     def test_exact_close_to_normal_approx(self):
         rng = np.random.default_rng(4)
         checked = 0

@@ -3,14 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kosrank.fusion import (
-    bottom_k,
     bottom_k_by_mean_rank,
     mean_ranks,
     per_level_ranking,
     rank_by_aspect,
     rank_trend_slope,
     rrf_fuse,
-    top_k,
     top_k_by_mean_rank,
 )
 from kosrank.scores import ASPECTS
@@ -141,16 +139,6 @@ class TestTrend:
 
 
 class TestTopBottom:
-    def fused(self):
-        return rrf_fuse({a: {"A": 1, "B": 2, "C": 3} for a in ASPECTS})
-
-    def test_clamped(self):
-        assert top_k(self.fused(), 10) == ["A", "B", "C"]
-
-    def test_k1(self):
-        assert top_k(self.fused(), 1) == ["A"]
-        assert bottom_k(self.fused(), 1) == ["C"]
-
     def test_mean_rank_key(self):
         means = mean_ranks([{"A": 1}, {"A": 1}, {"A": 2}])
         assert means["A"] == pytest.approx(4 / 3)

@@ -15,7 +15,6 @@ from kosrank.graphmetrics import (
     disruption_all,
     disruption_of,
     pagerank,
-    write_article_scores_csv,
 )
 
 
@@ -152,17 +151,3 @@ class TestAggregate:
     def test_zero_network_size_rejected(self):
         with pytest.raises(ValueError):
             aggregate_to_nodes(ArticleScores(values={}, graph_size_m=0), {})
-
-
-class TestArticleScoreDump:
-    def test_csv_layout(self):
-        import io
-
-        scores = ArticleScores(values={2: 0.5, 1: -0.25}, graph_size_m=2)
-        buffer = io.StringIO()
-        write_article_scores_csv(scores, "disruption", "2014-01", buffer, config_hash="abc")
-        lines = buffer.getvalue().splitlines()
-        assert lines[0] == "# config_hash=abc"
-        assert lines[1] == "article_id,metric,month,value"
-        assert lines[2] == "1,disruption,2014-01,-0.25"
-        assert lines[3] == "2,disruption,2014-01,0.5"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_tree
 from kosrank.hierarchy import (
     HierarchyError,
+    ancestors_of,
     build_hierarchy,
     is_tree_code,
     level_of,
@@ -91,13 +92,6 @@ class TestParse:
 
 
 class TestQueries:
-    def test_nodes_at_level(self):
-        h = build_hierarchy({"R01.001": ""}, {})
-        assert h.nodes_at_level(2) == {"R01"}
-        assert h.nodes_at_level(99) == set()
-        with pytest.raises(ValueError):
-            h.nodes_at_level(0)
-
     def test_treenodes_of(self):
         h, _ = parse("D12.776\tD011506\tProteins\n")
         codes, unknown = h.treenodes_of({"D011506"})
@@ -117,6 +111,48 @@ class TestQueries:
                 reached.add(child)
                 frontier.append(child)
         assert reached == set(h.nodes)
+
+
+class TestPositional:
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_layout_matches_code_functions(self, seed):
+        h = random_tree(np.random.default_rng(seed), max_nodes=80)
+        assert list(h.codes) == sorted(h.nodes)
+        for i, code in enumerate(h.codes):
+            assert h.position[code] == i
+            up = parent_of(code)
+            assert h.parent[i] == (-1 if up is None else h.codes.index(up))
+            assert h.level[i] == level_of(code)
+            row = h.closure.indices[h.closure.indptr[i] : h.closure.indptr[i + 1]]
+            assert {h.codes[j] for j in row} == {code, *ancestors_of(code)}
+        assert set(h.closure.data.tolist()) <= {1}
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_incidence_rows_match_treenodes_of(self, seed):
+        rng = np.random.default_rng(seed)
+        codes = sorted(random_tree(rng, max_nodes=60).nodes)
+        descriptor_map = {
+            f"D{i:04d}": {codes[int(k)] for k in rng.integers(len(codes), size=1 + i % 3)}
+            for i in range(8)
+        }
+        h = build_hierarchy({c: "" for c in codes}, descriptor_map)
+        pool = [*descriptor_map, "X0001", "X0002"]
+        annotations = [
+            [pool[int(k)] for k in rng.integers(len(pool), size=int(rng.integers(0, 5)))]
+            for _ in range(12)
+        ]
+        marks, unknown = h.incidence(annotations)
+        assert marks.shape == (len(annotations), len(h.codes))
+        expected_unknown = 0
+        for r, descriptors in enumerate(annotations):
+            mapped, missing = h.treenodes_of(descriptors)
+            expected_unknown += missing
+            row = marks.indices[marks.indptr[r] : marks.indptr[r + 1]]
+            assert row.tolist() == sorted(h.position[c] for c in mapped)
+            assert marks.data[marks.indptr[r] : marks.indptr[r + 1]].tolist() == [1] * len(row)
+        assert unknown == expected_unknown
 
 
 class TestRoundTrip:

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from kosrank import citegraph, graphmetrics, propagation
+from conftest import usefulness_oracle
+from kosrank import citegraph, graphmetrics, infometrics, propagation
 from kosrank.cli import main
-from kosrank.config import load_config, write_config, PipelineConfig
+from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
+from kosrank.hierarchy import ancestors_of, parse_hierarchy
 from kosrank.pipeline import compute_month, ingest
 from kosrank.scores import ASPECTS, read_scores_csv
 
@@ -52,6 +54,23 @@ def generate_inputs(cfg_path: Path, months=6, articles=120) -> None:
     assert code == 0
 
 
+def add_mapping_edge_cases(cfg: PipelineConfig, month: str) -> None:
+    """Map one descriptor to a second code in another category, and add an
+    article in `month` that carries it beside an unknown descriptor id."""
+    with open(cfg.hierarchy) as fh:
+        h, _ = parse_hierarchy(fh)
+    descriptor = min(h.descriptor_map)
+    categories = {code[0] for code in h.descriptor_map[descriptor]}
+    extra = next(code for code in sorted(h.nodes, reverse=True) if code[0] not in categories)
+    with open(cfg.hierarchy, "a") as fh:
+        fh.write(f"{extra}\t{descriptor}\t\n")
+    articles = Path(cfg.articles)
+    last_id = max(json.loads(line)["id"] for line in articles.read_text().splitlines())
+    row = {"id": last_id + 1, "month": month, "mesh": [descriptor, "D999998"], "retracted": False}
+    with articles.open("a") as fh:
+        fh.write(json.dumps(row) + "\n")
+
+
 def read_all_outputs(out_dir: Path) -> dict[str, bytes]:
     return {
         str(p.relative_to(out_dir)): p.read_bytes()
@@ -73,6 +92,27 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("bogus = 1\n")
         with pytest.raises(Exception):
+            load_config(path)
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [('base_seed = "seven"', "base_seed"), ('sample_fraction = "0.5"', "sample_fraction")],
+    )
+    def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, line, key):
+        path = make_config(tmp_path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["compute", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+
+    def test_int_passes_for_float_and_bool_never_for_number(self, tmp_path):
+        path = make_config(tmp_path)
+        path.write_text(path.read_text() + "sample_fraction = 1\n")
+        assert load_config(path).sample_fraction == 1
+        path.write_text(path.read_text() + "rrf_k = true\n")
+        with pytest.raises(ConfigError, match="rrf_k"):
             load_config(path)
 
     def test_seed_override(self, tmp_path):
@@ -110,7 +150,9 @@ class TestComputeFuseTrendEvaluate:
     def prepared(self, tmp_path):
         cfg_path = make_config(tmp_path)
         generate_inputs(cfg_path)
-        return cfg_path, load_config(cfg_path)
+        cfg = load_config(cfg_path)
+        add_mapping_edge_cases(cfg, "2014-04")
+        return cfg_path, cfg
 
     def test_compute_outputs(self, prepared):
         cfg_path, cfg = prepared
@@ -177,6 +219,34 @@ class TestComputeFuseTrendEvaluate:
         seeds = graphmetrics.aggregate_to_nodes(pr, codes)
         expected = propagation.propagate(data.hierarchy, seeds)
         assert result.scores["influence"].values == expected
+
+        # the month's own mappings, from per-article treenodes_of calls
+        h = data.hierarchy
+        assert data.unknown_descriptor_refs == 1
+        added = data.store.articles[int(data.store.ids[-1])]
+        assert added.month == month and len(h.treenodes_of(added.descriptors)[0]) > 1
+        pairs = []
+        for article_id in sorted(data.store.articles_in_month(month)):
+            mapped, _ = h.treenodes_of(data.store.articles[article_id].descriptors)
+            pairs.extend((article_id, code) for code in sorted(mapped))
+        counts = infometrics.mapping_counts(h, pairs)
+        assert result.scores["informativeness"].values == infometrics.informativeness(
+            counts, mode=cfg.informativeness_mode
+        )
+        rows = {code: set() for code in h.nodes}
+        for article_id, code in pairs:
+            for node in (code, *ancestors_of(code)):
+                rows[node].add(article_id)
+        matrix = infometrics.MappingMatrix(
+            rows={code: frozenset(row) for code, row in rows.items()},
+            n_nodes=len(h.nodes),
+            m_articles=len({article_id for article_id, _ in pairs}),
+        )
+        oracle = usefulness_oracle(matrix)
+        usefulness = result.scores["usefulness"].values
+        assert usefulness.keys() == oracle.keys()
+        for code, value in oracle.items():
+            assert usefulness[code] == pytest.approx(value, abs=1e-12)
 
     def test_evaluate_separates_planted_cohorts(self, prepared):
         cfg_path, cfg = prepared
