@@ -9,13 +9,14 @@ which inherit the parent's sorted row order through masks alone.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
-from .corpus import ArticleStore
+from .corpus import ID_RANGE, ArticleStore
 from .months import normalize_month
 
 
@@ -180,7 +181,38 @@ def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
 
 
 def parse_citations(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the `citing \\t cited` TSV into edge arrays."""
+    """Parse the `citing \\t cited` TSV into int64 edge arrays.
+
+    Blank lines and lines whose first non-blank character is `#` are
+    skipped; every other line holds two tab-separated int64 ids.  Input
+    without comments is parsed in C by `np.loadtxt`.  Input that parser
+    rejects (any `#`, a wrong column count, text only Python's `int` or
+    `str.strip` accept) is parsed again line by line, which accepts it or
+    raises a GraphError naming its 1-based line: `loadtxt` counts no blank
+    lines in the row number it reports.
+    """
+    seekable = getattr(lines, "seekable", None)
+    if seekable is not None and seekable():
+        start = lines.tell()
+    else:
+        lines = list(lines)
+    try:
+        with warnings.catch_warnings():
+            # Two jobs: an empty input only warns, and older numpy reads
+            # "1.0" or "1e3" as an int with a DeprecationWarning.  As errors,
+            # both send the input to the line loop, which decides either case.
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+        if table.shape[1] == 2:
+            return table[:, 0].copy(), table[:, 1].copy()
+    except (ValueError, Warning):
+        pass
+    if not isinstance(lines, list):
+        lines.seek(start)
+    return _parse_citation_lines(lines)
+
+
+def _parse_citation_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     citing: list[int] = []
     cited: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
@@ -191,10 +223,13 @@ def parse_citations(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'citing\\tcited', got {line!r}")
         try:
-            citing.append(int(parts[0]))
-            cited.append(int(parts[1]))
+            u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer article id") from None
+        if u not in ID_RANGE or v not in ID_RANGE:
+            raise GraphError(f"line {lineno}: article id outside the int64 range")
+        citing.append(u)
+        cited.append(v)
     return np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
 
 

@@ -16,6 +16,9 @@ import numpy as np
 from .months import month_from_index, month_index, normalize_month
 
 
+ID_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)  # article ids are int64
+
+
 class CorpusError(ValueError):
     """Malformed article input."""
 
@@ -37,14 +40,14 @@ class ArticleStore:
     _month_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ids = np.fromiter(self.articles.keys(), dtype=np.int64, count=len(self.articles))
+        n = len(self.articles)
+        ids = np.fromiter(self.articles.keys(), dtype=np.int64, count=n)
+        months = [article.month for article in self.articles.values()]
+        index = {month: month_index(month) for month in set(months)}
+        month_idx = np.fromiter(map(index.__getitem__, months), dtype=np.int64, count=n)
         order = np.argsort(ids)
         self._ids = ids[order]
-        self._month_idx = np.fromiter(
-            (month_index(self.articles[int(i)].month) for i in self._ids),
-            dtype=np.int64,
-            count=len(self._ids),
-        )
+        self._month_idx = month_idx[order]
 
     def __len__(self) -> int:
         return len(self.articles)
@@ -79,8 +82,13 @@ def store_from_articles(articles: Iterable[Article]) -> ArticleStore:
 
 
 def parse_articles(lines: Iterable[str]) -> ArticleStore:
-    """Parse JSON-lines articles; duplicate ids and missing months are fatal."""
+    """Parse JSON-lines articles; duplicate ids and missing months are fatal.
+
+    Each distinct month text is validated once, and every article of that
+    month then shares one month string.
+    """
     articles: list[Article] = []
+    months: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -95,12 +103,17 @@ def parse_articles(lines: Iterable[str]) -> ArticleStore:
             article_id = int(row["id"])
         except (KeyError, TypeError, ValueError):
             raise CorpusError(f"line {lineno}: missing or invalid 'id'") from None
+        if article_id not in ID_RANGE:
+            raise CorpusError(f"line {lineno}: 'id' outside the int64 range")
         if "month" not in row:
             raise CorpusError(f"line {lineno}: missing 'month'")
-        try:
-            month = normalize_month(str(row["month"]))
-        except ValueError as exc:
-            raise CorpusError(f"line {lineno}: {exc}") from None
+        text = str(row["month"])
+        month = months.get(text)
+        if month is None:
+            try:
+                month = months[text] = normalize_month(text)
+            except ValueError as exc:
+                raise CorpusError(f"line {lineno}: {exc}") from None
         mesh = row.get("mesh", [])
         if not isinstance(mesh, list):
             raise CorpusError(f"line {lineno}: 'mesh' must be an array")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.stats import rankdata
 
 from .corpus import ArticleStore
@@ -108,15 +109,22 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> TestResult:
     return TestResult(u, p, n1, n2, "normal-approx")
 
 
+def descriptor_sums(
+    h: Hierarchy, values: np.ndarray, given: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-descriptor sums of a node vector, each in ascending code order,
+    and which descriptors have a given node (see `Hierarchy.node_vector`)."""
+    return h.descriptor_nodes @ values, (h.descriptor_nodes @ given.astype(np.int32)) > 0
+
+
 def descriptor_scores(
     node_values: Mapping[str, float], h: Hierarchy
 ) -> dict[str, float]:
     """Sum each descriptor's tree-node scores; descriptors with no scored
     node are omitted.  Each sum runs in ascending code order."""
-    values, given = h.node_vector(node_values)
-    sums = h.descriptor_nodes @ values
-    scored = np.flatnonzero(h.descriptor_nodes @ given.astype(np.int32))
-    return dict(zip([h.descriptors[i] for i in scored], sums[scored].tolist()))
+    sums, scored = descriptor_sums(h, *h.node_vector(node_values))
+    rows = np.flatnonzero(scored)
+    return dict(zip([h.descriptors[i] for i in rows], sums[rows].tolist()))
 
 
 def evolution_cohorts(
@@ -151,20 +159,34 @@ def retraction_cohorts(
     months in which the article appears.
     """
     months = sorted(m for m in monthly_values if year_of(m) == year)
-    members = {m: np.fromiter(monthly_members.get(m, ()), dtype=np.int64) for m in months}
-    ids = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *members.values()]))
+    members = [np.fromiter(monthly_members.get(m, ()), dtype=np.int64) for m in months]
+    ids = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *members]))
     articles = [store.articles[i] for i in ids.tolist()]
     rows, _ = h.incidence([article.descriptors for article in articles])
-    sums = np.zeros(len(ids), dtype=np.float64)
-    counts = np.zeros(len(ids), dtype=np.int64)
-    for month in months:
-        pos = np.searchsorted(ids, members[month])
-        values, _ = h.node_vector(monthly_values[month])
-        np.add.at(sums, pos, (rows @ values)[pos])
-        np.add.at(counts, pos, 1)
+    return retraction_split(
+        rows,
+        np.array([article.retracted for article in articles], dtype=bool),
+        [np.searchsorted(ids, m) for m in members],
+        [h.node_vector(monthly_values[m])[0] for m in months],
+    )
 
+
+def retraction_split(
+    rows: sparse.csr_matrix,
+    retracted: np.ndarray,
+    member_rows: Sequence[np.ndarray],
+    node_vectors: Sequence[np.ndarray],
+) -> tuple[list[float], list[float]]:
+    """`retraction_cohorts` on laid-out inputs: `rows` holds one incidence
+    row per article and `retracted` its flag; month k lists its members as
+    row numbers in `member_rows[k]` and its node values in `node_vectors[k]`.
+    """
+    sums = np.zeros(rows.shape[0], dtype=np.float64)
+    counts = np.zeros(rows.shape[0], dtype=np.int64)
+    for at, values in zip(member_rows, node_vectors):
+        np.add.at(sums, at, (rows @ values)[at])
+        np.add.at(counts, at, 1)
     means = sums / counts
-    retracted = np.array([article.retracted for article in articles], dtype=bool)
     return means[retracted].tolist(), means[~retracted].tolist()
 
 
@@ -174,10 +196,9 @@ def aspect_correlation(
     """Correlation matrix across named series aligned on shared keys.
 
     Keys are typically (descriptor, month) pairs; only observations
-    present in every series are used.  Returns (names, matrix).
+    present in every series are used, in sorted key order.  Returns
+    (names, matrix).
     """
-    if method not in ("pearson", "spearman"):
-        raise EvaluationError(f"unknown correlation method {method!r}")
     names = list(series)
     if not names:
         raise EvaluationError("no series given")
@@ -185,12 +206,23 @@ def aspect_correlation(
     for name in names[1:]:
         shared &= set(series[name])
     keys = sorted(shared)
-    if len(keys) < 3:
-        raise EvaluationError(f"need >= 3 aligned observations, got {len(keys)}")
-
     data = np.array([[series[name][k] for k in keys] for name in names], dtype=float)
+    return names, correlation_matrix(data, method)
+
+
+def correlation_matrix(data: np.ndarray, method: str = "pearson") -> np.ndarray:
+    """Correlation matrix of the rows of `data`, one aligned series per row.
+
+    The rows are copied to C order first: np.corrcoef's products round
+    differently on a column-major copy of the same values.
+    """
+    if method not in ("pearson", "spearman"):
+        raise EvaluationError(f"unknown correlation method {method!r}")
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    if data.shape[1] < 3:
+        raise EvaluationError(f"need >= 3 aligned observations, got {data.shape[1]}")
     if method == "spearman":
         data = np.vstack([rankdata(row, method="average") for row in data])
     matrix = np.corrcoef(data)
     np.fill_diagonal(matrix, 1.0)
-    return names, matrix
+    return matrix

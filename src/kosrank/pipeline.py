@@ -11,6 +11,7 @@ orderings are pinned so reruns (at any thread count) are byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,11 +33,13 @@ class PipelineError(RuntimeError):
 
 
 @dataclass
-class IngestData:
+class AnnotationData:
+    """Every input but the citations: the hierarchy, the articles with their
+    article x node incidence, and the change records."""
+
     hierarchy: Hierarchy
     hierarchy_report: HierarchyParseReport
     store: ArticleStore
-    graph: citegraph.CitationGraph
     changes: list[ChangeRecord]
     # article x node: rows over store.ids, columns over hierarchy.codes
     incidence: sparse.csr_matrix = field(init=False, repr=False)
@@ -46,6 +49,13 @@ class IngestData:
         self.incidence, self.unknown_descriptor_refs = self.hierarchy.incidence(
             [self.store.articles[i].descriptors for i in self.store.ids.tolist()]
         )
+
+
+@dataclass
+class IngestData(AnnotationData):
+    """All inputs: the annotation data plus the citation graph."""
+
+    graph: citegraph.CitationGraph
 
     def report_lines(self) -> list[str]:
         g = self.graph
@@ -72,27 +82,40 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
-def ingest(cfg: PipelineConfig) -> IngestData:
-    """Parse and cross-validate all configured inputs."""
+def _read_annotations(
+    cfg: PipelineConfig,
+) -> tuple[Hierarchy, HierarchyParseReport, ArticleStore, list[ChangeRecord]]:
     hpath = _require(cfg.hierarchy, "hierarchy")
     apath = _require(cfg.articles, "articles")
-    cpath = _require(cfg.citations, "citations")
     with hpath.open() as fh:
         hierarchy, hreport = parse_hierarchy(fh)
     with apath.open() as fh:
         store = parse_articles(fh)
-    with cpath.open() as fh:
-        edges = citegraph.parse_citations(fh)
-    graph = citegraph.build_graph(edges, store)
-
     changes: list[ChangeRecord] = []
     if cfg.changes:
         chpath = Path(cfg.changes)
         if chpath.exists():
             with chpath.open() as fh:
                 changes = evaluate.parse_changes(fh)
+    return hierarchy, hreport, store, changes
 
-    return IngestData(hierarchy, hreport, store, graph, changes)
+
+def load_annotations(cfg: PipelineConfig) -> AnnotationData:
+    """Parse every configured input but the citations."""
+    return AnnotationData(*_read_annotations(cfg))
+
+
+def ingest(cfg: PipelineConfig) -> IngestData:
+    """Parse and cross-validate all configured inputs."""
+    # A wrong path fails before any file is parsed, in the order they are read.
+    _require(cfg.hierarchy, "hierarchy")
+    _require(cfg.articles, "articles")
+    cpath = _require(cfg.citations, "citations")
+    hierarchy, hreport, store, changes = _read_annotations(cfg)
+    with cpath.open() as fh:
+        edges = citegraph.parse_citations(fh)
+    graph = citegraph.build_graph(edges, store)
+    return IngestData(hierarchy, hreport, store, changes, graph)
 
 
 @dataclass
@@ -101,6 +124,7 @@ class MonthResult:
     seed: int
     member_ids: np.ndarray
     scores: dict[str, AspectScores]
+    converged: bool  # whether PageRank met pagerank_tol
 
 
 def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int) -> MonthResult:
@@ -153,7 +177,13 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
     results["usefulness"] = AspectScores(
         aspect="usefulness", month=month, values=dict(zip(h.codes, usefulness.tolist()))
     )
-    return MonthResult(month=month, seed=seed, member_ids=sampled.node_ids, scores=results)
+    return MonthResult(
+        month=month,
+        seed=seed,
+        member_ids=sampled.node_ids,
+        scores=results,
+        converged=influence_scores.converged,
+    )
 
 
 def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
@@ -171,6 +201,13 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
             )
     else:
         results = [compute_month(cfg, data, m, i) for i, m in enumerate(window)]
+    for result in results:
+        if not result.converged:
+            print(
+                f"warning: {result.month}: PageRank did not converge within "
+                f"pagerank_max_iter = {cfg.pagerank_max_iter} iterations",
+                file=sys.stderr,
+            )
 
     out = Path(cfg.output_dir)
     (out / "scores").mkdir(parents=True, exist_ok=True)
@@ -358,8 +395,12 @@ def _test_row(result: evaluate.TestResult | None, **labels) -> dict:
 
 
 def run_evaluate(cfg: PipelineConfig) -> list[Path]:
-    """Cohort tests for evolution and retraction, plus correlation matrices."""
-    data = ingest(cfg)
+    """Cohort tests for evolution and retraction, plus correlation matrices.
+
+    Reads the annotation data and the compute and fuse outputs; the
+    citations are not read.
+    """
+    data = load_annotations(cfg)
     h = data.hierarchy
     table = _load_scores(cfg)
     relevance = _relevance_by_month(cfg)
@@ -373,6 +414,12 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
 
     def month_values(name: str, month: str) -> dict[str, float]:
         return relevance.get(month, {}) if name == RELEVANCE else table[name].get(month, {})
+
+    # series -> month -> (node values by position, which positions were given)
+    vectors = {
+        name: {month: h.node_vector(month_values(name, month)) for month in window}
+        for name in series_names
+    }
 
     # Evolution: one test per (release, aspect) on per-descriptor yearly means.
     evolution_rows: list[dict] = []
@@ -389,9 +436,8 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
                 continue
             # node values averaged over the release year's months, then
             # summed per descriptor inside evolution_cohorts
-            vectors = [h.node_vector(month_values(name, month)) for month in months]
-            sums = sum(values for values, _ in vectors)
-            counts = sum(given.astype(np.int64) for _, given in vectors)
+            sums = sum(vectors[name][month][0] for month in months)
+            counts = sum(vectors[name][month][1].astype(np.int64) for month in months)
             node_means = {h.codes[i]: sums[i] / counts[i] for i in np.flatnonzero(counts)}
             evolving, stable = evaluate.evolution_cohorts(node_means, release_changes, h)
             if not evolving or not stable:
@@ -412,23 +458,30 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     written.append(epath)
 
     # Retraction: one test per (year, aspect) on yearly per-article means.
+    # The year's sampled members and their incidence rows serve every series.
     retraction_rows: list[dict] = []
     for year in sorted({year_of(m) for m in window}):
+        months = [m for m in window if year_of(m) == year]
+        member_ids = [np.asarray(members[m], dtype=np.int64) for m in months]
+        ids = np.unique(np.concatenate(member_ids))
+        if not np.isin(ids, data.store.ids).all():
+            raise PipelineError(f"members of {year} include ids missing from the articles file")
+        at = np.searchsorted(data.store.ids, ids)
+        rows = data.incidence[at]
+        retracted = np.array([data.store.articles[i].retracted for i in ids.tolist()], dtype=bool)
+        member_rows = [np.searchsorted(ids, m) for m in member_ids]
         for name in series_names:
-            monthly_values = {
-                m: month_values(name, m) for m in window if year_of(m) == year
-            }
-            retracted, other = evaluate.retraction_cohorts(
-                data.store, monthly_values, members, h, year
+            retracted_means, other = evaluate.retraction_split(
+                rows, retracted, member_rows, [vectors[name][m][0] for m in months]
             )
-            if not retracted or not other:
+            if not retracted_means or not other:
                 retraction_rows.append(
                     _test_row(None, year=year, aspect=name, reason="empty cohort")
                 )
             else:
-                result = evaluate.mann_whitney(retracted, other)
+                result = evaluate.mann_whitney(retracted_means, other)
                 row = _test_row(result, year=year, aspect=name)
-                row["mean_retracted"] = sum(retracted) / len(retracted)
+                row["mean_retracted"] = sum(retracted_means) / len(retracted_means)
                 row["mean_other"] = sum(other) / len(other)
                 retraction_rows.append(row)
     rpath = out / "retraction_tests.json"
@@ -438,27 +491,28 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     )
     written.append(rpath)
 
-    # Correlation across aspects + fused relevance on (descriptor, month) pairs.
-    series: dict[str, dict[tuple[str, str], float]] = {name: {} for name in series_names}
+    # Correlation across aspects + fused relevance on (descriptor, month)
+    # pairs scored in every series.  Each series is laid out descriptor-major,
+    # month-minor, which is the sorted order of those pairs.
+    values, scored = [], []
     for name in series_names:
-        for month in window:
-            for d, v in evaluate.descriptor_scores(month_values(name, month), h).items():
-                series[name][(d, month)] = v
+        sums, masks = zip(*(evaluate.descriptor_sums(h, *vectors[name][m]) for m in window))
+        values.append(np.column_stack(sums).ravel())
+        scored.append(np.column_stack(masks).ravel())
+    aligned = np.vstack(values)[:, np.logical_and.reduce(scored)]
     for method in ("pearson", "spearman"):
+        cpath = out / f"correlation_{method}.csv"
         try:
-            names, matrix = evaluate.aspect_correlation(series, method=method)
+            matrix = evaluate.correlation_matrix(aligned, method=method)
         except evaluate.EvaluationError as exc:
-            names, matrix = None, None
-            cpath = out / f"correlation_{method}.csv"
             cpath.write_text(f"# config_hash={chash}\n# skipped: {exc}\n")
             written.append(cpath)
             continue
-        cpath = out / f"correlation_{method}.csv"
         with cpath.open("w") as fh:
             fh.write(f"# config_hash={chash}\n")
-            fh.write("series," + ",".join(names) + "\n")
-            for i, name in enumerate(names):
-                row = ",".join(format(matrix[i, j], ".17g") for j in range(len(names)))
+            fh.write("series," + ",".join(series_names) + "\n")
+            for i, name in enumerate(series_names):
+                row = ",".join(format(matrix[i, j], ".17g") for j in range(len(series_names)))
                 fh.write(f"{name},{row}\n")
         written.append(cpath)
     return written

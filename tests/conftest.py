@@ -2,14 +2,15 @@
 
 Oracles here deliberately avoid the library's own code paths: dense
 linear algebra for PageRank, explicit global set construction for
-disruption, plain double loops for category utility, and a memoized
-recursion for the hierarchy propagation.
+disruption, plain double loops for category utility, a memoized
+recursion for the hierarchy propagation, and a per-line loop for the
+citation TSV.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from kosrank.citegraph import CitationGraph, build_graph
+from kosrank.citegraph import CitationGraph, GraphError, build_graph
 from kosrank.corpus import Article, ArticleStore, store_from_articles
 from kosrank.hierarchy import Hierarchy, build_hierarchy
 from kosrank.infometrics import MappingMatrix
@@ -68,6 +69,27 @@ def propagate_oracle(h: Hierarchy, seeds: dict[str, float]) -> dict[str, float]:
         for n in memo
         if h.children_of(n) or n in seeds
     }
+
+
+def parse_citations_oracle(lines) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line reading of the `citing \\t cited` TSV: blank lines and
+    lines starting with `#` after stripping are skipped, every other line
+    must split on tabs into exactly two Python ints."""
+    citing: list[int] = []
+    cited: list[int] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphError(f"line {lineno}: expected 'citing\\tcited', got {line!r}")
+        try:
+            citing.append(int(parts[0]))
+            cited.append(int(parts[1]))
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-integer article id") from None
+    return np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
 
 
 def temporal_store(rng: np.random.Generator, n: int, n_months: int = 6) -> ArticleStore:

@@ -1,7 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
-from conftest import random_temporal_graph, temporal_store
+from conftest import parse_citations_oracle, random_temporal_graph, temporal_store
 from kosrank.citegraph import (
     GraphError,
     build_graph,
@@ -165,6 +167,85 @@ class TestParseCitations:
     def test_malformed_row(self):
         with pytest.raises(GraphError, match="line 1"):
             parse_citations(["2,1\n"])
+
+    @staticmethod
+    def outcome(parser, source):
+        try:
+            citing, cited = parser(source)
+        except GraphError as exc:
+            return str(exc)
+        assert citing.dtype == cited.dtype == np.int64
+        return citing.tolist(), cited.tolist()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "\n\n\n",
+            "# citing\tcited\n#\n",
+            "  \n\t\n",
+            "# header\n2\t1\n\n3\t1\n",
+            "  2\t1  \n 3\t1\n",
+            "\t2\t1\n",
+            "2\t1\r\n3\t1\r\n",
+            "2\t1\r3\t1\n",
+            "2\t1",
+            "+2\t-1\n",
+            "  # indented comment\n2\t1\n",
+            "2\t1\t\n3\t1\n",  # trailing tab: accepted; loadtxt alone rejects it
+            "2\t1 # x\n",  # inline comment: rejected; loadtxt with `#` comments accepts it
+            "2\t1\n3\t1\t# x\n",
+            "2,1\n",
+            "2\n",
+            "2\t1\t3\n",
+            "2\t1\n2\t1\t3\n",
+            "2\t\t1\n",
+            "2\tx\n",
+            "2\t1.0\n",
+            "2\t1e3\n",
+            "2\t1\n\n# c\n3\tfoo\n",
+        ],
+    )
+    def test_matches_the_line_loop(self, text):
+        expected = self.outcome(parse_citations_oracle, io.StringIO(text))
+        assert self.outcome(parse_citations, io.StringIO(text)) == expected
+        lines = text.splitlines(keepends=True)
+        assert self.outcome(parse_citations, lines) == self.outcome(parse_citations_oracle, lines)
+
+    def test_matches_the_line_loop_on_random_rows(self):
+        tokens = ["1", "22", "-3", "+4", "007", " ", "\t", "\t", "#", "# x", "x", "1.0", "\r", ""]
+        rng = np.random.default_rng(2024)
+        for _ in range(500):
+            lines = [
+                "".join(rng.choice(tokens, size=int(rng.integers(0, 6))))
+                + ("\n" if rng.random() < 0.9 else "")
+                for _ in range(int(rng.integers(0, 5)))
+            ]
+            text = "".join(lines)
+            expected = self.outcome(parse_citations_oracle, io.StringIO(text))
+            assert self.outcome(parse_citations, io.StringIO(text)) == expected, repr(text)
+
+    def test_fallback_rereads_from_where_the_input_started(self):
+        text = "# header\n2\t1\n3\t1\n"
+        expected = ([2, 3], [1, 1])
+        handle = io.StringIO("skipped\n" + text)
+        handle.readline()
+        assert self.outcome(parse_citations, handle) == expected
+        assert self.outcome(parse_citations, iter(text.splitlines(keepends=True))) == expected
+
+    def test_int64_ids_parse_at_the_limits(self):
+        text = "9223372036854775807\t-9223372036854775808\n"
+        citing, cited = parse_citations(io.StringIO(text))
+        assert citing.tolist() == [2**63 - 1] and cited.tolist() == [-(2**63)]
+
+    @pytest.mark.parametrize(
+        "text", ["1\t2\n2\t99999999999999999999\n", "1\t2\n-9223372036854775809\t1\n"]
+    )
+    def test_id_beyond_int64_names_its_line(self, text):
+        with pytest.raises(OverflowError):
+            parse_citations_oracle(io.StringIO(text))
+        with pytest.raises(GraphError, match="^line 2: article id outside the int64 range$"):
+            parse_citations(io.StringIO(text))
 
 
 class TestPositionsAreNotIds:

@@ -42,6 +42,38 @@ class TestParse:
         store = parse('{"id":1,"month":"2014-01-15"}\n')
         assert store.articles[1].month == "2014-01"
 
+    def test_months_parsed_once_per_distinct_text(self):
+        store = parse(
+            '{"id":2,"month":"2014-01"}\n{"id":1,"month":"2014-01-15"}\n'
+            '{"id":3,"month":"2014-01"}\n{"id":4,"month":"2013-12"}\n'
+        )
+        assert [store.articles[i].month for i in (1, 2, 3, 4)] == [
+            "2014-01", "2014-01", "2014-01", "2013-12"
+        ]
+        assert store.articles[2].month is store.articles[3].month
+        assert store.ids_up_to("2013-12").tolist() == [4]
+        assert store.articles_in_month("2014-01") == {1, 2, 3}
+
+    @pytest.mark.parametrize(
+        "month, reason",
+        [("2014-13", "month component out of range"), ("14-01", "expected YYYY-MM")],
+    )
+    def test_bad_month_names_its_line_every_time(self, month, reason):
+        good = '{"id":1,"month":"2014-01"}\n'
+        bad = f'{{"id":2,"month":"{month}"}}\n'
+        for text, line in ((bad, 1), (good + bad, 2)):
+            with pytest.raises(CorpusError) as err:
+                parse(text)
+            assert str(err.value) == f"line {line}: invalid month {month!r}, {reason}"
+
+    @pytest.mark.parametrize("article_id", ["99999999999999999999", "-9223372036854775809"])
+    def test_id_beyond_int64_names_its_line(self, article_id):
+        text = f'{{"id":1,"month":"2014-01"}}\n{{"id":{article_id},"month":"2014-01"}}\n'
+        with pytest.raises(CorpusError, match="^line 2: 'id' outside the int64 range$"):
+            parse(text)
+        store = parse('{"id":9223372036854775807,"month":"2014-01"}\n')
+        assert store.ids.tolist() == [2**63 - 1]
+
 
 class TestQueries:
     def make_store(self):

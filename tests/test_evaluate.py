@@ -10,6 +10,7 @@ from kosrank.evaluate import (
     ChangeRecord,
     EvaluationError,
     aspect_correlation,
+    correlation_matrix,
     evolution_cohorts,
     mann_whitney,
     parse_changes,
@@ -231,6 +232,14 @@ class TestCorrelation:
         series = {"x": {"a": 1.0, "b": 2.0}, "y": {"a": 1.0, "b": 2.0}}
         with pytest.raises(EvaluationError):
             aspect_correlation(series)
+
+    def test_bits_do_not_depend_on_memory_layout(self):
+        data = np.random.default_rng(3).normal(size=(5, 20_000))
+        for method in ("pearson", "spearman"):
+            expected = correlation_matrix(data, method=method)
+            assert np.array_equal(correlation_matrix(np.asfortranarray(data), method), expected)
+            sliced = np.hstack([data, data])[:, : data.shape[1]]
+            assert np.array_equal(correlation_matrix(sliced, method), expected)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(7)

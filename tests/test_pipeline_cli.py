@@ -135,6 +135,24 @@ class TestIngest:
         assert "edges kept:" in report
         assert "self-loops dropped: 0" in report
 
+    @pytest.mark.parametrize("what", ["citations", "articles"])
+    def test_id_beyond_int64_is_a_one_line_error(self, tmp_path, capsys, what):
+        cfg_path = make_config(tmp_path)
+        generate_inputs(cfg_path)
+        cfg = load_config(cfg_path)
+        path = Path(getattr(cfg, what))
+        lines = path.read_text().splitlines()
+        if what == "citations":
+            lines.append("2\t99999999999999999999")
+        else:
+            lines.append(json.dumps({"id": 99999999999999999999, "month": "2014-01"}))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {len(lines)}: ") and err.count("\n") == 1
+        assert "int64" in err
+
     def test_missing_citations_file_fails_with_path(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path)
         generate_inputs(cfg_path)
@@ -143,6 +161,16 @@ class TestIngest:
         assert main(["ingest", "--config", str(cfg_path)]) != 0
         err = capsys.readouterr().err
         assert "citations.tsv" in err
+
+    def test_missing_citations_file_fails_before_any_parse(self, tmp_path, capsys):
+        cfg_path = make_config(tmp_path)
+        generate_inputs(cfg_path)
+        cfg = load_config(cfg_path)
+        Path(cfg.articles).write_text("not json\n")
+        Path(cfg.citations).unlink()
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: citations file not found: ")
 
 
 class TestComputeFuseTrendEvaluate:
@@ -290,6 +318,31 @@ class TestComputeFuseTrendEvaluate:
             (Path(cfg.output_dir) / "evolution_tests.json").read_text()
         )
         assert evolution["results"] == []
+
+    def test_evaluate_reads_no_citations(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse", "evaluate"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        intact = read_all_outputs(Path(cfg.output_dir))
+        Path(cfg.citations).write_text("2\tnot-an-id\n")
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_all_outputs(Path(cfg.output_dir)) == intact
+
+    def test_non_converged_pagerank_is_reported(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        assert main(["compute", "--config", str(cfg_path)]) == 0
+        assert capsys.readouterr().err == ""
+        cfg_path.write_text(cfg_path.read_text() + "pagerank_max_iter = 1\n")
+        assert main(["compute", "--config", str(cfg_path)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"warning: {month}: PageRank did not converge within pagerank_max_iter = 1 iterations"
+            for month in cfg.window()
+        ]
+        assert len(list((Path(cfg.output_dir) / "scores").iterdir())) == 4 * len(cfg.window())
 
     def test_missing_upstream_outputs(self, prepared, capsys):
         cfg_path, _ = prepared
