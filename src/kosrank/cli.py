@@ -97,42 +97,20 @@ def _cmd_generate(cfg: PipelineConfig, args) -> int:
 
 
 def _cmd_export_plots(cfg: PipelineConfig, top: int = 10) -> int:
-    rankings = pipeline._load_rankings(cfg)
-    window = cfg.window()
-    years = sorted({year_of(m) for m in window})
+    means = pipeline.scope_mean_ranks(cfg)
+    years = sorted({year_of(m) for m in cfg.window()})
     out = Path(cfg.output_dir) / "plots"
     out.mkdir(parents=True, exist_ok=True)
-    scopes = sorted({scope for _, scope in rankings if scope != "global"})
-    count = 0
-    for scope in scopes:
-        monthly = [
-            {c: rank for c, (_, rank) in rankings[(m, scope)].items()}
-            for m in window
-            if (m, scope) in rankings
-        ]
-        if not monthly:
-            continue
-        means = fusion.mean_ranks(monthly)
-        codes = fusion.top_k_by_mean_rank(means, top)
-        series: dict[str, list[float | None]] = {}
-        for code in codes:
-            ys: list[float | None] = []
-            for year in years:
-                months = [m for m in window if year_of(m) == year and (m, scope) in rankings]
-                ranks = [
-                    rankings[(m, scope)][code][1] for m in months if code in rankings[(m, scope)]
-                ]
-                ys.append(sum(ranks) / len(ranks) if ranks else None)
-            series[code] = ys
+    for scope, (yearly, window_means) in means.items():
+        codes = fusion.top_k_by_mean_rank(window_means, top)
         svg = rank_chart_svg(
             f"top {len(codes)} concepts, {scope}",
             [str(y) for y in years],
-            series,
+            {code: [yearly.get(y, {}).get(code) for y in years] for code in codes},
             config_hash=cfg.config_hash(),
         )
         (out / f"rank_{scope}.svg").write_text(svg)
-        count += 1
-    print(f"wrote {count} plots to {out}")
+    print(f"wrote {len(means)} plots to {out}")
     return 0
 
 

@@ -49,6 +49,10 @@ class PipelineConfig:
             raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
         if not 0.0 < self.pagerank_alpha < 1.0:
             raise ConfigError(f"pagerank_alpha must be in (0, 1), got {self.pagerank_alpha}")
+        if self.pagerank_max_iter < 1:
+            raise ConfigError(f"pagerank_max_iter must be at least 1, got {self.pagerank_max_iter}")
+        if not self.pagerank_tol > 0.0:
+            raise ConfigError(f"pagerank_tol must be positive, got {self.pagerank_tol}")
         if self.rrf_k <= 0:
             raise ConfigError(f"rrf_k must be positive, got {self.rrf_k}")
         if self.informativeness_mode not in ("entropy-term", "surprisal"):

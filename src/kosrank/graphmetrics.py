@@ -7,6 +7,7 @@ hierarchy propagation step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -19,9 +20,20 @@ NodeSeedScores = dict[str, float]
 
 @dataclass
 class ArticleScores:
-    values: dict[int, float]
-    graph_size_m: int
+    """One score per node of a graph: `scores[i]` belongs to article `node_ids[i]`."""
+
+    node_ids: np.ndarray
+    scores: np.ndarray
     converged: bool = True
+
+    @property
+    def graph_size_m(self) -> int:
+        return len(self.scores)
+
+    @cached_property
+    def values(self) -> dict[int, float]:
+        """Article id -> score, built on first access."""
+        return dict(zip(self.node_ids.tolist(), self.scores.tolist()))
 
 
 def disruption_of(g: CitationGraph, focal: int) -> float:
@@ -67,9 +79,6 @@ def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScor
     predicted number of reference-citer incidences so memory stays flat.
     """
     n = g.num_nodes
-    if n == 0:
-        return ArticleScores(values={}, graph_size_m=0)
-
     A = _binary(g.out_indptr, g.out_targets, n)  # [f, r] = 1 iff f cites r
     AT = _binary(g.in_indptr, g.in_sources, n)  # its transpose
     indeg = np.diff(AT.indptr).astype(np.int64)
@@ -85,9 +94,7 @@ def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScor
         stop = min(max(stop, start + 1), n)
         _disruption_batch(A, AT, start, stop, result)
         start = stop
-
-    values = dict(zip(g.node_ids.tolist(), result.tolist()))
-    return ArticleScores(values=values, graph_size_m=n)
+    return ArticleScores(g.node_ids, result)
 
 
 def _disruption_batch(
@@ -133,8 +140,6 @@ def pagerank(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n = g.num_nodes
-    if n == 0:
-        return ArticleScores(values={}, graph_size_m=0)
     beta = 1.0 - alpha
 
     outdeg = np.diff(g.out_indptr).astype(np.float64)
@@ -150,9 +155,7 @@ def pagerank(
         if change < tol:
             converged = True
             break
-
-    values = dict(zip(g.node_ids.tolist(), x.tolist()))
-    return ArticleScores(values=values, graph_size_m=n, converged=converged)
+    return ArticleScores(g.node_ids, x, converged)
 
 
 def aggregate_to_nodes(
@@ -161,16 +164,16 @@ def aggregate_to_nodes(
     """Sum article scores onto their mapped nodes, divided by network size.
 
     An article mapped to several nodes contributes its full score to each;
-    nodes with no mapped article are absent from the result.
+    nodes with no mapped article are absent from the result.  Articles are
+    summed in position order.
     """
     if scores.graph_size_m <= 0:
         raise ValueError("graph_size_m must be positive")
     sums: dict[str, float] = {}
-    for article_id in sorted(scores.values):
+    for article_id, score in zip(scores.node_ids.tolist(), scores.scores.tolist()):
         codes = article_nodes.get(article_id)
         if not codes:
             continue
-        score = scores.values[article_id]
         for code in sorted(codes):
             sums[code] = sums.get(code, 0.0) + score
     return {code: total / scores.graph_size_m for code, total in sums.items()}

@@ -139,13 +139,7 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
     snapshot = citegraph.cumulative_snapshot(data.graph, data.store, month)
     sampled = citegraph.sample_nodes(snapshot, cfg.sample_fraction, seed)
     rows = data.incidence[np.searchsorted(data.store.ids, sampled.node_ids)]
-    member_codes = {
-        article_id: tuple(h.codes[j] for j in columns)
-        for article_id, columns in zip(
-            sampled.node_ids.tolist(), np.split(rows.indices, rows.indptr[1:-1])
-        )
-        if len(columns)
-    }
+    seeded = rows.getnnz(axis=0) > 0
 
     influence_scores = graphmetrics.pagerank(
         sampled, alpha=cfg.pagerank_alpha, tol=cfg.pagerank_tol, max_iter=cfg.pagerank_max_iter
@@ -158,8 +152,10 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
         ("disruptiveness", disruption_scores),
     ):
         if article_scores.graph_size_m > 0:
-            seeds = graphmetrics.aggregate_to_nodes(article_scores, member_codes)
-            values = propagation.propagate(h, seeds)
+            # The CSC product adds each node's articles one at a time in
+            # ascending id, as aggregate_to_nodes does, so the sums keep their bits.
+            seeds = rows.T @ article_scores.scores / article_scores.graph_size_m
+            values = propagation.propagate_positions(h, seeds, seeded)
         else:
             values = {}
         results[aspect] = AspectScores(aspect=aspect, month=month, values=values)
@@ -294,12 +290,36 @@ def _load_rankings(cfg: PipelineConfig) -> dict[tuple[str, str], dict[str, tuple
     return table
 
 
-def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
-    """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
+def scope_mean_ranks(
+    cfg: PipelineConfig,
+) -> dict[str, tuple[dict[int, dict[str, float]], dict[str, float]]]:
+    """Level scope -> (year -> code -> mean rank over the year's months,
+    code -> mean rank over the window), from the fused rankings.
+
+    Scopes ranked in no window month are left out.
+    """
     rankings = _load_rankings(cfg)
     window = cfg.window()
-    years = sorted({year_of(m) for m in window})
-    scopes = sorted({scope for _, scope in rankings if scope != "global"})
+    means = {}
+    for scope in sorted({scope for _, scope in rankings if scope != "global"}):
+        monthly = {
+            m: {c: rank for c, (_, rank) in rankings[(m, scope)].items()}
+            for m in window
+            if (m, scope) in rankings
+        }
+        if not monthly:
+            continue
+        yearly = {
+            year: fusion.mean_ranks(r for m, r in monthly.items() if year_of(m) == year)
+            for year in sorted({year_of(m) for m in monthly})
+        }
+        means[scope] = (yearly, fusion.mean_ranks(monthly.values()))
+    return means
+
+
+def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
+    """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
+    means = scope_mean_ranks(cfg)
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
 
@@ -307,20 +327,9 @@ def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
     with trends_path.open("w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("tree_code,level,slope,first_year,last_year\n")
-        for scope in scopes:
-            yearly: dict[int, dict[str, float]] = {}
-            for year in years:
-                months = [m for m in window if year_of(m) == year]
-                monthly = [
-                    {c: rank for c, (_, rank) in rankings[(m, scope)].items()}
-                    for m in months
-                    if (m, scope) in rankings
-                ]
-                if monthly:
-                    yearly[year] = fusion.mean_ranks(monthly)
-            codes = sorted({c for means in yearly.values() for c in means})
-            for code in codes:
-                series = [(y, yearly[y][code]) for y in sorted(yearly) if code in yearly[y]]
+        for yearly, _ in means.values():
+            for code in sorted({c for ranks in yearly.values() for c in ranks}):
+                series = [(y, ranks[code]) for y, ranks in yearly.items() if code in ranks]
                 if len(series) < 2:
                     continue
                 slope = fusion.rank_trend_slope([rank for _, rank in series])
@@ -333,22 +342,15 @@ def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
     with tables_path.open("w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("scope,kind,position,tree_code,mean_rank\n")
-        for scope in scopes:
-            monthly = [
-                {c: rank for c, (_, rank) in rankings[(m, scope)].items()}
-                for m in window
-                if (m, scope) in rankings
-            ]
-            if not monthly:
-                continue
-            means = fusion.mean_ranks(monthly)
+        for scope, (_, window_means) in means.items():
             for kind, codes in (
-                ("top", fusion.top_k_by_mean_rank(means, table_k)),
-                ("bottom", fusion.bottom_k_by_mean_rank(means, table_k)),
+                ("top", fusion.top_k_by_mean_rank(window_means, table_k)),
+                ("bottom", fusion.bottom_k_by_mean_rank(window_means, table_k)),
             ):
                 for position, code in enumerate(codes, start=1):
                     fh.write(
-                        f"{scope},{kind},{position},{code},{format(means[code], '.17g')}\n"
+                        f"{scope},{kind},{position},{code},"
+                        f"{format(window_means[code], '.17g')}\n"
                     )
     return trends_path, tables_path
 

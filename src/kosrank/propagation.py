@@ -31,7 +31,12 @@ def propagate(h: Hierarchy, seeds: Mapping[str, float]) -> HierarchyScores:
     if int(seeded.sum()) != len(seeds):
         unknown = next(code for code in seeds if code not in h.position)
         raise KeyError(f"unknown seed code {unknown}")
+    return propagate_positions(h, seed, seeded)
 
+
+def propagate_positions(h: Hierarchy, seed: np.ndarray, seeded: np.ndarray) -> HierarchyScores:
+    """`propagate` on seeds laid out by node position: `seed[i]` is node i's
+    seed where the boolean `seeded[i]` holds, and must be 0 elsewhere."""
     internal = np.isin(np.arange(len(h.codes)), h.parent)  # some node's parent
     values = np.where(internal, 0.0, seed)
     for level in range(int(h.level.max(initial=1)), 1, -1):

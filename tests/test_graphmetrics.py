@@ -119,14 +119,18 @@ class TestPagerank:
                 assert abs(actual[node] - value) < 1e-8
 
 
+def article_scores(ids, scores):
+    return ArticleScores(np.asarray(ids, dtype=np.int64), np.asarray(scores, dtype=np.float64))
+
+
 class TestAggregate:
     def test_division_by_network_size(self):
-        scores = ArticleScores(values={1: 0.5}, graph_size_m=10)
+        scores = article_scores(range(1, 11), [0.5] + [0.0] * 9)
         seeds = aggregate_to_nodes(scores, {1: {"D12.776"}})
         assert seeds == {"D12.776": pytest.approx(0.05)}
 
     def test_cancellation(self):
-        scores = ArticleScores(values={1: 0.5, 2: -0.5}, graph_size_m=4)
+        scores = article_scores([1, 2, 3, 4], [0.5, -0.5, 0.0, 0.0])
         seeds = aggregate_to_nodes(scores, {1: {"C"}, 2: {"C"}})
         assert seeds["C"] == pytest.approx(0.0)
 
@@ -138,16 +142,16 @@ class TestAggregate:
             i: {codes[j] for j in rng.choice(3, size=int(rng.integers(1, 4)), replace=False)}
             for i in values
         }
-        scores = ArticleScores(values=values, graph_size_m=29)
+        scores = article_scores(list(values), list(values.values()))
         seeds = aggregate_to_nodes(scores, mapping)
         for code in codes:
             brute = sum(v for i, v in values.items() if code in mapping[i]) / 29
             assert seeds.get(code, 0.0) == pytest.approx(brute, abs=1e-12)
 
     def test_unmapped_nodes_absent(self):
-        scores = ArticleScores(values={1: 1.0}, graph_size_m=2)
+        scores = article_scores([1, 2], [1.0, 0.0])
         assert aggregate_to_nodes(scores, {}) == {}
 
     def test_zero_network_size_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_to_nodes(ArticleScores(values={}, graph_size_m=0), {})
+            aggregate_to_nodes(article_scores([], []), {})

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -96,7 +97,14 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "line, key",
-        [('base_seed = "seven"', "base_seed"), ('sample_fraction = "0.5"', "sample_fraction")],
+        [
+            ('base_seed = "seven"', "base_seed"),
+            ('sample_fraction = "0.5"', "sample_fraction"),
+            ("pagerank_max_iter = 0", "pagerank_max_iter"),
+            ("pagerank_max_iter = -5", "pagerank_max_iter"),
+            ("pagerank_tol = 0.0", "pagerank_tol"),
+            ("pagerank_tol = -1e-9", "pagerank_tol"),
+        ],
     )
     def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, line, key):
         path = make_config(tmp_path)
@@ -229,24 +237,30 @@ class TestComputeFuseTrendEvaluate:
         ]
         assert global_ranks == list(range(1, len(global_ranks) + 1))
 
-    def test_unsampled_compute_matches_direct_module_calls(self, prepared):
-        cfg_path, cfg = prepared
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_unsampled_compute_matches_direct_module_calls(self, prepared, fraction):
+        _, cfg = prepared
+        cfg = dataclasses.replace(cfg, sample_fraction=fraction)
         data = ingest(cfg)
         month = "2014-04"
         result = compute_month(cfg, data, month, 3)
-        # independent reconstruction at fraction 1.0: snapshot == sample
+        # independent reconstruction through the dict-based library calls
         snapshot = citegraph.cumulative_snapshot(data.graph, data.store, month)
-        pr = graphmetrics.pagerank(snapshot)
+        sample = citegraph.sample_nodes(snapshot, fraction, cfg.base_seed + 3)
         codes = {}
-        for raw_id in snapshot.node_ids:
+        for raw_id in sample.node_ids:
             mapped, _ = data.hierarchy.treenodes_of(
                 data.store.articles[int(raw_id)].descriptors
             )
             if mapped:
                 codes[int(raw_id)] = tuple(sorted(mapped))
-        seeds = graphmetrics.aggregate_to_nodes(pr, codes)
-        expected = propagation.propagate(data.hierarchy, seeds)
-        assert result.scores["influence"].values == expected
+        for aspect, scores in (
+            ("influence", graphmetrics.pagerank(sample)),
+            ("disruptiveness", graphmetrics.disruption_all(sample)),
+        ):
+            seeds = graphmetrics.aggregate_to_nodes(scores, codes)
+            expected = propagation.propagate(data.hierarchy, seeds)
+            assert result.scores[aspect].values == expected
 
         # the month's own mappings, from per-article treenodes_of calls
         h = data.hierarchy
@@ -275,6 +289,17 @@ class TestComputeFuseTrendEvaluate:
         assert usefulness.keys() == oracle.keys()
         for code, value in oracle.items():
             assert usefulness[code] == pytest.approx(value, abs=1e-12)
+
+    def test_empty_sample_writes_empty_graph_tables(self, prepared):
+        _, cfg = prepared
+        cfg = dataclasses.replace(cfg, sample_fraction=0.005)  # 0 of 2014-01's 120 articles
+        data = ingest(cfg)
+        first = compute_month(cfg, data, "2014-01", 0)
+        second = compute_month(cfg, data, "2014-02", 1)
+        assert len(first.member_ids) == 0 and len(second.member_ids) > 0
+        for aspect in ("influence", "disruptiveness"):
+            assert first.scores[aspect].values == {}
+            assert second.scores[aspect].values
 
     def test_evaluate_separates_planted_cohorts(self, prepared):
         cfg_path, cfg = prepared
