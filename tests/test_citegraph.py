@@ -52,6 +52,34 @@ class TestBuild:
         assert g.successors_of(1).tolist() == [2]
         assert g.successors_of(2).tolist() == [1]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_set_oracle_on_shuffled_ids(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = 10**12 + 7 * np.sort(rng.choice(400, size=120, replace=False))
+        store = store_from_articles(Article(int(i), "2014-01", ()) for i in ids)
+        outside = np.concatenate([
+            ids[:5] - 10**12,  # below the smallest id
+            ids[-5:] + 10**6,  # above the largest
+            ids[:-1] + rng.integers(1, 7, size=len(ids) - 1),  # in a gap
+        ])
+        pool = np.concatenate([np.repeat(ids, 4), outside])
+        citing, cited = rng.choice(pool, size=2000), rng.choice(pool, size=2000)
+        repeat = rng.integers(0, 2000, size=300)
+        citing, cited = np.append(citing, citing[repeat]), np.append(cited, cited[repeat])
+        order = rng.permutation(len(citing))
+        citing, cited = citing[order], cited[order]
+
+        pairs = list(zip(citing.tolist(), cited.tolist()))
+        known = set(ids.tolist())
+        kept = [(u, v) for u, v in pairs if u != v and u in known and v in known]
+        g = build_graph((citing, cited), store)
+        got_citing, got_cited = g.edge_arrays()
+        assert set(zip(got_citing.tolist(), got_cited.tolist())) == set(kept)
+        assert g.num_edges == len(set(kept))
+        assert g.self_loops_dropped == sum(u == v for u, v in pairs) > 0
+        assert g.unknown_dropped == len(pairs) - len(kept) - g.self_loops_dropped > 0
+        assert g.duplicates_dropped == len(kept) - len(set(kept)) > 0
+
     def test_empty_store(self):
         empty = store_from_articles([])
         g = build_graph((np.array([5, 7], dtype=np.int64), np.array([6, 7], dtype=np.int64)), empty)

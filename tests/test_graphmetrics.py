@@ -72,6 +72,63 @@ class TestDisruption:
             assert sweep.values[int(raw)] == disruption_of(g, int(raw))
 
 
+def oracle_scores(g):
+    return np.array([disruption_oracle(g, int(v)) for v in g.node_ids], dtype=np.float64)
+
+
+class TestDisruptionSweep:
+    """`disruption_all` against the set oracle, bit for bit."""
+
+    # 1 and 4 put chunk boundaries inside a citing article's row of edges
+    # and give single-focal batches; the default runs everything in one.
+    @pytest.mark.parametrize("batch_work", [1, 4, 37, 5_000_000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_set_oracle(self, seed, batch_work):
+        _, g = random_temporal_graph(np.random.default_rng(300 + seed), 90, mean_refs=4.0)
+        assert np.array_equal(disruption_all(g, batch_work=batch_work).scores, oracle_scores(g))
+
+    def test_empty_graph(self):
+        g = build_graph([], store_from_articles([]))
+        sweep = disruption_all(g, batch_work=1)
+        assert sweep.scores.dtype == np.float64
+        assert len(sweep.scores) == len(sweep.node_ids) == 0
+
+    def test_edgeless_graph(self):
+        g = graph_from([], 7)
+        assert disruption_all(g, batch_work=1).scores.tolist() == [0.0] * 7
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gapped_ids(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        ids = 10**12 + 7 * np.arange(n)
+        store = store_from_articles(Article(int(i), "2014-01", ()) for i in ids)
+        citing = rng.integers(1, n, size=300)
+        cited = rng.integers(0, citing)  # earlier articles only
+        g = build_graph((ids[citing], ids[cited]), store)
+        assert np.array_equal(disruption_all(g, batch_work=3).scores, oracle_scores(g))
+
+    @pytest.mark.parametrize("shared", [256, 300, 512])
+    def test_many_shared_references(self, shared):
+        # Focal 1 and its citer 2 both cite articles 3 .. shared + 2.  The
+        # product counts `shared` at [1, 2] and [2, 1], and at least as much
+        # on both diagonals: in int8, 256 and 512 wrap to explicit zeros,
+        # which scipy drops.  The boolean product keeps every entry.
+        refs = range(3, shared + 3)
+        edges = [(2, 1)] + [(1, r) for r in refs] + [(2, r) for r in refs]
+        store = store_from_articles(Article(i, "2014-01", ()) for i in range(1, shared + 3))
+        g = build_graph(edges, store)
+        scores = disruption_all(g).scores
+        assert scores[:3].tolist() == [-1.0, 0.0, 1.0]
+        assert np.array_equal(scores, oracle_scores(g))
+
+    @pytest.mark.parametrize("batch_work", [0, -5])
+    def test_batch_work_below_one_is_an_error(self, batch_work):
+        g = graph_from([(2, 1)], 2)
+        with pytest.raises(ValueError, match="^batch_work must be at least 1, got -?\\d+$"):
+            disruption_all(g, batch_work=batch_work)
+
+
 class TestPagerank:
     def test_three_cycle_fixed_point(self):
         g = graph_from([(1, 2), (2, 3), (3, 1)], 3)

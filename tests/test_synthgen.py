@@ -1,3 +1,4 @@
+import hashlib
 import io
 from collections import Counter
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from kosrank.citegraph import build_graph
+from kosrank.cli import main
+from kosrank.config import PipelineConfig, write_config
 from kosrank.months import month_index
 from kosrank.synthgen import (
     InfeasibleConfigError,
@@ -123,3 +126,26 @@ class TestGenerate:
         lines = buffer.getvalue().splitlines()
         assert len(lines) == len(changes)
         assert lines[0].count("\t") == 2
+
+    def test_written_files_are_pinned(self, tmp_path):
+        # Recorded before the edge dedupe moved from np.unique to one sorted
+        # key; any change to the RNG calls or their post-processing shows here.
+        expected = {
+            "hierarchy.tsv": "1b694fc44c9614f38ed3c46e40b2d4de8b852de9ebd7b4914ffa1406c0e44781",
+            "articles.jsonl": "41d46a662d947d4eebd2470c2e75aa3b206741df151176d1b9eee0cbae1c2a1e",
+            "citations.tsv": "f945957a3da665281103a5611d99ef95f66c8ca563c2a4cf2a27f2423f83e1a8",
+            "changes.tsv": "5bfeca349b840b968c8249ca521be50b9664d69fe12a7ee1160e599a8e5ce215",
+        }
+        cfg = PipelineConfig(
+            hierarchy=str(tmp_path / "hierarchy.tsv"),
+            articles=str(tmp_path / "articles.jsonl"),
+            citations=str(tmp_path / "citations.tsv"),
+            changes=str(tmp_path / "changes.tsv"),
+            base_seed=1,
+            output_dir=str(tmp_path / "out"),
+        )
+        write_config(cfg, tmp_path / "pipeline.cfg")
+        args = ["--months", "3", "--articles-per-month", "300"]
+        assert main(["generate", "--config", str(tmp_path / "pipeline.cfg"), *args]) == 0
+        for name, digest in expected.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
