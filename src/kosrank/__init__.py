@@ -12,7 +12,7 @@ from .evaluate import ChangeRecord, TestResult, mann_whitney
 from .fusion import RelevanceRanking, rank_by_aspect, rank_trend_slope, rrf_fuse
 from .graphmetrics import ArticleScores, aggregate_to_nodes, disruption_all, disruption_of, pagerank
 from .hierarchy import Hierarchy, level_of, parent_of, parse_hierarchy
-from .infometrics import MappingCounts, MappingMatrix, informativeness, mapping_counts, usefulness
+from .infometrics import MappingCounts, informativeness
 from .propagation import propagate
 from .scores import ASPECTS, AspectScores
 from .synthgen import ScenarioConfig, generate
@@ -27,7 +27,6 @@ __all__ = [
     "CitationGraph",
     "Hierarchy",
     "MappingCounts",
-    "MappingMatrix",
     "RelevanceRanking",
     "ScenarioConfig",
     "TestResult",
@@ -40,7 +39,6 @@ __all__ = [
     "informativeness",
     "level_of",
     "mann_whitney",
-    "mapping_counts",
     "pagerank",
     "parent_of",
     "parse_articles",
@@ -51,7 +49,6 @@ __all__ = [
     "rrf_fuse",
     "sample_nodes",
     "store_from_articles",
-    "usefulness",
 ]
 
 __version__ = "0.1.0"

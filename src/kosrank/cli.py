@@ -74,11 +74,10 @@ def _cmd_generate(cfg: PipelineConfig, args) -> int:
         retraction_rate=args.retraction_rate,
         refs_mean=args.refs_mean,
     )
-    hierarchy, store, (citing, cited), changes = synthgen.generate(scenario)
-    for key, what in (("hierarchy", "hierarchy"), ("articles", "articles"),
-                      ("citations", "citations")):
+    for key in ("hierarchy", "articles", "citations"):
         if not getattr(cfg, key):
-            raise pipeline.PipelineError(f"config does not set the {what} path")
+            raise pipeline.PipelineError(f"config does not set the {key} path")
+    hierarchy, store, (citing, cited), changes = synthgen.generate(scenario)
     Path(cfg.hierarchy).parent.mkdir(parents=True, exist_ok=True)
     with open(cfg.hierarchy, "w") as fh:
         write_hierarchy(hierarchy, fh)

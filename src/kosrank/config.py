@@ -10,6 +10,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .infometrics import INFORMATIVENESS_MODES
 from .months import month_range, normalize_month
 
 
@@ -55,7 +56,7 @@ class PipelineConfig:
             raise ConfigError(f"pagerank_tol must be positive, got {self.pagerank_tol}")
         if self.rrf_k <= 0:
             raise ConfigError(f"rrf_k must be positive, got {self.rrf_k}")
-        if self.informativeness_mode not in ("entropy-term", "surprisal"):
+        if self.informativeness_mode not in INFORMATIVENESS_MODES:
             raise ConfigError(f"unknown informativeness_mode {self.informativeness_mode!r}")
 
     def window(self) -> list[str]:

@@ -60,16 +60,14 @@ class ArticleStore:
     def months(self) -> list[str]:
         return [month_from_index(i) for i in np.unique(self._month_idx).tolist()]
 
-    def articles_in_month(self, month: str) -> set[int]:
-        return set(self._ids[self._month_idx == month_index(normalize_month(month))].tolist())
+    def articles_in_month(self, month: str) -> np.ndarray:
+        """Sorted ids of articles published in `month`."""
+        return self._ids[self._month_idx == month_index(normalize_month(month))]
 
     def ids_up_to(self, month: str) -> np.ndarray:
         """Sorted ids of articles published in `month` or earlier."""
         cutoff = month_index(normalize_month(month))
         return self._ids[self._month_idx <= cutoff]
-
-    def retracted_ids(self) -> set[int]:
-        return {a.id for a in self.articles.values() if a.retracted}
 
 
 def store_from_articles(articles: Iterable[Article]) -> ArticleStore:

@@ -1,22 +1,25 @@
 """Cohort statistics: Mann-Whitney tests, evolution/retraction cohorts,
 and aspect correlation matrices.
 
-Descriptor-level scores are the sum of the descriptor's tree-node scores,
-giving one observation per descriptor for the cohort tests.
+Every function works on node positions (see `Hierarchy.node_vector`):
+node scores arrive as vectors with a mask of the scored positions, and
+articles as incidence rows.  A descriptor's score is the sum of its
+tree-node scores (`descriptor_sums`), giving one observation per
+descriptor for the evolution test; an article's score is the sum over
+its nodes, averaged over the year's months (`retraction_split`).
+`correlation_matrix` takes the aligned series as the rows of an array.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.stats import rankdata
 
-from .corpus import ArticleStore
 from .hierarchy import Hierarchy
-from .months import year_of
 
 CHANGE_TYPES = ("description", "extension", "move", "removal")
 EXACT_LIMIT = 10  # per-group size cap for the exact path
@@ -117,58 +120,20 @@ def descriptor_sums(
     return h.descriptor_nodes @ values, (h.descriptor_nodes @ given.astype(np.int32)) > 0
 
 
-def descriptor_scores(
-    node_values: Mapping[str, float], h: Hierarchy
-) -> dict[str, float]:
-    """Sum each descriptor's tree-node scores; descriptors with no scored
-    node are omitted.  Each sum runs in ascending code order."""
-    sums, scored = descriptor_sums(h, *h.node_vector(node_values))
-    rows = np.flatnonzero(scored)
-    return dict(zip([h.descriptors[i] for i in rows], sums[rows].tolist()))
-
-
 def evolution_cohorts(
-    node_values: Mapping[str, float],
-    changes: Iterable[ChangeRecord],
-    h: Hierarchy,
+    h: Hierarchy, values: np.ndarray, scored: np.ndarray, changed: Collection[str]
 ) -> tuple[list[float], list[float]]:
-    """Partition descriptor scores into (evolving, stable) by change records.
+    """Per-descriptor sums of a node vector, split into (evolving, stable).
 
-    An empty evolving list signals that the release had no evolving
-    descriptors and the statistical test should be skipped.
+    `values` and `scored` are laid out as for `descriptor_sums`; descriptors
+    with no scored node are left out, and `changed` holds the evolving
+    descriptor ids.  Both lists are in descriptor id order.  An empty
+    evolving list signals that the release had no evolving descriptors
+    and the statistical test should be skipped.
     """
-    changed = {record.descriptor_id for record in changes}
-    scores = descriptor_scores(node_values, h)
-    evolving = [scores[d] for d in sorted(scores) if d in changed]
-    stable = [scores[d] for d in sorted(scores) if d not in changed]
-    return evolving, stable
-
-
-def retraction_cohorts(
-    store: ArticleStore,
-    monthly_values: Mapping[str, Mapping[str, float]],
-    monthly_members: Mapping[str, Iterable[int]],
-    h: Hierarchy,
-    year: int,
-) -> tuple[list[float], list[float]]:
-    """Yearly per-article score means, split into (retracted, other).
-
-    For every month of `year`, each article present in that month's
-    sampled network scores the sum of its tree nodes' values (0 when it
-    has no annotations); the per-article values are averaged over the
-    months in which the article appears.
-    """
-    months = sorted(m for m in monthly_values if year_of(m) == year)
-    members = [np.fromiter(monthly_members.get(m, ()), dtype=np.int64) for m in months]
-    ids = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *members]))
-    articles = [store.articles[i] for i in ids.tolist()]
-    rows, _ = h.incidence([article.descriptors for article in articles])
-    return retraction_split(
-        rows,
-        np.array([article.retracted for article in articles], dtype=bool),
-        [np.searchsorted(ids, m) for m in members],
-        [h.node_vector(monthly_values[m])[0] for m in months],
-    )
+    sums, given = descriptor_sums(h, values, scored)
+    evolving = np.array([d in changed for d in h.descriptors], dtype=bool)
+    return sums[given & evolving].tolist(), sums[given & ~evolving].tolist()
 
 
 def retraction_split(
@@ -177,9 +142,13 @@ def retraction_split(
     member_rows: Sequence[np.ndarray],
     node_vectors: Sequence[np.ndarray],
 ) -> tuple[list[float], list[float]]:
-    """`retraction_cohorts` on laid-out inputs: `rows` holds one incidence
-    row per article and `retracted` its flag; month k lists its members as
-    row numbers in `member_rows[k]` and its node values in `node_vectors[k]`.
+    """Yearly per-article score means, split into (retracted, other).
+
+    `rows` holds one incidence row per article and `retracted` its flag;
+    month k of the year lists its sampled members as row numbers in
+    `member_rows[k]` and its node values in `node_vectors[k]`.  In each
+    month a member scores the sum of its nodes' values (0 when it has no
+    annotations); its means are taken over the months it appears in.
     """
     sums = np.zeros(rows.shape[0], dtype=np.float64)
     counts = np.zeros(rows.shape[0], dtype=np.int64)
@@ -188,26 +157,6 @@ def retraction_split(
         np.add.at(counts, at, 1)
     means = sums / counts
     return means[retracted].tolist(), means[~retracted].tolist()
-
-
-def aspect_correlation(
-    series: Mapping[str, Mapping[Hashable, float]], method: str = "pearson"
-) -> tuple[list[str], np.ndarray]:
-    """Correlation matrix across named series aligned on shared keys.
-
-    Keys are typically (descriptor, month) pairs; only observations
-    present in every series are used, in sorted key order.  Returns
-    (names, matrix).
-    """
-    names = list(series)
-    if not names:
-        raise EvaluationError("no series given")
-    shared = set(series[names[0]])
-    for name in names[1:]:
-        shared &= set(series[name])
-    keys = sorted(shared)
-    data = np.array([[series[name][k] for k in keys] for name in names], dtype=float)
-    return names, correlation_matrix(data, method)
 
 
 def correlation_matrix(data: np.ndarray, method: str = "pearson") -> np.ndarray:

@@ -21,15 +21,9 @@ class RelevanceRanking:
     scope: str = "global"
 
 
-def rank_by_aspect(
-    values: Mapping[str, float], scope: Iterable[str] | None = None
-) -> dict[str, int]:
+def rank_by_aspect(values: Mapping[str, float]) -> dict[str, int]:
     """Dense ordinal ranks, 1 = largest value, ties by ascending tree code."""
-    if scope is None:
-        keys = list(values)
-    else:
-        keys = [code for code in scope if code in values]
-    ordered = sorted(keys, key=lambda code: (-values[code], code))
+    ordered = sorted(values, key=lambda code: (-values[code], code))
     return {code: position for position, code in enumerate(ordered, start=1)}
 
 
@@ -37,7 +31,6 @@ def rrf_fuse(
     aspect_ranks: Mapping[str, Mapping[str, int]],
     k: int = DEFAULT_RRF_K,
     month: str = "",
-    scope: str = "global",
 ) -> RelevanceRanking:
     """Fuse per-aspect rank tables: rrf(d) = sum over aspects of 1/(k + rank).
 
@@ -57,7 +50,7 @@ def rrf_fuse(
             if rank is not None:
                 total += 1.0 / (k + rank)
         rrf[code] = total
-    return RelevanceRanking(month=month, rrf=rrf, rank=rank_by_aspect(rrf), scope=scope)
+    return RelevanceRanking(month=month, rrf=rrf, rank=rank_by_aspect(rrf))
 
 
 def per_level_ranking(ranking: RelevanceRanking, level: int) -> RelevanceRanking:

@@ -160,10 +160,9 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
             values = {}
         results[aspect] = AspectScores(aspect=aspect, month=month, values=values)
 
-    month_ids = sorted(data.store.articles_in_month(month))
-    incidence = data.incidence[np.searchsorted(data.store.ids, month_ids)]
-    closed = incidence @ h.closure
-    counts = infometrics.subtree_counts(h, incidence, closed)
+    month_ids = data.store.articles_in_month(month)
+    closed = data.incidence[np.searchsorted(data.store.ids, month_ids)] @ h.closure
+    counts = infometrics.subtree_counts(h, closed)
     results["informativeness"] = AspectScores(
         aspect="informativeness",
         month=month,
@@ -429,7 +428,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     for release in releases:
         release_year = int(release[:4])
         months = [m for m in window if year_of(m) == release_year]
-        release_changes = [c for c in data.changes if c.release == release]
+        changed = {c.descriptor_id for c in data.changes if c.release == release}
         for name in series_names:
             if not months:
                 evolution_rows.append(
@@ -440,8 +439,8 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
             # summed per descriptor inside evolution_cohorts
             sums = sum(vectors[name][month][0] for month in months)
             counts = sum(vectors[name][month][1].astype(np.int64) for month in months)
-            node_means = {h.codes[i]: sums[i] / counts[i] for i in np.flatnonzero(counts)}
-            evolving, stable = evaluate.evolution_cohorts(node_means, release_changes, h)
+            means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+            evolving, stable = evaluate.evolution_cohorts(h, means, counts > 0, changed)
             if not evolving or not stable:
                 evolution_rows.append(
                     _test_row(None, release=release, aspect=name, reason="empty cohort")

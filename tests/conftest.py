@@ -3,8 +3,8 @@
 Oracles here deliberately avoid the library's own code paths: dense
 linear algebra for PageRank, explicit global set construction for
 disruption, plain double loops for category utility, a memoized
-recursion for the hierarchy propagation, and a per-line loop for the
-citation TSV.
+recursion for the hierarchy propagation, a per-line loop for the
+citation TSV, and a loop over the descriptor map for the evolution cohorts.
 """
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import numpy as np
 from kosrank.citegraph import CitationGraph, GraphError, build_graph
 from kosrank.corpus import Article, ArticleStore, store_from_articles
 from kosrank.hierarchy import Hierarchy, build_hierarchy
-from kosrank.infometrics import MappingMatrix
 
 _LETTERS = "ABCDEFGHIJKLMNOP"
 
@@ -159,14 +158,15 @@ def pagerank_oracle(g: CitationGraph, alpha: float = 0.85) -> dict[int, float]:
     return {int(v): float(x[pos[int(v)]]) for v in g.node_ids}
 
 
-def usefulness_oracle(matrix: MappingMatrix) -> dict[str, float]:
-    """Double-loop category utility over a dense copy of the incidence."""
-    codes = sorted(matrix.rows)
-    articles = sorted({a for row in matrix.rows.values() for a in row})
+def usefulness_oracle(rows: dict[str, frozenset[int]], n_nodes: int) -> dict[str, float]:
+    """Double-loop category utility over a dense copy of the incidence;
+    `rows` maps each node to the set of articles marking it."""
+    codes = sorted(rows)
+    articles = sorted({a for row in rows.values() for a in row})
     M = np.zeros((len(codes), len(articles)), dtype=np.int64)
     for i, code in enumerate(codes):
         for j, article in enumerate(articles):
-            if article in matrix.rows[code]:
+            if article in rows[code]:
                 M[i, j] = 1
     total = M.sum()
     out: dict[str, float] = {}
@@ -177,7 +177,26 @@ def usefulness_oracle(matrix: MappingMatrix) -> dict[str, float]:
             colsum = M[:, j].sum()
             if colsum == 0:
                 continue
-            p_f = colsum / matrix.n_nodes
+            p_f = colsum / n_nodes
             acc += float(M[i, j]) ** 2 - p_f**2
         out[code] = p_c * acc
     return out
+
+
+def evolution_cohorts_oracle(
+    h: Hierarchy, node_means: dict[str, float], changed: set[str]
+) -> tuple[list[float], list[float]]:
+    """Loop over the descriptor map: each descriptor with a scored node sums
+    its scored node means one at a time in ascending code order, and goes
+    to the evolving list if it changed, else to the stable one."""
+    evolving: list[float] = []
+    stable: list[float] = []
+    for descriptor in sorted(h.descriptor_map):
+        scored = [code for code in sorted(h.descriptor_map[descriptor]) if code in node_means]
+        if not scored:
+            continue
+        total = 0.0
+        for code in scored:
+            total += node_means[code]
+        (evolving if descriptor in changed else stable).append(total)
+    return evolving, stable

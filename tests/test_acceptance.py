@@ -24,14 +24,8 @@ from conftest import (
 from kosrank import citegraph, evaluate, fusion, graphmetrics, synthgen
 from kosrank.cli import main as cli_main
 from kosrank.config import PipelineConfig, write_config
-from kosrank.hierarchy import HierarchyParseReport, build_hierarchy
-from kosrank.infometrics import (
-    MappingMatrix,
-    build_mapping_matrix,
-    informativeness,
-    mapping_counts,
-    usefulness,
-)
+from kosrank.hierarchy import HierarchyParseReport, build_hierarchy, membership
+from kosrank.infometrics import category_utility, informativeness, subtree_counts
 from kosrank.months import month_from_index, month_index, year_of
 from kosrank.pipeline import IngestData, compute_month
 from kosrank.propagation import propagate
@@ -76,9 +70,9 @@ def test_criterion_1_metric_oracles():
             f"A{i:02d}": frozenset(int(j) for j in range(m) if rng.random() < 0.3)
             for i in range(1, n + 1)
         }
-        matrix = MappingMatrix(rows=rows, n_nodes=n, m_articles=m)
-        expected = usefulness_oracle(matrix)
-        for code, value in usefulness(matrix).items():
+        expected = usefulness_oracle(rows, n)
+        marks, _ = membership([rows[c] for c in sorted(rows)], {j: j for j in range(m)}, m)
+        for code, value in zip(sorted(rows), category_utility(marks.T, n).tolist()):
             max_cu_err = max(max_cu_err, abs(value - expected[code]))
     assert max_cu_err < 1e-12
 
@@ -86,12 +80,11 @@ def test_criterion_1_metric_oracles():
     max_entropy_err = 0.0
     for _ in range(25):
         h = random_tree(rng, max_nodes=80)
-        codes = sorted(h.nodes)
-        pairs = [
-            (int(rng.integers(400)), codes[int(rng.integers(len(codes)))])
-            for _ in range(150)
-        ]
-        counts = mapping_counts(h, pairs)
+        groups: list[list[str]] = [[] for _ in range(400)]
+        for _ in range(150):
+            groups[int(rng.integers(400))].append(h.codes[int(rng.integers(len(h.codes)))])
+        incidence, _ = membership(groups, h.position, len(h.codes))
+        counts = subtree_counts(h, incidence @ h.closure)
         values = informativeness(counts)
         for level, level_codes in h.levels().items():
             total = counts.level_totals[level]
@@ -167,7 +160,8 @@ def test_criterion_2_propagation_equivalence():
 def test_criterion_3_worked_example_goldens():
     # category utility on the 3-node tree
     h = build_hierarchy({"C01": "", "C02": ""}, {})
-    cu = usefulness(build_mapping_matrix(h, [(1, "C01"), (2, "C02")]))
+    incidence, _ = membership([["C01"], ["C02"]], h.position, len(h.codes))
+    cu = dict(zip(h.codes, category_utility(incidence @ h.closure, len(h.codes)).tolist()))
     assert f"{cu['C']:.4f}" == "0.5556"
     assert f"{cu['C01']:.4f}" == "0.0278"
 
@@ -220,12 +214,12 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
     data = IngestData(h, HierarchyParseReport(), store, changes, graph)
     window = cfg.window()
     relevance: dict[str, dict[str, float]] = {}
-    members: dict[str, list[int]] = {}
+    members: dict[str, np.ndarray] = {}
     for i, month in enumerate(window):
         result = compute_month(cfg, data, month, i)
         ranks = {a: fusion.rank_by_aspect(result.scores[a].values) for a in ASPECTS}
         relevance[month] = fusion.rrf_fuse(ranks, month=month).rrf
-        members[month] = result.member_ids.tolist()
+        members[month] = result.member_ids
 
     release_year = year_of(scenario.first_month)
     sums: dict[str, float] = {}
@@ -235,14 +229,23 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
             sums[code] = sums.get(code, 0.0) + value
             counts[code] = counts.get(code, 0) + 1
     node_means = {code: sums[code] / counts[code] for code in sums}
-    evolving, stable = evaluate.evolution_cohorts(node_means, changes, h)
+    evolving, stable = evaluate.evolution_cohorts(
+        h, *h.node_vector(node_means), {c.descriptor_id for c in changes}
+    )
     p_evolution = evaluate.mann_whitney(evolving, stable).p_value
 
     retracted_all: list[float] = []
     other_all: list[float] = []
     for year in sorted({year_of(m) for m in window}):
-        monthly = {m: relevance[m] for m in window if year_of(m) == year}
-        retracted, other = evaluate.retraction_cohorts(store, monthly, members, h, year)
+        months = [m for m in window if year_of(m) == year]
+        ids = np.unique(np.concatenate([members[m] for m in months]))
+        articles = [store.articles[i] for i in ids.tolist()]
+        retracted, other = evaluate.retraction_split(
+            h.incidence([a.descriptors for a in articles])[0],
+            np.array([a.retracted for a in articles], dtype=bool),
+            [np.searchsorted(ids, members[m]) for m in months],
+            [h.node_vector(relevance[m])[0] for m in months],
+        )
         retracted_all.extend(retracted)
         other_all.extend(other)
     p_retraction = evaluate.mann_whitney(retracted_all, other_all).p_value

@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from kosrank.corpus import Article, store_from_articles
+from conftest import evolution_cohorts_oracle, random_tree
 from kosrank.evaluate import (
     ChangeRecord,
     EvaluationError,
-    aspect_correlation,
     correlation_matrix,
     evolution_cohorts,
     mann_whitney,
     parse_changes,
-    retraction_cohorts,
+    retraction_split,
 )
 from kosrank.hierarchy import build_hierarchy
 
@@ -145,8 +144,7 @@ def cohort_fixture():
 class TestEvolutionCohorts:
     def test_partition(self):
         h, node_values = cohort_fixture()
-        changes = [ChangeRecord("2014AA", "DX2", "move")]
-        evolving, stable = evolution_cohorts(node_values, changes, h)
+        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), {"DX2"})
         assert evolving == [pytest.approx(0.07)]
         assert len(stable) == 3
         # DX4 spans two codes and sums them
@@ -154,14 +152,13 @@ class TestEvolutionCohorts:
 
     def test_no_changes_signals_skip(self):
         h, node_values = cohort_fixture()
-        evolving, stable = evolution_cohorts(node_values, [], h)
+        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), set())
         assert evolving == []
         assert len(stable) == 4
 
     def test_exhaustive_and_disjoint(self):
         h, node_values = cohort_fixture()
-        changes = [ChangeRecord("2014AA", "DX1", "removal")]
-        evolving, stable = evolution_cohorts(node_values, changes, h)
+        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), {"DX1"})
         assert len(evolving) + len(stable) == 4
 
     def test_boosted_cohort_scores_higher(self):
@@ -175,36 +172,48 @@ class TestEvolutionCohorts:
         for i, c in enumerate(codes):
             base = float(rng.random())
             node_values[c] = base * (2.5 if f"D{i}" in changed else 1.0)
-        evolving, stable = evolution_cohorts(
-            node_values, [ChangeRecord("2014AA", d, "extension") for d in sorted(changed)], h
-        )
+        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), changed)
         assert np.mean(evolving) > np.mean(stable)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_descriptor_map_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, max_nodes=80)
+        descriptor_map = {
+            f"D{i:03d}": set(rng.choice(tree.codes, size=int(rng.integers(1, 4))).tolist())
+            for i in range(int(rng.integers(1, 40)))
+        }
+        h = build_hierarchy(dict(tree.labels), descriptor_map)
+        node_means = {
+            code: float(rng.normal()) for code in h.codes if rng.random() < 0.5
+        }
+        changed = {d for d in descriptor_map if rng.random() < 0.3}
+        values, scored = h.node_vector(node_means)
+        assert evolution_cohorts(h, values, scored, changed) == evolution_cohorts_oracle(
+            h, node_means, changed
+        )
 
 
 class TestRetractionCohorts:
     def test_sum_then_yearly_mean(self):
         h = build_hierarchy({"A01": "", "B01": ""}, {"DA": {"A01"}, "DB": {"B01"}})
-        store = store_from_articles(
-            [
-                Article(1, "2014-01", ("DA", "DB"), retracted=True),
-                Article(2, "2014-01", (), retracted=False),
-            ]
+        # article 1 (retracted) is in both months, article 2 only in 2014-01
+        rows, _ = h.incidence([("DA", "DB"), ()])
+        monthly_values = [{"A01": 0.10, "B01": 0.07}, {"A01": 0.20, "B01": 0.10}]
+        retracted, other = retraction_split(
+            rows,
+            np.array([True, False]),
+            [np.array([0, 1]), np.array([0])],
+            [h.node_vector(values)[0] for values in monthly_values],
         )
-        monthly_values = {
-            "2014-01": {"A01": 0.10, "B01": 0.07},
-            "2014-02": {"A01": 0.20, "B01": 0.10},
-        }
-        members = {"2014-01": [1, 2], "2014-02": [1]}
-        retracted, other = retraction_cohorts(store, monthly_values, members, h, 2014)
         assert retracted == [pytest.approx((0.17 + 0.30) / 2)]
         assert other == [0.0]  # annotation-free article scores zero
 
     def test_single_month_article(self):
         h = build_hierarchy({"A01": ""}, {"DA": {"A01"}})
-        store = store_from_articles([Article(1, "2014-03", ("DA",))])
-        monthly_values = {"2014-03": {"A01": 0.17}}
-        retracted, other = retraction_cohorts(
-            store, monthly_values, {"2014-03": [1]}, h, 2014
+        rows, _ = h.incidence([("DA",)])
+        retracted, other = retraction_split(
+            rows, np.array([False]), [np.array([0])], [h.node_vector({"A01": 0.17})[0]]
         )
         assert retracted == []
         assert other == [pytest.approx(0.17)]
@@ -212,26 +221,18 @@ class TestRetractionCohorts:
 
 class TestCorrelation:
     def test_self_and_affine(self):
-        keys = [("D1", "2014-01"), ("D2", "2014-01"), ("D3", "2014-01")]
-        x = {k: float(i) for i, k in enumerate(keys)}
-        series = {"a": x, "b": {k: 2 * v + 1 for k, v in x.items()}}
-        names, matrix = aspect_correlation(series, method="pearson")
+        x = np.arange(3.0)
+        matrix = correlation_matrix(np.vstack([x, 2 * x + 1]), method="pearson")
         assert matrix[0, 0] == 1.0
         assert matrix[0, 1] == pytest.approx(1.0)
 
     def test_spearman_golden(self):
-        keys = ["k1", "k2", "k3"]
-        series = {
-            "x": dict(zip(keys, [1.0, 2.0, 3.0])),
-            "y": dict(zip(keys, [3.0, 1.0, 2.0])),
-        }
-        _, matrix = aspect_correlation(series, method="spearman")
+        matrix = correlation_matrix(np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]), "spearman")
         assert matrix[0, 1] == pytest.approx(-0.5)
 
     def test_too_few_pairs(self):
-        series = {"x": {"a": 1.0, "b": 2.0}, "y": {"a": 1.0, "b": 2.0}}
         with pytest.raises(EvaluationError):
-            aspect_correlation(series)
+            correlation_matrix(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
     def test_bits_do_not_depend_on_memory_layout(self):
         data = np.random.default_rng(3).normal(size=(5, 20_000))
@@ -243,12 +244,7 @@ class TestCorrelation:
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(7)
-        keys = [f"k{i}" for i in range(40)]
-        series = {
-            name: {k: float(v) for k, v in zip(keys, rng.normal(size=40))}
-            for name in ("a", "b", "c", "d", "e")
-        }
-        _, matrix = aspect_correlation(series, method="pearson")
+        matrix = correlation_matrix(rng.normal(size=(5, 40)), method="pearson")
         assert np.allclose(matrix, matrix.T, atol=1e-12)
         eigenvalues = np.linalg.eigvalsh(matrix)
         assert eigenvalues.min() > -1e-9

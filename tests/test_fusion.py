@@ -25,10 +25,6 @@ class TestRankByAspect:
         ranks = rank_by_aspect({"A": -0.2, "B": 0.3})
         assert ranks["B"] < ranks["A"]
 
-    def test_scope_filter(self):
-        ranks = rank_by_aspect({"A": 1.0, "B": 2.0, "C": 3.0}, scope=["A", "C"])
-        assert ranks == {"C": 1, "A": 2}
-
     def test_dense_bijection_and_sorted_round_trip(self):
         values = {f"A{i:02d}": (i * 37) % 11 for i in range(1, 30)}
         ranks = rank_by_aspect(values)

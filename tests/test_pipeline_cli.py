@@ -5,10 +5,10 @@ from pathlib import Path
 import pytest
 
 from conftest import usefulness_oracle
-from kosrank import citegraph, graphmetrics, infometrics, propagation
+from kosrank import citegraph, graphmetrics, infometrics, propagation, synthgen
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
-from kosrank.hierarchy import ancestors_of, parse_hierarchy
+from kosrank.hierarchy import ancestors_of, level_of, parse_hierarchy
 from kosrank.pipeline import compute_month, ingest
 from kosrank.scores import ASPECTS, read_scores_csv
 
@@ -181,6 +181,21 @@ class TestIngest:
         assert err.startswith("error: citations file not found: ")
 
 
+class TestGenerate:
+    def test_missing_articles_path_fails_before_generating(self, tmp_path, capsys, monkeypatch):
+        path = make_config(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith("articles ")))
+
+        def generate(scenario):
+            raise AssertionError("generate ran before the config paths were checked")
+
+        monkeypatch.setattr(synthgen, "generate", generate)
+        assert main(["generate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config does not set the articles path\n"
+
+
 class TestComputeFuseTrendEvaluate:
     @pytest.fixture()
     def prepared(self, tmp_path):
@@ -268,23 +283,24 @@ class TestComputeFuseTrendEvaluate:
         added = data.store.articles[int(data.store.ids[-1])]
         assert added.month == month and len(h.treenodes_of(added.descriptors)[0]) > 1
         pairs = []
-        for article_id in sorted(data.store.articles_in_month(month)):
+        for article_id in data.store.articles_in_month(month).tolist():
             mapped, _ = h.treenodes_of(data.store.articles[article_id].descriptors)
             pairs.extend((article_id, code) for code in sorted(mapped))
-        counts = infometrics.mapping_counts(h, pairs)
-        assert result.scores["informativeness"].values == infometrics.informativeness(
-            counts, mode=cfg.informativeness_mode
-        )
+        # each (article, node) pair counts once at the node and every ancestor
+        propagated = dict.fromkeys(h.nodes, 0)
         rows = {code: set() for code in h.nodes}
         for article_id, code in pairs:
             for node in (code, *ancestors_of(code)):
+                propagated[node] += 1
                 rows[node].add(article_id)
-        matrix = infometrics.MappingMatrix(
-            rows={code: frozenset(row) for code, row in rows.items()},
-            n_nodes=len(h.nodes),
-            m_articles=len({article_id for article_id, _ in pairs}),
+        level_totals = {}
+        for code, count in propagated.items():
+            level_totals[level_of(code)] = level_totals.get(level_of(code), 0) + count
+        counts = infometrics.MappingCounts(propagated=propagated, level_totals=level_totals)
+        assert result.scores["informativeness"].values == infometrics.informativeness(
+            counts, mode=cfg.informativeness_mode
         )
-        oracle = usefulness_oracle(matrix)
+        oracle = usefulness_oracle({code: frozenset(row) for code, row in rows.items()}, len(h.nodes))
         usefulness = result.scores["usefulness"].values
         assert usefulness.keys() == oracle.keys()
         for code, value in oracle.items():

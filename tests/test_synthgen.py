@@ -76,7 +76,7 @@ class TestGenerate:
     def test_retraction_count_within_binomial_interval(self):
         cfg = small_config(months=5, articles_per_month=2000, retraction_rate=0.01)
         _, store, _, _ = generate(cfg)
-        assert 60 <= len(store.retracted_ids()) <= 140
+        assert 60 <= sum(a.retracted for a in store.articles.values()) <= 140
 
     def test_descriptor_usage_heavy_tailed(self):
         _, store, _, _ = generate(ScenarioConfig(seed=42, months=2, articles_per_month=2500))
