@@ -76,7 +76,6 @@ def main() -> int:
     parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--months", type=int, default=24)
     parser.add_argument("--articles-per-month", type=int, default=5000)
-    parser.add_argument("--keep", action="store_true", help="keep working directories")
     args = parser.parse_args()
 
     rows = []

@@ -9,10 +9,10 @@ and evaluates the result against concept-change and retraction cohorts.
 from .citegraph import CitationGraph, build_graph, cumulative_snapshot, sample_nodes
 from .corpus import Article, ArticleStore, parse_articles, store_from_articles
 from .evaluate import ChangeRecord, TestResult, mann_whitney
-from .fusion import RelevanceRanking, rank_by_aspect, rank_trend_slope, rrf_fuse
+from .fusion import rank_by_aspect, rank_trend_slope, rrf_fuse
 from .graphmetrics import ArticleScores, aggregate_to_nodes, disruption_all, disruption_of, pagerank
 from .hierarchy import Hierarchy, level_of, parent_of, parse_hierarchy
-from .infometrics import MappingCounts, informativeness
+from .infometrics import informativeness
 from .propagation import propagate
 from .scores import ASPECTS, AspectScores
 from .synthgen import ScenarioConfig, generate
@@ -26,8 +26,6 @@ __all__ = [
     "ChangeRecord",
     "CitationGraph",
     "Hierarchy",
-    "MappingCounts",
-    "RelevanceRanking",
     "ScenarioConfig",
     "TestResult",
     "aggregate_to_nodes",

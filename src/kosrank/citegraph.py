@@ -17,7 +17,6 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import ID_RANGE, ArticleStore
-from .months import normalize_month
 
 
 class GraphError(ValueError):
@@ -31,8 +30,6 @@ class CitationGraph:
     out_targets: np.ndarray  # positions of cited nodes, sorted within each citing row
     in_indptr: np.ndarray
     in_sources: np.ndarray  # positions of citing nodes, sorted within each cited row
-    month: str | None = None
-    sample_seed: int | None = None
     self_loops_dropped: int = 0
     unknown_dropped: int = 0
     duplicates_dropped: int = 0
@@ -141,7 +138,7 @@ def _masked_csr(
     return kept_before[indptr[rows]], new_pos[indices[edge_keep]]
 
 
-def _induced(g: CitationGraph, keep: np.ndarray, **meta) -> CitationGraph:
+def _induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
     """Subgraph on the nodes where the boolean mask `keep` is set.
 
     The parent's rows are sorted, and masking keeps that order, so no sort
@@ -156,23 +153,21 @@ def _induced(g: CitationGraph, keep: np.ndarray, **meta) -> CitationGraph:
         out_targets=out_targets,
         in_indptr=in_indptr,
         in_sources=in_sources,
-        **meta,
     )
 
 
 def cumulative_snapshot(g: CitationGraph, store: ArticleStore, month: str) -> CitationGraph:
     """Induced subgraph over articles published in `month` or earlier."""
-    month = normalize_month(month)
     keep = np.isin(g.node_ids, store.ids_up_to(month))
-    return _induced(g, keep, month=month, sample_seed=g.sample_seed)
+    return _induced(g, keep)
 
 
 def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
     """Keep floor(fraction * n) uniformly chosen nodes and their induced edges.
 
     Selection is fixed for reproducibility across platforms: sort node ids,
-    shuffle with PCG64(seed), take the prefix.  fraction 1.0 is the
-    identity apart from recording the seed.
+    shuffle with PCG64(seed), take the prefix.  fraction 1.0 keeps every
+    node.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
@@ -180,7 +175,7 @@ def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
     rng = np.random.Generator(np.random.PCG64(seed))
     keep = np.zeros(g.num_nodes, dtype=bool)
     keep[rng.permutation(g.num_nodes)[:k]] = True
-    return _induced(g, keep, month=g.month, sample_seed=seed)
+    return _induced(g, keep)
 
 
 def parse_citations(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:

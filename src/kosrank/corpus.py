@@ -120,10 +120,7 @@ def parse_articles(lines: Iterable[str]) -> ArticleStore:
         articles.append(
             Article(id=article_id, month=month, descriptors=descriptors, retracted=retracted)
         )
-    try:
-        return store_from_articles(articles)
-    except CorpusError as exc:
-        raise CorpusError(str(exc)) from None
+    return store_from_articles(articles)
 
 
 def write_articles(store: ArticleStore, out: TextIO) -> None:

@@ -1,67 +1,44 @@
 """Ranking, reciprocal-rank fusion, and rank trajectories.
 
-Higher raw score always means better (rank 1) for every aspect; ties break
-on ascending tree code so ranks are a dense 1..N permutation.
+`rank_by_aspect` and `rrf_fuse` work on vectors over the hierarchy's node
+positions.  Higher raw score always means better (rank 1) for every aspect;
+ties break on ascending position, which is tree-code order, so ranks are a
+dense 1..N permutation of the ranked nodes, and 0 marks an unranked node.
+The trajectory helpers work on the code-keyed rank tables that `trend` and
+`export-plots` read back from the fused rankings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .hierarchy import level_of
+import numpy as np
 
 DEFAULT_RRF_K = 60
 
 
-@dataclass
-class RelevanceRanking:
-    month: str
-    rrf: dict[str, float]
-    rank: dict[str, int]
-    scope: str = "global"
+def rank_by_aspect(values: np.ndarray, scored: np.ndarray) -> np.ndarray:
+    """Dense ordinal ranks of the scored positions, 1 = largest value, ties
+    by ascending position; 0 where `scored` is unset."""
+    ranked = np.flatnonzero(scored)
+    order = ranked[np.argsort(-values[ranked], kind="stable")]
+    rank = np.zeros(len(values), dtype=np.int64)
+    rank[order] = np.arange(1, len(order) + 1)
+    return rank
 
 
-def rank_by_aspect(values: Mapping[str, float]) -> dict[str, int]:
-    """Dense ordinal ranks, 1 = largest value, ties by ascending tree code."""
-    ordered = sorted(values, key=lambda code: (-values[code], code))
-    return {code: position for position, code in enumerate(ordered, start=1)}
+def rrf_fuse(ranks: Sequence[np.ndarray], k: int = DEFAULT_RRF_K) -> np.ndarray:
+    """Fuse per-aspect rank vectors: rrf = sum over aspects of 1/(k + rank).
 
-
-def rrf_fuse(
-    aspect_ranks: Mapping[str, Mapping[str, int]],
-    k: int = DEFAULT_RRF_K,
-    month: str = "",
-) -> RelevanceRanking:
-    """Fuse per-aspect rank tables: rrf(d) = sum over aspects of 1/(k + rank).
-
-    The fused domain is the union of ranked nodes; a node absent from one
-    aspect's table simply contributes nothing for that aspect.
+    An unranked node (rank 0) gets nothing from that aspect, so rrf > 0
+    exactly where some aspect ranks the node.  Terms are added one aspect at
+    a time in the order of `ranks`, and adding 0.0 is exact.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
-    domain: set[str] = set()
-    for ranks in aspect_ranks.values():
-        domain.update(ranks)
-    rrf: dict[str, float] = {}
-    for code in sorted(domain):
-        total = 0.0
-        for aspect in sorted(aspect_ranks):
-            rank = aspect_ranks[aspect].get(code)
-            if rank is not None:
-                total += 1.0 / (k + rank)
-        rrf[code] = total
-    return RelevanceRanking(month=month, rrf=rrf, rank=rank_by_aspect(rrf))
-
-
-def per_level_ranking(ranking: RelevanceRanking, level: int) -> RelevanceRanking:
-    """Re-rank the fused values within one hierarchy level."""
-    sliced = {c: v for c, v in ranking.rrf.items() if level_of(c) == level}
-    return RelevanceRanking(
-        month=ranking.month,
-        rrf=sliced,
-        rank=rank_by_aspect(sliced),
-        scope=f"level-{level}",
-    )
+    rrf = np.zeros(len(ranks[0]), dtype=np.float64)
+    for rank in ranks:
+        rrf += np.where(rank > 0, 1.0 / (k + rank), 0.0)
+    return rrf
 
 
 def rank_trend_slope(rank_series: Sequence[float]) -> float:

@@ -7,65 +7,59 @@ The mappings are article x node incidence rows on the hierarchy's positional
 columns (`Hierarchy.incidence`).  One product with the ancestor closure,
 `closed = incidence @ h.closure`, feeds both metrics: its column sums are the
 propagated counts (`subtree_counts`, then `informativeness`), its non-zero
-pattern the propagated incidence (`category_utility`).  Counts are exact
-integers; the one float sum, sum_k p(k)^2 in category utility, adds one
-article at a time in ascending id, so it keeps its bits.
+pattern the propagated incidence (`category_utility`).  Every result is a
+vector over the node positions; `informativeness` also returns which
+positions it scored.  Counts are exact integers; the one float sum,
+sum_k p(k)^2 in category utility, adds one article at a time in ascending
+id, so it keeps its bits.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from .hierarchy import Hierarchy, level_of
+from .hierarchy import Hierarchy
 
 INFORMATIVENESS_MODES = ("entropy-term", "surprisal")
 
 
-@dataclass
-class MappingCounts:
-    """Subtree-propagated counts of article mappings per node and per level."""
-
-    propagated: dict[str, int]
-    level_totals: dict[int, int]
-
-
-def subtree_counts(h: Hierarchy, closed: sparse.csr_matrix) -> MappingCounts:
-    """Counts from the closure product `closed = incidence @ h.closure`.
+def subtree_counts(closed: sparse.csr_matrix) -> np.ndarray:
+    """Propagated mapping counts by node position, from the closure product
+    `closed = incidence @ h.closure`.
 
     Entry (a, c) of `closed` counts the direct nodes of article a at or
     below node c, so an article mapping to k distinct nodes contributes k.
     """
-    propagated = np.asarray(closed.sum(axis=0)).ravel()
-    level_totals = np.bincount(h.level, weights=propagated)
-    return MappingCounts(
-        propagated=dict(zip(h.codes, propagated.tolist())),
-        level_totals={lvl: int(t) for lvl, t in enumerate(level_totals.tolist()) if lvl},
-    )
+    return np.asarray(closed.sum(axis=0)).ravel()
 
 
-def informativeness(counts: MappingCounts, mode: str = "entropy-term") -> dict[str, float]:
+def informativeness(
+    h: Hierarchy, counts: np.ndarray, mode: str = "entropy-term"
+) -> tuple[np.ndarray, np.ndarray]:
     """Score each node by its share p of its level's propagated mappings.
 
     entropy-term: -p * log2(p), the node's summand in the level's Shannon
     entropy (0 when p is 0).  surprisal: -log2(p), unscored when p is 0.
-    Nodes on levels with no mappings are left unscored.
+    Nodes on levels with no mappings are left unscored.  Returns the values
+    by position and the scored mask; values are 0 where it is unset.
     """
     if mode not in INFORMATIVENESS_MODES:
         raise ValueError(f"unknown informativeness mode {mode!r}")
-    values: dict[str, float] = {}
-    for code in sorted(counts.propagated):
-        total = counts.level_totals.get(level_of(code), 0)
-        if total <= 0:
-            continue
-        p = counts.propagated[code] / total
-        if mode == "entropy-term":
-            values[code] = -p * math.log2(p) if p > 0 else 0.0
-        elif p > 0:
-            values[code] = -math.log2(p)
-    return values
+    # Counts are integers far below 2**53, so the float totals and shares
+    # are the exact sums and the correctly rounded quotients.
+    totals = np.bincount(h.level, weights=counts)[h.level]
+    scored = totals > 0
+    p = np.divide(counts, totals, out=np.zeros(len(totals)), where=scored)
+    live = p > 0
+    if mode == "surprisal":
+        scored &= live
+    # math.log2, not np.log2: the two differ in the last bit on some inputs.
+    logs = np.array([math.log2(x) for x in p[live].tolist()], dtype=np.float64)
+    values = np.zeros(len(totals), dtype=np.float64)
+    values[live] = -p[live] * logs if mode == "entropy-term" else -logs
+    return values, scored
 
 
 def category_utility(closed: sparse.csr_matrix, n_nodes: int) -> np.ndarray:

@@ -25,7 +25,9 @@ from .corpus import ArticleStore, parse_articles
 from .evaluate import ChangeRecord
 from .hierarchy import Hierarchy, HierarchyParseReport, level_of, parse_hierarchy
 from .months import year_of
-from .scores import ASPECTS, RELEVANCE, AspectScores, read_scores_csv, write_scores_csv
+from .scores import ASPECTS, RELEVANCE, AspectScores, read_rows, read_scores_csv, write_scores_csv
+
+RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
 
 
 class PipelineError(RuntimeError):
@@ -146,7 +148,8 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
     )
     disruption_scores = graphmetrics.disruption_all(sampled)
 
-    results: dict[str, AspectScores] = {}
+    n = len(h.codes)
+    vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for aspect, article_scores in (
         ("influence", influence_scores),
         ("disruptiveness", disruption_scores),
@@ -155,23 +158,21 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
             # The CSC product adds each node's articles one at a time in
             # ascending id, as aggregate_to_nodes does, so the sums keep their bits.
             seeds = rows.T @ article_scores.scores / article_scores.graph_size_m
-            values = propagation.propagate_positions(h, seeds, seeded)
+            vectors[aspect] = propagation.propagate_positions(h, seeds, seeded)
         else:
-            values = {}
-        results[aspect] = AspectScores(aspect=aspect, month=month, values=values)
+            vectors[aspect] = np.zeros(n), np.zeros(n, dtype=bool)
 
     month_ids = data.store.articles_in_month(month)
     closed = data.incidence[np.searchsorted(data.store.ids, month_ids)] @ h.closure
-    counts = infometrics.subtree_counts(h, closed)
-    results["informativeness"] = AspectScores(
-        aspect="informativeness",
-        month=month,
-        values=infometrics.informativeness(counts, mode=cfg.informativeness_mode),
+    counts = infometrics.subtree_counts(closed)
+    vectors["informativeness"] = infometrics.informativeness(
+        h, counts, mode=cfg.informativeness_mode
     )
-    usefulness = infometrics.category_utility(closed, len(h.codes))
-    results["usefulness"] = AspectScores(
-        aspect="usefulness", month=month, values=dict(zip(h.codes, usefulness.tolist()))
-    )
+    vectors["usefulness"] = infometrics.category_utility(closed, n), np.ones(n, dtype=bool)
+    results = {
+        aspect: AspectScores(aspect, month, values, scored)
+        for aspect, (values, scored) in vectors.items()
+    }
     return MonthResult(
         month=month,
         seed=seed,
@@ -213,7 +214,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
         for aspect in ASPECTS:
             path = out / "scores" / f"{aspect}_{result.month}.csv"
             with path.open("w") as fh:
-                write_scores_csv(result.scores[aspect], fh, config_hash=chash)
+                write_scores_csv(data.hierarchy, result.scores[aspect], fh, config_hash=chash)
             written.append(str(path))
         mpath = out / "members" / f"{result.month}.csv"
         with mpath.open("w") as fh:
@@ -238,40 +239,43 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     return written
 
 
-def _load_scores(cfg: PipelineConfig) -> dict[str, dict[str, dict[str, float]]]:
-    """aspect -> month -> node values, read back from the compute outputs."""
+def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> dict[str, dict[str, AspectScores]]:
+    """aspect -> month -> scores by position, read back from the compute outputs."""
     out = Path(cfg.output_dir)
-    table: dict[str, dict[str, dict[str, float]]] = {a: {} for a in ASPECTS}
+    table: dict[str, dict[str, AspectScores]] = {a: {} for a in ASPECTS}
     for month in cfg.window():
         for aspect in ASPECTS:
             path = out / "scores" / f"{aspect}_{month}.csv"
             if not path.exists():
                 raise PipelineError(f"missing compute output: {path}")
-            with path.open() as fh:
-                table[aspect][month] = read_scores_csv(fh).values
+            table[aspect][month] = read_scores_csv(h, path)
     return table
 
 
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
-    table = _load_scores(cfg)
+    with _require(cfg.hierarchy, "hierarchy").open() as fh:
+        h, _ = parse_hierarchy(fh)
+    table = _load_scores(cfg, h)
     out = Path(cfg.output_dir)
     path = out / "rankings.csv"
     with path.open("w") as fh:
         fh.write(f"# config_hash={cfg.config_hash()}\n")
-        fh.write("month,scope,tree_code,rrf_value,rank\n")
+        fh.write(RANKINGS_HEADER + "\n")
         for month in cfg.window():
-            ranks = {a: fusion.rank_by_aspect(table[a][month]) for a in ASPECTS}
-            fused = fusion.rrf_fuse(ranks, k=cfg.rrf_k, month=month)
-            rankings = [fused]
-            levels = sorted({level_of(c) for c in fused.rrf})
-            rankings.extend(fusion.per_level_ranking(fused, lvl) for lvl in levels)
-            for ranking in rankings:
-                for code in sorted(ranking.rank, key=ranking.rank.get):
-                    fh.write(
-                        f"{month},{ranking.scope},{code},"
-                        f"{format(ranking.rrf[code], '.17g')},{ranking.rank[code]}\n"
-                    )
+            scores = [table[a][month] for a in ASPECTS]
+            rrf = fusion.rrf_fuse(
+                [fusion.rank_by_aspect(s.values, s.scored) for s in scores], k=cfg.rrf_k
+            )
+            fused = rrf > 0  # ranked by some aspect
+            scopes = [("global", fused)] + [
+                (f"level-{lvl}", fused & (h.level == lvl)) for lvl in np.unique(h.level[fused])
+            ]
+            values = [format(v, ".17g") for v in rrf.tolist()]
+            for scope, members in scopes:
+                rank = fusion.rank_by_aspect(rrf, members)
+                for r, i in sorted(zip(rank[members].tolist(), np.flatnonzero(members).tolist())):
+                    fh.write(f"{month},{scope},{h.codes[i]},{values[i]},{r}\n")
     return path
 
 
@@ -281,11 +285,9 @@ def _load_rankings(cfg: PipelineConfig) -> dict[tuple[str, str], dict[str, tuple
     if not path.exists():
         raise PipelineError(f"missing fuse output: {path}")
     table: dict[tuple[str, str], dict[str, tuple[float, int]]] = {}
-    for line in path.read_text().splitlines():
-        if not line or line.startswith("#") or line.startswith("month,"):
-            continue
-        month, scope, code, rrf_value, rank = line.split(",")
-        table.setdefault((month, scope), {})[code] = (float(rrf_value), int(rank))
+    rows = read_rows(path, RANKINGS_HEADER, lambda m, s, c, v, r: (m, s, c, float(v), int(r)))
+    for month, scope, code, rrf, rank in rows:
+        table.setdefault((month, scope), {})[code] = (rrf, rank)
     return table
 
 
@@ -370,12 +372,7 @@ def _load_members(cfg: PipelineConfig) -> dict[str, list[int]]:
         path = out / "members" / f"{month}.csv"
         if not path.exists():
             raise PipelineError(f"missing compute output: {path}")
-        ids = [
-            int(line)
-            for line in path.read_text().splitlines()
-            if line and not line.startswith("#") and line != "article_id"
-        ]
-        members[month] = ids
+        members[month] = read_rows(path, "article_id", int)
     return members
 
 
@@ -403,7 +400,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     """
     data = load_annotations(cfg)
     h = data.hierarchy
-    table = _load_scores(cfg)
+    table = _load_scores(cfg, h)
     relevance = _relevance_by_month(cfg)
     members = _load_members(cfg)
     window = cfg.window()
@@ -413,14 +410,12 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
 
     series_names = list(ASPECTS) + [RELEVANCE]
 
-    def month_values(name: str, month: str) -> dict[str, float]:
-        return relevance.get(month, {}) if name == RELEVANCE else table[name].get(month, {})
-
     # series -> month -> (node values by position, which positions were given)
     vectors = {
-        name: {month: h.node_vector(month_values(name, month)) for month in window}
-        for name in series_names
+        aspect: {month: (s.values, s.scored) for month, s in table[aspect].items()}
+        for aspect in ASPECTS
     }
+    vectors[RELEVANCE] = {month: h.node_vector(relevance.get(month, {})) for month in window}
 
     # Evolution: one test per (release, aspect) on per-descriptor yearly means.
     evolution_rows: list[dict] = []

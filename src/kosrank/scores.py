@@ -1,44 +1,81 @@
-"""Labeled per-node score tables and their CSV format.
+"""Per-node score tables, and the reader of every stage output CSV.
 
-One AspectScores = one aspect at one snapshot month.  The CSV layout is
-`tree_code, level, aspect, month, value` with values at 17 significant
-digits; a `# config_hash=...` comment line may precede the header.
+One AspectScores = one aspect at one snapshot month: `values[i]` is node i's
+score where `scored[i]` holds, and 0 elsewhere.  The CSV layout is
+`tree_code, level, aspect, month, value`, one row per scored node in
+position order (which is code order), values at 17 significant digits; a
+`# config_hash=...` comment line may precede the header.  The CSV writer
+and reader are the only places where score codes meet positions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from pathlib import Path
+from typing import Callable, TextIO
 
-from .hierarchy import level_of
+import numpy as np
+
+from .hierarchy import Hierarchy
 
 ASPECTS = ("disruptiveness", "influence", "informativeness", "usefulness")
 RELEVANCE = "relevance"
+SCORES_HEADER = "tree_code,level,aspect,month,value"
 
 
 @dataclass
 class AspectScores:
     aspect: str
     month: str
-    values: dict[str, float]
+    values: np.ndarray  # float64 by node position
+    scored: np.ndarray  # bool by node position
 
 
-def write_scores_csv(scores: AspectScores, out: TextIO, config_hash: str | None = None) -> None:
+def read_rows(path: Path, header: str, parse: Callable) -> list:
+    """`parse(*fields)` of each row of a stage output CSV, skipping blank,
+    `#` and `header` lines.  A row with a field count other than the
+    header's, or one `parse` rejects, raises a ValueError naming `path` and
+    the row's 1-based line."""
+    width = header.count(",") + 1
+    rows = []
+    with path.open() as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#") or line == header:
+                continue
+            fields = line.split(",")
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                rows.append(parse(*fields))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return rows
+
+
+def write_scores_csv(
+    h: Hierarchy, scores: AspectScores, out: TextIO, config_hash: str | None = None
+) -> None:
     if config_hash:
         out.write(f"# config_hash={config_hash}\n")
-    out.write("tree_code,level,aspect,month,value\n")
-    for code in sorted(scores.values):
-        value = format(scores.values[code], ".17g")
-        out.write(f"{code},{level_of(code)},{scores.aspect},{scores.month},{value}\n")
+    out.write(SCORES_HEADER + "\n")
+    values, levels = scores.values.tolist(), h.level.tolist()
+    for i in np.flatnonzero(scores.scored).tolist():
+        value = format(values[i], ".17g")
+        out.write(f"{h.codes[i]},{levels[i]},{scores.aspect},{scores.month},{value}\n")
 
 
-def read_scores_csv(lines: Iterable[str]) -> AspectScores:
-    aspect = ""
-    month = ""
-    values: dict[str, float] = {}
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("tree_code,"):
-            continue
-        code, _level, aspect, month, value = line.split(",")
-        values[code] = float(value)
-    return AspectScores(aspect=aspect, month=month, values=values)
+def read_scores_csv(h: Hierarchy, path: Path) -> AspectScores:
+    """The scores written to `path`, laid out by position; a tree code
+    outside `h` is an error."""
+    def parse(code: str, _level: str, aspect: str, month: str, value: str):
+        i = h.position.get(code)
+        if i is None:
+            raise ValueError(f"tree code {code} is not in the hierarchy")
+        return i, aspect, month, float(value)
+
+    rows = read_rows(path, SCORES_HEADER, parse)
+    values, scored = np.zeros(len(h.codes)), np.zeros(len(h.codes), dtype=bool)
+    for i, _, _, value in rows:
+        values[i], scored[i] = value, True
+    aspect, month = rows[-1][1:3] if rows else ("", "")
+    return AspectScores(aspect, month, values, scored)

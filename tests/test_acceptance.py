@@ -84,17 +84,18 @@ def test_criterion_1_metric_oracles():
         for _ in range(150):
             groups[int(rng.integers(400))].append(h.codes[int(rng.integers(len(h.codes)))])
         incidence, _ = membership(groups, h.position, len(h.codes))
-        counts = subtree_counts(h, incidence @ h.closure)
-        values = informativeness(counts)
+        counts = subtree_counts(incidence @ h.closure)
+        values = dict(zip(h.codes, informativeness(h, counts)[0].tolist()))
+        propagated = dict(zip(h.codes, counts.tolist()))
         for level, level_codes in h.levels().items():
-            total = counts.level_totals[level]
+            total = sum(propagated[c] for c in level_codes)
             if total == 0:
                 continue
             level_sum = sum(values[c] for c in level_codes)
             entropy = -sum(
                 p * np.log2(p)
                 for c in level_codes
-                if (p := counts.propagated[c] / total) > 0
+                if (p := propagated[c] / total) > 0
             )
             max_entropy_err = max(max_entropy_err, abs(level_sum - entropy))
     assert max_entropy_err < 1e-12
@@ -179,10 +180,10 @@ def test_criterion_3_worked_example_goldens():
 
     # RRF: rank 1 everywhere, and the (1,2,3,4) staircase.  The staircase
     # golden is frozen from the direct-sum oracle sum(1/(60+r)).
-    fused_first = fusion.rrf_fuse({a: {"X": 1} for a in ASPECTS}).rrf["X"]
+    fused_first = fusion.rrf_fuse([np.array([1]) for _ in ASPECTS])[0]
     assert fused_first == pytest.approx(4 / 61, abs=1e-15)
     assert f"{fused_first:.6f}" == "0.065574"
-    staircase = fusion.rrf_fuse({a: {"X": r} for a, r in zip(ASPECTS, (1, 2, 3, 4))}).rrf["X"]
+    staircase = fusion.rrf_fuse([np.array([r]) for r in (1, 2, 3, 4)])[0]
     oracle = sum(1.0 / (60 + r) for r in (1, 2, 3, 4))
     assert staircase == pytest.approx(oracle, abs=1e-15)
     assert f"{staircase:.6f}" == "0.064020"
@@ -213,24 +214,22 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
     )
     data = IngestData(h, HierarchyParseReport(), store, changes, graph)
     window = cfg.window()
-    relevance: dict[str, dict[str, float]] = {}
+    relevance: dict[str, np.ndarray] = {}  # fused values by position, 0 where unranked
     members: dict[str, np.ndarray] = {}
     for i, month in enumerate(window):
         result = compute_month(cfg, data, month, i)
-        ranks = {a: fusion.rank_by_aspect(result.scores[a].values) for a in ASPECTS}
-        relevance[month] = fusion.rrf_fuse(ranks, month=month).rrf
+        scores = [result.scores[a] for a in ASPECTS]
+        ranks = [fusion.rank_by_aspect(s.values, s.scored) for s in scores]
+        relevance[month] = fusion.rrf_fuse(ranks)
         members[month] = result.member_ids
 
     release_year = year_of(scenario.first_month)
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for month in (m for m in window if year_of(m) == release_year):
-        for code, value in relevance[month].items():
-            sums[code] = sums.get(code, 0.0) + value
-            counts[code] = counts.get(code, 0) + 1
-    node_means = {code: sums[code] / counts[code] for code in sums}
+    year = [relevance[m] for m in window if year_of(m) == release_year]
+    sums = sum(year)
+    counts = sum((rrf > 0).astype(np.int64) for rrf in year)
+    node_means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     evolving, stable = evaluate.evolution_cohorts(
-        h, *h.node_vector(node_means), {c.descriptor_id for c in changes}
+        h, node_means, counts > 0, {c.descriptor_id for c in changes}
     )
     p_evolution = evaluate.mann_whitney(evolving, stable).p_value
 
@@ -244,7 +243,7 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
             h.incidence([a.descriptors for a in articles])[0],
             np.array([a.retracted for a in articles], dtype=bool),
             [np.searchsorted(ids, members[m]) for m in months],
-            [h.node_vector(relevance[m])[0] for m in months],
+            [relevance[m] for m in months],
         )
         retracted_all.extend(retracted)
         other_all.extend(other)
@@ -281,23 +280,26 @@ def test_criterion_5_rrf_invariance():
             rng.choice(codes, size=int(rng.integers(2, len(codes))), replace=False)
         )
         raw = {
-            a: {c: float(rng.integers(-60, 60)) for c in chosen} for a in ASPECTS
+            a: np.array([float(rng.integers(-60, 60)) for _ in chosen]) for a in ASPECTS
         }
-        fused = fusion.rrf_fuse({a: fusion.rank_by_aspect(raw[a]) for a in ASPECTS})
+        scored = np.ones(len(chosen), dtype=bool)
+        fused = fusion.rrf_fuse([fusion.rank_by_aspect(raw[a], scored) for a in ASPECTS])
         aspect = ASPECTS[case % 4]
         factor = float(rng.integers(1, 6))
         shift = float(rng.integers(-30, 30))
         transform = case % 3
         if transform == 0:
-            mapped = {c: factor * v + shift for c, v in raw[aspect].items()}
+            mapped = factor * raw[aspect] + shift
         elif transform == 1:
-            mapped = {c: v**3 + shift for c, v in raw[aspect].items()}
+            mapped = raw[aspect] ** 3 + shift
         else:
-            mapped = {c: float(np.arctan(v / 60.0)) for c, v in raw[aspect].items()}
+            mapped = np.arctan(raw[aspect] / 60.0)
         raw[aspect] = mapped
-        refused = fusion.rrf_fuse({a: fusion.rank_by_aspect(raw[a]) for a in ASPECTS})
-        assert refused.rank == fused.rank
-        assert refused.rrf == fused.rrf
+        refused = fusion.rrf_fuse([fusion.rank_by_aspect(raw[a], scored) for a in ASPECTS])
+        assert np.array_equal(
+            fusion.rank_by_aspect(refused, scored), fusion.rank_by_aspect(fused, scored)
+        )
+        assert np.array_equal(refused, fused)
     _report(5, True, "fusion unchanged under 200 strictly monotone rescalings")
 
 

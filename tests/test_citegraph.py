@@ -146,7 +146,6 @@ class TestSample:
         s = sample_nodes(g, 1.0, seed=9)
         assert s.node_ids.tolist() == g.node_ids.tolist()
         assert s.num_edges == g.num_edges
-        assert s.sample_seed == 9
 
     def test_half_of_ten_is_five_and_repeatable(self):
         store = temporal_store(np.random.default_rng(0), 10)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,75 +6,113 @@ from hypothesis import strategies as st
 from kosrank.fusion import (
     bottom_k_by_mean_rank,
     mean_ranks,
-    per_level_ranking,
     rank_by_aspect,
     rank_trend_slope,
     rrf_fuse,
     top_k_by_mean_rank,
 )
+from kosrank.hierarchy import build_hierarchy
 from kosrank.scores import ASPECTS
+
+
+def ranks_of(values):
+    """Ranks of a list of values, every position scored."""
+    return rank_by_aspect(np.array(values, dtype=np.float64), np.ones(len(values), dtype=bool))
+
+
+def fused_ranks(rrf):
+    return rank_by_aspect(rrf, rrf > 0)
 
 
 class TestRankByAspect:
     def test_descending(self):
-        assert rank_by_aspect({"A": 0.9, "B": 0.1}) == {"A": 1, "B": 2}
+        assert ranks_of([0.9, 0.1]).tolist() == [1, 2]
 
     def test_tie_breaks_on_code(self):
-        assert rank_by_aspect({"B": 0.5, "A": 0.5}) == {"A": 1, "B": 2}
+        assert ranks_of([0.5, 0.5]).tolist() == [1, 2]
 
     def test_negative_below_positive(self):
-        ranks = rank_by_aspect({"A": -0.2, "B": 0.3})
-        assert ranks["B"] < ranks["A"]
+        ranks = ranks_of([-0.2, 0.3])
+        assert ranks[1] < ranks[0]
 
     def test_dense_bijection_and_sorted_round_trip(self):
-        values = {f"A{i:02d}": (i * 37) % 11 for i in range(1, 30)}
-        ranks = rank_by_aspect(values)
-        assert sorted(ranks.values()) == list(range(1, 30))
-        ordered = sorted(values, key=ranks.get)
-        assert all(
-            values[a] >= values[b] for a, b in zip(ordered, ordered[1:])
-        )
+        values = [(i * 37) % 11 for i in range(1, 30)]
+        ranks = ranks_of(values)
+        assert sorted(ranks.tolist()) == list(range(1, 30))
+        ordered = np.argsort(ranks)
+        assert all(values[a] >= values[b] for a, b in zip(ordered, ordered[1:]))
+
+    def test_unscored_positions_are_unranked(self):
+        values = np.array([5.0, 9.0, 1.0, 7.0])
+        ranks = rank_by_aspect(values, np.array([True, False, True, True]))
+        assert ranks.tolist() == [2, 0, 3, 1]
+
+    def test_matches_sorted_oracle(self):
+        # the order of sorted(codes, key=(-value, code)) over the scored codes
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            values = rng.integers(-5, 5, size=n) / 4.0  # many ties, and -0.0
+            scored = rng.random(n) < 0.7
+            ordered = sorted(np.flatnonzero(scored).tolist(), key=lambda i: (-values[i], i))
+            expected = np.zeros(n, dtype=np.int64)
+            expected[ordered] = np.arange(1, len(ordered) + 1)
+            assert np.array_equal(rank_by_aspect(values, scored), expected)
 
 
 class TestRrfFuse:
     def test_all_first_golden(self):
-        fused = rrf_fuse({aspect: {"X": 1} for aspect in ASPECTS})
-        assert fused.rrf["X"] == pytest.approx(4 / 61)
-        assert f"{fused.rrf['X']:.6f}" == "0.065574"
+        rrf = rrf_fuse([np.array([1])] * len(ASPECTS))
+        assert rrf[0] == pytest.approx(4 / 61)
+        assert f"{rrf[0]:.6f}" == "0.065574"
 
     def test_staircase_golden(self):
-        ranks = {a: {"X": r} for a, r in zip(ASPECTS, (1, 2, 3, 4))}
+        ranks = [np.array([r]) for r in (1, 2, 3, 4)]
         # direct sum oracle: 1/61 + 1/62 + 1/63 + 1/64
         expected = sum(1.0 / (60 + r) for r in (1, 2, 3, 4))
-        fused = rrf_fuse(ranks)
-        assert fused.rrf["X"] == pytest.approx(expected, abs=1e-15)
-        assert fused.rrf["X"] == pytest.approx(0.06402049075403121, abs=1e-15)
+        rrf = rrf_fuse(ranks)
+        assert rrf[0] == pytest.approx(expected, abs=1e-15)
+        assert rrf[0] == pytest.approx(0.06402049075403121, abs=1e-15)
 
     def test_dominance_two_nodes(self):
         # X ranked 1 in three aspects and 2 in one always beats the complement
         for flipped in ASPECTS:
-            ranks = {
-                a: ({"X": 2, "Y": 1} if a == flipped else {"X": 1, "Y": 2})
-                for a in ASPECTS
-            }
-            fused = rrf_fuse(ranks)
-            assert fused.rank["X"] == 1 and fused.rank["Y"] == 2
+            ranks = [np.array([2, 1] if a == flipped else [1, 2]) for a in ASPECTS]
+            assert fused_ranks(rrf_fuse(ranks)).tolist() == [1, 2]
 
     def test_missing_aspect_contributes_zero(self):
-        ranks = {a: {"X": 1} for a in ASPECTS}
-        ranks["usefulness"] = {"Y": 1}
-        fused = rrf_fuse(ranks)
-        assert fused.rrf["X"] == pytest.approx(3 / 61)
-        assert fused.rrf["Y"] == pytest.approx(1 / 61)
+        ranks = [np.array([0, 1] if a == "usefulness" else [1, 0]) for a in ASPECTS]
+        rrf = rrf_fuse(ranks)
+        assert rrf[0] == pytest.approx(3 / 61)
+        assert rrf[1] == pytest.approx(1 / 61)
+
+    def test_unranked_everywhere_is_zero(self):
+        rrf = rrf_fuse([np.array([1, 0])] * len(ASPECTS))
+        assert rrf[1] == 0.0 and fused_ranks(rrf).tolist() == [1, 0]
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            rrf_fuse({a: {} for a in ASPECTS}, k=0)
+            rrf_fuse([np.zeros(0, dtype=np.int64)] * len(ASPECTS), k=0)
 
     def test_value_bounds(self):
-        fused = rrf_fuse({a: {"X": 1, "Y": 2} for a in ASPECTS})
-        for value in fused.rrf.values():
+        for value in rrf_fuse([np.array([1, 2])] * len(ASPECTS)):
             assert 0.0 < value <= 4 / 61
+
+    def test_matches_per_node_sum_oracle(self):
+        # one node at a time, aspects in order, skipping unranked ones
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            n = int(rng.integers(1, 30))
+            ranks = [ranks_of(rng.random(n)) * (rng.random(n) < 0.6) for _ in ASPECTS]
+            k = int(rng.integers(1, 100))
+            expected = []
+            for i in range(n):
+                total = 0.0
+                for rank in ranks:
+                    if rank[i]:
+                        total += 1.0 / (k + int(rank[i]))
+                expected.append(total)
+            assert rrf_fuse(ranks, k=k).tolist() == expected
 
     @given(
         st.dictionaries(
@@ -88,35 +127,30 @@ class TestRrfFuse:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_rescale_invariance(self, table, aspect, factor, shift):
-        raw = {
-            a: {code: float(vals[i]) for code, vals in table.items()}
-            for i, a in enumerate(ASPECTS)
-        }
-        ranks = {a: rank_by_aspect(raw[a]) for a in ASPECTS}
-        fused = rrf_fuse(ranks)
+        codes = sorted(table)
+        raw = {a: np.array([float(table[c][i]) for c in codes]) for i, a in enumerate(ASPECTS)}
+        rrf = rrf_fuse([ranks_of(raw[a]) for a in ASPECTS])
         # strictly increasing affine map on one aspect's raw scores
-        raw[aspect] = {c: factor * v + shift for c, v in raw[aspect].items()}
-        ranks2 = {a: rank_by_aspect(raw[a]) for a in ASPECTS}
-        fused2 = rrf_fuse(ranks2)
-        assert fused2.rank == fused.rank
-        assert fused2.rrf == fused.rrf
+        raw[aspect] = factor * raw[aspect] + shift
+        rrf2 = rrf_fuse([ranks_of(raw[a]) for a in ASPECTS])
+        assert np.array_equal(fused_ranks(rrf2), fused_ranks(rrf))
+        assert np.array_equal(rrf2, rrf)
 
     def test_improving_one_rank_strictly_increases(self):
-        ranks = {a: {"X": 3, "Y": 1, "Z": 2} for a in ASPECTS}
-        fused = rrf_fuse(ranks)
-        better = {a: dict(r) for a, r in ranks.items()}
-        better["influence"]["X"] = 2
-        fused2 = rrf_fuse(better)
-        assert fused2.rrf["X"] > fused.rrf["X"]
+        ranks = {a: np.array([3, 1, 2]) for a in ASPECTS}
+        rrf = rrf_fuse([ranks[a] for a in ASPECTS])
+        ranks["influence"] = np.array([2, 1, 2])
+        rrf2 = rrf_fuse([ranks[a] for a in ASPECTS])
+        assert rrf2[0] > rrf[0]
 
 
 class TestPerLevel:
     def test_slice_and_rerank(self):
-        fused = rrf_fuse({a: {"C": 1, "C01": 2, "C02": 3} for a in ASPECTS})
-        level2 = per_level_ranking(fused, 2)
-        assert set(level2.rrf) == {"C01", "C02"}
-        assert level2.rank == {"C01": 1, "C02": 2}
-        assert level2.scope == "level-2"
+        h = build_hierarchy({"C01": "", "C02": ""}, {})
+        assert h.codes == ("C", "C01", "C02")
+        rrf = rrf_fuse([np.array([1, 2, 3])] * len(ASPECTS))
+        level2 = rank_by_aspect(rrf, (rrf > 0) & (h.level == 2))
+        assert level2.tolist() == [0, 1, 2]
 
 
 class TestTrend:

@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import random_tree, usefulness_oracle
-from kosrank.hierarchy import build_hierarchy, membership
-from kosrank.infometrics import (
-    MappingCounts,
-    category_utility,
-    informativeness,
-    subtree_counts,
-)
+from kosrank.hierarchy import build_hierarchy, level_of, membership
+from kosrank.infometrics import category_utility, informativeness, subtree_counts
 
 
 def flat_two_category_tree():
@@ -32,6 +27,16 @@ def closed_of(h, groups):
     return incidence_of(h, groups) @ h.closure
 
 
+def by_code(h, vector):
+    return dict(zip(h.codes, vector.tolist()))
+
+
+def scored_values(h, groups, mode="entropy-term"):
+    """code -> informativeness of the scored nodes, for those rows."""
+    values, scored = informativeness(h, subtree_counts(closed_of(h, groups)), mode=mode)
+    return {c: v for c, v, s in zip(h.codes, values.tolist(), scored.tolist()) if s}
+
+
 def random_groups(rng, h, n_articles, n_marks):
     """Random per-article code lists, `n_marks` marks over `n_articles`."""
     groups = [[] for _ in range(n_articles)]
@@ -43,88 +48,115 @@ def random_groups(rng, h, n_articles, n_marks):
 class TestMappingCounts:
     def test_propagation_chain(self):
         h = build_hierarchy({"D12.776": ""}, {})
-        counts = subtree_counts(h, closed_of(h, [["D12.776"]]))
-        assert counts.propagated["D12.776"] == 1
-        assert counts.propagated["D12"] == 1
-        assert counts.propagated["D"] == 1
+        counts = by_code(h, subtree_counts(closed_of(h, [["D12.776"]])))
+        assert counts["D12.776"] == 1
+        assert counts["D12"] == 1
+        assert counts["D"] == 1
 
     def test_sibling_leaves_sum_at_parent(self):
         h = build_hierarchy({"D12.001": "", "D12.002": ""}, {})
-        counts = subtree_counts(h, closed_of(h, [["D12.001"], ["D12.002"]]))
-        assert counts.propagated["D12"] == 2
+        counts = by_code(h, subtree_counts(closed_of(h, [["D12.001"], ["D12.002"]])))
+        assert counts["D12"] == 2
 
     def test_multi_branch_article(self):
         h = build_hierarchy({"C01": "", "D12": ""}, {})
-        counts = subtree_counts(h, closed_of(h, [["C01", "D12"]]))
-        assert counts.propagated["C"] == 1
-        assert counts.propagated["D"] == 1
+        counts = by_code(h, subtree_counts(closed_of(h, [["C01", "D12"]])))
+        assert counts["C"] == 1
+        assert counts["D"] == 1
 
     def test_recurrence_invariant(self):
         rng = np.random.default_rng(17)
         h = random_tree(rng, max_nodes=80)
         incidence = incidence_of(h, random_groups(rng, h, 100, 200))
-        direct = dict(zip(h.codes, np.asarray(incidence.sum(axis=0)).ravel().tolist()))
-        counts = subtree_counts(h, incidence @ h.closure)
+        direct = by_code(h, np.asarray(incidence.sum(axis=0)).ravel())
+        counts = by_code(h, subtree_counts(incidence @ h.closure))
         for code in h.nodes:
-            expected = direct[code] + sum(
-                counts.propagated[c] for c in h.children_of(code)
-            )
-            assert counts.propagated[code] == expected
-            assert counts.propagated[code] >= direct[code] >= 0
+            expected = direct[code] + sum(counts[c] for c in h.children_of(code))
+            assert counts[code] == expected
+            assert counts[code] >= direct[code] >= 0
 
 
 class TestInformativeness:
     def test_entropy_term_golden(self):
         h = flat_two_category_tree()
-        counts = subtree_counts(h, closed_of(h, [["D"], ["D"], ["D"], ["E"]]))
-        values = informativeness(counts)
+        values = scored_values(h, [["D"], ["D"], ["D"], ["E"]])
         assert values["D"] == pytest.approx(0.3113, abs=5e-5)
         assert values["E"] == pytest.approx(0.5000, abs=5e-5)
 
     def test_single_node_level_scores_zero(self):
         h = build_hierarchy({"D": ""}, {})
-        counts = subtree_counts(h, closed_of(h, [["D"]]))
-        assert informativeness(counts)["D"] == 0.0
+        assert scored_values(h, [["D"]])["D"] == 0.0
 
     def test_surprisal_golden(self):
         # 70% vs 2% usage shares: the rare concept is considerably more informative
-        counts = MappingCounts(propagated={"D": 70, "E": 2}, level_totals={1: 100})
-        values = informativeness(counts, mode="surprisal")
+        h = build_hierarchy({"D": "", "E": "", "F": ""}, {})
+        values, scored = informativeness(h, np.array([70, 2, 28]), mode="surprisal")
+        assert scored.all()
+        values = by_code(h, values)
         assert values["D"] == pytest.approx(0.5146, abs=5e-5)
         assert values["E"] == pytest.approx(5.6439, abs=5e-5)
         assert values["E"] > values["D"]
 
     def test_zero_probability_handling(self):
         h = flat_two_category_tree()
-        counts = subtree_counts(h, closed_of(h, [["D"]]))
-        entropy = informativeness(counts, mode="entropy-term")
+        entropy = scored_values(h, [["D"]], mode="entropy-term")
         assert entropy["E"] == 0.0
-        surprisal = informativeness(counts, mode="surprisal")
+        surprisal = scored_values(h, [["D"]], mode="surprisal")
         assert "E" not in surprisal
 
     def test_empty_level_unscored(self):
         h = build_hierarchy({"D12": ""}, {})
-        counts = subtree_counts(h, closed_of(h, []))
-        assert informativeness(counts) == {}
+        values, scored = informativeness(h, subtree_counts(closed_of(h, [])))
+        assert not scored.any() and not values.any()
 
     def test_unknown_mode(self):
         h = flat_two_category_tree()
         with pytest.raises(ValueError):
-            informativeness(subtree_counts(h, closed_of(h, [])), mode="bogus")
+            informativeness(h, subtree_counts(closed_of(h, [])), mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["entropy-term", "surprisal"])
+    def test_matches_per_node_loop(self, mode):
+        # p = count / level total as Python ints, then math.log2 per node.
+        # The flat 28 : 3 split gives p = 28/31, where np.log2 and math.log2
+        # differ in the last bit on some libm builds.
+        rng = np.random.default_rng(29)
+        cases = [(flat_two_category_tree(), np.array([28, 3]))]
+        for _ in range(30):
+            h = random_tree(rng, max_nodes=60)
+            cases.append((h, subtree_counts(closed_of(h, random_groups(rng, h, 200, 80)))))
+        for h, counts in cases:
+            totals = {}
+            for code, count in zip(h.codes, counts.tolist()):
+                totals[level_of(code)] = totals.get(level_of(code), 0) + count
+            expected = {}
+            for code, count in zip(h.codes, counts.tolist()):
+                total = totals[level_of(code)]
+                if total == 0:
+                    continue
+                p = count / total
+                if mode == "entropy-term":
+                    expected[code] = -p * math.log2(p) if p > 0 else 0.0
+                elif p > 0:
+                    expected[code] = -math.log2(p)
+            values, scored = informativeness(h, counts, mode=mode)
+            actual = {c: v for c, v, s in zip(h.codes, values.tolist(), scored.tolist()) if s}
+            assert actual == expected
+            assert not values[~scored].any()
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
     def test_level_sums_are_shannon_entropy(self, seed):
         rng = np.random.default_rng(seed)
         h = random_tree(rng, max_nodes=60)
-        counts = subtree_counts(h, closed_of(h, random_groups(rng, h, 500, 120)))
-        values = informativeness(counts)
+        counts = subtree_counts(closed_of(h, random_groups(rng, h, 500, 120)))
+        values, _ = informativeness(h, counts)
+        values, counts = by_code(h, values), by_code(h, counts)
         for level, level_codes in h.levels().items():
-            total = counts.level_totals[level]
+            total = sum(counts[c] for c in level_codes)
             if total == 0:
                 continue
             level_sum = sum(values[c] for c in level_codes)
-            probabilities = [counts.propagated[c] / total for c in level_codes]
+            probabilities = [counts[c] / total for c in level_codes]
             entropy = -sum(p * math.log2(p) for p in probabilities if p > 0)
             assert level_sum == pytest.approx(entropy, abs=1e-12)
             nonzero = sum(1 for p in probabilities if p > 0)

@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import usefulness_oracle
-from kosrank import citegraph, graphmetrics, infometrics, propagation, synthgen
+from kosrank import citegraph, graphmetrics, propagation, synthgen
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
 from kosrank.hierarchy import ancestors_of, level_of, parse_hierarchy
@@ -70,6 +73,15 @@ def add_mapping_edge_cases(cfg: PipelineConfig, month: str) -> None:
     row = {"id": last_id + 1, "month": month, "mesh": [descriptor, "D999998"], "retracted": False}
     with articles.open("a") as fh:
         fh.write(json.dumps(row) + "\n")
+
+
+def scored_values(h, scores) -> dict[str, float]:
+    """code -> value of the nodes an AspectScores scored."""
+    return {
+        code: value
+        for code, value, scored in zip(h.codes, scores.values.tolist(), scores.scored.tolist())
+        if scored
+    }
 
 
 def read_all_outputs(out_dir: Path) -> dict[str, bytes]:
@@ -251,11 +263,21 @@ class TestComputeFuseTrendEvaluate:
             if line.split(",")[0] == "2014-01" and line.split(",")[1] == "global"
         ]
         assert global_ranks == list(range(1, len(global_ranks) + 1))
+        # each level is its own scope, re-ranked from 1
+        level_ranks = {}
+        for line in lines[2:]:
+            month, scope, code, _, rank = line.split(",")
+            if month == "2014-01" and scope != "global":
+                assert scope == f"level-{level_of(code)}"
+                level_ranks.setdefault(scope, []).append(int(rank))
+        assert sum(map(len, level_ranks.values())) == len(global_ranks)
+        assert all(r == list(range(1, len(r) + 1)) for r in level_ranks.values())
 
+    @pytest.mark.parametrize("mode", ["entropy-term", "surprisal"])
     @pytest.mark.parametrize("fraction", [1.0, 0.5])
-    def test_unsampled_compute_matches_direct_module_calls(self, prepared, fraction):
+    def test_unsampled_compute_matches_direct_module_calls(self, prepared, fraction, mode):
         _, cfg = prepared
-        cfg = dataclasses.replace(cfg, sample_fraction=fraction)
+        cfg = dataclasses.replace(cfg, sample_fraction=fraction, informativeness_mode=mode)
         data = ingest(cfg)
         month = "2014-04"
         result = compute_month(cfg, data, month, 3)
@@ -275,7 +297,7 @@ class TestComputeFuseTrendEvaluate:
         ):
             seeds = graphmetrics.aggregate_to_nodes(scores, codes)
             expected = propagation.propagate(data.hierarchy, seeds)
-            assert result.scores[aspect].values == expected
+            assert scored_values(data.hierarchy, result.scores[aspect]) == expected
 
         # the month's own mappings, from per-article treenodes_of calls
         h = data.hierarchy
@@ -296,12 +318,21 @@ class TestComputeFuseTrendEvaluate:
         level_totals = {}
         for code, count in propagated.items():
             level_totals[level_of(code)] = level_totals.get(level_of(code), 0) + count
-        counts = infometrics.MappingCounts(propagated=propagated, level_totals=level_totals)
-        assert result.scores["informativeness"].values == infometrics.informativeness(
-            counts, mode=cfg.informativeness_mode
-        )
+        # p = count / level total; entropy-term scores -p log2 p (0 at p = 0),
+        # surprisal -log2 p (unscored at p = 0); empty levels stay unscored
+        expected = {}
+        for code, count in propagated.items():
+            total = level_totals[level_of(code)]
+            if total == 0:
+                continue
+            p = count / total
+            if mode == "entropy-term":
+                expected[code] = -p * math.log2(p) if p > 0 else 0.0
+            elif p > 0:
+                expected[code] = -math.log2(p)
+        assert scored_values(h, result.scores["informativeness"]) == expected
         oracle = usefulness_oracle({code: frozenset(row) for code, row in rows.items()}, len(h.nodes))
-        usefulness = result.scores["usefulness"].values
+        usefulness = scored_values(h, result.scores["usefulness"])
         assert usefulness.keys() == oracle.keys()
         for code, value in oracle.items():
             assert usefulness[code] == pytest.approx(value, abs=1e-12)
@@ -314,8 +345,8 @@ class TestComputeFuseTrendEvaluate:
         second = compute_month(cfg, data, "2014-02", 1)
         assert len(first.member_ids) == 0 and len(second.member_ids) > 0
         for aspect in ("influence", "disruptiveness"):
-            assert first.scores[aspect].values == {}
-            assert second.scores[aspect].values
+            assert scored_values(data.hierarchy, first.scores[aspect]) == {}
+            assert scored_values(data.hierarchy, second.scores[aspect])
 
     def test_evaluate_separates_planted_cohorts(self, prepared):
         cfg_path, cfg = prepared
@@ -390,6 +421,103 @@ class TestComputeFuseTrendEvaluate:
         assert main(["fuse", "--config", str(cfg_path)]) != 0
         assert "missing compute output" in capsys.readouterr().err
 
+    def test_truncated_score_row_names_file_and_line(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        assert main(["compute", "--config", str(cfg_path)]) == 0
+        path = Path(cfg.output_dir) / "scores" / "influence_2014-03.csv"
+        lines = path.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:3])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["fuse", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line {len(lines)}: expected 5 fields, got 3\n"
+
+    def test_malformed_member_id_names_file_and_line(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        path = Path(cfg.output_dir) / "members" / "2014-02.csv"
+        lines = path.read_text().splitlines()
+        lines.insert(3, "12x")
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: line 4: invalid literal for int() with base 10: '12x'\n"
+
+    def test_score_code_outside_hierarchy_is_an_error(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        path = Path(cfg.output_dir) / "scores" / "influence_2014-01.csv"
+        with path.open("a") as fh:
+            fh.write("Z99,2,influence,2014-01,0.5\n")
+        line = len(path.read_text().splitlines())
+        capsys.readouterr()
+        for stage in ("fuse", "evaluate"):
+            assert main([stage, "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {path}: line {line}: tree code Z99 is not in the hierarchy\n"
+
+
+class TestChainPinned:
+    def test_written_files_are_pinned(self, tmp_path, monkeypatch):
+        # Recorded before the scores stayed position vectors through fuse and
+        # evaluate.  correlation_*.csv is left out: np.corrcoef goes through
+        # BLAS, whose summation order can vary by CPU.
+        expected = {
+        "evolution_tests.json": "9cc6d51cc8e9faf44e595d0459c5a091288ebd8632fffa368d421f40a3cc4d73",
+        "manifest.json": "26471189ba04da63c78a651c8e790caf6a8310060c4def6978327b12feedf08c",
+        "members/2014-01.csv": "e19d9a5371439d28c39f935d7c72959f8fc95db0de701b3d55896cd15592c87c",
+        "members/2014-02.csv": "df470f34f961499ba7262ce04a220a3a385c9e5b4d831c43e4a0a2386bf3fb12",
+        "members/2014-03.csv": "a0a4a6ae016747ac68cd681b0bf00528599f7b62129fc90684dce008d063a524",
+        "plots/rank_level-1.svg": "cbe2f61252119189a2276fcf0b388a70f503448d60cb5f5d49be208d2ce779b2",
+        "plots/rank_level-2.svg": "cdcf1dbb4b61f3038c4fbca7f13727c67c625172ef02dffab303a6acbd60be3c",
+        "plots/rank_level-3.svg": "c2cc6fc593cddf2b667c77e6b18e4963886ff37f9718d1b08bfa858beb726213",
+        "plots/rank_level-4.svg": "20b39a311a00b6db7634f4af7a913489ad975ccede3dd9c233d0b390d05f4e0a",
+        "rankings.csv": "fb2324f0a688170253f771b965934605b6973531f94c3aeac28be3b08d239636",
+        "retraction_tests.json": "bf868bc935fb826fb428ea7e934e2cd89039cafb8c32f56c7e1c578965f89005",
+        "scores/disruptiveness_2014-01.csv": "508d609d3826ed1f0da204460f9e7b8814a8bee7cb07cf1e14609df3d86bdcce",
+        "scores/disruptiveness_2014-02.csv": "13818b0f4b88c18561b8a84c4eee135e2927be27a5af22fb8c39bba8aea5003c",
+        "scores/disruptiveness_2014-03.csv": "eae105269ad02c258bda222a4097d793f1748faeca829388ccb5ad2a3b225c92",
+        "scores/influence_2014-01.csv": "4db3435442a7bd08452fe11a3d0802b010374b6b4b99512f9712ac5131f3ce98",
+        "scores/influence_2014-02.csv": "0ccadaca195ab504df17d9eed4c89e9a8b68ac1ece3ed3a7174370ef1e54cd40",
+        "scores/influence_2014-03.csv": "1fd0347eb2a9058216d07eb1b074f2c4e93d399a700e46354b139b34cdc6c3fc",
+        "scores/informativeness_2014-01.csv": "418c056efa65f1a9b1309e5ba3d08e3ae6badf71f3199013516c59b729179c42",
+        "scores/informativeness_2014-02.csv": "70f11f9015d5ab3b8e0409b3f9583ed0eaf47837fe0ce7eabc59757efdb0ab15",
+        "scores/informativeness_2014-03.csv": "42a2b8401a0c785fecdce9e3b9f6dbf396b866145a1f3cd4cfc9fa05c2e6ee25",
+        "scores/usefulness_2014-01.csv": "1488778257ddae1a826e8a73126b83281d2bf01ae1630337c5a1b3bbdc3233c8",
+        "scores/usefulness_2014-02.csv": "2fc8822d6355b907b7dba9f491d51d645bdf67b8a9d5abfebaa16f55e91a20fa",
+        "scores/usefulness_2014-03.csv": "eb5d353f51086c061855c74ad5eabb363ab4e0144eef1ce420d61bf7eae794ca",
+        "tables.csv": "a0e0c60b52d68d8db26e9424e7ae87254e94dbb86f47481abb1d2237926eecb6",
+        "trends.csv": "6293b16bed7ad5bee9aa05181bc228c3a63d677e91e4a3c5e516a62846435722",
+        }
+        # Relative paths keep the config hash, written into every file, fixed.
+        monkeypatch.chdir(tmp_path)
+        cfg = PipelineConfig(
+            hierarchy="data/hierarchy.tsv",
+            articles="data/articles.jsonl",
+            citations="data/citations.tsv",
+            changes="data/changes.tsv",
+            first_month="2014-01",
+            last_month="2014-03",
+            sample_fraction=0.5,
+            base_seed=1,
+            output_dir="out",
+        )
+        write_config(cfg, "pipeline.cfg")
+        args = ["--months", "3", "--articles-per-month", "300"]
+        assert main(["generate", "--config", "pipeline.cfg", *args]) == 0
+        for stage in ("compute", "fuse", "trend", "evaluate", "export-plots"):
+            assert main([stage, "--config", "pipeline.cfg"]) == 0
+        written = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in read_all_outputs(Path("out")).items()
+            if not name.startswith("correlation_")
+        }
+        assert written == expected
+
 
 class TestScoresCsv:
     def test_round_trip(self, tmp_path):
@@ -397,10 +525,14 @@ class TestScoresCsv:
         generate_inputs(cfg_path, months=2)
         assert main(["compute", "--config", str(cfg_path)]) == 0
         cfg = load_config(cfg_path)
+        data = ingest(cfg)
+        computed = compute_month(cfg, data, "2014-02", 1)
         for aspect in ASPECTS:
             path = Path(cfg.output_dir) / "scores" / f"{aspect}_2014-02.csv"
-            with path.open() as fh:
-                scores = read_scores_csv(fh)
+            scores = read_scores_csv(data.hierarchy, path)
             assert scores.aspect == aspect
             assert scores.month == "2014-02"
-            assert scores.values
+            assert scores.scored.any()
+            # 17 significant digits give back every value's bits
+            assert np.array_equal(scores.scored, computed.scores[aspect].scored)
+            assert np.array_equal(scores.values, computed.scores[aspect].values)
