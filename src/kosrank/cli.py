@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ingest, generate, compute, fuse, trend, evaluate, export-plots.
-All take --config pointing at a flat key = value file; --seed and --threads
-override the config where they apply.
+All take --config pointing at a flat key = value file and --seed, which
+overrides base_seed; compute also takes --threads, its parallel months.
 """
 from __future__ import annotations
 
@@ -15,14 +15,12 @@ from .citegraph import write_citations
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import write_articles
 from .hierarchy import write_hierarchy
-from .months import year_of
 from .plots import rank_chart_svg
 from .synthgen import ScenarioConfig, write_changes
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the pipeline config file")
-    parser.add_argument("--threads", type=int, default=1, help="parallel months (default 1)")
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
 
 
@@ -40,6 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        if name == "compute":
+            p.add_argument("--threads", type=int, default=1, help="parallel months (default 1)")
 
     g = sub.add_parser("generate", help="write a synthetic scenario to the config's input paths")
     _add_common(g)
@@ -96,16 +96,17 @@ def _cmd_generate(cfg: PipelineConfig, args) -> int:
 
 
 def _cmd_export_plots(cfg: PipelineConfig, top: int = 10) -> int:
-    means = pipeline.scope_mean_ranks(cfg)
-    years = sorted({year_of(m) for m in cfg.window()})
+    h, _ = pipeline._read_hierarchy(cfg)
+    means = pipeline.scope_mean_ranks(cfg, h)
     out = Path(cfg.output_dir) / "plots"
     out.mkdir(parents=True, exist_ok=True)
-    for scope, (yearly, window_means) in means.items():
-        codes = fusion.top_k_by_mean_rank(window_means, top)
+    for scope, (years, yearly, window_means) in means.items():
+        nodes = fusion.top_k(window_means, top).tolist()
         svg = rank_chart_svg(
-            f"top {len(codes)} concepts, {scope}",
+            f"top {len(nodes)} concepts, {scope}",
             [str(y) for y in years],
-            {code: [yearly.get(y, {}).get(code) for y in years] for code in codes},
+            # a mean of 0: no month of that year ranks the node, so no point
+            {h.codes[i]: [r or None for r in yearly[:, i].tolist()] for i in nodes},
             config_hash=cfg.config_hash(),
         )
         (out / f"rank_{scope}.svg").write_text(svg)

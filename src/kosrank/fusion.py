@@ -1,15 +1,14 @@
 """Ranking, reciprocal-rank fusion, and rank trajectories.
 
-`rank_by_aspect` and `rrf_fuse` work on vectors over the hierarchy's node
-positions.  Higher raw score always means better (rank 1) for every aspect;
-ties break on ascending position, which is tree-code order, so ranks are a
-dense 1..N permutation of the ranked nodes, and 0 marks an unranked node.
-The trajectory helpers work on the code-keyed rank tables that `trend` and
-`export-plots` read back from the fused rankings.
+Every function works on vectors over the hierarchy's node positions, or on
+months x nodes and years x nodes arrays of them.  Higher raw score always
+means better (rank 1) for every aspect; ties break on ascending position,
+which is tree-code order, so ranks are a dense 1..N permutation of the
+ranked nodes, and 0 marks an unranked node.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,29 +40,29 @@ def rrf_fuse(ranks: Sequence[np.ndarray], k: int = DEFAULT_RRF_K) -> np.ndarray:
     return rrf
 
 
-def rank_trend_slope(rank_series: Sequence[float]) -> float:
-    """Mean of consecutive rank differences; negative = climbing the ranking."""
-    if len(rank_series) < 2:
-        raise ValueError("need at least two rank observations")
-    return (rank_series[-1] - rank_series[0]) / (len(rank_series) - 1)
+def rank_trend_slope(yearly: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the nodes ranked in two or more years of a years x nodes mean-rank
+    array (0 = unranked): their positions, their slopes (last - first) /
+    (count - 1) over the ranked years, negative = climbing the ranking, and
+    the rows of their first and last ranked years."""
+    ranked = yearly > 0
+    count = ranked.sum(axis=0)
+    nodes = np.flatnonzero(count >= 2)
+    first = ranked[:, nodes].argmax(axis=0)
+    last = len(yearly) - 1 - ranked[::-1, nodes].argmax(axis=0)
+    return nodes, (yearly[last, nodes] - yearly[first, nodes]) / (count[nodes] - 1), first, last
 
 
-def mean_ranks(rankings: Iterable[Mapping[str, int]]) -> dict[str, float]:
-    """Per-node mean rank over the rankings in which the node appears."""
-    totals: dict[str, int] = {}
-    counts: dict[str, int] = {}
-    for ranks in rankings:
-        for code, rank in ranks.items():
-            totals[code] = totals.get(code, 0) + rank
-            counts[code] = counts.get(code, 0) + 1
-    return {code: totals[code] / counts[code] for code in totals}
+def mean_ranks(ranks: np.ndarray) -> np.ndarray:
+    """Per-node mean of a months x nodes rank array over the months that rank
+    the node, 0 if none does.  The sums are integers below 2**53, so the
+    division rounds once, as Python's `int / int` does."""
+    counts = (ranks > 0).sum(axis=0)
+    return np.divide(ranks.sum(axis=0), counts, out=np.zeros(ranks.shape[1]), where=counts > 0)
 
 
-def top_k_by_mean_rank(means: Mapping[str, float], k: int) -> list[str]:
-    """Best average rank first; ties break on tree code."""
-    return [c for c, _ in sorted(means.items(), key=lambda kv: (kv[1], kv[0]))][:k]
-
-
-def bottom_k_by_mean_rank(means: Mapping[str, float], k: int) -> list[str]:
-    """Worst average rank first; ties break on tree code."""
-    return [c for c, _ in sorted(means.items(), key=lambda kv: (-kv[1], kv[0]))][:k]
+def top_k(means: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k smallest nonzero `means`, smallest first, ties by
+    position; pass `-means` for the k largest."""
+    ranked = np.flatnonzero(means)
+    return ranked[np.argsort(means[ranked], kind="stable")][:k]

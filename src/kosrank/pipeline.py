@@ -23,7 +23,7 @@ from . import citegraph, evaluate, fusion, graphmetrics, infometrics, propagatio
 from .config import PipelineConfig
 from .corpus import ArticleStore, parse_articles
 from .evaluate import ChangeRecord
-from .hierarchy import Hierarchy, HierarchyParseReport, level_of, parse_hierarchy
+from .hierarchy import Hierarchy, HierarchyParseReport, parse_hierarchy
 from .months import year_of
 from .scores import ASPECTS, RELEVANCE, AspectScores, read_rows, read_scores_csv, write_scores_csv
 
@@ -84,14 +84,16 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
+def _read_hierarchy(cfg: PipelineConfig) -> tuple[Hierarchy, HierarchyParseReport]:
+    with _require(cfg.hierarchy, "hierarchy").open() as fh:
+        return parse_hierarchy(fh)
+
+
 def _read_annotations(
     cfg: PipelineConfig,
 ) -> tuple[Hierarchy, HierarchyParseReport, ArticleStore, list[ChangeRecord]]:
-    hpath = _require(cfg.hierarchy, "hierarchy")
-    apath = _require(cfg.articles, "articles")
-    with hpath.open() as fh:
-        hierarchy, hreport = parse_hierarchy(fh)
-    with apath.open() as fh:
+    hierarchy, hreport = _read_hierarchy(cfg)
+    with _require(cfg.articles, "articles").open() as fh:
         store = parse_articles(fh)
     changes: list[ChangeRecord] = []
     if cfg.changes:
@@ -239,23 +241,23 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     return written
 
 
-def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> dict[str, dict[str, AspectScores]]:
-    """aspect -> month -> scores by position, read back from the compute outputs."""
+def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> dict[str, dict[str, tuple[np.ndarray, ...]]]:
+    """aspect -> month -> (node values, scored mask), read back from the compute outputs."""
     out = Path(cfg.output_dir)
-    table: dict[str, dict[str, AspectScores]] = {a: {} for a in ASPECTS}
+    table: dict[str, dict[str, tuple[np.ndarray, ...]]] = {a: {} for a in ASPECTS}
     for month in cfg.window():
         for aspect in ASPECTS:
             path = out / "scores" / f"{aspect}_{month}.csv"
             if not path.exists():
                 raise PipelineError(f"missing compute output: {path}")
-            table[aspect][month] = read_scores_csv(h, path)
+            scores = read_scores_csv(h, path)
+            table[aspect][month] = scores.values, scores.scored
     return table
 
 
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
-    with _require(cfg.hierarchy, "hierarchy").open() as fh:
-        h, _ = parse_hierarchy(fh)
+    h, _ = _read_hierarchy(cfg)
     table = _load_scores(cfg, h)
     out = Path(cfg.output_dir)
     path = out / "rankings.csv"
@@ -263,10 +265,8 @@ def fuse(cfg: PipelineConfig) -> Path:
         fh.write(f"# config_hash={cfg.config_hash()}\n")
         fh.write(RANKINGS_HEADER + "\n")
         for month in cfg.window():
-            scores = [table[a][month] for a in ASPECTS]
-            rrf = fusion.rrf_fuse(
-                [fusion.rank_by_aspect(s.values, s.scored) for s in scores], k=cfg.rrf_k
-            )
+            ranks = [fusion.rank_by_aspect(*table[a][month]) for a in ASPECTS]
+            rrf = fusion.rrf_fuse(ranks, k=cfg.rrf_k)
             fused = rrf > 0  # ranked by some aspect
             scopes = [("global", fused)] + [
                 (f"level-{lvl}", fused & (h.level == lvl)) for lvl in np.unique(h.level[fused])
@@ -279,48 +279,64 @@ def fuse(cfg: PipelineConfig) -> Path:
     return path
 
 
-def _load_rankings(cfg: PipelineConfig) -> dict[tuple[str, str], dict[str, tuple[float, int]]]:
-    """(month, scope) -> code -> (rrf, rank)."""
+def _load_rankings(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, ...]:
+    """The fused value, the global rank and the rank inside the node's level
+    scope, each over window month x node position; 0 where a node is unranked."""
     path = Path(cfg.output_dir) / "rankings.csv"
     if not path.exists():
         raise PipelineError(f"missing fuse output: {path}")
-    table: dict[tuple[str, str], dict[str, tuple[float, int]]] = {}
-    rows = read_rows(path, RANKINGS_HEADER, lambda m, s, c, v, r: (m, s, c, float(v), int(r)))
-    for month, scope, code, rrf, rank in rows:
-        table.setdefault((month, scope), {})[code] = (rrf, rank)
-    return table
+    row_of = {month: k for k, month in enumerate(cfg.window())}
+    levels = h.level.tolist()
+    rrf = np.zeros((len(row_of), len(h.codes)))
+    global_rank, level_rank = np.zeros((2, *rrf.shape), dtype=np.int64)
+
+    def parse(month: str, scope: str, code: str, value: str, rank: str) -> None:
+        value, rank = float(value), int(rank)
+        k, i = row_of.get(month), h.position.get(code)
+        if k is None:
+            raise ValueError(f"month {month} is outside the window")
+        if i is None:
+            raise ValueError(f"tree code {code} is not in the hierarchy")
+        if scope not in ("global", f"level-{levels[i]}"):
+            raise ValueError(f"scope {scope} does not hold tree code {code}")
+        if rank < 1:
+            raise ValueError(f"rank {rank} is below 1")
+        ranks = global_rank if scope == "global" else level_rank
+        if ranks[k, i]:
+            raise ValueError(f"{month},{scope},{code} repeats an earlier row")
+        ranks[k, i] = rank
+        if scope == "global":
+            rrf[k, i] = value
+
+    read_rows(path, RANKINGS_HEADER, parse)
+    return rrf, global_rank, level_rank
 
 
 def scope_mean_ranks(
-    cfg: PipelineConfig,
-) -> dict[str, tuple[dict[int, dict[str, float]], dict[str, float]]]:
-    """Level scope -> (year -> code -> mean rank over the year's months,
-    code -> mean rank over the window), from the fused rankings.
+    cfg: PipelineConfig, h: Hierarchy
+) -> dict[str, tuple[list[int], np.ndarray, np.ndarray]]:
+    """Level scope -> (the window's years, mean level rank per year x node,
+    mean level rank per node over the window), from the fused rankings.
 
-    Scopes ranked in no window month are left out.
+    A mean is 0 where the node is outside the scope or no month of that span
+    ranks it.  Scopes ranked in no window month are left out.
     """
-    rankings = _load_rankings(cfg)
-    window = cfg.window()
-    means = {}
-    for scope in sorted({scope for _, scope in rankings if scope != "global"}):
-        monthly = {
-            m: {c: rank for c, (_, rank) in rankings[(m, scope)].items()}
-            for m in window
-            if (m, scope) in rankings
-        }
-        if not monthly:
-            continue
-        yearly = {
-            year: fusion.mean_ranks(r for m, r in monthly.items() if year_of(m) == year)
-            for year in sorted({year_of(m) for m in monthly})
-        }
-        means[scope] = (yearly, fusion.mean_ranks(monthly.values()))
-    return means
+    _, _, level_rank = _load_rankings(cfg, h)
+    month_years = np.array([year_of(m) for m in cfg.window()])
+    years = np.unique(month_years).tolist()
+    yearly = np.array([fusion.mean_ranks(level_rank[month_years == y]) for y in years])
+    window_means = fusion.mean_ranks(level_rank)
+    ranked_levels = np.unique(h.level[window_means > 0]).tolist()
+    return {
+        scope: (years, yearly * (h.level == lvl), window_means * (h.level == lvl))
+        for scope, lvl in sorted((f"level-{lvl}", lvl) for lvl in ranked_levels)
+    }
 
 
 def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
     """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
-    means = scope_mean_ranks(cfg)
+    h, _ = _read_hierarchy(cfg)
+    means = scope_mean_ranks(cfg, h)
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
 
@@ -328,41 +344,24 @@ def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
     with trends_path.open("w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("tree_code,level,slope,first_year,last_year\n")
-        for yearly, _ in means.values():
-            for code in sorted({c for ranks in yearly.values() for c in ranks}):
-                series = [(y, ranks[code]) for y, ranks in yearly.items() if code in ranks]
-                if len(series) < 2:
-                    continue
-                slope = fusion.rank_trend_slope([rank for _, rank in series])
+        for years, yearly, _ in means.values():
+            for i, slope, y0, y1 in zip(*(a.tolist() for a in fusion.rank_trend_slope(yearly))):
                 fh.write(
-                    f"{code},{level_of(code)},{format(slope, '.17g')},"
-                    f"{series[0][0]},{series[-1][0]}\n"
+                    f"{h.codes[i]},{h.level[i]},{format(slope, '.17g')},{years[y0]},{years[y1]}\n"
                 )
 
     tables_path = out / "tables.csv"
     with tables_path.open("w") as fh:
         fh.write(f"# config_hash={chash}\n")
         fh.write("scope,kind,position,tree_code,mean_rank\n")
-        for scope, (_, window_means) in means.items():
-            for kind, codes in (
-                ("top", fusion.top_k_by_mean_rank(window_means, table_k)),
-                ("bottom", fusion.bottom_k_by_mean_rank(window_means, table_k)),
-            ):
-                for position, code in enumerate(codes, start=1):
-                    fh.write(
-                        f"{scope},{kind},{position},{code},"
-                        f"{format(window_means[code], '.17g')}\n"
-                    )
+        for scope, (_, _, window_means) in means.items():
+            values = window_means.tolist()
+            for kind, sign in (("top", 1), ("bottom", -1)):
+                nodes = fusion.top_k(sign * window_means, table_k).tolist()
+                for position, i in enumerate(nodes, start=1):
+                    value = format(values[i], ".17g")
+                    fh.write(f"{scope},{kind},{position},{h.codes[i]},{value}\n")
     return trends_path, tables_path
-
-
-def _relevance_by_month(cfg: PipelineConfig) -> dict[str, dict[str, float]]:
-    rankings = _load_rankings(cfg)
-    return {
-        month: {c: rrf for c, (rrf, _) in rankings[(month, "global")].items()}
-        for month in cfg.window()
-        if (month, "global") in rankings
-    }
 
 
 def _load_members(cfg: PipelineConfig) -> dict[str, list[int]]:
@@ -400,22 +399,17 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     """
     data = load_annotations(cfg)
     h = data.hierarchy
-    table = _load_scores(cfg, h)
-    relevance = _relevance_by_month(cfg)
-    members = _load_members(cfg)
     window = cfg.window()
+    # series -> month -> (node values by position, which positions were given)
+    vectors = _load_scores(cfg, h)
+    rrf, rank, _ = _load_rankings(cfg, h)
+    vectors[RELEVANCE] = {month: (rrf[k], rank[k] > 0) for k, month in enumerate(window)}
+    members = _load_members(cfg)
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
     written: list[Path] = []
 
     series_names = list(ASPECTS) + [RELEVANCE]
-
-    # series -> month -> (node values by position, which positions were given)
-    vectors = {
-        aspect: {month: (s.values, s.scored) for month, s in table[aspect].items()}
-        for aspect in ASPECTS
-    }
-    vectors[RELEVANCE] = {month: h.node_vector(relevance.get(month, {})) for month in window}
 
     # Evolution: one test per (release, aspect) on per-descriptor yearly means.
     evolution_rows: list[dict] = []

@@ -66,16 +66,18 @@ def write_scores_csv(
 
 def read_scores_csv(h: Hierarchy, path: Path) -> AspectScores:
     """The scores written to `path`, laid out by position; a tree code
-    outside `h` is an error."""
+    outside `h`, or one given twice, is an error."""
+    values, scored = np.zeros(len(h.codes)), np.zeros(len(h.codes), dtype=bool)
+
     def parse(code: str, _level: str, aspect: str, month: str, value: str):
         i = h.position.get(code)
         if i is None:
             raise ValueError(f"tree code {code} is not in the hierarchy")
-        return i, aspect, month, float(value)
+        if scored[i]:
+            raise ValueError(f"tree code {code} repeats an earlier row")
+        values[i], scored[i] = float(value), True
+        return aspect, month
 
     rows = read_rows(path, SCORES_HEADER, parse)
-    values, scored = np.zeros(len(h.codes)), np.zeros(len(h.codes), dtype=bool)
-    for i, _, _, value in rows:
-        values[i], scored[i] = value, True
-    aspect, month = rows[-1][1:3] if rows else ("", "")
+    aspect, month = rows[-1] if rows else ("", "")
     return AspectScores(aspect, month, values, scored)

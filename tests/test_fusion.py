@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kosrank.fusion import (
-    bottom_k_by_mean_rank,
-    mean_ranks,
-    rank_by_aspect,
-    rank_trend_slope,
-    rrf_fuse,
-    top_k_by_mean_rank,
-)
+from kosrank.fusion import mean_ranks, rank_by_aspect, rank_trend_slope, rrf_fuse, top_k
 from kosrank.hierarchy import build_hierarchy
 from kosrank.scores import ASPECTS
 
@@ -153,27 +146,69 @@ class TestPerLevel:
         assert level2.tolist() == [0, 1, 2]
 
 
+def slopes_of(series):
+    """Slopes of one node's yearly mean ranks."""
+    _, slope, _, _ = rank_trend_slope(np.array(series, dtype=np.float64)[:, None])
+    return slope.tolist()
+
+
 class TestTrend:
     def test_golden_slope(self):
-        assert rank_trend_slope([5, 3, 3, 1]) == pytest.approx(-4 / 3)
+        assert slopes_of([5, 3, 3, 1]) == [pytest.approx(-4 / 3)]
 
     def test_constant_series(self):
-        assert rank_trend_slope([2, 2, 2]) == 0.0
+        assert slopes_of([2, 2, 2]) == [0.0]
 
     def test_two_points(self):
-        assert rank_trend_slope([1, 2]) == 1.0
+        assert slopes_of([1, 2]) == [1.0]
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            rank_trend_slope([1])
+        assert slopes_of([1]) == []
+
+    def test_matches_per_node_loop(self):
+        # each node's ranked years in order; unranked years (0) are skipped
+        rng = np.random.default_rng(47)
+        for _ in range(100):
+            years, n = int(rng.integers(1, 6)), int(rng.integers(0, 20))
+            yearly = rng.integers(1, 50, size=(years, n)) / rng.integers(1, 4, size=(years, n))
+            yearly[rng.random((years, n)) < 0.4] = 0.0
+            expected = []
+            for i in range(n):
+                series = [(y, v) for y, v in enumerate(yearly[:, i].tolist()) if v > 0]
+                if len(series) >= 2:
+                    slope = (series[-1][1] - series[0][1]) / (len(series) - 1)
+                    expected.append((i, slope, series[0][0], series[-1][0]))
+            got = list(zip(*(a.tolist() for a in rank_trend_slope(yearly))))
+            assert got == expected
 
 
 class TestTopBottom:
     def test_mean_rank_key(self):
-        means = mean_ranks([{"A": 1}, {"A": 1}, {"A": 2}])
-        assert means["A"] == pytest.approx(4 / 3)
+        means = mean_ranks(np.array([[1], [1], [2]]))
+        assert means[0] == pytest.approx(4 / 3)
+
+    def test_unranked_months_are_skipped(self):
+        means = mean_ranks(np.array([[1, 0], [0, 0], [2, 0]]))
+        assert means.tolist() == [1.5, 0.0]
+
+    def test_matches_int_division(self):
+        # Python's int / int over the months that rank each node
+        rng = np.random.default_rng(53)
+        for _ in range(100):
+            ranks = rng.integers(0, 3000, size=(int(rng.integers(0, 13)), int(rng.integers(0, 40))))
+            ranks[rng.random(ranks.shape) < 0.3] = 0
+            expected = []
+            for column in ranks.T.tolist():
+                ranked = [r for r in column if r > 0]
+                expected.append(sum(ranked) / len(ranked) if ranked else 0.0)
+            assert mean_ranks(ranks).tolist() == expected
 
     def test_mean_rank_ordering(self):
-        means = {"A": 1.4, "B": 1.2, "C": 5.0}
-        assert top_k_by_mean_rank(means, 2) == ["B", "A"]
-        assert bottom_k_by_mean_rank(means, 2) == ["C", "A"]
+        means = np.array([1.4, 1.2, 5.0])  # nodes A, B, C
+        assert top_k(means, 2).tolist() == [1, 0]
+        assert top_k(-means, 2).tolist() == [2, 0]
+
+    def test_ties_break_on_position_and_unranked_are_left_out(self):
+        means = np.array([2.0, 1.0, 0.0, 2.0])
+        assert top_k(means, 4).tolist() == [1, 0, 3]
+        assert top_k(-means, 4).tolist() == [0, 3, 1]

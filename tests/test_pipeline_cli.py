@@ -144,6 +144,12 @@ class TestConfig:
         c2 = load_config(make_config(tmp_path), base_seed=99)
         assert c1.config_hash() != c2.config_hash()
 
+    def test_threads_is_a_compute_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuse", "--config", str(make_config(tmp_path)), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
 
 class TestIngest:
     def test_valid_dataset_reports_counts(self, tmp_path, capsys):
@@ -446,27 +452,71 @@ class TestComputeFuseTrendEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {path}: line 4: invalid literal for int() with base 10: '12x'\n"
 
-    def test_score_code_outside_hierarchy_is_an_error(self, prepared, capsys):
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("Z99,2,influence,2014-01,0.5", "tree code Z99 is not in the hierarchy"),
+            ("A,1,influence,2014-01,1e9", "tree code A repeats an earlier row"),
+        ],
+        ids=["outside-hierarchy", "repeated"],
+    )
+    def test_bad_score_code_names_file_and_line(self, prepared, capsys, row, message):
         cfg_path, cfg = prepared
         for stage in ("compute", "fuse"):
             assert main([stage, "--config", str(cfg_path)]) == 0
         path = Path(cfg.output_dir) / "scores" / "influence_2014-01.csv"
         with path.open("a") as fh:
-            fh.write("Z99,2,influence,2014-01,0.5\n")
+            fh.write(row + "\n")
         line = len(path.read_text().splitlines())
         capsys.readouterr()
         for stage in ("fuse", "evaluate"):
             assert main([stage, "--config", str(cfg_path)]) == 1
-            err = capsys.readouterr().err
-            assert err == f"error: {path}: line {line}: tree code Z99 is not in the hierarchy\n"
+            assert capsys.readouterr().err == f"error: {path}: line {line}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["unknown-code", "repeated-row", "scope-of-another-level", "month-outside-window", "rank-0"],
+    )
+    def test_bad_rankings_row_names_file_and_line(self, prepared, capsys, edit):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        path = Path(cfg.output_dir) / "rankings.csv"
+        lines = path.read_text().splitlines()
+        # usefulness scores every node, so every month ranks the root A
+        at = lines.index(next(line for line in lines if line.startswith("2014-01,level-1,A,")))
+        month, scope, code, value, rank = lines[at].split(",")
+        if edit == "unknown-code":
+            lines.append("2014-01,global,Z99,0.5,1")
+            at, message = len(lines) - 1, "tree code Z99 is not in the hierarchy"
+        elif edit == "repeated-row":
+            lines.append(lines[-1])
+            at = len(lines) - 1
+            message = ",".join(lines[at].split(",")[:3]) + " repeats an earlier row"
+        elif edit == "scope-of-another-level":
+            lines[at] = ",".join([month, "level-2", code, value, rank])
+            message = "scope level-2 does not hold tree code A"
+        elif edit == "month-outside-window":
+            lines[at] = ",".join(["2014-07", scope, code, value, rank])
+            message = "month 2014-07 is outside the window"
+        else:
+            lines[at] = ",".join([month, scope, code, value, "0"])
+            message = "rank 0 is below 1"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for stage in ("trend", "evaluate", "export-plots"):
+            assert main([stage, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: line {at + 1}: {message}\n"
 
 
-class TestChainPinned:
-    def test_written_files_are_pinned(self, tmp_path, monkeypatch):
-        # Recorded before the scores stayed position vectors through fuse and
-        # evaluate.  correlation_*.csv is left out: np.corrcoef goes through
-        # BLAS, whose summation order can vary by CPU.
-        expected = {
+# sha256 of every file the seed-1 chain writes over 300 articles a month, but
+# correlation_*.csv: np.corrcoef goes through BLAS, whose summation order can
+# vary by CPU.  The first window was recorded before the scores stayed
+# position vectors through fuse and evaluate, the second, which crosses a year
+# boundary so that trends.csv holds slope rows, before the rankings were read
+# back as position arrays.
+PINNED = {
+    ("2014-01", "2014-03"): {
         "evolution_tests.json": "9cc6d51cc8e9faf44e595d0459c5a091288ebd8632fffa368d421f40a3cc4d73",
         "manifest.json": "26471189ba04da63c78a651c8e790caf6a8310060c4def6978327b12feedf08c",
         "members/2014-01.csv": "e19d9a5371439d28c39f935d7c72959f8fc95db0de701b3d55896cd15592c87c",
@@ -492,7 +542,45 @@ class TestChainPinned:
         "scores/usefulness_2014-03.csv": "eb5d353f51086c061855c74ad5eabb363ab4e0144eef1ce420d61bf7eae794ca",
         "tables.csv": "a0e0c60b52d68d8db26e9424e7ae87254e94dbb86f47481abb1d2237926eecb6",
         "trends.csv": "6293b16bed7ad5bee9aa05181bc228c3a63d677e91e4a3c5e516a62846435722",
-        }
+    },
+    ("2014-11", "2015-02"): {
+        "evolution_tests.json": "56c386875d7407e0ef01aa1e1543f96f3b2e14f902eca629e033ce3e8034f7e3",
+        "manifest.json": "0aa4e3d25f99e83795ad9bbbf6cf971044630968fe55d1240ecaba70d50601d6",
+        "members/2014-11.csv": "7d94d8f6946ef7d9cf5d768f263d2db4f152caf2630864dbb1cbe66b9af6226c",
+        "members/2014-12.csv": "7cd614c5f9376e7aa2ab0695b31e9304f6dbd95bd3e5f12b576aef3cbd5430f3",
+        "members/2015-01.csv": "070c1eda857e6b9454c0931b7f877416fb5ef300c7b754c73c886bc3d046ee93",
+        "members/2015-02.csv": "7ce69e7e8cc227d1d33e6604c22460cd1d0a85dd230e703235ac6aeed2b67680",
+        "plots/rank_level-1.svg": "72ac6e0efd4b617d6b71510c54316830625844bb1eaadcf9fa1afa161e3a125f",
+        "plots/rank_level-2.svg": "888d68b1e7987542615b6c9d48aaa9eced215011bb1cd64cba70fb7ef0c26ec5",
+        "plots/rank_level-3.svg": "e3998160cdf27780892e8d00c56d68a4986dae7e6d4126dcf3c5f2492ebc5c5e",
+        "plots/rank_level-4.svg": "e4d7d4d58f72f6f605c2c9835796f9d638e4287c77a7cef7a595fdb29ff67cb9",
+        "rankings.csv": "662bbe4fec02d672d3859357be2a2974f0c71bb2dc000d08634308ca4e45960e",
+        "retraction_tests.json": "5d6a5ebecfcffe869b868e1123b019945df9f9c9c4da9bb1142e50db79f9be65",
+        "scores/disruptiveness_2014-11.csv": "e0bcacc60e0aabee70b5ca0ba22e07fb50c4aea511176b74bc00e3e1e7458038",
+        "scores/disruptiveness_2014-12.csv": "7d1d976c98465670baabbf60a84f4af89b11b6572f6911674cc6ae5b7c041400",
+        "scores/disruptiveness_2015-01.csv": "aeda842340995340a3861984bd173b340534c609815145927b5e66795f24daad",
+        "scores/disruptiveness_2015-02.csv": "5f3c080d840c946e6f70e693f059ad92460a70a29c2c422bd7aef9a4bdd447af",
+        "scores/influence_2014-11.csv": "2a0c41c1f0729302c7420d25e02794cbf3b461fe896c3425d8cb6ca74db4fded",
+        "scores/influence_2014-12.csv": "afb78959c2a39bb087ba75a3f70d87d1f30ee0b55ac419f2d63bf1c6d4e58679",
+        "scores/influence_2015-01.csv": "ade0608a8f80efa6c55600ba450901f2d9cdadeaf8356d9972d32fefba104df3",
+        "scores/influence_2015-02.csv": "d527bfd5fa371222fcf0f588d5fcacd5f82b0580462645a05d472d158758c0b9",
+        "scores/informativeness_2014-11.csv": "20281c60a0b7d44c319d57330f6de90d3fa19f34f35375dd244204ae0ef54d1c",
+        "scores/informativeness_2014-12.csv": "748f65fb4e4f48232e262fe50a7ea1439a268980bf8c18a2318972325a0130d3",
+        "scores/informativeness_2015-01.csv": "191a143d713d739e6444d781d1e55dc81186ccbc13c32f0d37e8821b6e824579",
+        "scores/informativeness_2015-02.csv": "202d18c8fe9ad82933962c1e8cc5c5c3d94ceda6c639ffbb1c9de89e429d78c5",
+        "scores/usefulness_2014-11.csv": "3a0ff4ada1aeabf331f27f2177692d51ab9ea54309d89d3e448d3d1581dc0e0e",
+        "scores/usefulness_2014-12.csv": "743d164f23335862c40146996a47e07ab1d3b76b7d9f323fc25c98eba790595e",
+        "scores/usefulness_2015-01.csv": "44c6e197d2e7bb35fe2504af86fa8c5eeb13893d7ca819e076ad30cfd6442e4d",
+        "scores/usefulness_2015-02.csv": "b07805747ed221cc52a516aae238fdb7e062cb0eb5bd539fdaaf9a12c9449a31",
+        "tables.csv": "970b32e34d40711e23f781c80dd96bdba0b150d6fe5ca317c321fd65ca5a248d",
+        "trends.csv": "2fb84effb5f84c9f2a7c53d709f81308cc5f9b5bcf0737a7ba0060918c0e6c0f",
+    },
+}
+
+
+class TestChainPinned:
+    @pytest.mark.parametrize("window", PINNED, ids="..".join)
+    def test_written_files_are_pinned(self, tmp_path, monkeypatch, window):
         # Relative paths keep the config hash, written into every file, fixed.
         monkeypatch.chdir(tmp_path)
         cfg = PipelineConfig(
@@ -500,14 +588,14 @@ class TestChainPinned:
             articles="data/articles.jsonl",
             citations="data/citations.tsv",
             changes="data/changes.tsv",
-            first_month="2014-01",
-            last_month="2014-03",
+            first_month=window[0],
+            last_month=window[1],
             sample_fraction=0.5,
             base_seed=1,
             output_dir="out",
         )
         write_config(cfg, "pipeline.cfg")
-        args = ["--months", "3", "--articles-per-month", "300"]
+        args = ["--months", str(len(cfg.window())), "--articles-per-month", "300"]
         assert main(["generate", "--config", "pipeline.cfg", *args]) == 0
         for stage in ("compute", "fuse", "trend", "evaluate", "export-plots"):
             assert main([stage, "--config", "pipeline.cfg"]) == 0
@@ -516,7 +604,7 @@ class TestChainPinned:
             for name, data in read_all_outputs(Path("out")).items()
             if not name.startswith("correlation_")
         }
-        assert written == expected
+        assert written == PINNED[window]
 
 
 class TestScoresCsv:
