@@ -14,7 +14,7 @@ from .graphmetrics import ArticleScores, aggregate_to_nodes, disruption_all, dis
 from .hierarchy import Hierarchy, level_of, parent_of, parse_hierarchy
 from .infometrics import informativeness
 from .propagation import propagate
-from .scores import ASPECTS, AspectScores
+from .scores import ASPECTS
 from .synthgen import ScenarioConfig, generate
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "Article",
     "ArticleScores",
     "ArticleStore",
-    "AspectScores",
     "ChangeRecord",
     "CitationGraph",
     "Hierarchy",

@@ -12,6 +12,7 @@ its nodes, averaged over the year's months (`retraction_split`).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -36,6 +37,8 @@ class ChangeRecord:
     change_type: str
 
     def __post_init__(self) -> None:
+        if not re.match(r"[0-9]{4}", self.release):
+            raise EvaluationError(f"release {self.release!r} does not start with a year")
         if self.change_type not in CHANGE_TYPES:
             raise EvaluationError(f"unknown change type {self.change_type!r}")
 
@@ -115,8 +118,9 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> TestResult:
 def descriptor_sums(
     h: Hierarchy, values: np.ndarray, given: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-descriptor sums of a node vector, each in ascending code order,
-    and which descriptors have a given node (see `Hierarchy.node_vector`)."""
+    """Per-descriptor sums of a node vector, or of each column of a node x
+    month array, each in ascending code order, and which descriptors have a
+    given node (see `Hierarchy.node_vector`)."""
     return h.descriptor_nodes @ values, (h.descriptor_nodes @ given.astype(np.int32)) > 0
 
 

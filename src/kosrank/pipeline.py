@@ -5,6 +5,9 @@ fuse    -> fused rankings per month, global and per level
 trend   -> yearly-average rank slopes and top/bottom tables
 evaluate-> Mann-Whitney cohort tests and aspect correlation matrices
 
+Downstream stages read the scores back as window month x aspect x node
+arrays, in `ASPECTS` order, and the rankings as window month x node arrays.
+
 Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
 """
@@ -25,7 +28,7 @@ from .corpus import ArticleStore, parse_articles
 from .evaluate import ChangeRecord
 from .hierarchy import Hierarchy, HierarchyParseReport, parse_hierarchy
 from .months import year_of
-from .scores import ASPECTS, RELEVANCE, AspectScores, read_rows, read_scores_csv, write_scores_csv
+from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_scores_csv
 
 RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
 
@@ -97,10 +100,8 @@ def _read_annotations(
         store = parse_articles(fh)
     changes: list[ChangeRecord] = []
     if cfg.changes:
-        chpath = Path(cfg.changes)
-        if chpath.exists():
-            with chpath.open() as fh:
-                changes = evaluate.parse_changes(fh)
+        with _require(cfg.changes, "changes").open() as fh:
+            changes = evaluate.parse_changes(fh)
     return hierarchy, hreport, store, changes
 
 
@@ -114,6 +115,8 @@ def ingest(cfg: PipelineConfig) -> IngestData:
     # A wrong path fails before any file is parsed, in the order they are read.
     _require(cfg.hierarchy, "hierarchy")
     _require(cfg.articles, "articles")
+    if cfg.changes:
+        _require(cfg.changes, "changes")
     cpath = _require(cfg.citations, "citations")
     hierarchy, hreport, store, changes = _read_annotations(cfg)
     with cpath.open() as fh:
@@ -127,7 +130,8 @@ class MonthResult:
     month: str
     seed: int
     member_ids: np.ndarray
-    scores: dict[str, AspectScores]
+    values: np.ndarray  # aspect x node, in ASPECTS order
+    scored: np.ndarray  # bool, the same layout
     converged: bool  # whether PageRank met pagerank_tol
 
 
@@ -151,35 +155,27 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
     disruption_scores = graphmetrics.disruption_all(sampled)
 
     n = len(h.codes)
-    vectors: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for aspect, article_scores in (
-        ("influence", influence_scores),
-        ("disruptiveness", disruption_scores),
-    ):
+    values = np.zeros((len(ASPECTS), n))
+    scored = np.zeros(values.shape, dtype=bool)
+    # ASPECTS[:2]: an empty sample leaves both graph aspects unscored
+    for s, article_scores in enumerate((disruption_scores, influence_scores)):
         if article_scores.graph_size_m > 0:
             # The CSC product adds each node's articles one at a time in
             # ascending id, as aggregate_to_nodes does, so the sums keep their bits.
             seeds = rows.T @ article_scores.scores / article_scores.graph_size_m
-            vectors[aspect] = propagation.propagate_positions(h, seeds, seeded)
-        else:
-            vectors[aspect] = np.zeros(n), np.zeros(n, dtype=bool)
+            values[s], scored[s] = propagation.propagate_positions(h, seeds, seeded)
 
     month_ids = data.store.articles_in_month(month)
     closed = data.incidence[np.searchsorted(data.store.ids, month_ids)] @ h.closure
     counts = infometrics.subtree_counts(closed)
-    vectors["informativeness"] = infometrics.informativeness(
-        h, counts, mode=cfg.informativeness_mode
-    )
-    vectors["usefulness"] = infometrics.category_utility(closed, n), np.ones(n, dtype=bool)
-    results = {
-        aspect: AspectScores(aspect, month, values, scored)
-        for aspect, (values, scored) in vectors.items()
-    }
+    values[2], scored[2] = infometrics.informativeness(h, counts, mode=cfg.informativeness_mode)
+    values[3], scored[3] = infometrics.category_utility(closed, n), True
     return MonthResult(
         month=month,
         seed=seed,
         member_ids=sampled.node_ids,
-        scores=results,
+        values=values,
+        scored=scored,
         converged=influence_scores.converged,
     )
 
@@ -213,10 +209,10 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     chash = cfg.config_hash()
     written: list[str] = []
     for result in results:
-        for aspect in ASPECTS:
+        for aspect, values, scored in zip(ASPECTS, result.values, result.scored):
             path = out / "scores" / f"{aspect}_{result.month}.csv"
             with path.open("w") as fh:
-                write_scores_csv(data.hierarchy, result.scores[aspect], fh, config_hash=chash)
+                write_scores_csv(data.hierarchy, aspect, result.month, values, scored, fh, chash)
             written.append(str(path))
         mpath = out / "members" / f"{result.month}.csv"
         with mpath.open("w") as fh:
@@ -241,47 +237,55 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     return written
 
 
-def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> dict[str, dict[str, tuple[np.ndarray, ...]]]:
-    """aspect -> month -> (node values, scored mask), read back from the compute outputs."""
+def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
+    """The node values and the scored mask over window month x aspect x node,
+    read back from the compute outputs one month at a time."""
     out = Path(cfg.output_dir)
-    table: dict[str, dict[str, tuple[np.ndarray, ...]]] = {a: {} for a in ASPECTS}
-    for month in cfg.window():
-        for aspect in ASPECTS:
+    window = cfg.window()
+    values = np.zeros((len(window), len(ASPECTS), len(h.codes)))
+    scored = np.zeros(values.shape, dtype=bool)
+    for k, month in enumerate(window):
+        for s, aspect in enumerate(ASPECTS):
             path = out / "scores" / f"{aspect}_{month}.csv"
             if not path.exists():
                 raise PipelineError(f"missing compute output: {path}")
-            scores = read_scores_csv(h, path)
-            table[aspect][month] = scores.values, scores.scored
-    return table
+            values[k, s], scored[k, s] = read_scores_csv(h, path, aspect, month)
+    return values, scored
+
+
+def _scopes(h: Hierarchy, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The rankings scopes of the `ranked` nodes and each scope's member
+    mask: global, then every level that holds a ranked node."""
+    levels = np.unique(h.level[ranked]).tolist()
+    return [("global", ranked)] + [(f"level-{lvl}", ranked & (h.level == lvl)) for lvl in levels]
 
 
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
     h, _ = _read_hierarchy(cfg)
-    table = _load_scores(cfg, h)
+    values, scored = _load_scores(cfg, h)
     out = Path(cfg.output_dir)
     path = out / "rankings.csv"
     with path.open("w") as fh:
         fh.write(f"# config_hash={cfg.config_hash()}\n")
         fh.write(RANKINGS_HEADER + "\n")
-        for month in cfg.window():
-            ranks = [fusion.rank_by_aspect(*table[a][month]) for a in ASPECTS]
+        for k, month in enumerate(cfg.window()):
+            ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(values[k], scored[k])]
             rrf = fusion.rrf_fuse(ranks, k=cfg.rrf_k)
-            fused = rrf > 0  # ranked by some aspect
-            scopes = [("global", fused)] + [
-                (f"level-{lvl}", fused & (h.level == lvl)) for lvl in np.unique(h.level[fused])
-            ]
-            values = [format(v, ".17g") for v in rrf.tolist()]
-            for scope, members in scopes:
+            text = [format(v, ".17g") for v in rrf.tolist()]
+            for scope, members in _scopes(h, rrf > 0):  # ranked by some aspect
                 rank = fusion.rank_by_aspect(rrf, members)
                 for r, i in sorted(zip(rank[members].tolist(), np.flatnonzero(members).tolist())):
-                    fh.write(f"{month},{scope},{h.codes[i]},{values[i]},{r}\n")
+                    fh.write(f"{month},{scope},{h.codes[i]},{text[i]},{r}\n")
     return path
 
 
 def _load_rankings(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, ...]:
     """The fused value, the global rank and the rank inside the node's level
-    scope, each over window month x node position; 0 where a node is unranked."""
+    scope, each over window month x node position; 0 where a node is unranked.
+
+    Each (month, scope) must rank its nodes 1..n, and the level scopes must
+    rank exactly the nodes that the global scope ranks."""
     path = Path(cfg.output_dir) / "rankings.csv"
     if not path.exists():
         raise PipelineError(f"missing fuse output: {path}")
@@ -309,6 +313,14 @@ def _load_rankings(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, ...]:
             rrf[k, i] = value
 
     read_rows(path, RANKINGS_HEADER, parse)
+    for k, month in enumerate(row_of):
+        ranked = global_rank[k] > 0
+        if not np.array_equal(ranked, level_rank[k] > 0):
+            raise PipelineError(f"{path}: {month}: level and global ranks cover different codes")
+        for scope, members in _scopes(h, ranked):
+            ranks = (global_rank if scope == "global" else level_rank)[k, members]
+            if not np.array_equal(np.sort(ranks), np.arange(1, len(ranks) + 1)):
+                raise PipelineError(f"{path}: {month},{scope}: ranks are not 1..{len(ranks)}")
     return rrf, global_rank, level_rank
 
 
@@ -364,30 +376,32 @@ def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
     return trends_path, tables_path
 
 
-def _load_members(cfg: PipelineConfig) -> dict[str, list[int]]:
+def _load_members(cfg: PipelineConfig) -> list[np.ndarray]:
+    """The sampled article ids of each window month, in window order."""
     out = Path(cfg.output_dir)
-    members: dict[str, list[int]] = {}
+    members = []
     for month in cfg.window():
         path = out / "members" / f"{month}.csv"
         if not path.exists():
             raise PipelineError(f"missing compute output: {path}")
-        members[month] = read_rows(path, "article_id", int)
+        members.append(np.array(read_rows(path, "article_id", int), dtype=np.int64))
     return members
 
 
-def _test_row(result: evaluate.TestResult | None, **labels) -> dict:
-    row = dict(labels)
-    if result is None:
-        row["status"] = "skipped"
-    else:
-        row.update(
-            status="ok",
-            u=result.u_statistic,
-            p=result.p_value,
-            n1=result.n1,
-            n2=result.n2,
-            method=result.method,
-        )
+def _cohort_test(
+    a: list[float],
+    b: list[float],
+    mean_keys: tuple[str, str],
+    reason: str = "empty cohort",
+    **labels,
+) -> dict:
+    """The result row of one cohort test: skipped, with `reason`, when a
+    cohort is empty; else the Mann-Whitney test and both cohort means."""
+    if not a or not b:
+        return dict(labels, status="skipped", reason=reason)
+    r = evaluate.mann_whitney(a, b)
+    row = dict(labels, status="ok", u=r.u_statistic, p=r.p_value, n1=r.n1, n2=r.n2, method=r.method)
+    row[mean_keys[0]], row[mean_keys[1]] = sum(a) / len(a), sum(b) / len(b)
     return row
 
 
@@ -399,97 +413,68 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     """
     data = load_annotations(cfg)
     h = data.hierarchy
-    window = cfg.window()
-    # series -> month -> (node values by position, which positions were given)
-    vectors = _load_scores(cfg, h)
+    # window month x series x node: the aspects, then the fused relevance
+    values, scored = _load_scores(cfg, h)
     rrf, rank, _ = _load_rankings(cfg, h)
-    vectors[RELEVANCE] = {month: (rrf[k], rank[k] > 0) for k, month in enumerate(window)}
+    values = np.concatenate([values, rrf[:, None]], axis=1)
+    scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
     members = _load_members(cfg)
+    month_years = np.array([year_of(m) for m in cfg.window()])
+    series_names = list(ASPECTS) + [RELEVANCE]
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
     written: list[Path] = []
 
-    series_names = list(ASPECTS) + [RELEVANCE]
+    def write_tests(name: str, rows: list[dict]) -> None:
+        tests = {"config_hash": chash, "results": rows}
+        (out / name).write_text(json.dumps(tests, indent=2, sort_keys=True) + "\n")
+        written.append(out / name)
 
     # Evolution: one test per (release, aspect) on per-descriptor yearly means.
     evolution_rows: list[dict] = []
-    releases = sorted({c.release for c in data.changes})
-    for release in releases:
-        release_year = int(release[:4])
-        months = [m for m in window if year_of(m) == release_year]
+    for release in sorted({c.release for c in data.changes}):
+        in_year = month_years == int(release[:4])
+        reason = "empty cohort" if in_year.any() else "no window months"
         changed = {c.descriptor_id for c in data.changes if c.release == release}
-        for name in series_names:
-            if not months:
-                evolution_rows.append(
-                    _test_row(None, release=release, aspect=name, reason="no window months")
-                )
-                continue
-            # node values averaged over the release year's months, then
-            # summed per descriptor inside evolution_cohorts
-            sums = sum(vectors[name][month][0] for month in months)
-            counts = sum(vectors[name][month][1].astype(np.int64) for month in months)
+        for s, name in enumerate(series_names):
+            # node values averaged over the release year's months (summed one
+            # month at a time), then summed per descriptor inside evolution_cohorts
+            sums, counts = values[in_year, s].sum(axis=0), scored[in_year, s].sum(axis=0)
             means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-            evolving, stable = evaluate.evolution_cohorts(h, means, counts > 0, changed)
-            if not evolving or not stable:
-                evolution_rows.append(
-                    _test_row(None, release=release, aspect=name, reason="empty cohort")
-                )
-            else:
-                result = evaluate.mann_whitney(evolving, stable)
-                row = _test_row(result, release=release, aspect=name)
-                row["mean_evolving"] = sum(evolving) / len(evolving)
-                row["mean_stable"] = sum(stable) / len(stable)
-                evolution_rows.append(row)
-    epath = out / "evolution_tests.json"
-    epath.write_text(
-        json.dumps({"config_hash": chash, "results": evolution_rows}, indent=2, sort_keys=True)
-        + "\n"
-    )
-    written.append(epath)
+            cohorts = evaluate.evolution_cohorts(h, means, counts > 0, changed)
+            keys = ("mean_evolving", "mean_stable")
+            evolution_rows.append(
+                _cohort_test(*cohorts, keys, reason, release=release, aspect=name)
+            )
+    write_tests("evolution_tests.json", evolution_rows)
 
     # Retraction: one test per (year, aspect) on yearly per-article means.
     # The year's sampled members and their incidence rows serve every series.
     retraction_rows: list[dict] = []
-    for year in sorted({year_of(m) for m in window}):
-        months = [m for m in window if year_of(m) == year]
-        member_ids = [np.asarray(members[m], dtype=np.int64) for m in months]
+    for year in np.unique(month_years).tolist():
+        in_year = month_years == year
+        member_ids = [m for m, y in zip(members, in_year) if y]
         ids = np.unique(np.concatenate(member_ids))
         if not np.isin(ids, data.store.ids).all():
             raise PipelineError(f"members of {year} include ids missing from the articles file")
-        at = np.searchsorted(data.store.ids, ids)
-        rows = data.incidence[at]
+        rows = data.incidence[np.searchsorted(data.store.ids, ids)]
         retracted = np.array([data.store.articles[i].retracted for i in ids.tolist()], dtype=bool)
         member_rows = [np.searchsorted(ids, m) for m in member_ids]
-        for name in series_names:
-            retracted_means, other = evaluate.retraction_split(
-                rows, retracted, member_rows, [vectors[name][m][0] for m in months]
-            )
-            if not retracted_means or not other:
-                retraction_rows.append(
-                    _test_row(None, year=year, aspect=name, reason="empty cohort")
-                )
-            else:
-                result = evaluate.mann_whitney(retracted_means, other)
-                row = _test_row(result, year=year, aspect=name)
-                row["mean_retracted"] = sum(retracted_means) / len(retracted_means)
-                row["mean_other"] = sum(other) / len(other)
-                retraction_rows.append(row)
-    rpath = out / "retraction_tests.json"
-    rpath.write_text(
-        json.dumps({"config_hash": chash, "results": retraction_rows}, indent=2, sort_keys=True)
-        + "\n"
-    )
-    written.append(rpath)
+        for s, name in enumerate(series_names):
+            cohorts = evaluate.retraction_split(rows, retracted, member_rows, values[in_year, s])
+            keys = ("mean_retracted", "mean_other")
+            retraction_rows.append(_cohort_test(*cohorts, keys, year=year, aspect=name))
+    write_tests("retraction_tests.json", retraction_rows)
 
     # Correlation across aspects + fused relevance on (descriptor, month)
     # pairs scored in every series.  Each series is laid out descriptor-major,
     # month-minor, which is the sorted order of those pairs.
-    values, scored = [], []
-    for name in series_names:
-        sums, masks = zip(*(evaluate.descriptor_sums(h, *vectors[name][m]) for m in window))
-        values.append(np.column_stack(sums).ravel())
-        scored.append(np.column_stack(masks).ravel())
-    aligned = np.vstack(values)[:, np.logical_and.reduce(scored)]
+    by_descriptor = [
+        evaluate.descriptor_sums(h, values[:, s].T, scored[:, s].T)
+        for s in range(len(series_names))
+    ]
+    in_all = np.logical_and.reduce([given.ravel() for _, given in by_descriptor])
+    aligned = np.vstack([sums.ravel() for sums, _ in by_descriptor])[:, in_all]
     for method in ("pearson", "spearman"):
         cpath = out / f"correlation_{method}.csv"
         try:

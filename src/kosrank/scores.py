@@ -1,15 +1,16 @@
 """Per-node score tables, and the reader of every stage output CSV.
 
-One AspectScores = one aspect at one snapshot month: `values[i]` is node i's
-score where `scored[i]` holds, and 0 elsewhere.  The CSV layout is
-`tree_code, level, aspect, month, value`, one row per scored node in
-position order (which is code order), values at 17 significant digits; a
-`# config_hash=...` comment line may precede the header.  The CSV writer
-and reader are the only places where score codes meet positions.
+The scores of one aspect at one snapshot month are two arrays over node
+positions: `values[i]` is node i's score where `scored[i]` holds, and 0
+elsewhere.  Stages stack them as window month x aspect (in `ASPECTS` order)
+x node arrays.  The CSV layout is `tree_code, level, aspect, month, value`,
+one row per scored node in position order (which is code order), values at
+17 significant digits; a `# config_hash=...` comment line may precede the
+header.  The CSV writer and reader are the only places where score codes
+meet positions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, TextIO
 
@@ -20,14 +21,6 @@ from .hierarchy import Hierarchy
 ASPECTS = ("disruptiveness", "influence", "informativeness", "usefulness")
 RELEVANCE = "relevance"
 SCORES_HEADER = "tree_code,level,aspect,month,value"
-
-
-@dataclass
-class AspectScores:
-    aspect: str
-    month: str
-    values: np.ndarray  # float64 by node position
-    scored: np.ndarray  # bool by node position
 
 
 def read_rows(path: Path, header: str, parse: Callable) -> list:
@@ -53,31 +46,42 @@ def read_rows(path: Path, header: str, parse: Callable) -> list:
 
 
 def write_scores_csv(
-    h: Hierarchy, scores: AspectScores, out: TextIO, config_hash: str | None = None
+    h: Hierarchy,
+    aspect: str,
+    month: str,
+    values: np.ndarray,
+    scored: np.ndarray,
+    out: TextIO,
+    config_hash: str | None = None,
 ) -> None:
     if config_hash:
         out.write(f"# config_hash={config_hash}\n")
     out.write(SCORES_HEADER + "\n")
-    values, levels = scores.values.tolist(), h.level.tolist()
-    for i in np.flatnonzero(scores.scored).tolist():
-        value = format(values[i], ".17g")
-        out.write(f"{h.codes[i]},{levels[i]},{scores.aspect},{scores.month},{value}\n")
+    values, levels = values.tolist(), h.level.tolist()
+    for i in np.flatnonzero(scored).tolist():
+        out.write(f"{h.codes[i]},{levels[i]},{aspect},{month},{format(values[i], '.17g')}\n")
 
 
-def read_scores_csv(h: Hierarchy, path: Path) -> AspectScores:
-    """The scores written to `path`, laid out by position; a tree code
-    outside `h`, or one given twice, is an error."""
+def read_scores_csv(
+    h: Hierarchy, path: Path, aspect: str, month: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The `aspect` scores of `month` written to `path`, as (values, scored)
+    by position.  A row of another aspect or month, a tree code outside `h`
+    or given twice, or a level other than the code's is an error."""
     values, scored = np.zeros(len(h.codes)), np.zeros(len(h.codes), dtype=bool)
+    levels = h.level.tolist()
 
-    def parse(code: str, _level: str, aspect: str, month: str, value: str):
+    def parse(code: str, level: str, row_aspect: str, row_month: str, value: str) -> None:
         i = h.position.get(code)
         if i is None:
             raise ValueError(f"tree code {code} is not in the hierarchy")
+        if (row_aspect, row_month) != (aspect, month):
+            raise ValueError(f"row of {row_aspect},{row_month} in the {aspect},{month} table")
+        if level != str(levels[i]):
+            raise ValueError(f"level {level} is not the level {levels[i]} of tree code {code}")
         if scored[i]:
             raise ValueError(f"tree code {code} repeats an earlier row")
         values[i], scored[i] = float(value), True
-        return aspect, month
 
-    rows = read_rows(path, SCORES_HEADER, parse)
-    aspect, month = rows[-1] if rows else ("", "")
-    return AspectScores(aspect, month, values, scored)
+    read_rows(path, SCORES_HEADER, parse)
+    return values, scored

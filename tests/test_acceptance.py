@@ -218,8 +218,8 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
     members: dict[str, np.ndarray] = {}
     for i, month in enumerate(window):
         result = compute_month(cfg, data, month, i)
-        scores = [result.scores[a] for a in ASPECTS]
-        ranks = [fusion.rank_by_aspect(s.values, s.scored) for s in scores]
+        # one (values, scored) pair per aspect, in ASPECTS order
+        ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(result.values, result.scored)]
         relevance[month] = fusion.rrf_fuse(ranks)
         members[month] = result.member_ids
 

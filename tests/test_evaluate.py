@@ -131,6 +131,15 @@ class TestChanges:
         with pytest.raises(EvaluationError, match="line 1"):
             parse_changes(["2014AA\tD000001\trenamed\n"])
 
+    @pytest.mark.parametrize(
+        "release",
+        ["AA", "201AA", "AA2014", "\uff12\uff10\uff11\uff14AA"],
+        ids=["letters", "three-digits", "year-last", "full-width-digits"],
+    )
+    def test_release_must_start_with_a_year(self, release):
+        with pytest.raises(EvaluationError, match=f"line 2: release '{release}' does not"):
+            parse_changes(["2014AA\tD000001\textension\n", f"{release}\tD000002\tmove\n"])
+
 
 def cohort_fixture():
     h = build_hierarchy(

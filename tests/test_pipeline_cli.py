@@ -75,12 +75,18 @@ def add_mapping_edge_cases(cfg: PipelineConfig, month: str) -> None:
         fh.write(json.dumps(row) + "\n")
 
 
-def scored_values(h, scores) -> dict[str, float]:
-    """code -> value of the nodes an AspectScores scored."""
+def aspect_scores(result, aspect: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (values, scored) arrays that a MonthResult holds for `aspect`."""
+    s = ASPECTS.index(aspect)
+    return result.values[s], result.scored[s]
+
+
+def scored_values(h, values, scored) -> dict[str, float]:
+    """code -> value of the nodes an aspect scored."""
     return {
         code: value
-        for code, value, scored in zip(h.codes, scores.values.tolist(), scores.scored.tolist())
-        if scored
+        for code, value, given in zip(h.codes, values.tolist(), scored.tolist())
+        if given
     }
 
 
@@ -303,7 +309,7 @@ class TestComputeFuseTrendEvaluate:
         ):
             seeds = graphmetrics.aggregate_to_nodes(scores, codes)
             expected = propagation.propagate(data.hierarchy, seeds)
-            assert scored_values(data.hierarchy, result.scores[aspect]) == expected
+            assert scored_values(data.hierarchy, *aspect_scores(result, aspect)) == expected
 
         # the month's own mappings, from per-article treenodes_of calls
         h = data.hierarchy
@@ -336,9 +342,9 @@ class TestComputeFuseTrendEvaluate:
                 expected[code] = -p * math.log2(p) if p > 0 else 0.0
             elif p > 0:
                 expected[code] = -math.log2(p)
-        assert scored_values(h, result.scores["informativeness"]) == expected
+        assert scored_values(h, *aspect_scores(result, "informativeness")) == expected
         oracle = usefulness_oracle({code: frozenset(row) for code, row in rows.items()}, len(h.nodes))
-        usefulness = scored_values(h, result.scores["usefulness"])
+        usefulness = scored_values(h, *aspect_scores(result, "usefulness"))
         assert usefulness.keys() == oracle.keys()
         for code, value in oracle.items():
             assert usefulness[code] == pytest.approx(value, abs=1e-12)
@@ -351,8 +357,8 @@ class TestComputeFuseTrendEvaluate:
         second = compute_month(cfg, data, "2014-02", 1)
         assert len(first.member_ids) == 0 and len(second.member_ids) > 0
         for aspect in ("influence", "disruptiveness"):
-            assert scored_values(data.hierarchy, first.scores[aspect]) == {}
-            assert scored_values(data.hierarchy, second.scores[aspect])
+            assert scored_values(data.hierarchy, *aspect_scores(first, aspect)) == {}
+            assert scored_values(data.hierarchy, *aspect_scores(second, aspect))
 
     def test_evaluate_separates_planted_cohorts(self, prepared):
         cfg_path, cfg = prepared
@@ -472,6 +478,69 @@ class TestComputeFuseTrendEvaluate:
         for stage in ("fuse", "evaluate"):
             assert main([stage, "--config", str(cfg_path)]) == 1
             assert capsys.readouterr().err == f"error: {path}: line {line}: {message}\n"
+
+    @pytest.mark.parametrize("edit", ["relabelled", "wrong-level"])
+    def test_score_row_of_another_table_names_file_and_line(self, prepared, capsys, edit):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        path = Path(cfg.output_dir) / "scores" / "influence_2014-02.csv"
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("A,1,influence,2014-02,")  # the first row
+        if edit == "relabelled":
+            relabel = (",influence,2014-02,", ",usefulness,2014-03,")
+            lines[2:] = [line.replace(*relabel) for line in lines[2:]]
+            message = "row of usefulness,2014-03 in the influence,2014-02 table"
+        else:
+            lines[2] = lines[2].replace("A,1,", "A,7,")
+            message = "level 7 is not the level 1 of tree code A"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for stage in ("fuse", "evaluate"):
+            assert main([stage, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
+
+    @pytest.mark.parametrize("edit", ["global-row-deleted", "level-row-deleted", "rank-gap"])
+    def test_incomplete_rankings_is_a_one_line_error(self, prepared, capsys, edit):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        path = Path(cfg.output_dir) / "rankings.csv"
+        lines = path.read_text().splitlines()
+        if edit == "rank-gap":
+            # the last global row of 2014-01 moves one rank down
+            at = max(i for i, line in enumerate(lines) if line.startswith("2014-01,global,"))
+            *head, rank = lines[at].split(",")
+            lines[at] = ",".join([*head, str(int(rank) + 1)])
+            message = f"2014-01,global: ranks are not 1..{rank}"
+        else:
+            scope = "global" if edit == "global-row-deleted" else "level-1"
+            lines.remove(next(line for line in lines if line.startswith(f"2014-01,{scope},A,")))
+            message = "2014-01: level and global ranks cover different codes"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for stage in ("trend", "evaluate", "export-plots"):
+            assert main([stage, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_missing_changes_file_is_an_error(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        missing = Path(cfg.changes).with_name("changse.tsv")
+        cfg_path.write_text(cfg_path.read_text() + f'changes = "{missing}"\n')
+        capsys.readouterr()
+        for stage in ("ingest", "compute", "evaluate"):
+            assert main([stage, "--config", str(cfg_path)]) == 1
+            assert capsys.readouterr().err == f"error: changes file not found: {missing}\n"
+
+    def test_release_without_a_year_is_a_one_line_error(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        Path(cfg.changes).write_text("AA\tD000001\textension\n")
+        for stage in ("ingest", "evaluate"):
+            assert main([stage, "--config", str(cfg_path)]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: line 1: release 'AA' does not start with a year\n"
 
     @pytest.mark.parametrize(
         "edit",
@@ -617,10 +686,15 @@ class TestScoresCsv:
         computed = compute_month(cfg, data, "2014-02", 1)
         for aspect in ASPECTS:
             path = Path(cfg.output_dir) / "scores" / f"{aspect}_2014-02.csv"
-            scores = read_scores_csv(data.hierarchy, path)
-            assert scores.aspect == aspect
-            assert scores.month == "2014-02"
-            assert scores.scored.any()
+            values, scored = read_scores_csv(data.hierarchy, path, aspect, "2014-02")
+            # every row names the aspect and the month the file holds
+            other = "usefulness" if aspect != "usefulness" else "influence"
+            for wrong in ((other, "2014-02"), (aspect, "2014-01")):
+                with pytest.raises(ValueError) as exc:
+                    read_scores_csv(data.hierarchy, path, *wrong)
+                assert str(exc.value).startswith(f"{path}: line 3: ")
+            assert scored.any()
             # 17 significant digits give back every value's bits
-            assert np.array_equal(scores.scored, computed.scores[aspect].scored)
-            assert np.array_equal(scores.values, computed.scores[aspect].values)
+            expected_values, expected_scored = aspect_scores(computed, aspect)
+            assert np.array_equal(scored, expected_scored)
+            assert np.array_equal(values, expected_values)
