@@ -138,7 +138,7 @@ def _masked_csr(
     return kept_before[indptr[rows]], new_pos[indices[edge_keep]]
 
 
-def _induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
+def induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
     """Subgraph on the nodes where the boolean mask `keep` is set.
 
     The parent's rows are sorted, and masking keeps that order, so no sort
@@ -159,7 +159,7 @@ def _induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
 def cumulative_snapshot(g: CitationGraph, store: ArticleStore, month: str) -> CitationGraph:
     """Induced subgraph over articles published in `month` or earlier."""
     keep = np.isin(g.node_ids, store.ids_up_to(month))
-    return _induced(g, keep)
+    return induced(g, keep)
 
 
 def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
@@ -175,7 +175,7 @@ def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
     rng = np.random.Generator(np.random.PCG64(seed))
     keep = np.zeros(g.num_nodes, dtype=bool)
     keep[rng.permutation(g.num_nodes)[:k]] = True
-    return _induced(g, keep)
+    return induced(g, keep)
 
 
 def parse_citations(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:

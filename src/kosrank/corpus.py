@@ -37,7 +37,8 @@ class ArticleStore:
 
     articles: dict[int, Article]
     _ids: np.ndarray = field(init=False, repr=False, compare=False)
-    _month_idx: np.ndarray = field(init=False, repr=False, compare=False)
+    # each id's publication month, as a `months.month_index`
+    month_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.articles)
@@ -47,7 +48,7 @@ class ArticleStore:
         month_idx = np.fromiter(map(index.__getitem__, months), dtype=np.int64, count=n)
         order = np.argsort(ids)
         self._ids = ids[order]
-        self._month_idx = month_idx[order]
+        self.month_idx = month_idx[order]
 
     def __len__(self) -> int:
         return len(self.articles)
@@ -58,16 +59,16 @@ class ArticleStore:
         return self._ids
 
     def months(self) -> list[str]:
-        return [month_from_index(i) for i in np.unique(self._month_idx).tolist()]
+        return [month_from_index(i) for i in np.unique(self.month_idx).tolist()]
 
     def articles_in_month(self, month: str) -> np.ndarray:
         """Sorted ids of articles published in `month`."""
-        return self._ids[self._month_idx == month_index(normalize_month(month))]
+        return self._ids[self.month_idx == month_index(normalize_month(month))]
 
     def ids_up_to(self, month: str) -> np.ndarray:
         """Sorted ids of articles published in `month` or earlier."""
         cutoff = month_index(normalize_month(month))
-        return self._ids[self._month_idx <= cutoff]
+        return self._ids[self.month_idx <= cutoff]
 
 
 def store_from_articles(articles: Iterable[Article]) -> ArticleStore:

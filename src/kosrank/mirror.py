@@ -1,0 +1,61 @@
+"""Digest-checked `.npy` mirrors of what a stage parsed or computed.
+
+The mirror at `stem` is one `np.save` file per array, `<stem>.<name>.npy`,
+and a JSON record `<stem>.mirror.json`, written last: a format version, the
+caller's meta, and the sha256 of every source file and of every array file.
+`load` returns None unless all of them still match, so a stale mirror is
+never used.  Each file is written to a temporary name, then `os.replace`d.
+"""
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+
+VERSION = 1
+
+
+def digests(paths) -> dict[str, str]:
+    """str(path) -> sha256 of the file's bytes."""
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def save(stem: Path, arrays: dict[str, np.ndarray], sources: dict[str, str], meta: dict) -> None:
+    """Write `arrays`, then the record of their digests, `sources` and `meta`."""
+    files = {}
+    for name, array in arrays.items():
+        buf = io.BytesIO()
+        np.save(buf, array, allow_pickle=False)
+        files[f"{name}.npy"] = buf.getvalue()
+    written = {name[:-4]: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+    record = {"version": VERSION, "meta": meta, "sources": sources, "arrays": written}
+    files["mirror.json"] = json.dumps(record, sort_keys=True).encode()
+    stem.parent.mkdir(parents=True, exist_ok=True)
+    for suffix, data in files.items():  # the record last
+        tmp = stem.with_name(f".{stem.name}.{suffix}.tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, stem.with_name(f"{stem.name}.{suffix}"))
+
+
+def load(stem: Path, names, sources: dict[str, str], meta: dict) -> dict[str, np.ndarray] | None:
+    """The arrays `names`, or None unless the record is readable, lists
+    exactly these arrays, `sources` and `meta`, and every array file still
+    has its recorded digest."""
+    expected = {"version": VERSION, "meta": json.loads(json.dumps(meta)), "sources": sources}
+    try:
+        record = json.loads(stem.with_name(f"{stem.name}.mirror.json").read_bytes())
+        if {k: record[k] for k in expected} != expected or set(record["arrays"]) != set(names):
+            return None
+        arrays = {}
+        for name, digest in record["arrays"].items():
+            data = stem.with_name(f"{stem.name}.{name}.npy").read_bytes()
+            if hashlib.sha256(data).hexdigest() != digest:
+                return None
+            arrays[name] = np.load(io.BytesIO(data), allow_pickle=False)
+        return arrays
+    except (OSError, ValueError, TypeError, KeyError, AttributeError):
+        return None

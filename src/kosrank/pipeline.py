@@ -10,27 +10,35 @@ arrays, in `ASPECTS` order, and the rankings as window month x node arrays.
 
 Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
+
+`ingest`, `compute` and `fuse` also write `.npy` mirrors (see `mirror`) of
+the arrays they parsed or computed: `ingest/`, `scores.*` and `rankings.*`.
+A later stage uses a mirror only while every source file's sha256 matches
+its record; else it parses the text, with every check that parser makes.
 """
 from __future__ import annotations
 
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from . import citegraph, evaluate, fusion, graphmetrics, infometrics, propagation
+from . import citegraph, evaluate, fusion, graphmetrics, infometrics, mirror, propagation
 from .config import PipelineConfig
-from .corpus import ArticleStore, parse_articles
+from .corpus import ArticleStore, CorpusError, parse_articles
 from .evaluate import ChangeRecord
-from .hierarchy import Hierarchy, HierarchyParseReport, parse_hierarchy
-from .months import year_of
+from .hierarchy import Hierarchy, HierarchyError, HierarchyParseReport, parse_hierarchy
+from .months import month_index, normalize_month, year_of
 from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_scores_csv
 
 RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
+ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "data", "unknown")
+GRAPH_ARRAYS = ("out_indptr", "out_targets", "in_indptr", "in_sources", "dropped")
+STAGE_ARRAYS = {"scores": ("values", "scored"), "rankings": ("rrf", "global_rank", "level_rank")}
 
 
 class PipelineError(RuntimeError):
@@ -38,29 +46,20 @@ class PipelineError(RuntimeError):
 
 
 @dataclass
-class AnnotationData:
-    """Every input but the citations: the hierarchy, the articles with their
-    article x node incidence, and the change records."""
+class IngestData:
+    """The parsed inputs: the hierarchy, the change records, the article
+    columns with their article x node incidence, and the citation graph,
+    None for a stage that does not read the citations."""
 
     hierarchy: Hierarchy
     hierarchy_report: HierarchyParseReport
-    store: ArticleStore
     changes: list[ChangeRecord]
-    # article x node: rows over store.ids, columns over hierarchy.codes
-    incidence: sparse.csr_matrix = field(init=False, repr=False)
-    unknown_descriptor_refs: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.incidence, self.unknown_descriptor_refs = self.hierarchy.incidence(
-            [self.store.articles[i].descriptors for i in self.store.ids.tolist()]
-        )
-
-
-@dataclass
-class IngestData(AnnotationData):
-    """All inputs: the annotation data plus the citation graph."""
-
-    graph: citegraph.CitationGraph
+    ids: np.ndarray  # sorted article ids
+    month_idx: np.ndarray  # each article's `months.month_index`
+    retracted: np.ndarray  # bool
+    incidence: sparse.csr_matrix  # article x node: rows over ids, columns over hierarchy.codes
+    unknown_descriptor_refs: int
+    graph: citegraph.CitationGraph | None = None
 
     def report_lines(self) -> list[str]:
         g = self.graph
@@ -68,7 +67,7 @@ class IngestData(AnnotationData):
             f"hierarchy nodes: {len(self.hierarchy.nodes)}",
             f"descriptors mapped: {len(self.hierarchy.descriptor_map)}",
             f"auto-created codes: {self.hierarchy_report.autocreated_codes}",
-            f"articles: {len(self.store)}",
+            f"articles: {len(self.ids)}",
             f"unknown descriptor references: {self.unknown_descriptor_refs}",
             f"edges kept: {g.num_edges}",
             f"self-loops dropped: {g.self_loops_dropped}",
@@ -76,6 +75,35 @@ class IngestData(AnnotationData):
             f"duplicate edges dropped: {g.duplicates_dropped}",
             f"change records: {len(self.changes)}",
         ]
+
+
+def ingest_arrays(h: Hierarchy, store: ArticleStore, edges=None) -> dict[str, np.ndarray]:
+    """The ingest mirror arrays of parsed inputs: the article columns, their
+    incidence CSR on `h`, the unknown descriptor count and, given the edges,
+    the graph's two CSRs and drop counters."""
+    articles = [store.articles[i] for i in store.ids.tolist()]
+    m, unknown = h.incidence([a.descriptors for a in articles])
+    retracted = np.array([a.retracted for a in articles], dtype=bool)
+    arrays = dict(ids=store.ids, month_idx=store.month_idx, retracted=retracted, indptr=m.indptr,
+                  indices=m.indices, data=m.data, unknown=np.array(unknown))
+    if edges is not None:
+        g = citegraph.build_graph(edges, store)
+        drops = [g.self_loops_dropped, g.unknown_dropped, g.duplicates_dropped]
+        arrays.update(out_indptr=g.out_indptr, out_targets=g.out_targets, in_indptr=g.in_indptr,
+                      in_sources=g.in_sources, dropped=np.array(drops))
+    return arrays
+
+
+def ingest_data(h: Hierarchy, report, changes, a: dict[str, np.ndarray]) -> IngestData:
+    """The inputs that `ingest_arrays` laid out."""
+    incidence = sparse.csr_matrix((a["data"], a["indices"], a["indptr"]),
+                                  shape=(len(a["ids"]), len(h.codes)))
+    graph = None
+    if "dropped" in a:
+        csrs = (a[k] for k in GRAPH_ARRAYS[:4])
+        graph = citegraph.CitationGraph(a["ids"], *csrs, *a["dropped"].tolist())
+    columns = (a["ids"], a["month_idx"], a["retracted"], incidence, int(a["unknown"]))
+    return IngestData(h, report, changes, *columns, graph)
 
 
 def _require(path: str, what: str) -> Path:
@@ -87,42 +115,46 @@ def _require(path: str, what: str) -> Path:
     return p
 
 
+def _parse(path: Path, parser):
+    """`parser` of the open file at `path`; an input error names the path."""
+    with path.open() as fh:
+        try:
+            return parser(fh)
+        except (CorpusError, citegraph.GraphError, HierarchyError, evaluate.EvaluationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from None
+
+
 def _read_hierarchy(cfg: PipelineConfig) -> tuple[Hierarchy, HierarchyParseReport]:
-    with _require(cfg.hierarchy, "hierarchy").open() as fh:
-        return parse_hierarchy(fh)
+    return _parse(_require(cfg.hierarchy, "hierarchy"), parse_hierarchy)
 
 
-def _read_annotations(
-    cfg: PipelineConfig,
-) -> tuple[Hierarchy, HierarchyParseReport, ArticleStore, list[ChangeRecord]]:
-    hierarchy, hreport = _read_hierarchy(cfg)
-    with _require(cfg.articles, "articles").open() as fh:
-        store = parse_articles(fh)
-    changes: list[ChangeRecord] = []
-    if cfg.changes:
-        with _require(cfg.changes, "changes").open() as fh:
-            changes = evaluate.parse_changes(fh)
-    return hierarchy, hreport, store, changes
-
-
-def load_annotations(cfg: PipelineConfig) -> AnnotationData:
-    """Parse every configured input but the citations."""
-    return AnnotationData(*_read_annotations(cfg))
-
-
-def ingest(cfg: PipelineConfig) -> IngestData:
-    """Parse and cross-validate all configured inputs."""
+def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> IngestData:
+    """Parse and cross-validate the configured inputs, the citations if
+    `citations`, and with `save` mirror the parsed arrays under
+    `<output_dir>/ingest/`.  Without `save`, the arrays come from those
+    mirrors while they match their sources, else from parsing."""
+    names = ["hierarchy", "articles", "changes", "citations"][: 3 + citations]
     # A wrong path fails before any file is parsed, in the order they are read.
-    _require(cfg.hierarchy, "hierarchy")
-    _require(cfg.articles, "articles")
-    if cfg.changes:
-        _require(cfg.changes, "changes")
-    cpath = _require(cfg.citations, "citations")
-    hierarchy, hreport, store, changes = _read_annotations(cfg)
-    with cpath.open() as fh:
-        edges = citegraph.parse_citations(fh)
-    graph = citegraph.build_graph(edges, store)
-    return IngestData(hierarchy, hreport, store, changes, graph)
+    paths = {n: _require(getattr(cfg, n), n) for n in names if n != "changes" or cfg.changes}
+    digest = mirror.digests(paths.values())
+    of = lambda *keys: {str(paths[k]): digest[str(paths[k])] for k in keys if k in paths}  # noqa: E731
+    hierarchy, report = _parse(paths["hierarchy"], parse_hierarchy)
+    at = Path(cfg.output_dir) / "ingest"
+    mirrors = [(at / "annotations", ANNOTATION_ARRAYS, of("hierarchy", "articles", "changes"), {}),
+               (at / "graph", GRAPH_ARRAYS, of("articles", "citations"), {})][: 1 + citations]
+    arrays = None
+    if not save:
+        parts = [mirror.load(*m) for m in mirrors]
+        arrays = None if None in parts else {k: v for part in parts for k, v in part.items()}
+    store = _parse(paths["articles"], parse_articles) if arrays is None else None
+    changes = _parse(paths["changes"], evaluate.parse_changes) if "changes" in paths else []
+    if arrays is None:
+        edges = _parse(paths["citations"], citegraph.parse_citations) if citations else None
+        arrays = ingest_arrays(hierarchy, store, edges)
+    if save:
+        for stem, keys, sources, meta in mirrors:
+            mirror.save(stem, {k: arrays[k] for k in keys}, sources, meta)
+    return ingest_data(hierarchy, report, changes, arrays)
 
 
 @dataclass
@@ -144,9 +176,11 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
     """
     h = data.hierarchy
     seed = cfg.base_seed + index
-    snapshot = citegraph.cumulative_snapshot(data.graph, data.store, month)
+    cutoff = month_index(normalize_month(month))
+    # graph.node_ids is ids, so this is the snapshot of months up to `month`
+    snapshot = citegraph.induced(data.graph, data.month_idx <= cutoff)
     sampled = citegraph.sample_nodes(snapshot, cfg.sample_fraction, seed)
-    rows = data.incidence[np.searchsorted(data.store.ids, sampled.node_ids)]
+    rows = data.incidence[np.searchsorted(data.ids, sampled.node_ids)]
     seeded = rows.getnnz(axis=0) > 0
 
     influence_scores = graphmetrics.pagerank(
@@ -165,8 +199,7 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
             seeds = rows.T @ article_scores.scores / article_scores.graph_size_m
             values[s], scored[s] = propagation.propagate_positions(h, seeds, seeded)
 
-    month_ids = data.store.articles_in_month(month)
-    closed = data.incidence[np.searchsorted(data.store.ids, month_ids)] @ h.closure
+    closed = data.incidence[np.flatnonzero(data.month_idx == cutoff)] @ h.closure
     counts = infometrics.subtree_counts(closed)
     values[2], scored[2] = infometrics.informativeness(h, counts, mode=cfg.informativeness_mode)
     values[3], scored[3] = infometrics.category_utility(closed, n), True
@@ -186,7 +219,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     Nothing is written until every month has succeeded, so failures leave
     no partial outputs behind.
     """
-    data = ingest(cfg)
+    data = ingest(cfg, save=False)
     window = cfg.window()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -227,29 +260,55 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
         "seeds": {r.month: r.seed for r in results},
         "sample_fraction": cfg.sample_fraction,
         "counts": {
-            "articles": len(data.store),
+            "articles": len(data.ids),
             "graph_edges": data.graph.num_edges,
             "hierarchy_nodes": len(data.hierarchy.nodes),
         },
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     written.append(str(out / "manifest.json"))
+    values, scored = np.array([r.values for r in results]), np.array([r.scored for r in results])
+    # what read_scores_csv gives back: 0 where unscored, and "nan" as float("nan")
+    values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
+    _stage_mirror(cfg, data.hierarchy, "scores", _score_paths(cfg), (values, scored))
     return written
+
+
+def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, paths: list[Path], arrays=None):
+    """Write `arrays` as the mirror of the stage outputs `paths`, which also
+    depend on the hierarchy and the window.  Without `arrays`, the mirror's
+    arrays, or None if a path is missing or the mirror does not match."""
+    if arrays is None and not all(p.exists() for p in paths):
+        return None
+    stem, names = Path(cfg.output_dir) / name, STAGE_ARRAYS[name]
+    sources = mirror.digests([cfg.hierarchy, *paths])
+    meta = {"months": cfg.window(), "nodes": len(h.codes)}
+    if arrays is not None:
+        return mirror.save(stem, dict(zip(names, arrays)), sources, meta)
+    loaded = mirror.load(stem, names, sources, meta)
+    return loaded and tuple(loaded[k] for k in names)
+
+
+def _score_paths(cfg: PipelineConfig) -> list[Path]:
+    out = Path(cfg.output_dir) / "scores"
+    return [out / f"{aspect}_{month}.csv" for month in cfg.window() for aspect in ASPECTS]
 
 
 def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
     """The node values and the scored mask over window month x aspect x node,
-    read back from the compute outputs one month at a time."""
-    out = Path(cfg.output_dir)
+    from the score mirror, or else read back from the compute outputs one
+    month at a time."""
+    paths = _score_paths(cfg)
+    mirrored = _stage_mirror(cfg, h, "scores", paths)
+    if mirrored:
+        return mirrored
     window = cfg.window()
     values = np.zeros((len(window), len(ASPECTS), len(h.codes)))
     scored = np.zeros(values.shape, dtype=bool)
-    for k, month in enumerate(window):
-        for s, aspect in enumerate(ASPECTS):
-            path = out / "scores" / f"{aspect}_{month}.csv"
-            if not path.exists():
-                raise PipelineError(f"missing compute output: {path}")
-            values[k, s], scored[k, s] = read_scores_csv(h, path, aspect, month)
+    for path, (k, s) in zip(paths, np.ndindex(values.shape[:2])):
+        if not path.exists():
+            raise PipelineError(f"missing compute output: {path}")
+        values[k, s], scored[k, s] = read_scores_csv(h, path, ASPECTS[s], window[k])
     return values, scored
 
 
@@ -264,29 +323,38 @@ def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
     h, _ = _read_hierarchy(cfg)
     values, scored = _load_scores(cfg, h)
-    out = Path(cfg.output_dir)
-    path = out / "rankings.csv"
+    path = Path(cfg.output_dir) / "rankings.csv"
+    # what _load_rankings reads back: the global rows' values and both ranks
+    rrfs = np.zeros((len(values), len(h.codes)))
+    ranks = np.zeros((2, *rrfs.shape), dtype=np.int64)
     with path.open("w") as fh:
         fh.write(f"# config_hash={cfg.config_hash()}\n")
         fh.write(RANKINGS_HEADER + "\n")
         for k, month in enumerate(cfg.window()):
-            ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(values[k], scored[k])]
-            rrf = fusion.rrf_fuse(ranks, k=cfg.rrf_k)
+            aspect_ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(values[k], scored[k])]
+            rrf = fusion.rrf_fuse(aspect_ranks, k=cfg.rrf_k)
+            rrfs[k] = rrf  # 0 exactly where no aspect ranks the node
             text = [format(v, ".17g") for v in rrf.tolist()]
             for scope, members in _scopes(h, rrf > 0):  # ranked by some aspect
                 rank = fusion.rank_by_aspect(rrf, members)
+                ranks[int(scope != "global"), k, members] = rank[members]
                 for r, i in sorted(zip(rank[members].tolist(), np.flatnonzero(members).tolist())):
                     fh.write(f"{month},{scope},{h.codes[i]},{text[i]},{r}\n")
+    _stage_mirror(cfg, h, "rankings", [path], (rrfs, *ranks))
     return path
 
 
 def _load_rankings(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, ...]:
     """The fused value, the global rank and the rank inside the node's level
     scope, each over window month x node position; 0 where a node is unranked.
+    They come from the rankings mirror while it matches its sources.
 
     Each (month, scope) must rank its nodes 1..n, and the level scopes must
     rank exactly the nodes that the global scope ranks."""
     path = Path(cfg.output_dir) / "rankings.csv"
+    mirrored = _stage_mirror(cfg, h, "rankings", [path])
+    if mirrored:
+        return mirrored
     if not path.exists():
         raise PipelineError(f"missing fuse output: {path}")
     row_of = {month: k for k, month in enumerate(cfg.window())}
@@ -411,7 +479,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     Reads the annotation data and the compute and fuse outputs; the
     citations are not read.
     """
-    data = load_annotations(cfg)
+    data = ingest(cfg, citations=False, save=False)
     h = data.hierarchy
     # window month x series x node: the aspects, then the fused relevance
     values, scored = _load_scores(cfg, h)
@@ -455,10 +523,10 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
         in_year = month_years == year
         member_ids = [m for m, y in zip(members, in_year) if y]
         ids = np.unique(np.concatenate(member_ids))
-        if not np.isin(ids, data.store.ids).all():
+        if not np.isin(ids, data.ids).all():
             raise PipelineError(f"members of {year} include ids missing from the articles file")
-        rows = data.incidence[np.searchsorted(data.store.ids, ids)]
-        retracted = np.array([data.store.articles[i].retracted for i in ids.tolist()], dtype=bool)
+        at = np.searchsorted(data.ids, ids)
+        rows, retracted = data.incidence[at], data.retracted[at]
         member_rows = [np.searchsorted(ids, m) for m in member_ids]
         for s, name in enumerate(series_names):
             cohorts = evaluate.retraction_split(rows, retracted, member_rows, values[in_year, s])

@@ -92,8 +92,13 @@ def _month_labels(cfg: ScenarioConfig) -> list[str]:
 
 
 def _weighted_draws(rng, cdf: np.ndarray, count: int) -> np.ndarray:
+    """Indices drawn with the weights whose running sum is `cdf`.  The draws
+    are searched in sorted order, so each search starts near the last one."""
     r = rng.random(count) * cdf[-1]
-    return np.searchsorted(cdf, r, side="right")
+    order = np.argsort(r)
+    draws = np.empty(count, dtype=np.intp)
+    draws[order] = np.searchsorted(cdf, r[order], side="right")
+    return draws
 
 
 def generate(

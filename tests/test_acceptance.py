@@ -27,7 +27,7 @@ from kosrank.config import PipelineConfig, write_config
 from kosrank.hierarchy import HierarchyParseReport, build_hierarchy, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 from kosrank.months import month_from_index, month_index, year_of
-from kosrank.pipeline import IngestData, compute_month
+from kosrank.pipeline import compute_month, ingest_arrays, ingest_data
 from kosrank.propagation import propagate
 from kosrank.scores import ASPECTS
 
@@ -204,7 +204,6 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
     """Default scenario end to end, in memory; returns (p_ev, p_ret, means)."""
     scenario = synthgen.ScenarioConfig(seed=seed)
     h, store, edges, changes = synthgen.generate(scenario)
-    graph = citegraph.build_graph(edges, store)
     last = month_from_index(month_index(scenario.first_month) + scenario.months - 1)
     cfg = PipelineConfig(
         first_month=scenario.first_month,
@@ -212,7 +211,7 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
         sample_fraction=0.10,
         base_seed=seed,
     )
-    data = IngestData(h, HierarchyParseReport(), store, changes, graph)
+    data = ingest_data(h, HierarchyParseReport(), changes, ingest_arrays(h, store, edges))
     window = cfg.window()
     relevance: dict[str, np.ndarray] = {}  # fused values by position, 0 where unranked
     members: dict[str, np.ndarray] = {}

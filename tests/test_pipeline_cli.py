@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import usefulness_oracle
-from kosrank import citegraph, graphmetrics, propagation, synthgen
+from kosrank import citegraph, graphmetrics, mirror, pipeline, propagation, synthgen
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
+from kosrank.corpus import parse_articles
 from kosrank.hierarchy import ancestors_of, level_of, parse_hierarchy
-from kosrank.pipeline import compute_month, ingest
+from kosrank.pipeline import GRAPH_ARRAYS, compute_month, ingest, ingest_arrays
 from kosrank.scores import ASPECTS, read_scores_csv
 
 
@@ -73,6 +74,15 @@ def add_mapping_edge_cases(cfg: PipelineConfig, month: str) -> None:
     row = {"id": last_id + 1, "month": month, "mesh": [descriptor, "D999998"], "retracted": False}
     with articles.open("a") as fh:
         fh.write(json.dumps(row) + "\n")
+
+
+@pytest.fixture()
+def prepared(tmp_path):
+    cfg_path = make_config(tmp_path)
+    generate_inputs(cfg_path)
+    cfg = load_config(cfg_path)
+    add_mapping_edge_cases(cfg, "2014-04")
+    return cfg_path, cfg
 
 
 def aspect_scores(result, aspect: str) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +192,7 @@ class TestIngest:
         capsys.readouterr()
         assert main(["ingest", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: line {len(lines)}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: line {len(lines)}: ") and err.count("\n") == 1
         assert "int64" in err
 
     def test_missing_citations_file_fails_with_path(self, tmp_path, capsys):
@@ -221,14 +231,6 @@ class TestGenerate:
 
 
 class TestComputeFuseTrendEvaluate:
-    @pytest.fixture()
-    def prepared(self, tmp_path):
-        cfg_path = make_config(tmp_path)
-        generate_inputs(cfg_path)
-        cfg = load_config(cfg_path)
-        add_mapping_edge_cases(cfg, "2014-04")
-        return cfg_path, cfg
-
     def test_compute_outputs(self, prepared):
         cfg_path, cfg = prepared
         assert main(["compute", "--config", str(cfg_path)]) == 0
@@ -294,12 +296,14 @@ class TestComputeFuseTrendEvaluate:
         month = "2014-04"
         result = compute_month(cfg, data, month, 3)
         # independent reconstruction through the dict-based library calls
-        snapshot = citegraph.cumulative_snapshot(data.graph, data.store, month)
+        with open(cfg.articles) as fh:
+            store = parse_articles(fh)
+        snapshot = citegraph.cumulative_snapshot(data.graph, store, month)
         sample = citegraph.sample_nodes(snapshot, fraction, cfg.base_seed + 3)
         codes = {}
         for raw_id in sample.node_ids:
             mapped, _ = data.hierarchy.treenodes_of(
-                data.store.articles[int(raw_id)].descriptors
+                store.articles[int(raw_id)].descriptors
             )
             if mapped:
                 codes[int(raw_id)] = tuple(sorted(mapped))
@@ -314,11 +318,11 @@ class TestComputeFuseTrendEvaluate:
         # the month's own mappings, from per-article treenodes_of calls
         h = data.hierarchy
         assert data.unknown_descriptor_refs == 1
-        added = data.store.articles[int(data.store.ids[-1])]
+        added = store.articles[int(store.ids[-1])]
         assert added.month == month and len(h.treenodes_of(added.descriptors)[0]) > 1
         pairs = []
-        for article_id in data.store.articles_in_month(month).tolist():
-            mapped, _ = h.treenodes_of(data.store.articles[article_id].descriptors)
+        for article_id in store.articles_in_month(month).tolist():
+            mapped, _ = h.treenodes_of(store.articles[article_id].descriptors)
             pairs.extend((article_id, code) for code in sorted(mapped))
         # each (article, node) pair counts once at the node and every ancestor
         propagated = dict.fromkeys(h.nodes, 0)
@@ -540,7 +544,7 @@ class TestComputeFuseTrendEvaluate:
         for stage in ("ingest", "evaluate"):
             assert main([stage, "--config", str(cfg_path)]) == 1
             err = capsys.readouterr().err
-            assert err == "error: line 1: release 'AA' does not start with a year\n"
+            assert err == f"error: {cfg.changes}: line 1: release 'AA' does not start with a year\n"
 
     @pytest.mark.parametrize(
         "edit",
@@ -647,6 +651,12 @@ PINNED = {
 }
 
 
+STAGE_MIRROR_FILES = {
+    "scores.mirror.json", "scores.values.npy", "scores.scored.npy", "rankings.mirror.json",
+    "rankings.rrf.npy", "rankings.global_rank.npy", "rankings.level_rank.npy",
+}
+
+
 class TestChainPinned:
     @pytest.mark.parametrize("window", PINNED, ids="..".join)
     def test_written_files_are_pinned(self, tmp_path, monkeypatch, window):
@@ -673,7 +683,10 @@ class TestChainPinned:
             for name, data in read_all_outputs(Path("out")).items()
             if not name.startswith("correlation_")
         }
-        assert written == PINNED[window]
+        # The score and rankings mirrors are checked against the parsers in
+        # TestMirrors; here only their names are pinned.
+        assert set(written) - set(PINNED[window]) == STAGE_MIRROR_FILES
+        assert {name: written[name] for name in PINNED[window]} == PINNED[window]
 
 
 class TestScoresCsv:
@@ -698,3 +711,216 @@ class TestScoresCsv:
             expected_values, expected_scored = aspect_scores(computed, aspect)
             assert np.array_equal(scored, expected_scored)
             assert np.array_equal(values, expected_values)
+
+
+CHAIN = ["ingest", "compute", "fuse", "trend", "evaluate", "export-plots"]
+
+
+def results(out_dir: Path) -> dict[str, bytes]:
+    """Every output file but the mirrors."""
+    return {
+        name: data
+        for name, data in read_all_outputs(out_dir).items()
+        if not name.endswith((".npy", ".mirror.json"))
+    }
+
+
+def drop_mirror_records(out_dir: Path) -> None:
+    for record in out_dir.rglob("*.mirror.json"):
+        record.unlink()
+
+
+def run_stages(cfg_path: Path, stages, capsys) -> list[tuple[int, str]]:
+    """The exit code and stderr of each stage."""
+    capsys.readouterr()
+    runs = []
+    for stage in stages:
+        code = main([stage, "--config", str(cfg_path)])
+        runs.append((code, capsys.readouterr().err))
+    return runs
+
+
+def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
+    """Each mirror array has the dtype, shape and bytes that the text
+    parsers return for the files it was made from."""
+    out = Path(cfg.output_dir)
+    mirrored = {str(p.relative_to(out))[: -len(".npy")]: np.load(p) for p in out.rglob("*.npy")}
+    drop_mirror_records(out)
+    with open(cfg.hierarchy) as fh:
+        h, _ = parse_hierarchy(fh)
+    with open(cfg.articles) as fh:
+        store = parse_articles(fh)
+    with open(cfg.citations) as fh:
+        edges = citegraph.parse_citations(fh)
+    parsed = {
+        f"ingest/{'graph' if name in GRAPH_ARRAYS else 'annotations'}.{name}": array
+        for name, array in ingest_arrays(h, store, edges).items()
+    }
+    parsed.update(zip(("scores.values", "scores.scored"), pipeline._load_scores(cfg, h)))
+    rankings = ("rankings.rrf", "rankings.global_rank", "rankings.level_rank")
+    parsed.update(zip(rankings, pipeline._load_rankings(cfg, h)))
+    assert mirrored.keys() == parsed.keys()
+    for name, array in parsed.items():
+        got = mirrored[name]
+        assert (got.dtype, got.shape, got.tobytes()) == (array.dtype, array.shape, array.tobytes())
+
+
+@pytest.fixture()
+def mirror_loads(monkeypatch):
+    """(mirror name, whether it was used) of every mirror.load call."""
+    calls = []
+    load = mirror.load
+
+    def spy(stem, *args):
+        arrays = load(stem, *args)
+        calls.append((stem.name, arrays is not None))
+        return arrays
+
+    monkeypatch.setattr(mirror, "load", spy)
+    return calls
+
+
+def edit_line(path: Path, pick, change) -> None:
+    """Replace the first line for which `pick` holds by `change(line)`."""
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if pick(line))
+    lines[at] = change(lines[at])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def article_edit(line: str) -> str:
+    row = json.loads(line)
+    row["mesh"] = ["D000001", "D000002"] if row.get("mesh") != ["D000001", "D000002"] else []
+    return json.dumps(row)
+
+
+class TestMirrors:
+    def test_mirrors_hold_what_the_parsers_return(self, prepared):
+        cfg_path, cfg = prepared
+        for stage in ("ingest", "compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        out = Path(cfg.output_dir)
+        records = ["ingest/annotations", "ingest/graph", "scores", "rankings"]
+        assert all((out / f"{name}.mirror.json").exists() for name in records)
+        assert_mirrors_hold_parsed_arrays(cfg)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mirrors_hold_what_the_parsers_return_by_seed(self, tmp_path, seed):
+        cfg_path = make_config(tmp_path, base_seed=seed, last_month="2014-03", sample_fraction=0.5)
+        generate_inputs(cfg_path, months=3, articles=300)
+        for stage in ("ingest", "compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        assert_mirrors_hold_parsed_arrays(load_config(cfg_path))
+
+    def test_score_mirror_keeps_the_bits_the_reader_gives(self, prepared, monkeypatch):
+        cfg_path, cfg = prepared
+        compute_month = pipeline.compute_month
+
+        def odd_values(cfg, data, month, index):
+            result = compute_month(cfg, data, month, index)
+            values, scored = result.values[0], result.scored[0]
+            values[np.flatnonzero(scored)[:3]] = [-0.0, -np.nan, -np.inf]
+            values[~scored] = 7.0  # not written, so the reader gives 0
+            return result
+
+        monkeypatch.setattr(pipeline, "compute_month", odd_values)
+        assert main(["compute", "--config", str(cfg_path)]) == 0
+        monkeypatch.undo()
+        assert main(["fuse", "--config", str(cfg_path)]) == 0
+        # "-0" reads back as -0.0 and "nan" as float("nan"), whose sign is +
+        values = np.load(Path(cfg.output_dir) / "scores.values.npy")[:, 0]
+        assert (np.signbit(values) & (values == 0)).any() and not (values == 7.0).any()
+        assert np.isnan(values).any() and not np.signbit(values[np.isnan(values)]).any()
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        assert_mirrors_hold_parsed_arrays(cfg)
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["article", "article-broken", "score-row", "score-row-broken", "rankings-row",
+         "rankings-row-broken"],
+    )
+    def test_edit_after_its_stage_gives_a_fresh_parse(self, prepared, capsys, mirror_loads, edit):
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        kind = edit.removesuffix("-broken")
+        producer, name = {
+            "article": ("ingest", "annotations"),
+            "score-row": ("compute", "scores"),
+            "rankings-row": ("fuse", "rankings"),
+        }[kind]
+        done = CHAIN.index(producer) + 1
+        assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
+        before = results(out)
+        if kind == "article":
+            path = Path(cfg.articles)
+            pick = lambda line: '"2014-03"' in line  # noqa: E731
+            change = (lambda line: line[:-1]) if edit.endswith("broken") else article_edit
+        elif kind == "score-row":
+            path = out / "scores" / "influence_2014-02.csv"
+            pick = lambda line: line.startswith("A,1,influence,")  # noqa: E731
+            value = "x" if edit.endswith("broken") else "-1"
+            change = lambda line: line.rsplit(",", 1)[0] + f",{value}"  # noqa: E731
+        else:
+            path = out / "rankings.csv"
+            pick = lambda line: line.startswith("2014-01,global,")  # noqa: E731
+            value = "x" if edit.endswith("broken") else "0.5"
+            change = lambda line: ",".join(line.split(",")[:3] + [value] + line.split(",")[4:])  # noqa: E731
+        edit_line(path, pick, change)
+        mirror_loads.clear()
+        stale = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
+        assert (name, False) in mirror_loads and (name, True) not in mirror_loads
+        drop_mirror_records(out)
+        fresh = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
+        assert stale == fresh
+        if edit.endswith("broken"):
+            assert any(code == 1 and err.startswith(f"error: {path}: line ") for code, err in stale[0])
+        else:
+            assert stale[0] == [(0, "")] * (len(CHAIN) - done) and stale[1] != before
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "scores.values.npy",
+         "rankings.rrf.npy", "ingest/annotations.mirror.json", "ingest/graph.mirror.json",
+         "scores.mirror.json", "rankings.mirror.json", "hierarchy-swapped", "window-changed"],
+    )
+    def test_damaged_mirror_is_not_used(self, prepared, capsys, mirror_loads, damage):
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        name = Path(damage).name.split(".")[0]
+        producer = {"annotations": "ingest", "graph": "ingest", "rankings": "fuse"}.get(name, "compute")
+        done = CHAIN.index(producer) + 1
+        assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
+        if damage == "hierarchy-swapped":
+            with open(cfg.hierarchy, "a") as fh:
+                fh.write("Z99\t\tnode Z99\n")
+            name = "scores"
+        elif damage == "window-changed":
+            cfg_path.write_text(cfg_path.read_text() + 'last_month = "2014-05"\n')
+            name = "scores"
+        elif damage.endswith(".npy"):
+            data = bytearray((out / damage).read_bytes())
+            data[-1] ^= 1
+            (out / damage).write_bytes(bytes(data))
+        else:
+            (out / damage).unlink()
+        mirror_loads.clear()
+        damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
+        assert (name, False) in mirror_loads and (name, True) not in mirror_loads
+        assert damaged[0] == [(0, "")] * (len(CHAIN) - done)
+        drop_mirror_records(out)
+        assert (run_stages(cfg_path, CHAIN[done:], capsys), results(out)) == damaged
+
+    def test_failed_ingest_leaves_output_dir_untouched(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        citations = Path(cfg.citations)
+        intact = citations.read_text()
+        citations.write_text(intact + "2\tnot-an-id\n")
+        assert run_stages(cfg_path, ["ingest"], capsys)[0][0] == 1
+        assert not out.exists()
+        citations.write_text(intact)
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        written = read_all_outputs(out)
+        edit_line(Path(cfg.articles), lambda line: True, lambda line: line[:-1])
+        assert run_stages(cfg_path, ["ingest"], capsys)[0][0] == 1
+        assert read_all_outputs(out) == written
