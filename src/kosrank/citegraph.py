@@ -5,7 +5,7 @@ in both orientations, over node positions (indices into the sorted
 `node_ids`) rather than article ids, so the arrays feed scipy.sparse and
 the kernels as they are.  The accessors translate back and return ids.
 Graphs are immutable once built; snapshot and sample return new graphs,
-which inherit the parent's sorted row order through masks alone.
+cut from the parent's boolean adjacency by scipy's row-then-column indexing.
 """
 from __future__ import annotations
 
@@ -61,9 +61,6 @@ class CitationGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(citing, cited) id arrays in citing-major order."""
         citing = np.repeat(self.node_ids, self.out_degrees())
@@ -89,6 +86,7 @@ def build_graph(
 
     Self-citations, edges touching ids outside the store, and duplicate
     edges are dropped; each category is counted on the returned graph.
+    Rows come out sorted: `sum_duplicates` sorts each to find its repeats.
     """
     if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
         citing = np.asarray(edges[0], dtype=np.int64)
@@ -104,15 +102,9 @@ def build_graph(
     self_loops = citing == cited
     known = src_known & dst_known
     keep = known & ~self_loops
-    # One int64 key per edge; sorted, it is the out-CSR in citing-major order.
-    key = np.sort(src[keep] * n + dst[keep])
-    distinct = np.ones(len(key), dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=distinct[1:])
-    unique = key[distinct]
-    indptr = np.searchsorted(unique, np.arange(n + 1, dtype=np.int64) * n)
-    out = sparse.csr_matrix(
-        (np.ones(len(unique), dtype=np.int8), unique % n, indptr), shape=(n, n)
-    )
+    kept = int(keep.sum())
+    out = sparse.csr_matrix((np.ones(kept, dtype=bool), (src[keep], dst[keep])), shape=(n, n))
+    out.sum_duplicates()  # a no-op where the constructor already merged them
     into = out.tocsc()  # counting sort: citing positions stay sorted within each column
     return CitationGraph(
         node_ids=node_ids,
@@ -122,38 +114,26 @@ def build_graph(
         in_sources=into.indices,
         self_loops_dropped=int(self_loops.sum()),
         unknown_dropped=int((~known & ~self_loops).sum()),
-        duplicates_dropped=int(len(key) - len(unique)),
+        duplicates_dropped=kept - out.nnz,
     )
 
 
-def _masked_csr(
-    indptr: np.ndarray, indices: np.ndarray, keep: np.ndarray, new_pos: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and entries of a CSR whose both ends are kept, renumbered."""
-    edge_keep = np.repeat(keep, np.diff(indptr))
-    edge_keep &= keep[indices]
-    kept_before = np.zeros(len(indices) + 1, dtype=indptr.dtype)
-    np.cumsum(edge_keep, out=kept_before[1:])
-    rows = np.append(keep, True)  # kept rows plus the closing offset
-    return kept_before[indptr[rows]], new_pos[indices[edge_keep]]
+def adjacency(indptr: np.ndarray, indices: np.ndarray, n: int) -> sparse.csr_matrix:
+    """Boolean n x n matrix from one orientation's CSR; its products OR, so no count wraps."""
+    return sparse.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
 
 
 def induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
     """Subgraph on the nodes where the boolean mask `keep` is set.
 
-    The parent's rows are sorted, and masking keeps that order, so no sort
-    is needed; positions are renumbered with a running count of kept nodes.
+    scipy gathers only the kept rows, then maps their entries to the kept
+    columns in row order, and the kept positions ascend, so each row stays
+    sorted.  The in-orientation is the counting sort of `build_graph`.
     """
-    new_pos = np.cumsum(keep, dtype=g.out_targets.dtype) - 1
-    out_indptr, out_targets = _masked_csr(g.out_indptr, g.out_targets, keep, new_pos)
-    in_indptr, in_sources = _masked_csr(g.in_indptr, g.in_sources, keep, new_pos)
-    return CitationGraph(
-        node_ids=g.node_ids[keep],
-        out_indptr=out_indptr,
-        out_targets=out_targets,
-        in_indptr=in_indptr,
-        in_sources=in_sources,
-    )
+    idx = np.flatnonzero(keep)
+    out = adjacency(g.out_indptr, g.out_targets, g.num_nodes)[idx][:, idx]
+    into = out.tocsc()
+    return CitationGraph(g.node_ids[idx], out.indptr, out.indices, into.indptr, into.indices)
 
 
 def cumulative_snapshot(g: CitationGraph, store: ArticleStore, month: str) -> CitationGraph:

@@ -24,6 +24,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override base_seed")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kosrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -39,7 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "compute":
-            p.add_argument("--threads", type=int, default=1, help="parallel months (default 1)")
+            p.add_argument(
+                "--threads", type=positive_int, default=1, help="parallel months (default 1)"
+            )
 
     g = sub.add_parser("generate", help="write a synthetic scenario to the config's input paths")
     _add_common(g)

@@ -61,10 +61,6 @@ class ArticleStore:
     def months(self) -> list[str]:
         return [month_from_index(i) for i in np.unique(self.month_idx).tolist()]
 
-    def articles_in_month(self, month: str) -> np.ndarray:
-        """Sorted ids of articles published in `month`."""
-        return self._ids[self.month_idx == month_index(normalize_month(month))]
-
     def ids_up_to(self, month: str) -> np.ndarray:
         """Sorted ids of articles published in `month` or earlier."""
         cutoff = month_index(normalize_month(month))
@@ -81,13 +77,15 @@ def store_from_articles(articles: Iterable[Article]) -> ArticleStore:
 
 
 def parse_articles(lines: Iterable[str]) -> ArticleStore:
-    """Parse JSON-lines articles; duplicate ids and missing months are fatal.
+    """Parse JSON-lines articles; duplicate ids, missing months, an `id` that
+    is not a JSON integer and a `retracted` that is not a boolean are fatal.
 
     Each distinct month text is validated once, and every article of that
     month then shares one month string.
     """
     articles: list[Article] = []
     months: dict[str, str] = {}
+    first_line: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -98,12 +96,14 @@ def parse_articles(lines: Iterable[str]) -> ArticleStore:
             raise CorpusError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         if not isinstance(row, dict):
             raise CorpusError(f"line {lineno}: expected a JSON object")
-        try:
-            article_id = int(row["id"])
-        except (KeyError, TypeError, ValueError):
-            raise CorpusError(f"line {lineno}: missing or invalid 'id'") from None
+        article_id = row.get("id")
+        if type(article_id) is not int:  # a bool is an int to isinstance
+            raise CorpusError(f"line {lineno}: missing or non-integer 'id'")
         if article_id not in ID_RANGE:
             raise CorpusError(f"line {lineno}: 'id' outside the int64 range")
+        first = first_line.setdefault(article_id, lineno)
+        if first != lineno:
+            raise CorpusError(f"line {lineno}: duplicate id {article_id}, first on line {first}")
         if "month" not in row:
             raise CorpusError(f"line {lineno}: missing 'month'")
         text = str(row["month"])
@@ -117,7 +117,9 @@ def parse_articles(lines: Iterable[str]) -> ArticleStore:
         if not isinstance(mesh, list):
             raise CorpusError(f"line {lineno}: 'mesh' must be an array")
         descriptors = tuple(sorted({str(d) for d in mesh}))
-        retracted = bool(row.get("retracted", False))
+        retracted = row.get("retracted", False)
+        if type(retracted) is not bool:
+            raise CorpusError(f"line {lineno}: 'retracted' must be true or false")
         articles.append(
             Article(id=article_id, month=month, descriptors=descriptors, retracted=retracted)
         )

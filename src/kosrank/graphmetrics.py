@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 from scipy import sparse
 
-from .citegraph import CitationGraph
+from .citegraph import CitationGraph, adjacency
 
 NodeSeedScores = dict[str, float]
 
@@ -70,11 +70,6 @@ def disruption_of(g: CitationGraph, focal: int) -> float:
     return (n_i - n_j) / denominator
 
 
-def _binary(indptr: np.ndarray, indices: np.ndarray, n: int) -> sparse.csr_matrix:
-    """Boolean matrix over node positions from a graph CSR; its products OR, so no count wraps."""
-    return sparse.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
-
-
 def _spans(work: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
     """Consecutive (start, stop) ranges of one item or more whose work fits `budget`."""
     cumulative = np.cumsum(np.maximum(work, 1))
@@ -101,8 +96,8 @@ def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScor
     # The output comes first and the counts are combined in place: n-sized
     # arrays made late stay in the heap (34 MB more peak RSS at 1M nodes).
     result = np.zeros(n, dtype=np.float64)
-    A = _binary(g.out_indptr, g.out_targets, n)  # [f, r] set iff f cites r
-    AT = _binary(g.in_indptr, g.in_sources, n)  # its transpose
+    A = adjacency(g.out_indptr, g.out_targets, n)  # [f, r] set iff f cites r
+    AT = adjacency(g.in_indptr, g.in_sources, n)  # its transpose
     outdeg = np.diff(g.out_indptr).astype(np.int64)
     indeg = np.diff(g.in_indptr).astype(np.int64)
 

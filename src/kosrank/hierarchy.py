@@ -94,23 +94,6 @@ class Hierarchy:
             [self.descriptor_map[d] for d in self.descriptors], self.position, n
         )
 
-    @property
-    def roots(self) -> tuple[str, ...]:
-        return tuple(self.codes[i] for i in np.flatnonzero(self.parent < 0))
-
-    def levels(self) -> dict[int, tuple[str, ...]]:
-        """Level -> its codes in order, deepest level last."""
-        return {
-            lvl: tuple(self.codes[i] for i in np.flatnonzero(self.level == lvl))
-            for lvl in np.unique(self.level).tolist()
-        }
-
-    def children_of(self, code: str) -> tuple[str, ...]:
-        """Child codes in lexicographic order; () for a leaf or unknown code."""
-        if code not in self.position:
-            return ()
-        return tuple(self.codes[i] for i in np.flatnonzero(self.parent == self.position[code]))
-
     def treenodes_of(self, descriptors: Iterable[str]) -> tuple[set[str], int]:
         """Union of the tree codes mapped by the given descriptor ids.
 

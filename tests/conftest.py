@@ -12,7 +12,7 @@ import numpy as np
 
 from kosrank.citegraph import CitationGraph, GraphError, build_graph
 from kosrank.corpus import Article, ArticleStore, store_from_articles
-from kosrank.hierarchy import Hierarchy, build_hierarchy
+from kosrank.hierarchy import Hierarchy, build_hierarchy, level_of, parent_of
 
 _LETTERS = "ABCDEFGHIJKLMNOP"
 
@@ -46,27 +46,45 @@ def random_seeds(rng: np.random.Generator, h: Hierarchy, fill: float = 0.6) -> d
     }
 
 
+def children_by_code(h: Hierarchy) -> dict[str, list[str]]:
+    """Each code's children in code order, from `parent_of` over `h.codes`."""
+    children: dict[str, list[str]] = {code: [] for code in h.codes}
+    for code in h.codes:
+        if (parent := parent_of(code)) is not None:
+            children[parent].append(code)
+    return children
+
+
+def codes_by_level(h: Hierarchy) -> dict[int, list[str]]:
+    """Level -> its codes in code order, from `level_of` over `h.codes`."""
+    levels: dict[int, list[str]] = {}
+    for code in h.codes:
+        levels.setdefault(level_of(code), []).append(code)
+    return levels
+
+
 def propagate_oracle(h: Hierarchy, seeds: dict[str, float]) -> dict[str, float]:
     """gmh(n) = seed(n) + sum(children gmh) / |nodes at the children's level|."""
-    level_sizes = {lvl: len(codes) for lvl, codes in h.levels().items()}
+    children = children_by_code(h)
+    level_sizes = {lvl: len(codes) for lvl, codes in codes_by_level(h).items()}
     memo: dict[str, float] = {}
 
     def gmh(node: str, depth: int) -> float:
         if node in memo:
             return memo[node]
-        children = h.children_of(node)
         value = seeds.get(node, 0.0)
-        if children:
-            value += sum(gmh(c, depth + 1) for c in children) / level_sizes[depth + 1]
+        if children[node]:
+            value += sum(gmh(c, depth + 1) for c in children[node]) / level_sizes[depth + 1]
         memo[node] = value
         return value
 
-    for root in h.roots:
-        gmh(root, 1)
+    for root in h.codes:
+        if parent_of(root) is None:
+            gmh(root, 1)
     return {
         n: memo[n]
         for n in memo
-        if h.children_of(n) or n in seeds
+        if children[n] or n in seeds
     }
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    codes_by_level,
     disruption_oracle,
     pagerank_oracle,
     propagate_oracle,
@@ -87,7 +88,7 @@ def test_criterion_1_metric_oracles():
         counts = subtree_counts(incidence @ h.closure)
         values = dict(zip(h.codes, informativeness(h, counts)[0].tolist()))
         propagated = dict(zip(h.codes, counts.tolist()))
-        for level, level_codes in h.levels().items():
+        for level, level_codes in codes_by_level(h).items():
             total = sum(propagated[c] for c in level_codes)
             if total == 0:
                 continue

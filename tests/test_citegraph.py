@@ -8,6 +8,7 @@ from kosrank.citegraph import (
     GraphError,
     build_graph,
     cumulative_snapshot,
+    induced,
     parse_citations,
     sample_nodes,
 )
@@ -100,7 +101,7 @@ class TestBuild:
         rng = np.random.default_rng(11)
         _, g = random_temporal_graph(rng, 200)
         assert int(g.out_degrees().sum()) == g.num_edges
-        assert int(g.in_degrees().sum()) == g.num_edges
+        assert int(np.diff(g.in_indptr).sum()) == g.num_edges
 
     def test_isolated_node(self):
         g = build_graph([], two_article_store())
@@ -279,6 +280,10 @@ class TestPositionsAreNotIds:
     """Ids far from 0..n-1 with uneven gaps, so reading a position as an id,
     or an id as a position, cannot go unnoticed."""
 
+    ARRAYS = ("node_ids", "out_indptr", "out_targets", "in_indptr", "in_sources")
+    # What build_graph gives: int64 ids and scipy's int32 indices (under 2**31 entries).
+    DTYPES = [np.int64] + [np.int32] * 4
+
     @staticmethod
     def gapped_graph(rng, n=300, m=1500):
         ids = 10**12 + 7 * np.sort(rng.choice(10 * n, size=n, replace=False))
@@ -290,11 +295,12 @@ class TestPositionsAreNotIds:
         edges = {(u, v) for u, v in zip(citing.tolist(), cited.tolist()) if u != v}
         return store, build_graph((citing, cited), store), edges
 
-    @staticmethod
-    def assert_induced(g, edges, keep):
+    @classmethod
+    def assert_induced(cls, g, edges, keep):
         keep = sorted(keep)
         kept = set(keep)
         want = {(u, v) for u, v in edges if u in kept and v in kept}
+        assert [getattr(g, name).dtype for name in cls.ARRAYS] == cls.DTYPES
         assert g.node_ids.tolist() == keep
         citing, cited = g.edge_arrays()
         assert len(citing) == len(want)
@@ -307,21 +313,35 @@ class TestPositionsAreNotIds:
         # The in-CSR, read back as (citing, cited) position pairs, is the out-CSR.
         nodes = np.arange(g.num_nodes)
         out_src, out_dst = np.repeat(nodes, g.out_degrees()), g.out_targets
-        in_dst, in_src = np.repeat(nodes, g.in_degrees()), g.in_sources
+        in_dst, in_src = np.repeat(nodes, np.diff(g.in_indptr)), g.in_sources
         order = np.lexsort((in_dst, in_src))
         assert np.array_equal(in_src[order], out_src)
         assert np.array_equal(in_dst[order], out_dst)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_snapshots_and_samples_keep_exactly_the_induced_edges(self, seed):
+    @pytest.mark.parametrize(
+        "seed, cut",
+        [(seed, "month") for seed in range(5)] + [(0, "all"), (1, "all"), (0, "none"), (1, "none")],
+        ids=[str(seed) for seed in range(5)] + ["all-0", "all-1", "none-0", "none-1"],
+    )
+    def test_snapshots_and_samples_keep_exactly_the_induced_edges(self, seed, cut):
         rng = np.random.default_rng(seed)
         store, g, edges = self.gapped_graph(rng)
         self.assert_induced(g, edges, store.ids.tolist())
 
-        month = f"2014-{int(rng.integers(1, 7)):02d}"
-        snap = cumulative_snapshot(g, store, month)
-        eligible = [a.id for a in store.articles.values()
-                    if month_index(a.month) <= month_index(month)]
+        if cut == "month":
+            month = f"2014-{int(rng.integers(1, 7)):02d}"
+            snap = cumulative_snapshot(g, store, month)
+            eligible = [a.id for a in store.articles.values()
+                        if month_index(a.month) <= month_index(month)]
+        else:
+            snap = induced(g, np.full(g.num_nodes, cut == "all"))
+            eligible = store.ids.tolist() if cut == "all" else []
+            # Keeping every node gives the parent array for array; keeping
+            # none gives an empty graph whose indptrs are [0].
+            whole = [getattr(g, name) for name in self.ARRAYS]
+            want = whole if cut == "all" else [[], [0], [], [0], []]
+            for name, array in zip(self.ARRAYS, want):
+                assert np.array_equal(getattr(snap, name), array), name
         self.assert_induced(snap, edges, eligible)
 
         for parent in (g, snap):

@@ -9,10 +9,16 @@ from kosrank.corpus import (
     store_from_articles,
     write_articles,
 )
+from kosrank.months import month_index
 
 
 def parse(text):
     return parse_articles(io.StringIO(text))
+
+
+def in_month(store, month):
+    """Sorted ids of the articles published in `month`."""
+    return store.ids[store.month_idx == month_index(month)].tolist()
 
 
 class TestParse:
@@ -52,7 +58,7 @@ class TestParse:
         ]
         assert store.articles[2].month is store.articles[3].month
         assert store.ids_up_to("2013-12").tolist() == [4]
-        assert store.articles_in_month("2014-01").tolist() == [1, 2, 3]
+        assert in_month(store, "2014-01") == [1, 2, 3]
 
     @pytest.mark.parametrize(
         "month, reason",
@@ -66,11 +72,28 @@ class TestParse:
                 parse(text)
             assert str(err.value) == f"line {line}: invalid month {month!r}, {reason}"
 
-    @pytest.mark.parametrize("article_id", ["99999999999999999999", "-9223372036854775809"])
-    def test_id_beyond_int64_names_its_line(self, article_id):
-        text = f'{{"id":1,"month":"2014-01"}}\n{{"id":{article_id},"month":"2014-01"}}\n'
-        with pytest.raises(CorpusError, match="^line 2: 'id' outside the int64 range$"):
-            parse(text)
+    @pytest.mark.parametrize(
+        "article_id, retracted, reason",
+        [
+            ("99999999999999999999", "false", "'id' outside the int64 range"),
+            ("-9223372036854775809", "false", "'id' outside the int64 range"),
+            ("2.9", "false", "missing or non-integer 'id'"),
+            ("false", "false", "missing or non-integer 'id'"),
+            ('"7"', "false", "missing or non-integer 'id'"),
+            ("2", '"false"', "'retracted' must be true or false"),
+            ("2", "0", "'retracted' must be true or false"),
+            ("1", "false", "duplicate id 1, first on line 1"),
+        ],
+        ids=["99999999999999999999", "-9223372036854775809", "2.9", "false", '"7"',
+             'retracted-"false"', "retracted-0", "duplicate"],
+    )
+    def test_id_beyond_int64_names_its_line(self, article_id, retracted, reason):
+        """A second row that no int64 id, JSON boolean or first use of an id
+        can explain fails with one error naming line 2."""
+        row = f'{{"id":{article_id},"month":"2014-01","retracted":{retracted}}}'
+        with pytest.raises(CorpusError) as err:
+            parse('{"id":1,"month":"2014-01"}\n' + row + "\n")
+        assert str(err.value) == f"line 2: {reason}"
         store = parse('{"id":9223372036854775807,"month":"2014-01"}\n')
         assert store.ids.tolist() == [2**63 - 1]
 
@@ -83,8 +106,8 @@ class TestQueries:
 
     def test_articles_in_month(self):
         store = self.make_store()
-        assert store.articles_in_month("2014-01").tolist() == [1]
-        assert store.articles_in_month("2015-06").tolist() == []
+        assert in_month(store, "2014-01") == [1]
+        assert in_month(store, "2015-06") == []
 
     def test_cumulative(self):
         store = self.make_store()
@@ -102,7 +125,7 @@ class TestQueries:
         store = store_from_articles(
             [Article(i, f"2014-{(i % 3) + 1:02d}", ()) for i in range(1, 50)]
         )
-        total = sum(len(store.articles_in_month(m)) for m in store.months())
+        total = sum(len(in_month(store, m)) for m in store.months())
         assert total == len(store)
 
     def test_tiny_retraction_rate_ratio(self):

@@ -22,6 +22,11 @@ def parse(text):
     return parse_hierarchy(io.StringIO(text))
 
 
+def children(h, code):
+    """Child codes of `code` read from the positional `parent` array, in code order."""
+    return tuple(h.codes[i] for i in np.flatnonzero(h.parent == h.position[code]))
+
+
 class TestTreeCodes:
     def test_grammar(self):
         assert is_tree_code("D")
@@ -64,7 +69,7 @@ class TestParse:
 
     def test_child_ordering_lexicographic(self):
         h, _ = parse("C14\tD1\tx\nC01\tD2\ty\n")
-        assert h.children_of("C") == ("C01", "C14")
+        assert children(h, "C") == ("C01", "C14")
 
     def test_malformed_code_reports_line(self):
         with pytest.raises(HierarchyError, match="line 2"):
@@ -86,8 +91,9 @@ class TestParse:
 
     def test_roots_are_single_letters(self):
         h, _ = parse("C01.001\tD1\tx\nD12\tD2\ty\n")
-        assert set(h.roots) == {"C", "D"}
-        for code in h.roots:
+        roots = [h.codes[i] for i in np.flatnonzero(h.parent < 0)]
+        assert set(roots) == {"C", "D"}
+        for code in roots:
             assert level_of(code) == 1
 
 
@@ -102,11 +108,12 @@ class TestQueries:
     def test_children_closure_matches_nodes(self):
         rng = np.random.default_rng(3)
         h = random_tree(rng)
-        reached = set(h.roots)
-        frontier = list(h.roots)
+        roots = [h.codes[i] for i in np.flatnonzero(h.parent < 0)]
+        reached = set(roots)
+        frontier = list(roots)
         while frontier:
             node = frontier.pop()
-            for child in h.children_of(node):
+            for child in children(h, node):
                 assert child in h.nodes
                 reached.add(child)
                 frontier.append(child)

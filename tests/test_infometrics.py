@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import random_tree, usefulness_oracle
+from conftest import children_by_code, codes_by_level, random_tree, usefulness_oracle
 from kosrank.hierarchy import build_hierarchy, level_of, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 
@@ -70,8 +70,9 @@ class TestMappingCounts:
         incidence = incidence_of(h, random_groups(rng, h, 100, 200))
         direct = by_code(h, np.asarray(incidence.sum(axis=0)).ravel())
         counts = by_code(h, subtree_counts(incidence @ h.closure))
+        children = children_by_code(h)
         for code in h.nodes:
-            expected = direct[code] + sum(counts[c] for c in h.children_of(code))
+            expected = direct[code] + sum(counts[c] for c in children[code])
             assert counts[code] == expected
             assert counts[code] >= direct[code] >= 0
 
@@ -151,7 +152,7 @@ class TestInformativeness:
         counts = subtree_counts(closed_of(h, random_groups(rng, h, 500, 120)))
         values, _ = informativeness(h, counts)
         values, counts = by_code(h, values), by_code(h, counts)
-        for level, level_codes in h.levels().items():
+        for level, level_codes in codes_by_level(h).items():
             total = sum(counts[c] for c in level_codes)
             if total == 0:
                 continue
@@ -171,8 +172,9 @@ class TestMappingMatrix:
         h = random_tree(rng, max_nodes=60)
         closed = closed_of(h, random_groups(rng, h, 50, 100)).tocsc()
         rows = {code: set(closed[:, i].indices.tolist()) for i, code in enumerate(h.codes)}
+        children = children_by_code(h)
         for parent in h.nodes:
-            for child in h.children_of(parent):
+            for child in children[parent]:
                 assert rows[parent] >= rows[child]
 
 

@@ -13,6 +13,7 @@ from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
 from kosrank.corpus import parse_articles
 from kosrank.hierarchy import ancestors_of, level_of, parse_hierarchy
+from kosrank.months import month_index
 from kosrank.pipeline import GRAPH_ARRAYS, compute_month, ingest, ingest_arrays
 from kosrank.scores import ASPECTS, read_scores_csv
 
@@ -166,6 +167,15 @@ class TestConfig:
         assert exc.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setattr(pipeline, "compute", lambda *a, **k: pytest.fail("compute ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--config", str(make_config(tmp_path)), "--threads", threads])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: must be at least 1, got {threads}\n" in err
+
 
 class TestIngest:
     def test_valid_dataset_reports_counts(self, tmp_path, capsys):
@@ -177,23 +187,38 @@ class TestIngest:
         assert "edges kept:" in report
         assert "self-loops dropped: 0" in report
 
-    @pytest.mark.parametrize("what", ["citations", "articles"])
-    def test_id_beyond_int64_is_a_one_line_error(self, tmp_path, capsys, what):
+    @pytest.mark.parametrize(
+        "what, row, reason",
+        [
+            ("citations", "2\t99999999999999999999", "article id outside the int64 range"),
+            ("articles", {"id": 99999999999999999999}, "'id' outside the int64 range"),
+            ("articles", {"id": 2.9}, "missing or non-integer 'id'"),
+            ("articles", {"id": False}, "missing or non-integer 'id'"),
+            ("articles", {"id": "7"}, "missing or non-integer 'id'"),
+            ("articles", {"id": 10**9, "retracted": "false"}, "'retracted' must be true or false"),
+            ("articles", {}, "duplicate id {}, first on line 1"),
+        ],
+        ids=["citations", "articles", "articles-id-2.9", "articles-id-false", 'articles-id-"7"',
+             'articles-retracted-"false"', "articles-duplicate"],
+    )
+    def test_id_beyond_int64_is_a_one_line_error(self, tmp_path, capsys, what, row, reason):
+        """A bad row appended to an input file fails `ingest` with one line
+        naming the file and the row's line; an article row without its own
+        `id` repeats the first row's."""
         cfg_path = make_config(tmp_path)
         generate_inputs(cfg_path)
         cfg = load_config(cfg_path)
         path = Path(getattr(cfg, what))
         lines = path.read_text().splitlines()
-        if what == "citations":
-            lines.append("2\t99999999999999999999")
-        else:
-            lines.append(json.dumps({"id": 99999999999999999999, "month": "2014-01"}))
+        if what == "articles":
+            first_id = json.loads(lines[0])["id"]
+            row = json.dumps({"id": first_id, "month": "2014-01", **row})
+            reason = reason.format(first_id)
+        lines.append(row)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["ingest", "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: line {len(lines)}: ") and err.count("\n") == 1
-        assert "int64" in err
+        assert capsys.readouterr().err == f"error: {path}: line {len(lines)}: {reason}\n"
 
     def test_missing_citations_file_fails_with_path(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path)
@@ -321,7 +346,7 @@ class TestComputeFuseTrendEvaluate:
         added = store.articles[int(store.ids[-1])]
         assert added.month == month and len(h.treenodes_of(added.descriptors)[0]) > 1
         pairs = []
-        for article_id in store.articles_in_month(month).tolist():
+        for article_id in store.ids[store.month_idx == month_index(month)].tolist():
             mapped, _ = h.treenodes_of(store.articles[article_id].descriptors)
             pairs.extend((article_id, code) for code in sorted(mapped))
         # each (article, node) pair counts once at the node and every ancestor
