@@ -58,12 +58,9 @@ class CitationGraph:
         i = self._position(article_id)
         return self.node_ids[self.in_sources[self.in_indptr[i] : self.in_indptr[i + 1]]]
 
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_indptr)
-
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(citing, cited) id arrays in citing-major order."""
-        citing = np.repeat(self.node_ids, self.out_degrees())
+        citing = np.repeat(self.node_ids, np.diff(self.out_indptr))
         return citing, self.node_ids[self.out_targets]
 
 

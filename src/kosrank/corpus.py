@@ -36,7 +36,7 @@ class ArticleStore:
     """Immutable id-keyed article collection with a by-month index."""
 
     articles: dict[int, Article]
-    _ids: np.ndarray = field(init=False, repr=False, compare=False)
+    ids: np.ndarray = field(init=False, repr=False, compare=False)  # sorted ascending
     # each id's publication month, as a `months.month_index`
     month_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -47,16 +47,11 @@ class ArticleStore:
         index = {month: month_index(month) for month in set(months)}
         month_idx = np.fromiter(map(index.__getitem__, months), dtype=np.int64, count=n)
         order = np.argsort(ids)
-        self._ids = ids[order]
+        self.ids = ids[order]
         self.month_idx = month_idx[order]
 
     def __len__(self) -> int:
         return len(self.articles)
-
-    @property
-    def ids(self) -> np.ndarray:
-        """All article ids, sorted ascending."""
-        return self._ids
 
     def months(self) -> list[str]:
         return [month_from_index(i) for i in np.unique(self.month_idx).tolist()]
@@ -64,7 +59,7 @@ class ArticleStore:
     def ids_up_to(self, month: str) -> np.ndarray:
         """Sorted ids of articles published in `month` or earlier."""
         cutoff = month_index(normalize_month(month))
-        return self._ids[self.month_idx <= cutoff]
+        return self.ids[self.month_idx <= cutoff]
 
 
 def store_from_articles(articles: Iterable[Article]) -> ArticleStore:

@@ -181,7 +181,6 @@ def build_hierarchy(
 
 @dataclass
 class HierarchyParseReport:
-    rows: int = 0
     autocreated_codes: int = 0  # codes seen only through descriptor rows, no listing
 
 
@@ -224,7 +223,6 @@ def parse_hierarchy(lines: Iterable[str]) -> tuple[Hierarchy, HierarchyParseRepo
                 listed.add(code)
         else:
             listed.add(code)
-        report.rows += 1
 
     report.autocreated_codes = sum(1 for code in labels if code not in listed)
     return build_hierarchy(labels, descriptor_map), report

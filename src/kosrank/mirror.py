@@ -1,13 +1,15 @@
 """Digest-checked `.npy` mirrors of what a stage parsed or computed.
 
 The mirror at `stem` is one `np.save` file per array, `<stem>.<name>.npy`,
-and a JSON record `<stem>.mirror.json`, written last: a format version, the
-caller's meta, and the sha256 of every source file and of every array file.
-`load` returns None unless all of them still match, so a stale mirror is
-never used.  Each file is written to a temporary name, then `os.replace`d.
+and a JSON record `<stem>.mirror.json`, written last: the digest of the code
+that wrote it, the caller's meta, and the sha256 of every source file and of
+every array file.  `load` returns None unless all of them still match, so a
+stale mirror, or one from other code, is never used.  Each file is written
+to a temporary name, then `os.replace`d.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -16,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-VERSION = 1
+
+@functools.cache
+def code_digest() -> str:
+    """A record's `version`: the sha256 over the name and bytes of each of the
+    package's `.py` files, so a parser change makes every earlier mirror stale."""
+    return hashlib.sha256(b"".join(
+        hashlib.sha256(p.name.encode() + b"\0" + p.read_bytes()).digest()
+        for p in sorted(Path(__file__).parent.glob("*.py")))).hexdigest()
 
 
 def digests(paths) -> dict[str, str]:
@@ -32,7 +41,7 @@ def save(stem: Path, arrays: dict[str, np.ndarray], sources: dict[str, str], met
         np.save(buf, array, allow_pickle=False)
         files[f"{name}.npy"] = buf.getvalue()
     written = {name[:-4]: hashlib.sha256(data).hexdigest() for name, data in files.items()}
-    record = {"version": VERSION, "meta": meta, "sources": sources, "arrays": written}
+    record = {"version": code_digest(), "meta": meta, "sources": sources, "arrays": written}
     files["mirror.json"] = json.dumps(record, sort_keys=True).encode()
     stem.parent.mkdir(parents=True, exist_ok=True)
     for suffix, data in files.items():  # the record last
@@ -45,7 +54,7 @@ def load(stem: Path, names, sources: dict[str, str], meta: dict) -> dict[str, np
     """The arrays `names`, or None unless the record is readable, lists
     exactly these arrays, `sources` and `meta`, and every array file still
     has its recorded digest."""
-    expected = {"version": VERSION, "meta": json.loads(json.dumps(meta)), "sources": sources}
+    expected = {"version": code_digest(), "meta": json.loads(json.dumps(meta)), "sources": sources}
     try:
         record = json.loads(stem.with_name(f"{stem.name}.mirror.json").read_bytes())
         if {k: record[k] for k in expected} != expected or set(record["arrays"]) != set(names):

@@ -33,7 +33,7 @@ from .corpus import ArticleStore, CorpusError, parse_articles
 from .evaluate import ChangeRecord
 from .hierarchy import Hierarchy, HierarchyError, HierarchyParseReport, parse_hierarchy
 from .months import month_index, normalize_month, year_of
-from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_scores_csv
+from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, write_scores_csv
 
 RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "data", "unknown")
@@ -237,21 +237,15 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
             )
 
     out = Path(cfg.output_dir)
-    (out / "scores").mkdir(parents=True, exist_ok=True)
-    (out / "members").mkdir(parents=True, exist_ok=True)
     chash = cfg.config_hash()
     written: list[str] = []
     for result in results:
         for aspect, values, scored in zip(ASPECTS, result.values, result.scored):
             path = out / "scores" / f"{aspect}_{result.month}.csv"
-            with path.open("w") as fh:
-                write_scores_csv(data.hierarchy, aspect, result.month, values, scored, fh, chash)
+            write_scores_csv(data.hierarchy, path, aspect, result.month, values, scored, chash)
             written.append(str(path))
         mpath = out / "members" / f"{result.month}.csv"
-        with mpath.open("w") as fh:
-            fh.write(f"# config_hash={chash}\narticle_id\n")
-            for article_id in result.member_ids:
-                fh.write(f"{int(article_id)}\n")
+        write_rows(mpath, "article_id", map(str, result.member_ids.tolist()), chash)
         written.append(str(mpath))
 
     manifest = {
@@ -265,13 +259,17 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
             "hierarchy_nodes": len(data.hierarchy.nodes),
         },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest)
     written.append(str(out / "manifest.json"))
     values, scored = np.array([r.values for r in results]), np.array([r.scored for r in results])
     # what read_scores_csv gives back: 0 where unscored, and "nan" as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
     _stage_mirror(cfg, data.hierarchy, "scores", _score_paths(cfg), (values, scored))
     return written
+
+
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, paths: list[Path], arrays=None):
@@ -327,19 +325,18 @@ def fuse(cfg: PipelineConfig) -> Path:
     # what _load_rankings reads back: the global rows' values and both ranks
     rrfs = np.zeros((len(values), len(h.codes)))
     ranks = np.zeros((2, *rrfs.shape), dtype=np.int64)
-    with path.open("w") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()}\n")
-        fh.write(RANKINGS_HEADER + "\n")
-        for k, month in enumerate(cfg.window()):
-            aspect_ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(values[k], scored[k])]
-            rrf = fusion.rrf_fuse(aspect_ranks, k=cfg.rrf_k)
-            rrfs[k] = rrf  # 0 exactly where no aspect ranks the node
-            text = [format(v, ".17g") for v in rrf.tolist()]
-            for scope, members in _scopes(h, rrf > 0):  # ranked by some aspect
-                rank = fusion.rank_by_aspect(rrf, members)
-                ranks[int(scope != "global"), k, members] = rank[members]
-                for r, i in sorted(zip(rank[members].tolist(), np.flatnonzero(members).tolist())):
-                    fh.write(f"{month},{scope},{h.codes[i]},{text[i]},{r}\n")
+    rows = []
+    for k, month in enumerate(cfg.window()):
+        aspect_ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(values[k], scored[k])]
+        rrf = fusion.rrf_fuse(aspect_ranks, k=cfg.rrf_k)
+        rrfs[k] = rrf  # 0 exactly where no aspect ranks the node
+        text = [format(v, ".17g") for v in rrf.tolist()]
+        for scope, members in _scopes(h, rrf > 0):  # ranked by some aspect
+            rank = fusion.rank_by_aspect(rrf, members)
+            ranks[int(scope != "global"), k, members] = rank[members]
+            order = sorted(zip(rank[members].tolist(), np.flatnonzero(members).tolist()))
+            rows += [f"{month},{scope},{h.codes[i]},{text[i]},{r}" for r, i in order]
+    write_rows(path, RANKINGS_HEADER, rows, cfg.config_hash())
     _stage_mirror(cfg, h, "rankings", [path], (rrfs, *ranks))
     return path
 
@@ -420,27 +417,20 @@ def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
 
-    trends_path = out / "trends.csv"
-    with trends_path.open("w") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write("tree_code,level,slope,first_year,last_year\n")
-        for years, yearly, _ in means.values():
-            for i, slope, y0, y1 in zip(*(a.tolist() for a in fusion.rank_trend_slope(yearly))):
-                fh.write(
-                    f"{h.codes[i]},{h.level[i]},{format(slope, '.17g')},{years[y0]},{years[y1]}\n"
-                )
-
-    tables_path = out / "tables.csv"
-    with tables_path.open("w") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write("scope,kind,position,tree_code,mean_rank\n")
-        for scope, (_, _, window_means) in means.items():
-            values = window_means.tolist()
-            for kind, sign in (("top", 1), ("bottom", -1)):
-                nodes = fusion.top_k(sign * window_means, table_k).tolist()
-                for position, i in enumerate(nodes, start=1):
-                    value = format(values[i], ".17g")
-                    fh.write(f"{scope},{kind},{position},{h.codes[i]},{value}\n")
+    trends = [
+        f"{h.codes[i]},{h.level[i]},{format(slope, '.17g')},{years[y0]},{years[y1]}"
+        for years, yearly, _ in means.values()
+        for i, slope, y0, y1 in zip(*(a.tolist() for a in fusion.rank_trend_slope(yearly)))
+    ]
+    tables = [
+        f"{scope},{kind},{position},{h.codes[i]},{format(float(window_means[i]), '.17g')}"
+        for scope, (_, _, window_means) in means.items()
+        for kind, sign in (("top", 1), ("bottom", -1))
+        for position, i in enumerate(fusion.top_k(sign * window_means, table_k).tolist(), start=1)
+    ]
+    trends_path, tables_path = out / "trends.csv", out / "tables.csv"
+    write_rows(trends_path, "tree_code,level,slope,first_year,last_year", trends, chash)
+    write_rows(tables_path, "scope,kind,position,tree_code,mean_rank", tables, chash)
     return trends_path, tables_path
 
 
@@ -491,12 +481,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     series_names = list(ASPECTS) + [RELEVANCE]
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
-    written: list[Path] = []
-
-    def write_tests(name: str, rows: list[dict]) -> None:
-        tests = {"config_hash": chash, "results": rows}
-        (out / name).write_text(json.dumps(tests, indent=2, sort_keys=True) + "\n")
-        written.append(out / name)
+    written = [out / "evolution_tests.json", out / "retraction_tests.json"]
 
     # Evolution: one test per (release, aspect) on per-descriptor yearly means.
     evolution_rows: list[dict] = []
@@ -514,7 +499,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
             evolution_rows.append(
                 _cohort_test(*cohorts, keys, reason, release=release, aspect=name)
             )
-    write_tests("evolution_tests.json", evolution_rows)
+    _write_json(written[0], {"config_hash": chash, "results": evolution_rows})
 
     # Retraction: one test per (year, aspect) on yearly per-article means.
     # The year's sampled members and their incidence rows serve every series.
@@ -532,7 +517,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
             cohorts = evaluate.retraction_split(rows, retracted, member_rows, values[in_year, s])
             keys = ("mean_retracted", "mean_other")
             retraction_rows.append(_cohort_test(*cohorts, keys, year=year, aspect=name))
-    write_tests("retraction_tests.json", retraction_rows)
+    _write_json(written[1], {"config_hash": chash, "results": retraction_rows})
 
     # Correlation across aspects + fused relevance on (descriptor, month)
     # pairs scored in every series.  Each series is laid out descriptor-major,
@@ -545,17 +530,13 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     aligned = np.vstack([sums.ravel() for sums, _ in by_descriptor])[:, in_all]
     for method in ("pearson", "spearman"):
         cpath = out / f"correlation_{method}.csv"
+        written.append(cpath)
         try:
             matrix = evaluate.correlation_matrix(aligned, method=method)
         except evaluate.EvaluationError as exc:
             cpath.write_text(f"# config_hash={chash}\n# skipped: {exc}\n")
-            written.append(cpath)
             continue
-        with cpath.open("w") as fh:
-            fh.write(f"# config_hash={chash}\n")
-            fh.write("series," + ",".join(series_names) + "\n")
-            for i, name in enumerate(series_names):
-                row = ",".join(format(matrix[i, j], ".17g") for j in range(len(series_names)))
-                fh.write(f"{name},{row}\n")
-        written.append(cpath)
+        rows = [",".join([name, *(format(v, ".17g") for v in row)])
+                for name, row in zip(series_names, matrix.tolist())]
+        write_rows(cpath, ",".join(["series", *series_names]), rows, chash)
     return written

@@ -1,18 +1,18 @@
-"""Per-node score tables, and the reader of every stage output CSV.
+"""Per-node score tables, and the writer and reader of every stage output CSV.
 
-The scores of one aspect at one snapshot month are two arrays over node
-positions: `values[i]` is node i's score where `scored[i]` holds, and 0
-elsewhere.  Stages stack them as window month x aspect (in `ASPECTS` order)
-x node arrays.  The CSV layout is `tree_code, level, aspect, month, value`,
-one row per scored node in position order (which is code order), values at
-17 significant digits; a `# config_hash=...` comment line may precede the
-header.  The CSV writer and reader are the only places where score codes
-meet positions.
+A stage output CSV is a `# config_hash=...` line, a header and one comma-joined
+line per row: `write_rows` writes it and `read_rows` reads it.  The scores of
+one aspect at one snapshot month are two arrays over node positions:
+`values[i]` is node i's score where `scored[i]` holds, and 0 elsewhere.
+Stages stack them as window month x aspect (in `ASPECTS` order) x node arrays.
+A score CSV, `tree_code, level, aspect, month, value`, has one row per scored
+node in position order (which is code order), values at 17 significant digits;
+its writer and reader are the only places where score codes meet positions.
 """
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -45,21 +45,26 @@ def read_rows(path: Path, header: str, parse: Callable) -> list:
     return rows
 
 
+def write_rows(path: Path, header: str, rows: Iterable[str], config_hash: str) -> None:
+    """Write the stage output CSV that `read_rows` reads, making its directory
+    if need be: the config hash comment, `header`, then the comma-joined `rows`."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([f"# config_hash={config_hash}", header, *rows, ""]))
+
+
 def write_scores_csv(
     h: Hierarchy,
+    path: Path,
     aspect: str,
     month: str,
     values: np.ndarray,
     scored: np.ndarray,
-    out: TextIO,
-    config_hash: str | None = None,
+    config_hash: str,
 ) -> None:
-    if config_hash:
-        out.write(f"# config_hash={config_hash}\n")
-    out.write(SCORES_HEADER + "\n")
     values, levels = values.tolist(), h.level.tolist()
-    for i in np.flatnonzero(scored).tolist():
-        out.write(f"{h.codes[i]},{levels[i]},{aspect},{month},{format(values[i], '.17g')}\n")
+    rows = [f"{h.codes[i]},{levels[i]},{aspect},{month},{format(values[i], '.17g')}"
+            for i in np.flatnonzero(scored).tolist()]
+    write_rows(path, SCORES_HEADER, rows, config_hash)
 
 
 def read_scores_csv(

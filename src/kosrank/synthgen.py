@@ -191,6 +191,7 @@ def generate(
         np.add.at(indegree, targets, 1.0)
 
     # One int64 key per edge (cited <= total); sorted, it is citing-major order.
+    # Not np.unique: on 5.3M keys (numpy 2.4) it took 5-7 s against 0.2 s for sort + diff.
     key = np.sort(np.concatenate(citing_parts) * (total + 1) + np.concatenate(cited_parts))
     unique = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
     edges = (unique // (total + 1), unique % (total + 1))

@@ -906,15 +906,20 @@ class TestMirrors:
         "damage",
         ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "scores.values.npy",
          "rankings.rrf.npy", "ingest/annotations.mirror.json", "ingest/graph.mirror.json",
-         "scores.mirror.json", "rankings.mirror.json", "hierarchy-swapped", "window-changed"],
+         "scores.mirror.json", "rankings.mirror.json", "hierarchy-swapped", "window-changed",
+         "code-changed"],
     )
-    def test_damaged_mirror_is_not_used(self, prepared, capsys, mirror_loads, damage):
+    def test_damaged_mirror_is_not_used(self, prepared, capsys, monkeypatch, mirror_loads, damage):
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
         name = Path(damage).name.split(".")[0]
         producer = {"annotations": "ingest", "graph": "ingest", "rankings": "fuse"}.get(name, "compute")
         done = CHAIN.index(producer) + 1
-        assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
+        with monkeypatch.context() as m:
+            if damage == "code-changed":  # ingest and compute write records of other code
+                m.setattr(mirror, "code_digest", lambda: "0" * 64)
+                name = "scores"
+            assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
         if damage == "hierarchy-swapped":
             with open(cfg.hierarchy, "a") as fh:
                 fh.write("Z99\t\tnode Z99\n")
@@ -926,7 +931,7 @@ class TestMirrors:
             data = bytearray((out / damage).read_bytes())
             data[-1] ^= 1
             (out / damage).write_bytes(bytes(data))
-        else:
+        elif damage != "code-changed":
             (out / damage).unlink()
         mirror_loads.clear()
         damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
@@ -934,6 +939,25 @@ class TestMirrors:
         assert damaged[0] == [(0, "")] * (len(CHAIN) - done)
         drop_mirror_records(out)
         assert (run_stages(cfg_path, CHAIN[done:], capsys), results(out)) == damaged
+
+    def test_mirror_from_other_code_is_not_used(self, prepared, capsys, monkeypatch):
+        # Code whose article parser took "false" for true left a mirror that
+        # marks the first article retracted; today's parser rejects the row.
+        cfg_path, cfg = prepared
+        articles = Path(cfg.articles)
+        edit_line(articles, lambda line: True,
+                  lambda line: json.dumps({**json.loads(line), "retracted": "false"}))
+
+        def lenient(lines):
+            return parse_articles(line.replace('"retracted": "false"', '"retracted": true')
+                                  for line in lines)
+
+        with monkeypatch.context() as m:
+            m.setattr(mirror, "code_digest", lambda: "0" * 64)
+            m.setattr(pipeline, "parse_articles", lenient)
+            assert run_stages(cfg_path, ["ingest"], capsys) == [(0, "")]
+        error = f"error: {articles}: line 1: 'retracted' must be true or false\n"
+        assert run_stages(cfg_path, ["compute"], capsys) == [(1, error)]
 
     def test_failed_ingest_leaves_output_dir_untouched(self, prepared, capsys):
         cfg_path, cfg = prepared
