@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -75,23 +75,14 @@ def _positions(node_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.nd
     return pos, node_ids[pos] == ids
 
 
-def build_graph(
-    edges: Iterable[tuple[int, int]] | tuple[np.ndarray, np.ndarray],
-    store: ArticleStore,
-) -> CitationGraph:
-    """Graph over all store ids from a (citing, cited) edge stream.
+def build_graph(edges: tuple[np.ndarray, np.ndarray], store: ArticleStore) -> CitationGraph:
+    """Graph over all store ids from the (citing, cited) id arrays `edges`.
 
     Self-citations, edges touching ids outside the store, and duplicate
     edges are dropped; each category is counted on the returned graph.
     Rows come out sorted: `sum_duplicates` sorts each to find its repeats.
     """
-    if isinstance(edges, tuple) and len(edges) == 2 and isinstance(edges[0], np.ndarray):
-        citing = np.asarray(edges[0], dtype=np.int64)
-        cited = np.asarray(edges[1], dtype=np.int64)
-    else:
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
-        citing, cited = pairs[:, 0], pairs[:, 1]
-
+    citing, cited = (np.asarray(side, dtype=np.int64) for side in edges)
     node_ids = store.ids.copy()
     n = len(node_ids)
     src, src_known = _positions(node_ids, citing)
@@ -155,36 +146,32 @@ def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
     return induced(g, keep)
 
 
-def parse_citations(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the `citing \\t cited` TSV into int64 edge arrays.
+def parse_citations(fh: TextIO) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the `citing \\t cited` TSV in the open, seekable text file `fh`
+    into int64 edge arrays.
 
     Blank lines and lines whose first non-blank character is `#` are
     skipped; every other line holds two tab-separated int64 ids.  Input
     without comments is parsed in C by `np.loadtxt`.  Input that parser
     rejects (any `#`, a wrong column count, text only Python's `int` or
-    `str.strip` accept) is parsed again line by line, which accepts it or
-    raises a GraphError naming its 1-based line: `loadtxt` counts no blank
-    lines in the row number it reports.
+    `str.strip` accept) is read again from where it started, line by line,
+    which accepts it or raises a GraphError naming its 1-based line:
+    `loadtxt` counts no blank lines in the row number it reports.
     """
-    seekable = getattr(lines, "seekable", None)
-    if seekable is not None and seekable():
-        start = lines.tell()
-    else:
-        lines = list(lines)
+    start = fh.tell()
     try:
         with warnings.catch_warnings():
             # Two jobs: an empty input only warns, and older numpy reads
             # "1.0" or "1e3" as an int with a DeprecationWarning.  As errors,
             # both send the input to the line loop, which decides either case.
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+            table = np.loadtxt(fh, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
         if table.shape[1] == 2:
             return table[:, 0].copy(), table[:, 1].copy()
     except (ValueError, Warning):
         pass
-    if not isinstance(lines, list):
-        lines.seek(start)
-    return _parse_citation_lines(lines)
+    fh.seek(start)
+    return _parse_citation_lines(fh)
 
 
 def _parse_citation_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -55,14 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--months", type=int, default=ScenarioConfig.months)
     g.add_argument("--articles-per-month", type=int, default=ScenarioConfig.articles_per_month)
     g.add_argument("--evolving-fraction", type=float, default=ScenarioConfig.evolving_fraction)
-    g.add_argument("--evolving-boost", type=float, default=ScenarioConfig.evolving_boost)
     g.add_argument("--retraction-rate", type=float, default=ScenarioConfig.retraction_rate)
     g.add_argument("--refs-mean", type=float, default=ScenarioConfig.refs_mean)
     return parser
-
-
-def _load(args) -> PipelineConfig:
-    return load_config(args.config, base_seed=args.seed)
 
 
 def _cmd_ingest(cfg: PipelineConfig) -> int:
@@ -79,7 +74,6 @@ def _cmd_generate(cfg: PipelineConfig, args) -> int:
         articles_per_month=args.articles_per_month,
         first_month=cfg.first_month or ScenarioConfig.first_month,
         evolving_fraction=args.evolving_fraction,
-        evolving_boost=args.evolving_boost,
         retraction_rate=args.retraction_rate,
         refs_mean=args.refs_mean,
     )
@@ -126,7 +120,7 @@ def _cmd_export_plots(cfg: PipelineConfig, top: int = 10) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load(args)
+        cfg = load_config(args.config, base_seed=args.seed)
         if args.command == "ingest":
             return _cmd_ingest(cfg)
         if args.command == "generate":

@@ -18,7 +18,6 @@ from typing import Collection, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import rankdata
 
 from .hierarchy import Hierarchy
 
@@ -92,6 +91,8 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> TestResult:
     10 observations and the pooled sample is tie-free; otherwise a normal
     approximation with tie correction and 0.5 continuity correction.
     """
+    from scipy.stats import rankdata  # about 1 s to import; only the rank tests need it
+
     if not len(a) or not len(b):
         raise EvaluationError("both samples must be non-empty")
     n1, n2 = len(a), len(b)
@@ -175,6 +176,8 @@ def correlation_matrix(data: np.ndarray, method: str = "pearson") -> np.ndarray:
     if data.shape[1] < 3:
         raise EvaluationError(f"need >= 3 aligned observations, got {data.shape[1]}")
     if method == "spearman":
+        from scipy.stats import rankdata
+
         data = np.vstack([rankdata(row, method="average") for row in data])
     matrix = np.corrcoef(data)
     np.fill_diagonal(matrix, 1.0)

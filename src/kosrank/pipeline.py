@@ -214,20 +214,18 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
 
 
 def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
-    """Run compute_month over the window and write scores, members, manifest.
+    """Run compute_month over the window, `threads` months at a time, and
+    write scores, members, manifest.
 
     Nothing is written until every month has succeeded, so failures leave
     no partial outputs behind.
     """
     data = ingest(cfg, save=False)
     window = cfg.window()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda im: compute_month(cfg, data, im[1], im[0]), enumerate(window))
-            )
-    else:
-        results = [compute_month(cfg, data, m, i) for i, m in enumerate(window)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(
+            pool.map(lambda im: compute_month(cfg, data, im[1], im[0]), enumerate(window))
+        )
     for result in results:
         if not result.converged:
             print(

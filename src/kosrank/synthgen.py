@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import Article, ArticleStore, store_from_articles
 from .evaluate import CHANGE_TYPES, ChangeRecord
 from .hierarchy import Hierarchy, build_hierarchy
-from .months import month_from_index, month_index, year_of
+from .months import month_from_index, month_index, normalize_month, year_of
 
 _CATEGORY_LETTERS = "ABCDEFGHIJKLMNOP"  # at most 16 level-1 categories
 
@@ -64,6 +64,13 @@ class ScenarioConfig:
         ):
             if not 0.0 <= rate <= 1.0:
                 raise InfeasibleConfigError(f"rate {rate} outside [0, 1]")
+        for boost in (self.evolving_boost, self.retraction_bias_boost):
+            if not boost > 0:
+                raise InfeasibleConfigError(f"boost {boost} is not positive")
+        try:
+            self.first_month = normalize_month(self.first_month)
+        except ValueError as exc:
+            raise InfeasibleConfigError(str(exc)) from None
         if self.refs_mean < 0 or self.refs_min < 0:
             raise InfeasibleConfigError("reference counts cannot be negative")
         if self.refs_min > 0 and self.months == 1:

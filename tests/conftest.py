@@ -109,6 +109,13 @@ def parse_citations_oracle(lines) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
 
 
+def pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The (citing, cited) int64 arrays that `build_graph` takes, from a
+    list of (citing, cited) pairs."""
+    table = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return table[:, 0].copy(), table[:, 1].copy()
+
+
 def temporal_store(rng: np.random.Generator, n: int, n_months: int = 6) -> ArticleStore:
     """Articles 1..n with ids ordered by month so edges id->smaller are acyclic."""
     per = max(1, n // n_months)

@@ -16,6 +16,7 @@ from conftest import (
     codes_by_level,
     disruption_oracle,
     pagerank_oracle,
+    pair_arrays,
     propagate_oracle,
     random_seeds,
     random_temporal_graph,
@@ -176,7 +177,7 @@ def test_criterion_3_worked_example_goldens():
     from kosrank.corpus import Article, store_from_articles
 
     store = store_from_articles([Article(1, "2014-01", ()), Article(2, "2014-01", ())])
-    pr = graphmetrics.pagerank(citegraph.build_graph([(2, 1)], store)).values
+    pr = graphmetrics.pagerank(citegraph.build_graph(pair_arrays([(2, 1)]), store)).values
     assert f"{pr[2]:.2f}" == "0.15" and f"{pr[1]:.4f}" == "0.2775"
 
     # RRF: rank 1 everywhere, and the (1,2,3,4) staircase.  The staircase

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import parse_citations_oracle, random_temporal_graph, temporal_store
+from conftest import pair_arrays, parse_citations_oracle, random_temporal_graph, temporal_store
 from kosrank.citegraph import (
     GraphError,
     build_graph,
@@ -22,23 +22,23 @@ def two_article_store():
 
 class TestBuild:
     def test_basic_edge(self):
-        g = build_graph([(2, 1)], two_article_store())
+        g = build_graph(pair_arrays([(2, 1)]), two_article_store())
         assert g.successors_of(2).tolist() == [1]
         assert g.predecessors_of(1).tolist() == [2]
         assert g.num_edges == 1
 
     def test_self_loop_dropped(self):
-        g = build_graph([(1, 1)], two_article_store())
+        g = build_graph(pair_arrays([(1, 1)]), two_article_store())
         assert g.num_edges == 0
         assert g.self_loops_dropped == 1
 
     def test_duplicates_collapse(self):
-        g = build_graph([(2, 1), (2, 1)], two_article_store())
+        g = build_graph(pair_arrays([(2, 1), (2, 1)]), two_article_store())
         assert g.num_edges == 1
         assert g.duplicates_dropped == 1
 
     def test_unknown_endpoints_dropped(self):
-        g = build_graph([(2, 99), (98, 1)], two_article_store())
+        g = build_graph(pair_arrays([(2, 99), (98, 1)]), two_article_store())
         assert g.num_edges == 0
         assert g.unknown_dropped == 2
 
@@ -104,12 +104,23 @@ class TestBuild:
         assert int(np.diff(g.in_indptr).sum()) == g.num_edges
 
     def test_isolated_node(self):
-        g = build_graph([], two_article_store())
+        g = build_graph(pair_arrays([]), two_article_store())
         assert g.successors_of(1).tolist() == []
         assert g.predecessors_of(1).tolist() == []
 
+    @pytest.mark.parametrize("dtype", [None, np.int64])
+    def test_list_pair_and_array_pair_give_the_same_edges(self, dtype):
+        store = store_from_articles(Article(i, "2014-01", ()) for i in range(1, 5))
+        citing, cited = [2, 3, 4], [1, 1, 1]
+        if dtype is not None:
+            citing, cited = np.array(citing, dtype=dtype), np.array(cited, dtype=dtype)
+        g = build_graph((citing, cited), store)
+        got_citing, got_cited = g.edge_arrays()
+        assert list(zip(got_citing.tolist(), got_cited.tolist())) == [(2, 1), (3, 1), (4, 1)]
+        assert (g.self_loops_dropped, g.unknown_dropped, g.duplicates_dropped) == (0, 0, 0)
+
     def test_unknown_focal_raises(self):
-        g = build_graph([(2, 1)], two_article_store())
+        g = build_graph(pair_arrays([(2, 1)]), two_article_store())
         with pytest.raises(GraphError):
             g.successors_of(42)
 
@@ -117,7 +128,7 @@ class TestBuild:
 class TestSnapshot:
     def test_induced_subgraph_rule(self):
         store = two_article_store()
-        g = build_graph([(2, 1)], store)
+        g = build_graph(pair_arrays([(2, 1)]), store)
         s1 = cumulative_snapshot(g, store, "2014-01")
         assert s1.node_ids.tolist() == [1]
         assert s1.num_edges == 0
@@ -143,14 +154,14 @@ class TestSnapshot:
 class TestSample:
     def test_fraction_one_is_identity(self):
         store = two_article_store()
-        g = build_graph([(2, 1)], store)
+        g = build_graph(pair_arrays([(2, 1)]), store)
         s = sample_nodes(g, 1.0, seed=9)
         assert s.node_ids.tolist() == g.node_ids.tolist()
         assert s.num_edges == g.num_edges
 
     def test_half_of_ten_is_five_and_repeatable(self):
         store = temporal_store(np.random.default_rng(0), 10)
-        g = build_graph([], store)
+        g = build_graph(pair_arrays([]), store)
         a = sample_nodes(g, 0.5, seed=123)
         b = sample_nodes(g, 0.5, seed=123)
         assert a.num_nodes == 5
@@ -159,14 +170,14 @@ class TestSample:
     def test_complete_digraph_k4(self):
         store = store_from_articles([Article(i, "2014-01", ()) for i in range(1, 5)])
         edges = [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v]
-        g = build_graph(edges, store)
+        g = build_graph(pair_arrays(edges), store)
         assert g.num_edges == 12
         s = sample_nodes(g, 0.5, seed=4)
         assert s.num_nodes == 2
         assert s.num_edges == 2  # both directions between the surviving pair
 
     def test_fraction_out_of_range(self):
-        g = build_graph([], two_article_store())
+        g = build_graph(pair_arrays([]), two_article_store())
         with pytest.raises(ValueError):
             sample_nodes(g, 0.0, seed=1)
         with pytest.raises(ValueError):
@@ -188,13 +199,13 @@ class TestSample:
 
 class TestParseCitations:
     def test_round_trippable(self):
-        citing, cited = parse_citations(["2\t1\n", "3\t1\n"])
+        citing, cited = parse_citations(io.StringIO("2\t1\n3\t1\n"))
         assert citing.tolist() == [2, 3]
         assert cited.tolist() == [1, 1]
 
     def test_malformed_row(self):
         with pytest.raises(GraphError, match="line 1"):
-            parse_citations(["2,1\n"])
+            parse_citations(io.StringIO("2,1\n"))
 
     @staticmethod
     def outcome(parser, source):
@@ -237,8 +248,10 @@ class TestParseCitations:
     def test_matches_the_line_loop(self, text):
         expected = self.outcome(parse_citations_oracle, io.StringIO(text))
         assert self.outcome(parse_citations, io.StringIO(text)) == expected
+        # A file opened in text mode reads "\r" as a line end, as splitlines does.
         lines = text.splitlines(keepends=True)
-        assert self.outcome(parse_citations, lines) == self.outcome(parse_citations_oracle, lines)
+        universal = io.StringIO(text, newline=None)
+        assert self.outcome(parse_citations, universal) == self.outcome(parse_citations_oracle, lines)
 
     def test_matches_the_line_loop_on_random_rows(self):
         tokens = ["1", "22", "-3", "+4", "007", " ", "\t", "\t", "#", "# x", "x", "1.0", "\r", ""]
@@ -259,7 +272,7 @@ class TestParseCitations:
         handle = io.StringIO("skipped\n" + text)
         handle.readline()
         assert self.outcome(parse_citations, handle) == expected
-        assert self.outcome(parse_citations, iter(text.splitlines(keepends=True))) == expected
+        assert self.outcome(parse_citations, io.StringIO(text)) == expected
 
     def test_int64_ids_parse_at_the_limits(self):
         text = "9223372036854775807\t-9223372036854775808\n"

@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     disruption_oracle,
     pagerank_oracle,
+    pair_arrays,
     random_temporal_graph,
     temporal_store,
 )
@@ -20,7 +21,7 @@ from kosrank.graphmetrics import (
 
 def graph_from(edges, n):
     store = temporal_store(np.random.default_rng(0), n)
-    return build_graph(edges, store)
+    return build_graph(pair_arrays(edges), store)
 
 
 class TestDisruption:
@@ -88,7 +89,7 @@ class TestDisruptionSweep:
         assert np.array_equal(disruption_all(g, batch_work=batch_work).scores, oracle_scores(g))
 
     def test_empty_graph(self):
-        g = build_graph([], store_from_articles([]))
+        g = build_graph(pair_arrays([]), store_from_articles([]))
         sweep = disruption_all(g, batch_work=1)
         assert sweep.scores.dtype == np.float64
         assert len(sweep.scores) == len(sweep.node_ids) == 0
@@ -117,7 +118,7 @@ class TestDisruptionSweep:
         refs = range(3, shared + 3)
         edges = [(2, 1)] + [(1, r) for r in refs] + [(2, r) for r in refs]
         store = store_from_articles(Article(i, "2014-01", ()) for i in range(1, shared + 3))
-        g = build_graph(edges, store)
+        g = build_graph(pair_arrays(edges), store)
         scores = disruption_all(g).scores
         assert scores[:3].tolist() == [-1.0, 0.0, 1.0]
         assert np.array_equal(scores, oracle_scores(g))

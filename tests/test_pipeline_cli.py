@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,15 @@ def read_all_outputs(out_dir: Path) -> dict[str, bytes]:
         for p in sorted(out_dir.rglob("*"))
         if p.is_file()
     }
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about 1 s to import; only the rank-based tests load it.
+    src = str(Path(pipeline.__file__).parents[1])
+    code = "import sys, kosrank.cli; sys.exit('scipy.stats' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         timeout=120)
+    assert run.returncode == 0
 
 
 class TestConfig:

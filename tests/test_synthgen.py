@@ -46,6 +46,24 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfigError):
             small_config(months=1, refs_min=2)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("evolving_boost", -1.0),  # the weights' running sum would fall
+            ("evolving_boost", 0.0),
+            ("retraction_bias_boost", -10.0),
+            ("retraction_bias_boost", float("nan")),
+            ("first_month", "2014-13"),  # would date the articles 2015-01 on
+            ("first_month", "2014"),
+        ],
+    )
+    def test_boost_not_positive_or_bad_first_month(self, field, value):
+        with pytest.raises(InfeasibleConfigError):
+            small_config(**{field: value})
+
+    def test_first_month_drops_its_day(self):
+        assert small_config(first_month="2014-03-15").first_month == "2014-03"
+
 
 class TestGenerate:
     def test_edgeless_case(self):
