@@ -123,6 +123,7 @@ def parse_articles(lines: Iterable[str]) -> ArticleStore:
 
 def write_articles(store: ArticleStore, out: TextIO) -> None:
     """Serialize one article per line, sorted by id; round-trips through parse."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps makes one per call
     for article_id in store.ids:
         article = store.articles[int(article_id)]
         row = {
@@ -131,4 +132,4 @@ def write_articles(store: ArticleStore, out: TextIO) -> None:
             "mesh": list(article.descriptors),
             "retracted": article.retracted,
         }
-        out.write(json.dumps(row, sort_keys=True) + "\n")
+        out.write(encode(row) + "\n")

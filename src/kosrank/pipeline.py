@@ -22,6 +22,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -222,10 +223,12 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     """
     data = ingest(cfg, save=False)
     window = cfg.window()
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(
-            pool.map(lambda im: compute_month(cfg, data, im[1], im[0]), enumerate(window))
-        )
+    month = partial(compute_month, cfg, data)
+    if threads == 1:  # in this thread: a worker thread would add its own malloc arena
+        results = list(map(month, window, range(len(window))))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(month, window, range(len(window))))
     for result in results:
         if not result.converged:
             print(

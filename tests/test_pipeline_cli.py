@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,20 @@ class TestComputeFuseTrendEvaluate:
         assert "evolution_tests.json" in names and "retraction_tests.json" in names
         assert "correlation_pearson.csv" in names and "correlation_spearman.csv" in names
         assert any(name.startswith("plots/") for name in names)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_thread_computes_in_the_calling_thread(self, prepared, monkeypatch, threads):
+        cfg_path, _ = prepared
+        callers = []
+
+        def spy(*args):
+            callers.append(threading.current_thread())
+            return compute_month(*args)
+
+        monkeypatch.setattr(pipeline, "compute_month", spy)
+        assert main(["compute", "--config", str(cfg_path), "--threads", threads]) == 0
+        assert len(callers) == 6
+        assert (set(callers) == {threading.main_thread()}) == (threads == "1")
 
     def test_rankings_rows_well_formed(self, prepared):
         cfg_path, cfg = prepared

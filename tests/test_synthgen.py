@@ -1,10 +1,12 @@
 import hashlib
 import io
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kosrank import synthgen
 from kosrank.citegraph import build_graph
 from kosrank.cli import main
 from kosrank.config import PipelineConfig, write_config
@@ -53,13 +55,30 @@ class TestConfigValidation:
             ("evolving_boost", 0.0),
             ("retraction_bias_boost", -10.0),
             ("retraction_bias_boost", float("nan")),
+            ("evolving_boost", float("inf")),  # an IndexError from generate
             ("first_month", "2014-13"),  # would date the articles 2015-01 on
             ("first_month", "2014"),
+            ("refs_mean", float("nan")),  # numpy: "lam < 0 or lam is NaN"
+            ("refs_mean", float("inf")),  # numpy: "lam value too large"
+            ("refs_mean", -1.0),
+            ("descriptors_per_article_mean", float("nan")),
+            ("descriptors_per_article_mean", -0.5),
+            ("zipf_exponent", float("nan")),  # an IndexError from generate
+            ("zipf_exponent", float("-inf")),
+            ("pa_exponent", float("inf")),  # edges were written silently
+            ("pa_exponent", -1.0),
+            ("refs_min", -1),
         ],
     )
-    def test_boost_not_positive_or_bad_first_month(self, field, value):
-        with pytest.raises(InfeasibleConfigError):
+    def test_infeasible_value_is_rejected_by_name(self, field, value):
+        with pytest.raises(InfeasibleConfigError, match=field):
             small_config(**{field: value})
+
+    def test_overflowing_attachment_weights_are_rejected(self):
+        # (indegree + 1) ** 1000 is inf from indegree 2 on; the draws used to
+        # cite articles of the citing month itself
+        with pytest.raises(InfeasibleConfigError, match="draw weights sum to inf"):
+            generate(small_config(pa_exponent=1000.0))
 
     def test_first_month_drops_its_day(self):
         assert small_config(first_month="2014-03-15").first_month == "2014-03"
@@ -145,15 +164,68 @@ class TestGenerate:
         assert len(lines) == len(changes)
         assert lines[0].count("\t") == 2
 
-    def test_written_files_are_pinned(self, tmp_path):
+    @pytest.mark.parametrize(
+        "args, scenario, expected",
+        [
+            (
+                ["--months", "3", "--articles-per-month", "300"],
+                {},
+                {
+                    "hierarchy.tsv": "1b694fc44c9614f38ed3c46e40b2d4de8b852de9ebd7b4914ffa1406c0e44781",
+                    "articles.jsonl": "41d46a662d947d4eebd2470c2e75aa3b206741df151176d1b9eee0cbae1c2a1e",
+                    "citations.tsv": "f945957a3da665281103a5611d99ef95f66c8ca563c2a4cf2a27f2423f83e1a8",
+                    "changes.tsv": "5bfeca349b840b968c8249ca521be50b9664d69fe12a7ee1160e599a8e5ce215",
+                },
+            ),
+            (  # perfbench's kernel scenario, at 1,000 articles a month
+                ["--months", "10", "--articles-per-month", "1000", "--refs-mean", "5.8",
+                 "--retraction-rate", "0.0005"],
+                dict(hierarchy_branching=(8, 6, 4), descriptors_per_article_mean=2.0,
+                     pa_exponent=0.5),
+                {
+                    "hierarchy.tsv": "3289b90f6452469b97db8aeac89f4f4acce3615eb5ec4ac8068998ff2996305c",
+                    "articles.jsonl": "ee7ff7066eaf083709593ca95b23e67d519e82a1a8b263233f4b680aa826c783",
+                    "citations.tsv": "a46fc01fc34b3e6854f7f2c355d8fd190035882220fb7f10ed9dd2aa24a0fd6b",
+                    "changes.tsv": "a16be83ece1db20b691d47c0bc77e1b6af8b24ca0fa98e4b23a1af12a3ec15d0",
+                },
+            ),
+            # The hierarchy and the change records are drawn before the
+            # articles, so below they are the first case's.
+            (
+                ["--months", "3", "--articles-per-month", "300", "--retraction-rate", "0"],
+                {},
+                {
+                    "articles.jsonl": "d94caebbdd49337371cd244683f8a185a49679e69da5659b74e37b057169a8ef",
+                    "citations.tsv": "f945957a3da665281103a5611d99ef95f66c8ca563c2a4cf2a27f2423f83e1a8",
+                },
+            ),
+            (
+                ["--months", "3", "--articles-per-month", "300", "--retraction-rate", "1"],
+                {},
+                {
+                    "articles.jsonl": "4550e734de80fa9d6150b5a5a3791e41c9e520b5b2b61e83fcafa5b91404b1dd",
+                    "citations.tsv": "f945957a3da665281103a5611d99ef95f66c8ca563c2a4cf2a27f2423f83e1a8",
+                },
+            ),
+            (  # articles with no descriptors at all
+                ["--months", "3", "--articles-per-month", "300"],
+                dict(descriptors_per_article_mean=0.0),
+                {
+                    "articles.jsonl": "f01abc28945ce4da0f5bddb30277aad3959ce416915322544b6530c20a3cbc90",
+                    "citations.tsv": "a09f619721004a4260f9399f9f323383c34f52eb7915fadb1ae5bf1aeb5da716",
+                },
+            ),
+        ],
+        ids=["default", "scale-shape", "no-retractions", "all-retracted", "no-descriptors"],
+    )
+    def test_written_files_are_pinned(self, tmp_path, monkeypatch, args, scenario, expected):
         # Recorded before the edge dedupe moved from np.unique to one sorted
-        # key; any change to the RNG calls or their post-processing shows here.
-        expected = {
-            "hierarchy.tsv": "1b694fc44c9614f38ed3c46e40b2d4de8b852de9ebd7b4914ffa1406c0e44781",
-            "articles.jsonl": "41d46a662d947d4eebd2470c2e75aa3b206741df151176d1b9eee0cbae1c2a1e",
-            "citations.tsv": "f945957a3da665281103a5611d99ef95f66c8ca563c2a4cf2a27f2423f83e1a8",
-            "changes.tsv": "5bfeca349b840b968c8249ca521be50b9664d69fe12a7ee1160e599a8e5ce215",
-        }
+        # key, and the shapes past the first before the per-article loop gave
+        # way to one sorted (article, descriptor) key; any change to the RNG
+        # calls or their post-processing shows here.  `scenario` sets the
+        # fields the CLI has no option for.
+        real = synthgen.generate
+        monkeypatch.setattr(synthgen, "generate", lambda s: real(replace(s, **scenario)))
         cfg = PipelineConfig(
             hierarchy=str(tmp_path / "hierarchy.tsv"),
             articles=str(tmp_path / "articles.jsonl"),
@@ -163,7 +235,6 @@ class TestGenerate:
             output_dir=str(tmp_path / "out"),
         )
         write_config(cfg, tmp_path / "pipeline.cfg")
-        args = ["--months", "3", "--articles-per-month", "300"]
         assert main(["generate", "--config", str(tmp_path / "pipeline.cfg"), *args]) == 0
         for name, digest in expected.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
