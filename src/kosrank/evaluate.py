@@ -1,12 +1,13 @@
 """Cohort statistics: Mann-Whitney tests, evolution/retraction cohorts,
 and aspect correlation matrices.
 
-Every function works on node positions (see `Hierarchy.node_vector`):
-node scores arrive as vectors with a mask of the scored positions, and
-articles as incidence rows.  A descriptor's score is the sum of its
-tree-node scores (`descriptor_sums`), giving one observation per
-descriptor for the evolution test; an article's score is the sum over
-its nodes, averaged over the year's months (`retraction_split`).
+Every function works on node positions, the hierarchy's nodes in code
+order: node scores arrive as float vectors over those positions with a
+boolean mask of the scored ones, and articles as incidence rows.  A
+descriptor's score is the sum of its tree-node scores (`descriptor_sums`),
+giving one observation per descriptor for the evolution test; an
+article's score is the sum over its nodes, averaged over the year's
+months (`retraction_split`).
 `correlation_matrix` takes the aligned series as the rows of an array.
 """
 from __future__ import annotations
@@ -84,6 +85,18 @@ def _exact_two_sided_p(n1: int, n2: int, u_observed: float) -> float:
     return min(1.0, 2.0 * count / math.comb(n, n1))
 
 
+def _average_ranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's `rankdata` average ranks of `x` and the sizes of its tie
+    groups in ascending value order, from one sort.  A group of c equal
+    values ending at ordinal rank e takes e - (c - 1) / 2, a half-integer and
+    so exact; a nan anywhere makes every rank nan, as in `rankdata`."""
+    values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+    if np.isnan(values[-1:]).any():  # np.unique sorts nan last
+        ranks[:] = np.nan
+    return ranks, counts
+
+
 def mann_whitney(a: Sequence[float], b: Sequence[float]) -> TestResult:
     """Two-sided Mann-Whitney test with U = min(U1, U2).
 
@@ -91,18 +104,16 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> TestResult:
     10 observations and the pooled sample is tie-free; otherwise a normal
     approximation with tie correction and 0.5 continuity correction.
     """
-    from scipy.stats import rankdata  # about 1 s to import; only the rank tests need it
-
     if not len(a) or not len(b):
         raise EvaluationError("both samples must be non-empty")
     n1, n2 = len(a), len(b)
     pooled = np.array(list(a) + list(b), dtype=np.float64)
-    r1 = float(rankdata(pooled)[:n1].sum())
+    ranks, ties = _average_ranks(pooled)
+    r1 = float(ranks[:n1].sum())
     u1 = n1 * n2 + n1 * (n1 + 1) / 2 - r1
     u2 = n1 * n2 - u1
     u = min(u1, u2)
 
-    ties = np.unique(pooled, return_counts=True)[1]
     if max(n1, n2) <= EXACT_LIMIT and len(ties) == len(pooled):
         return TestResult(u, _exact_two_sided_p(n1, n2, u), n1, n2, "exact")
 
@@ -121,7 +132,7 @@ def descriptor_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-descriptor sums of a node vector, or of each column of a node x
     month array, each in ascending code order, and which descriptors have a
-    given node (see `Hierarchy.node_vector`)."""
+    given node; `values` and `given` are indexed by node position first."""
     return h.descriptor_nodes @ values, (h.descriptor_nodes @ given.astype(np.int32)) > 0
 
 
@@ -176,9 +187,8 @@ def correlation_matrix(data: np.ndarray, method: str = "pearson") -> np.ndarray:
     if data.shape[1] < 3:
         raise EvaluationError(f"need >= 3 aligned observations, got {data.shape[1]}")
     if method == "spearman":
-        from scipy.stats import rankdata
-
-        data = np.vstack([rankdata(row, method="average") for row in data])
-    matrix = np.corrcoef(data)
+        data = np.vstack([_average_ranks(row)[0] for row in data])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a constant series gives nan
+        matrix = np.corrcoef(data)
     np.fill_diagonal(matrix, 1.0)
     return matrix

@@ -335,8 +335,8 @@ def fuse(cfg: PipelineConfig) -> Path:
         for scope, members in _scopes(h, rrf > 0):  # ranked by some aspect
             rank = fusion.rank_by_aspect(rrf, members)
             ranks[int(scope != "global"), k, members] = rank[members]
-            order = sorted(zip(rank[members].tolist(), np.flatnonzero(members).tolist()))
-            rows += [f"{month},{scope},{h.codes[i]},{text[i]},{r}" for r, i in order]
+            order = np.flatnonzero(members)[np.argsort(rank[members])].tolist()  # ranks 1..n
+            rows += [f"{month},{scope},{h.codes[i]},{text[i]},{r}" for r, i in enumerate(order, 1)]
     write_rows(path, RANKINGS_HEADER, rows, cfg.config_hash())
     _stage_mirror(cfg, h, "rankings", [path], (rrfs, *ranks))
     return path
@@ -535,7 +535,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
         try:
             matrix = evaluate.correlation_matrix(aligned, method=method)
         except evaluate.EvaluationError as exc:
-            cpath.write_text(f"# config_hash={chash}\n# skipped: {exc}\n")
+            write_rows(cpath, f"# skipped: {exc}", [], chash)
             continue
         rows = [",".join([name, *(format(v, ".17g") for v in row)])
                 for name, row in zip(series_names, matrix.tolist())]

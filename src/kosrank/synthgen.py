@@ -22,6 +22,8 @@ from .hierarchy import Hierarchy, build_hierarchy
 from .months import month_from_index, month_index, normalize_month, year_of
 
 _CATEGORY_LETTERS = "ABCDEFGHIJKLMNOP"  # at most 16 level-1 categories
+# numpy's Poisson sampler refuses a mean above this
+_POISSON_MEAN_LIMIT = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 class InfeasibleConfigError(ValueError):
@@ -59,14 +61,11 @@ class ScenarioConfig:
             raise InfeasibleConfigError("level-2 fan-out limited to 99 by the code grammar")
         if any(b > 999 for b in self.hierarchy_branching[2:]):
             raise InfeasibleConfigError("fan-out below level 2 limited to 999")
-        for rate in (
-            self.polyhierarchy_fraction,
-            self.evolving_fraction,
-            self.retraction_rate,
-            self.retraction_bias_fraction,
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise InfeasibleConfigError(f"rate {rate} outside [0, 1]")
+        for name in ("polyhierarchy_fraction", "evolving_fraction",
+                     "retraction_rate", "retraction_bias_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise InfeasibleConfigError(f"{name} must be in [0, 1], got {value}")
         for name in ("evolving_boost", "retraction_bias_boost"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:  # also false for nan
@@ -77,8 +76,9 @@ class ScenarioConfig:
             raise InfeasibleConfigError(f"first_month: {exc}") from None
         for name in ("descriptors_per_article_mean", "refs_mean", "zipf_exponent", "pa_exponent"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise InfeasibleConfigError(f"{name} must be finite and >= 0, got {value}")
+            top = _POISSON_MEAN_LIMIT if name.endswith("_mean") else math.inf
+            if not 0.0 <= value < top:
+                raise InfeasibleConfigError(f"{name} must be >= 0 and below {top:g}, got {value}")
         if self.refs_min < 0:
             raise InfeasibleConfigError("refs_min cannot be negative")
         if self.refs_min > 0 and self.months == 1:

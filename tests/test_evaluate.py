@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from conftest import evolution_cohorts_oracle, random_tree
 from kosrank.evaluate import (
     ChangeRecord,
     EvaluationError,
+    _average_ranks,
     correlation_matrix,
     evolution_cohorts,
     mann_whitney,
@@ -16,6 +18,32 @@ from kosrank.evaluate import (
     retraction_split,
 )
 from kosrank.hierarchy import build_hierarchy
+
+
+class TestAverageRanks:
+    # values drawn with many ties, both signed zeros, infinities and subnormals
+    POOL = np.array([-np.inf, -1.5, -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1e-300, 1.0, 1.5, np.inf])
+
+    def test_equal_to_rankdata_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            x = rng.choice(self.POOL, size=int(rng.integers(1, 40)))
+            if rng.random() < 0.5:
+                x = np.where(rng.random(len(x)) < 0.5, x, rng.normal(size=len(x)))
+            ranks, counts = _average_ranks(x)
+            expected = stats.rankdata(x)
+            assert ranks.dtype == expected.dtype
+            assert ranks.tobytes() == expected.tobytes()
+            assert np.array_equal(counts, np.unique(x, return_counts=True)[1])
+
+    def test_nan_anywhere_makes_every_rank_nan(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            x = rng.choice(self.POOL, size=int(rng.integers(1, 20)))
+            x[rng.integers(len(x))] = np.nan
+            ranks, counts = _average_ranks(x)
+            assert np.isnan(ranks).all() and np.isnan(stats.rankdata(x)).all()
+            assert np.array_equal(counts, np.unique(x, return_counts=True)[1])
 
 
 class TestMannWhitney:
@@ -250,6 +278,16 @@ class TestCorrelation:
             assert np.array_equal(correlation_matrix(np.asfortranarray(data), method), expected)
             sliced = np.hstack([data, data])[:, : data.shape[1]]
             assert np.array_equal(correlation_matrix(sliced, method), expected)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_constant_series_gives_nan_without_warning(self, method):
+        data = np.array([[2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 2.0, 4.0], [4.0, 1.0, 3.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = correlation_matrix(data, method)
+        assert np.diag(matrix).tolist() == [1.0, 1.0, 1.0]
+        assert np.isnan(matrix[0, 1:]).all() and np.isnan(matrix[1:, 0]).all()
+        assert np.isfinite(matrix[1:, 1:]).all()
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(7)

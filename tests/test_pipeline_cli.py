@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import usefulness_oracle
-from kosrank import citegraph, graphmetrics, mirror, pipeline, propagation, synthgen
+from kosrank import citegraph, evaluate, graphmetrics, mirror, pipeline, propagation, synthgen
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
 from kosrank.corpus import parse_articles
@@ -113,13 +113,25 @@ def read_all_outputs(out_dir: Path) -> dict[str, bytes]:
     }
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about 1 s to import; only the rank-based tests load it.
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats takes about 0.8 s and 50 MB to import, and no stage needs
+    # it.  The chain runs in a fresh interpreter with warnings as errors, on a
+    # scenario whose disruptiveness series is constant (0 edges).
+    cfg_path = make_config(tmp_path, last_month="2014-01", sample_fraction=0.5, base_seed=4)
+    code = f"""
+import sys
+from kosrank.cli import main
+cfg = {str(cfg_path)!r}
+args = ["--months", "1", "--articles-per-month", "4", "--retraction-rate", "0.05"]
+assert main(["generate", "--config", cfg, *args]) == 0
+for stage in ("ingest", "compute", "fuse", "trend", "evaluate", "export-plots"):
+    assert main([stage, "--config", cfg]) == 0
+sys.exit("scipy.stats" in sys.modules and "the chain loaded scipy.stats")
+"""
     src = str(Path(pipeline.__file__).parents[1])
-    code = "import sys, kosrank.cli; sys.exit('scipy.stats' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         timeout=120)
-    assert run.returncode == 0
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 class TestConfig:
@@ -458,6 +470,22 @@ class TestComputeFuseTrendEvaluate:
             (Path(cfg.output_dir) / "evolution_tests.json").read_text()
         )
         assert evolution["results"] == []
+
+    def test_evaluate_writes_skipped_correlation_matrices(self, tmp_path, monkeypatch):
+        cfg_path = make_config(tmp_path, last_month="2014-02")
+        generate_inputs(cfg_path, months=2, articles=40)
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        # two aligned observations reach the real check, one short of a matrix
+        real = evaluate.correlation_matrix
+        monkeypatch.setattr(evaluate, "correlation_matrix",
+                            lambda data, method: real(data[:, :2], method))
+        assert main(["evaluate", "--config", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        expected = (f"# config_hash={cfg.config_hash()}\n"
+                    "# skipped: need >= 3 aligned observations, got 2\n")
+        for method in ("pearson", "spearman"):
+            assert (Path(cfg.output_dir) / f"correlation_{method}.csv").read_text() == expected
 
     def test_evaluate_reads_no_citations(self, prepared, capsys):
         cfg_path, cfg = prepared

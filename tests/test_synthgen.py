@@ -1,5 +1,6 @@
 import hashlib
 import io
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -73,6 +74,33 @@ class TestConfigValidation:
     def test_infeasible_value_is_rejected_by_name(self, field, value):
         with pytest.raises(InfeasibleConfigError, match=field):
             small_config(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("descriptors_per_article_mean", 1e30),  # numpy: "lam value too large"
+            ("refs_mean", 1e30),
+            ("retraction_rate", 1.5),
+            ("polyhierarchy_fraction", -0.1),
+        ],
+    )
+    def test_message_names_the_field_and_its_value(self, field, value):
+        with pytest.raises(InfeasibleConfigError) as exc:
+            small_config(**{field: value})
+        assert str(exc.value).startswith(f"{field} must be ")
+        assert str(exc.value).endswith(f"got {value}")
+
+    def test_poisson_means_below_numpy_limit_are_accepted(self):
+        # only the configs are built: generate would draw counts near 2**63
+        limit = synthgen._POISSON_MEAN_LIMIT
+        below, above = np.nextafter(limit, 0.0), np.nextafter(limit, math.inf)
+        np.random.default_rng(0).poisson(below, size=0)
+        small_config(refs_mean=below, descriptors_per_article_mean=below)
+        with pytest.raises(ValueError, match="lam value too large"):
+            np.random.default_rng(0).poisson(above, size=0)
+        for field in ("refs_mean", "descriptors_per_article_mean"):
+            with pytest.raises(InfeasibleConfigError, match=field):
+                small_config(**{field: above})
 
     def test_overflowing_attachment_weights_are_rejected(self):
         # (indegree + 1) ** 1000 is inf from indegree 2 on; the draws used to
