@@ -130,19 +130,22 @@ def cumulative_snapshot(g: CitationGraph, store: ArticleStore, month: str) -> Ci
     return induced(g, keep)
 
 
-def sample_nodes(g: CitationGraph, fraction: float, seed: int) -> CitationGraph:
-    """Keep floor(fraction * n) uniformly chosen nodes and their induced edges.
+def sample_nodes(
+    g: CitationGraph, candidates: np.ndarray, fraction: float, seed: int
+) -> CitationGraph:
+    """Keep floor(fraction * n) of the n nodes in the mask `candidates`, drawn
+    as from `induced(g, candidates)` but cut at once, and their induced edges.
 
-    Selection is fixed for reproducibility across platforms: sort node ids,
-    shuffle with PCG64(seed), take the prefix.  fraction 1.0 keeps every
-    node.
+    Selection is fixed for reproducibility across platforms: sort candidate
+    ids, shuffle with PCG64(seed), take the prefix.  fraction 1.0 keeps all.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    k = int(np.floor(fraction * g.num_nodes))
+    pos = np.flatnonzero(candidates)
+    k = int(np.floor(fraction * len(pos)))
     rng = np.random.Generator(np.random.PCG64(seed))
     keep = np.zeros(g.num_nodes, dtype=bool)
-    keep[rng.permutation(g.num_nodes)[:k]] = True
+    keep[pos[rng.permutation(len(pos))[:k]]] = True
     return induced(g, keep)
 
 

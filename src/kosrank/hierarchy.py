@@ -8,10 +8,10 @@ otherwise 2 plus the number of dot separators.
 A Hierarchy also carries one positional form: node i is `codes[i]` (sorted,
 so position order is code order), `parent[i]` its parent's position (-1 at
 a root), `level[i]` its depth, `closure` the 0/1 ancestor-or-self matrix and
-`descriptor_nodes` the descriptor x node map; `incidence` lays annotations
-out as rows on these columns.  Float sums over positions add one term at a
-time in ascending order, never by numpy's pairwise reductions, so every
-output keeps its bits from run to run.
+`descriptor_nodes` the descriptor x node map; `incidence` lays an article
+x descriptor vocabulary matrix out as rows on these columns.  Float sums
+over positions add one term at a time in ascending order, never by numpy's
+pairwise reductions, so every output keeps its bits from run to run.
 """
 from __future__ import annotations
 
@@ -110,18 +110,19 @@ class Hierarchy:
                 codes.update(mapped)
         return codes, unknown
 
-    def incidence(self, annotations: Sequence[Sequence[str]]) -> tuple[sparse.csr_matrix, int]:
-        """Binary matrix, one row per descriptor list, marking the mapped nodes.
-
-        Columns are node positions; each row's indices are sorted.  The
-        second value counts the descriptor ids that are not in the map.
-        """
+    def incidence(
+        self, vocabulary: Sequence[str], annotations: sparse.csr_matrix
+    ) -> tuple[sparse.csr_matrix, int]:
+        """Binary matrix marking, for each row of the 0/1 row x `vocabulary`
+        matrix `annotations`, the nodes its descriptor ids map to (columns are
+        node positions, each row sorted), and the count of unmapped marks."""
         row_of = {d: i for i, d in enumerate(self.descriptors)}
-        annotated, unknown = membership(annotations, row_of, len(self.descriptors))
+        known, _ = membership([(d,) for d in vocabulary], row_of, len(self.descriptors))
+        annotated = annotations @ known  # one mark per known id: vocabulary ids are distinct
         marks = (annotated @ self.descriptor_nodes).tocsr()
         marks.data[:] = 1
         marks.sort_indices()
-        return marks, unknown
+        return marks, annotations.nnz - annotated.nnz
 
     def node_vector(self, values: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
         """`values` laid out by node position (0 where absent), and which

@@ -12,7 +12,8 @@ Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
 
 `ingest`, `compute` and `fuse` also write `.npy` mirrors (see `mirror`) of
-the arrays they parsed or computed: `ingest/`, `scores.*` and `rankings.*`.
+the arrays they parsed or computed: `ingest/`, `scores.*`, `members.*` and
+`rankings.*`.
 A later stage uses a mirror only while every source file's sha256 matches
 its record; else it parses the text, with every check that parser makes.
 """
@@ -30,7 +31,7 @@ from scipy import sparse
 
 from . import citegraph, evaluate, fusion, graphmetrics, infometrics, mirror, propagation
 from .config import PipelineConfig
-from .corpus import ArticleStore, CorpusError, parse_articles
+from .corpus import ArticleColumns, CorpusError, parse_articles
 from .evaluate import ChangeRecord
 from .hierarchy import Hierarchy, HierarchyError, HierarchyParseReport, parse_hierarchy
 from .months import month_index, normalize_month, year_of
@@ -39,7 +40,8 @@ from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, 
 RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "data", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "in_indptr", "in_sources", "dropped")
-STAGE_ARRAYS = {"scores": ("values", "scored"), "rankings": ("rrf", "global_rank", "level_rank")}
+STAGE_ARRAYS = {"scores": ("values", "scored"), "rankings": ("rrf", "global_rank", "level_rank"),
+                "members": ("ids", "indptr")}
 
 
 class PipelineError(RuntimeError):
@@ -78,17 +80,15 @@ class IngestData:
         ]
 
 
-def ingest_arrays(h: Hierarchy, store: ArticleStore, edges=None) -> dict[str, np.ndarray]:
+def ingest_arrays(h: Hierarchy, articles: ArticleColumns, edges=None) -> dict[str, np.ndarray]:
     """The ingest mirror arrays of parsed inputs: the article columns, their
     incidence CSR on `h`, the unknown descriptor count and, given the edges,
     the graph's two CSRs and drop counters."""
-    articles = [store.articles[i] for i in store.ids.tolist()]
-    m, unknown = h.incidence([a.descriptors for a in articles])
-    retracted = np.array([a.retracted for a in articles], dtype=bool)
-    arrays = dict(ids=store.ids, month_idx=store.month_idx, retracted=retracted, indptr=m.indptr,
-                  indices=m.indices, data=m.data, unknown=np.array(unknown))
+    m, unknown = h.incidence(articles.vocabulary, articles.annotations)
+    arrays = dict(ids=articles.ids, month_idx=articles.month_idx, retracted=articles.retracted,
+                  indptr=m.indptr, indices=m.indices, data=m.data, unknown=np.array(unknown))
     if edges is not None:
-        g = citegraph.build_graph(edges, store)
+        g = citegraph.build_graph(edges, articles)  # it reads only the sorted `ids`
         drops = [g.self_loops_dropped, g.unknown_dropped, g.duplicates_dropped]
         arrays.update(out_indptr=g.out_indptr, out_targets=g.out_targets, in_indptr=g.in_indptr,
                       in_sources=g.in_sources, dropped=np.array(drops))
@@ -147,11 +147,11 @@ def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> In
     if not save:
         parts = [mirror.load(*m) for m in mirrors]
         arrays = None if None in parts else {k: v for part in parts for k, v in part.items()}
-    store = _parse(paths["articles"], parse_articles) if arrays is None else None
+    articles = _parse(paths["articles"], parse_articles) if arrays is None else None
     changes = _parse(paths["changes"], evaluate.parse_changes) if "changes" in paths else []
     if arrays is None:
         edges = _parse(paths["citations"], citegraph.parse_citations) if citations else None
-        arrays = ingest_arrays(hierarchy, store, edges)
+        arrays = ingest_arrays(hierarchy, articles, edges)
     if save:
         for stem, keys, sources, meta in mirrors:
             mirror.save(stem, {k: arrays[k] for k in keys}, sources, meta)
@@ -178,9 +178,9 @@ def compute_month(cfg: PipelineConfig, data: IngestData, month: str, index: int)
     h = data.hierarchy
     seed = cfg.base_seed + index
     cutoff = month_index(normalize_month(month))
-    # graph.node_ids is ids, so this is the snapshot of months up to `month`
-    snapshot = citegraph.induced(data.graph, data.month_idx <= cutoff)
-    sampled = citegraph.sample_nodes(snapshot, cfg.sample_fraction, seed)
+    # graph.node_ids is ids, so the candidates are the snapshot of months up to `month`
+    candidates = data.month_idx <= cutoff
+    sampled = citegraph.sample_nodes(data.graph, candidates, cfg.sample_fraction, seed)
     rows = data.incidence[np.searchsorted(data.ids, sampled.node_ids)]
     seeded = rows.getnnz(axis=0) > 0
 
@@ -240,12 +240,11 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
     written: list[str] = []
-    for result in results:
+    for result, mpath in zip(results, _member_paths(cfg)):
         for aspect, values, scored in zip(ASPECTS, result.values, result.scored):
             path = out / "scores" / f"{aspect}_{result.month}.csv"
             write_scores_csv(data.hierarchy, path, aspect, result.month, values, scored, chash)
             written.append(str(path))
-        mpath = out / "members" / f"{result.month}.csv"
         write_rows(mpath, "article_id", map(str, result.member_ids.tolist()), chash)
         written.append(str(mpath))
 
@@ -266,6 +265,10 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     # what read_scores_csv gives back: 0 where unscored, and "nan" as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
     _stage_mirror(cfg, data.hierarchy, "scores", _score_paths(cfg), (values, scored))
+    members = [r.member_ids for r in results]
+    indptr = np.cumsum([0, *map(len, members)])
+    _stage_mirror(cfg, data.hierarchy, "members", _member_paths(cfg),
+                  (np.concatenate(members), indptr))
     return written
 
 
@@ -435,12 +438,20 @@ def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
     return trends_path, tables_path
 
 
-def _load_members(cfg: PipelineConfig) -> list[np.ndarray]:
-    """The sampled article ids of each window month, in window order."""
-    out = Path(cfg.output_dir)
+def _member_paths(cfg: PipelineConfig) -> list[Path]:
+    return [Path(cfg.output_dir) / "members" / f"{month}.csv" for month in cfg.window()]
+
+
+def _load_members(cfg: PipelineConfig, h: Hierarchy) -> list[np.ndarray]:
+    """The sampled article ids of each window month, in window order, from
+    the members mirror, or else read back from the compute outputs."""
+    paths = _member_paths(cfg)
+    mirrored = _stage_mirror(cfg, h, "members", paths)
+    if mirrored:
+        ids, indptr = mirrored
+        return np.split(ids, indptr[1:-1])
     members = []
-    for month in cfg.window():
-        path = out / "members" / f"{month}.csv"
+    for path in paths:
         if not path.exists():
             raise PipelineError(f"missing compute output: {path}")
         members.append(np.array(read_rows(path, "article_id", int), dtype=np.int64))
@@ -477,7 +488,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     rrf, rank, _ = _load_rankings(cfg, h)
     values = np.concatenate([values, rrf[:, None]], axis=1)
     scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
-    members = _load_members(cfg)
+    members = _load_members(cfg, h)
     month_years = np.array([year_of(m) for m in cfg.window()])
     series_names = list(ASPECTS) + [RELEVANCE]
     out = Path(cfg.output_dir)

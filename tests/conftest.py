@@ -8,11 +8,22 @@ citation TSV, and a loop over the descriptor map for the evolution cohorts.
 """
 from __future__ import annotations
 
+import io
+from typing import Iterable
+
 import numpy as np
+from scipy import sparse
 
 from kosrank.citegraph import CitationGraph, GraphError, build_graph
-from kosrank.corpus import Article, ArticleStore, store_from_articles
-from kosrank.hierarchy import Hierarchy, build_hierarchy, level_of, parent_of
+from kosrank.corpus import (
+    Article,
+    ArticleColumns,
+    ArticleStore,
+    CorpusError,
+    parse_articles,
+    write_articles,
+)
+from kosrank.hierarchy import Hierarchy, build_hierarchy, level_of, membership, parent_of
 
 _LETTERS = "ABCDEFGHIJKLMNOP"
 
@@ -114,6 +125,42 @@ def pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
     list of (citing, cited) pairs."""
     table = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return table[:, 0].copy(), table[:, 1].copy()
+
+
+def store_from_articles(articles: Iterable[Article]) -> ArticleStore:
+    table: dict[int, Article] = {}
+    for article in articles:
+        if article.id in table:
+            raise CorpusError(f"duplicate article id {article.id}")
+        table[article.id] = article
+    return ArticleStore(articles=table)
+
+
+def columns_of(store: ArticleStore) -> ArticleColumns:
+    """The columns that `parse_articles` gives for the file `write_articles`
+    writes from `store`."""
+    text = io.StringIO()
+    write_articles(store, text)
+    text.seek(0)
+    return parse_articles(text)
+
+
+def descriptors_of(columns: ArticleColumns, article_id: int) -> tuple[str, ...]:
+    """The sorted descriptor ids of the parsed article `article_id`."""
+    i = int(np.searchsorted(columns.ids, article_id))
+    assert columns.ids[i] == article_id
+    m = columns.annotations
+    return tuple(columns.vocabulary[j] for j in m.indices[m.indptr[i] : m.indptr[i + 1]])
+
+
+def annotation_matrix(
+    annotations: list[tuple[str, ...]],
+) -> tuple[tuple[str, ...], sparse.csr_matrix]:
+    """The sorted vocabulary of the descriptor lists `annotations` and their
+    0/1 row x vocabulary matrix: the form `Hierarchy.incidence` takes."""
+    vocabulary = tuple(sorted({d for row in annotations for d in row}))
+    matrix, _ = membership(annotations, {d: j for j, d in enumerate(vocabulary)}, len(vocabulary))
+    return vocabulary, matrix
 
 
 def temporal_store(rng: np.random.Generator, n: int, n_months: int = 6) -> ArticleStore:

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    annotation_matrix,
     codes_by_level,
+    columns_of,
     disruption_oracle,
     pagerank_oracle,
     pair_arrays,
@@ -21,6 +23,7 @@ from conftest import (
     random_seeds,
     random_temporal_graph,
     random_tree,
+    store_from_articles,
     usefulness_oracle,
 )
 from kosrank import citegraph, evaluate, fusion, graphmetrics, synthgen
@@ -174,7 +177,7 @@ def test_criterion_3_worked_example_goldens():
     assert trace == {"R01.001": 4.0, "R01.002": 2.0, "R01": 4.0, "R02": 3.0, "R": 3.5}
 
     # two-node pagerank fixed point
-    from kosrank.corpus import Article, store_from_articles
+    from kosrank.corpus import Article
 
     store = store_from_articles([Article(1, "2014-01", ()), Article(2, "2014-01", ())])
     pr = graphmetrics.pagerank(citegraph.build_graph(pair_arrays([(2, 1)]), store)).values
@@ -213,7 +216,8 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
         sample_fraction=0.10,
         base_seed=seed,
     )
-    data = ingest_data(h, HierarchyParseReport(), changes, ingest_arrays(h, store, edges))
+    arrays = ingest_arrays(h, columns_of(store), edges)
+    data = ingest_data(h, HierarchyParseReport(), changes, arrays)
     window = cfg.window()
     relevance: dict[str, np.ndarray] = {}  # fused values by position, 0 where unranked
     members: dict[str, np.ndarray] = {}
@@ -241,7 +245,7 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
         ids = np.unique(np.concatenate([members[m] for m in months]))
         articles = [store.articles[i] for i in ids.tolist()]
         retracted, other = evaluate.retraction_split(
-            h.incidence([a.descriptors for a in articles])[0],
+            h.incidence(*annotation_matrix([a.descriptors for a in articles]))[0],
             np.array([a.retracted for a in articles], dtype=bool),
             [np.searchsorted(ids, members[m]) for m in months],
             [relevance[m] for m in months],

@@ -3,7 +3,13 @@ import io
 import numpy as np
 import pytest
 
-from conftest import pair_arrays, parse_citations_oracle, random_temporal_graph, temporal_store
+from conftest import (
+    pair_arrays,
+    parse_citations_oracle,
+    random_temporal_graph,
+    store_from_articles,
+    temporal_store,
+)
 from kosrank.citegraph import (
     GraphError,
     build_graph,
@@ -12,8 +18,13 @@ from kosrank.citegraph import (
     parse_citations,
     sample_nodes,
 )
-from kosrank.corpus import Article, store_from_articles
+from kosrank.corpus import Article
 from kosrank.months import month_index
+
+
+def everyone(g):
+    """The candidate mask that lets `sample_nodes` draw from every node."""
+    return np.ones(g.num_nodes, dtype=bool)
 
 
 def two_article_store():
@@ -88,7 +99,7 @@ class TestBuild:
         assert (g.unknown_dropped, g.self_loops_dropped) == (1, 1)
         assert g.out_indptr.tolist() == g.in_indptr.tolist() == [0]
         assert cumulative_snapshot(g, empty, "2014-01").num_nodes == 0
-        assert sample_nodes(g, 0.5, seed=1).num_nodes == 0
+        assert sample_nodes(g, np.ones(0, dtype=bool), 0.5, seed=1).num_nodes == 0
 
     def test_empty_edge_array(self):
         none = np.array([], dtype=np.int64)
@@ -155,15 +166,15 @@ class TestSample:
     def test_fraction_one_is_identity(self):
         store = two_article_store()
         g = build_graph(pair_arrays([(2, 1)]), store)
-        s = sample_nodes(g, 1.0, seed=9)
+        s = sample_nodes(g, everyone(g), 1.0, seed=9)
         assert s.node_ids.tolist() == g.node_ids.tolist()
         assert s.num_edges == g.num_edges
 
     def test_half_of_ten_is_five_and_repeatable(self):
         store = temporal_store(np.random.default_rng(0), 10)
         g = build_graph(pair_arrays([]), store)
-        a = sample_nodes(g, 0.5, seed=123)
-        b = sample_nodes(g, 0.5, seed=123)
+        a = sample_nodes(g, everyone(g), 0.5, seed=123)
+        b = sample_nodes(g, everyone(g), 0.5, seed=123)
         assert a.num_nodes == 5
         assert a.node_ids.tolist() == b.node_ids.tolist()
 
@@ -172,16 +183,16 @@ class TestSample:
         edges = [(u, v) for u in range(1, 5) for v in range(1, 5) if u != v]
         g = build_graph(pair_arrays(edges), store)
         assert g.num_edges == 12
-        s = sample_nodes(g, 0.5, seed=4)
+        s = sample_nodes(g, everyone(g), 0.5, seed=4)
         assert s.num_nodes == 2
         assert s.num_edges == 2  # both directions between the surviving pair
 
     def test_fraction_out_of_range(self):
         g = build_graph(pair_arrays([]), two_article_store())
         with pytest.raises(ValueError):
-            sample_nodes(g, 0.0, seed=1)
+            sample_nodes(g, everyone(g), 0.0, seed=1)
         with pytest.raises(ValueError):
-            sample_nodes(g, 1.5, seed=1)
+            sample_nodes(g, everyone(g), 1.5, seed=1)
 
     def test_expected_degree_scaling(self):
         # sampled edge count ~ fraction^2 * |E|, within 20% averaged over seeds
@@ -192,7 +203,7 @@ class TestSample:
         keep = citing != cited
         g = build_graph((citing[keep], cited[keep]), store)
         fraction = 0.5
-        counts = [sample_nodes(g, fraction, seed=s).num_edges for s in range(10)]
+        counts = [sample_nodes(g, everyone(g), fraction, seed=s).num_edges for s in range(10)]
         expected = fraction**2 * g.num_edges
         assert abs(np.mean(counts) - expected) / expected < 0.2
 
@@ -360,7 +371,15 @@ class TestPositionsAreNotIds:
         for parent in (g, snap):
             fraction = float(rng.uniform(0.05, 1.0))
             sample_seed = int(rng.integers(2**32))
-            sampled = sample_nodes(parent, fraction, seed=sample_seed)
+            sampled = sample_nodes(parent, everyone(parent), fraction, seed=sample_seed)
             k = int(np.floor(fraction * parent.num_nodes))
             perm = np.random.Generator(np.random.PCG64(sample_seed)).permutation(parent.num_nodes)
             self.assert_induced(sampled, edges, parent.node_ids[perm[:k]].tolist())
+        # Drawn from the snapshot's nodes as candidates of the whole graph,
+        # the sample is the one drawn from the snapshot itself.
+        candidates = np.isin(g.node_ids, snap.node_ids)
+        for name in self.ARRAYS:
+            assert np.array_equal(
+                getattr(sample_nodes(g, candidates, fraction, seed=sample_seed), name),
+                getattr(sampled, name),
+            ), name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import evolution_cohorts_oracle, random_tree
+from conftest import annotation_matrix, evolution_cohorts_oracle, random_tree
 from kosrank.evaluate import (
     ChangeRecord,
     EvaluationError,
@@ -235,7 +235,7 @@ class TestRetractionCohorts:
     def test_sum_then_yearly_mean(self):
         h = build_hierarchy({"A01": "", "B01": ""}, {"DA": {"A01"}, "DB": {"B01"}})
         # article 1 (retracted) is in both months, article 2 only in 2014-01
-        rows, _ = h.incidence([("DA", "DB"), ()])
+        rows, _ = h.incidence(*annotation_matrix([("DA", "DB"), ()]))
         monthly_values = [{"A01": 0.10, "B01": 0.07}, {"A01": 0.20, "B01": 0.10}]
         retracted, other = retraction_split(
             rows,
@@ -248,7 +248,7 @@ class TestRetractionCohorts:
 
     def test_single_month_article(self):
         h = build_hierarchy({"A01": ""}, {"DA": {"A01"}})
-        rows, _ = h.incidence([("DA",)])
+        rows, _ = h.incidence(*annotation_matrix([("DA",)]))
         retracted, other = retraction_split(
             rows, np.array([False]), [np.array([0])], [h.node_vector({"A01": 0.17})[0]]
         )

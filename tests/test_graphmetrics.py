@@ -6,10 +6,11 @@ from conftest import (
     pagerank_oracle,
     pair_arrays,
     random_temporal_graph,
+    store_from_articles,
     temporal_store,
 )
 from kosrank.citegraph import build_graph
-from kosrank.corpus import Article, store_from_articles
+from kosrank.corpus import Article
 from kosrank.graphmetrics import (
     ArticleScores,
     aggregate_to_nodes,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree
+from conftest import annotation_matrix, random_tree
 from kosrank.hierarchy import (
     HierarchyError,
     ancestors_of,
@@ -150,11 +150,12 @@ class TestPositional:
             [pool[int(k)] for k in rng.integers(len(pool), size=int(rng.integers(0, 5)))]
             for _ in range(12)
         ]
-        marks, unknown = h.incidence(annotations)
+        marks, unknown = h.incidence(*annotation_matrix(annotations))
         assert marks.shape == (len(annotations), len(h.codes))
         expected_unknown = 0
         for r, descriptors in enumerate(annotations):
-            mapped, missing = h.treenodes_of(descriptors)
+            # a 0/1 row lists each id once, as a parsed article does
+            mapped, missing = h.treenodes_of(set(descriptors))
             expected_unknown += missing
             row = marks.indices[marks.indptr[r] : marks.indptr[r + 1]]
             assert row.tolist() == sorted(h.position[c] for c in mapped)

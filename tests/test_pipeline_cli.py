@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -11,13 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import usefulness_oracle
+from conftest import descriptors_of, usefulness_oracle
 from kosrank import citegraph, evaluate, graphmetrics, mirror, pipeline, propagation, synthgen
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
 from kosrank.corpus import parse_articles
 from kosrank.hierarchy import ancestors_of, level_of, parse_hierarchy
-from kosrank.months import month_index
+from kosrank.months import month_from_index, month_index
 from kosrank.pipeline import GRAPH_ARRAYS, compute_month, ingest, ingest_arrays
 from kosrank.scores import ASPECTS, read_scores_csv
 
@@ -362,13 +363,13 @@ class TestComputeFuseTrendEvaluate:
         # independent reconstruction through the dict-based library calls
         with open(cfg.articles) as fh:
             store = parse_articles(fh)
-        snapshot = citegraph.cumulative_snapshot(data.graph, store, month)
-        sample = citegraph.sample_nodes(snapshot, fraction, cfg.base_seed + 3)
+        published = store.ids[store.month_idx <= month_index(month)]
+        snapshot = citegraph.induced(data.graph, np.isin(data.graph.node_ids, published))
+        everyone = np.ones(snapshot.num_nodes, dtype=bool)
+        sample = citegraph.sample_nodes(snapshot, everyone, fraction, cfg.base_seed + 3)
         codes = {}
         for raw_id in sample.node_ids:
-            mapped, _ = data.hierarchy.treenodes_of(
-                store.articles[int(raw_id)].descriptors
-            )
+            mapped, _ = data.hierarchy.treenodes_of(descriptors_of(store, int(raw_id)))
             if mapped:
                 codes[int(raw_id)] = tuple(sorted(mapped))
         for aspect, scores in (
@@ -382,11 +383,12 @@ class TestComputeFuseTrendEvaluate:
         # the month's own mappings, from per-article treenodes_of calls
         h = data.hierarchy
         assert data.unknown_descriptor_refs == 1
-        added = store.articles[int(store.ids[-1])]
-        assert added.month == month and len(h.treenodes_of(added.descriptors)[0]) > 1
+        added = descriptors_of(store, int(store.ids[-1]))
+        assert month_from_index(int(store.month_idx[-1])) == month
+        assert len(h.treenodes_of(added)[0]) > 1
         pairs = []
         for article_id in store.ids[store.month_idx == month_index(month)].tolist():
-            mapped, _ = h.treenodes_of(store.articles[article_id].descriptors)
+            mapped, _ = h.treenodes_of(descriptors_of(store, article_id))
             pairs.extend((article_id, code) for code in sorted(mapped))
         # each (article, node) pair counts once at the node and every ancestor
         propagated = dict.fromkeys(h.nodes, 0)
@@ -734,6 +736,7 @@ PINNED = {
 STAGE_MIRROR_FILES = {
     "scores.mirror.json", "scores.values.npy", "scores.scored.npy", "rankings.mirror.json",
     "rankings.rrf.npy", "rankings.global_rank.npy", "rankings.level_rank.npy",
+    "members.mirror.json", "members.ids.npy", "members.indptr.npy",
 }
 
 
@@ -763,10 +766,36 @@ class TestChainPinned:
             for name, data in read_all_outputs(Path("out")).items()
             if not name.startswith("correlation_")
         }
-        # The score and rankings mirrors are checked against the parsers in
-        # TestMirrors; here only their names are pinned.
+        # The stage mirrors are checked against the parsers in TestMirrors;
+        # here only their names are pinned.
         assert set(written) - set(PINNED[window]) == STAGE_MIRROR_FILES
         assert {name: written[name] for name in PINNED[window]} == PINNED[window]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_cut_gives_the_snapshot_sample(tmp_path, seed):
+    """Each window month's sample, drawn from the whole graph with the
+    snapshot's nodes as candidates, is the sample that the snapshot cut,
+    then sampled by the PCG64 prefix rule, gives."""
+    cfg_path = make_config(tmp_path, base_seed=seed, sample_fraction=0.5)
+    generate_inputs(cfg_path, months=6, articles=300)
+    cfg = load_config(cfg_path)
+    data = ingest(cfg)
+    for index, month in enumerate(cfg.window()):
+        candidates = data.month_idx <= month_index(month)
+        snapshot = citegraph.induced(data.graph, candidates)
+        seed_of_month = cfg.base_seed + index
+        k = int(np.floor(cfg.sample_fraction * snapshot.num_nodes))
+        perm = np.random.Generator(np.random.PCG64(seed_of_month)).permutation(snapshot.num_nodes)
+        keep = np.zeros(snapshot.num_nodes, dtype=bool)
+        keep[perm[:k]] = True
+        want = citegraph.induced(snapshot, keep)
+        got = citegraph.sample_nodes(data.graph, candidates, cfg.sample_fraction, seed_of_month)
+        for name in ("node_ids", "out_indptr", "out_targets", "in_indptr", "in_sources"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(compute_month(cfg, data, month, index).member_ids, want.node_ids)
+    assert got.num_edges > 0  # the last month's sample cites earlier months
 
 
 class TestScoresCsv:
@@ -829,14 +858,17 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
     with open(cfg.hierarchy) as fh:
         h, _ = parse_hierarchy(fh)
     with open(cfg.articles) as fh:
-        store = parse_articles(fh)
+        articles = parse_articles(fh)
     with open(cfg.citations) as fh:
         edges = citegraph.parse_citations(fh)
     parsed = {
         f"ingest/{'graph' if name in GRAPH_ARRAYS else 'annotations'}.{name}": array
-        for name, array in ingest_arrays(h, store, edges).items()
+        for name, array in ingest_arrays(h, articles, edges).items()
     }
     parsed.update(zip(("scores.values", "scores.scored"), pipeline._load_scores(cfg, h)))
+    members = pipeline._load_members(cfg, h)
+    parsed["members.ids"] = np.concatenate(members)
+    parsed["members.indptr"] = np.cumsum([0, *map(len, members)])
     rankings = ("rankings.rrf", "rankings.global_rank", "rankings.level_rank")
     parsed.update(zip(rankings, pipeline._load_rankings(cfg, h)))
     assert mirrored.keys() == parsed.keys()
@@ -880,7 +912,7 @@ class TestMirrors:
         for stage in ("ingest", "compute", "fuse"):
             assert main([stage, "--config", str(cfg_path)]) == 0
         out = Path(cfg.output_dir)
-        records = ["ingest/annotations", "ingest/graph", "scores", "rankings"]
+        records = ["ingest/annotations", "ingest/graph", "scores", "members", "rankings"]
         assert all((out / f"{name}.mirror.json").exists() for name in records)
         assert_mirrors_hold_parsed_arrays(cfg)
 
@@ -960,9 +992,9 @@ class TestMirrors:
     @pytest.mark.parametrize(
         "damage",
         ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "scores.values.npy",
-         "rankings.rrf.npy", "ingest/annotations.mirror.json", "ingest/graph.mirror.json",
-         "scores.mirror.json", "rankings.mirror.json", "hierarchy-swapped", "window-changed",
-         "code-changed"],
+         "members.ids.npy", "rankings.rrf.npy", "ingest/annotations.mirror.json",
+         "ingest/graph.mirror.json", "scores.mirror.json", "members.mirror.json",
+         "rankings.mirror.json", "hierarchy-swapped", "window-changed", "code-changed"],
     )
     def test_damaged_mirror_is_not_used(self, prepared, capsys, monkeypatch, mirror_loads, damage):
         cfg_path, cfg = prepared
@@ -1003,9 +1035,9 @@ class TestMirrors:
         edit_line(articles, lambda line: True,
                   lambda line: json.dumps({**json.loads(line), "retracted": "false"}))
 
-        def lenient(lines):
-            return parse_articles(line.replace('"retracted": "false"', '"retracted": true')
-                                  for line in lines)
+        def lenient(fh):
+            text = fh.read().replace('"retracted": "false"', '"retracted": true')
+            return parse_articles(io.StringIO(text))
 
         with monkeypatch.context() as m:
             m.setattr(mirror, "code_digest", lambda: "0" * 64)
