@@ -1,16 +1,17 @@
 """Directed citation graph with cumulative monthly snapshots and seeded sampling.
 
-Edges point citing -> cited.  Adjacency is stored in CSR-style numpy arrays
-in both orientations, over node positions (indices into the sorted
-`node_ids`) rather than article ids, so the arrays feed scipy.sparse and
-the kernels as they are.  The accessors translate back and return ids.
-Graphs are immutable once built; snapshot and sample return new graphs,
-cut from the parent's boolean adjacency by scipy's row-then-column indexing.
+Edges point citing -> cited.  A graph is one boolean scipy.sparse CSR
+matrix over node positions (indices into the sorted `node_ids`) rather than
+article ids, so the kernels multiply it as it is; its CSC form, the citers
+of each node, is built on first use.  The accessors translate back and
+return ids.  Graphs are immutable once built; snapshot and sample return
+new graphs, cut from the parent's matrix by scipy's row-then-column indexing.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -26,13 +27,15 @@ class GraphError(ValueError):
 @dataclass
 class CitationGraph:
     node_ids: np.ndarray  # sorted int64 article ids; a node's position indexes this
-    out_indptr: np.ndarray
-    out_targets: np.ndarray  # positions of cited nodes, sorted within each citing row
-    in_indptr: np.ndarray
-    in_sources: np.ndarray  # positions of citing nodes, sorted within each cited row
+    matrix: sparse.csr_matrix  # bool, n x n: [i, j] set iff node i cites node j; rows sorted
     self_loops_dropped: int = 0
     unknown_dropped: int = 0
     duplicates_dropped: int = 0
+
+    @cached_property
+    def incoming(self) -> sparse.csc_matrix:
+        """`matrix` as CSC, a counting sort: column j lists the citers of j, sorted."""
+        return self.matrix.tocsc()
 
     @property
     def num_nodes(self) -> int:
@@ -40,7 +43,7 @@ class CitationGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.out_targets)
+        return self.matrix.nnz
 
     def _position(self, article_id: int) -> int:
         i = int(np.searchsorted(self.node_ids, article_id))
@@ -50,18 +53,18 @@ class CitationGraph:
 
     def successors_of(self, article_id: int) -> np.ndarray:
         """Ids of the articles cited by `article_id` (its references), sorted."""
-        i = self._position(article_id)
-        return self.node_ids[self.out_targets[self.out_indptr[i] : self.out_indptr[i + 1]]]
+        m, i = self.matrix, self._position(article_id)
+        return self.node_ids[m.indices[m.indptr[i] : m.indptr[i + 1]]]
 
     def predecessors_of(self, article_id: int) -> np.ndarray:
         """Ids of the articles citing `article_id`, sorted."""
-        i = self._position(article_id)
-        return self.node_ids[self.in_sources[self.in_indptr[i] : self.in_indptr[i + 1]]]
+        m, i = self.incoming, self._position(article_id)
+        return self.node_ids[m.indices[m.indptr[i] : m.indptr[i + 1]]]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(citing, cited) id arrays in citing-major order."""
-        citing = np.repeat(self.node_ids, np.diff(self.out_indptr))
-        return citing, self.node_ids[self.out_targets]
+        citing = np.repeat(self.node_ids, np.diff(self.matrix.indptr))
+        return citing, self.node_ids[self.matrix.indices]
 
 
 def _positions(node_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,22 +96,8 @@ def build_graph(edges: tuple[np.ndarray, np.ndarray], store: ArticleStore) -> Ci
     kept = int(keep.sum())
     out = sparse.csr_matrix((np.ones(kept, dtype=bool), (src[keep], dst[keep])), shape=(n, n))
     out.sum_duplicates()  # a no-op where the constructor already merged them
-    into = out.tocsc()  # counting sort: citing positions stay sorted within each column
-    return CitationGraph(
-        node_ids=node_ids,
-        out_indptr=out.indptr,
-        out_targets=out.indices,
-        in_indptr=into.indptr,
-        in_sources=into.indices,
-        self_loops_dropped=int(self_loops.sum()),
-        unknown_dropped=int((~known & ~self_loops).sum()),
-        duplicates_dropped=kept - out.nnz,
-    )
-
-
-def adjacency(indptr: np.ndarray, indices: np.ndarray, n: int) -> sparse.csr_matrix:
-    """Boolean n x n matrix from one orientation's CSR; its products OR, so no count wraps."""
-    return sparse.csr_matrix((np.ones(len(indices), dtype=bool), indices, indptr), shape=(n, n))
+    drops = int(self_loops.sum()), int((~known & ~self_loops).sum()), kept - out.nnz
+    return CitationGraph(node_ids, out, *drops)
 
 
 def induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
@@ -116,12 +105,10 @@ def induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
 
     scipy gathers only the kept rows, then maps their entries to the kept
     columns in row order, and the kept positions ascend, so each row stays
-    sorted.  The in-orientation is the counting sort of `build_graph`.
+    sorted.
     """
     idx = np.flatnonzero(keep)
-    out = adjacency(g.out_indptr, g.out_targets, g.num_nodes)[idx][:, idx]
-    into = out.tocsc()
-    return CitationGraph(g.node_ids[idx], out.indptr, out.indices, into.indptr, into.indices)
+    return CitationGraph(g.node_ids[idx], g.matrix[idx][:, idx])
 
 
 def cumulative_snapshot(g: CitationGraph, store: ArticleStore, month: str) -> CitationGraph:

@@ -98,13 +98,13 @@ def _cmd_generate(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _cmd_export_plots(cfg: PipelineConfig, top: int = 10) -> int:
+def _cmd_export_plots(cfg: PipelineConfig) -> int:
     h, _ = pipeline._read_hierarchy(cfg)
     means = pipeline.scope_mean_ranks(cfg, h)
     out = Path(cfg.output_dir) / "plots"
     out.mkdir(parents=True, exist_ok=True)
     for scope, (years, yearly, window_means) in means.items():
-        nodes = fusion.top_k(window_means, top).tolist()
+        nodes = fusion.top_k(window_means, pipeline.TOP_K).tolist()
         svg = rank_chart_svg(
             f"top {len(nodes)} concepts, {scope}",
             [str(y) for y in years],

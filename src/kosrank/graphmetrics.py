@@ -1,13 +1,11 @@
 """Citation-network relevance kernels: disruption index and PageRank centrality.
 
-The disruption sweep takes n_i + n_j as the in-degree, n_j from one
-shared-reference test per citation edge, and n_k from the row nnz of a
-boolean sparse product.  The counts are exact integers and only the final
-division is float, so the scores keep the bits of `disruption_of`.
-
-Per-article scores are aggregated onto the tree nodes the articles map to,
-dividing by the number of articles in the network, which seeds the
-hierarchy propagation step.
+Both read the graph's boolean matrix and its CSC form.  The disruption
+sweep takes n_i + n_j as the in-degree, n_j from one shared-reference test
+per citation edge, and n_k from the row nnz of a boolean sparse product.
+The counts are exact integers and only the final division is float, so the
+scores keep the bits of `disruption_of`.  `aggregate_to_nodes` sums article
+scores onto tree nodes as a dict; `compute` does it by an incidence product.
 """
 from __future__ import annotations
 
@@ -18,7 +16,7 @@ from typing import Iterator, Mapping
 import numpy as np
 from scipy import sparse
 
-from .citegraph import CitationGraph, adjacency
+from .citegraph import CitationGraph
 
 NodeSeedScores = dict[str, float]
 
@@ -96,12 +94,12 @@ def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScor
     # The output comes first and the counts are combined in place: n-sized
     # arrays made late stay in the heap (34 MB more peak RSS at 1M nodes).
     result = np.zeros(n, dtype=np.float64)
-    A = adjacency(g.out_indptr, g.out_targets, n)  # [f, r] set iff f cites r
-    AT = adjacency(g.in_indptr, g.in_sources, n)  # its transpose
-    outdeg = np.diff(g.out_indptr).astype(np.int64)
-    indeg = np.diff(g.in_indptr).astype(np.int64)
+    A = g.matrix  # [f, r] set iff f cites r; bool, so its products OR and no count wraps
+    AT = g.incoming.T  # its transpose, a CSR view
+    outdeg = np.diff(A.indptr).astype(np.int64)
+    indeg = np.diff(AT.indptr).astype(np.int64)
 
-    citing, cited = np.repeat(np.arange(n), outdeg), g.out_targets
+    citing, cited = np.repeat(np.arange(n), outdeg), A.indices
     shares_ref = np.zeros(len(cited), dtype=bool)
     for start, stop in _spans(outdeg[citing] + outdeg[cited], batch_work):
         both = A[citing[start:stop]].multiply(A[cited[start:stop]])
@@ -138,9 +136,10 @@ def pagerank(
     n = g.num_nodes
     beta = 1.0 - alpha
 
-    outdeg = np.diff(g.out_indptr).astype(np.float64)
-    weights = 1.0 / outdeg[g.in_sources]  # sources always have outdeg >= 1
-    P = sparse.csr_matrix((weights, g.in_sources, g.in_indptr), shape=(n, n))
+    outdeg = np.diff(g.matrix.indptr).astype(np.float64)
+    into = g.incoming
+    weights = 1.0 / outdeg[into.indices]  # citers always have outdeg >= 1
+    P = sparse.csr_matrix((weights, into.indices, into.indptr), shape=(n, n))
 
     x = np.ones(n, dtype=np.float64)
     converged = False

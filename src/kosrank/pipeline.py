@@ -38,8 +38,9 @@ from .months import month_index, normalize_month, year_of
 from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, write_scores_csv
 
 RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
-ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "data", "unknown")
-GRAPH_ARRAYS = ("out_indptr", "out_targets", "in_indptr", "in_sources", "dropped")
+ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
+GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
+TOP_K = 10  # the nodes in each top or bottom table and in each rank chart
 STAGE_ARRAYS = {"scores": ("values", "scored"), "rankings": ("rrf", "global_rank", "level_rank"),
                 "members": ("ids", "indptr")}
 
@@ -81,28 +82,30 @@ class IngestData:
 
 
 def ingest_arrays(h: Hierarchy, articles: ArticleColumns, edges=None) -> dict[str, np.ndarray]:
-    """The ingest mirror arrays of parsed inputs: the article columns, their
-    incidence CSR on `h`, the unknown descriptor count and, given the edges,
-    the graph's two CSRs and drop counters."""
+    """The ingest mirror arrays of parsed inputs: the article columns, the
+    pattern of their incidence on `h`, the unknown descriptor count and,
+    given the edges, the pattern of the graph's matrix and its drop counters."""
     m, unknown = h.incidence(articles.vocabulary, articles.annotations)
     arrays = dict(ids=articles.ids, month_idx=articles.month_idx, retracted=articles.retracted,
-                  indptr=m.indptr, indices=m.indices, data=m.data, unknown=np.array(unknown))
+                  indptr=m.indptr, indices=m.indices, unknown=np.array(unknown))
     if edges is not None:
         g = citegraph.build_graph(edges, articles)  # it reads only the sorted `ids`
         drops = [g.self_loops_dropped, g.unknown_dropped, g.duplicates_dropped]
-        arrays.update(out_indptr=g.out_indptr, out_targets=g.out_targets, in_indptr=g.in_indptr,
-                      in_sources=g.in_sources, dropped=np.array(drops))
+        arrays.update(out_indptr=g.matrix.indptr, out_targets=g.matrix.indices,
+                      dropped=np.array(drops))
     return arrays
 
 
 def ingest_data(h: Hierarchy, report, changes, a: dict[str, np.ndarray]) -> IngestData:
-    """The inputs that `ingest_arrays` laid out."""
-    incidence = sparse.csr_matrix((a["data"], a["indices"], a["indptr"]),
-                                  shape=(len(a["ids"]), len(h.codes)))
+    """The inputs that `ingest_arrays` laid out: each 0/1 matrix from its pattern."""
+    n = len(a["ids"])
+    ones = np.ones(len(a["indices"]), dtype=np.int32)  # the data `Hierarchy.incidence` gives
+    incidence = sparse.csr_matrix((ones, a["indices"], a["indptr"]), shape=(n, len(h.codes)))
     graph = None
     if "dropped" in a:
-        csrs = (a[k] for k in GRAPH_ARRAYS[:4])
-        graph = citegraph.CitationGraph(a["ids"], *csrs, *a["dropped"].tolist())
+        ones = np.ones(len(a["out_targets"]), dtype=bool)
+        matrix = sparse.csr_matrix((ones, a["out_targets"], a["out_indptr"]), shape=(n, n))
+        graph = citegraph.CitationGraph(a["ids"], matrix, *a["dropped"].tolist())
     columns = (a["ids"], a["month_idx"], a["retracted"], incidence, int(a["unknown"]))
     return IngestData(h, report, changes, *columns, graph)
 
@@ -141,7 +144,7 @@ def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> In
     of = lambda *keys: {str(paths[k]): digest[str(paths[k])] for k in keys if k in paths}  # noqa: E731
     hierarchy, report = _parse(paths["hierarchy"], parse_hierarchy)
     at = Path(cfg.output_dir) / "ingest"
-    mirrors = [(at / "annotations", ANNOTATION_ARRAYS, of("hierarchy", "articles", "changes"), {}),
+    mirrors = [(at / "annotations", ANNOTATION_ARRAYS, of("hierarchy", "articles"), {}),
                (at / "graph", GRAPH_ARRAYS, of("articles", "citations"), {})][: 1 + citations]
     arrays = None
     if not save:
@@ -414,7 +417,7 @@ def scope_mean_ranks(
     }
 
 
-def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
+def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
     """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
     h, _ = _read_hierarchy(cfg)
     means = scope_mean_ranks(cfg, h)
@@ -430,7 +433,7 @@ def trend(cfg: PipelineConfig, table_k: int = 10) -> tuple[Path, Path]:
         f"{scope},{kind},{position},{h.codes[i]},{format(float(window_means[i]), '.17g')}"
         for scope, (_, _, window_means) in means.items()
         for kind, sign in (("top", 1), ("bottom", -1))
-        for position, i in enumerate(fusion.top_k(sign * window_means, table_k).tolist(), start=1)
+        for position, i in enumerate(fusion.top_k(sign * window_means, TOP_K).tolist(), start=1)
     ]
     trends_path, tables_path = out / "trends.csv", out / "tables.csv"
     write_rows(trends_path, "tree_code,level,slope,first_year,last_year", trends, chash)

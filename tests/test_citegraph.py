@@ -1,4 +1,5 @@
 import io
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ class TestBuild:
         g = build_graph((np.array([5, 7], dtype=np.int64), np.array([6, 7], dtype=np.int64)), empty)
         assert (g.num_nodes, g.num_edges) == (0, 0)
         assert (g.unknown_dropped, g.self_loops_dropped) == (1, 1)
-        assert g.out_indptr.tolist() == g.in_indptr.tolist() == [0]
+        assert g.matrix.indptr.tolist() == g.incoming.indptr.tolist() == [0]
         assert cumulative_snapshot(g, empty, "2014-01").num_nodes == 0
         assert sample_nodes(g, np.ones(0, dtype=bool), 0.5, seed=1).num_nodes == 0
 
@@ -105,14 +106,14 @@ class TestBuild:
         none = np.array([], dtype=np.int64)
         g = build_graph((none, none), two_article_store())
         assert (g.num_nodes, g.num_edges, g.duplicates_dropped) == (2, 0, 0)
-        assert g.out_indptr.tolist() == g.in_indptr.tolist() == [0, 0, 0]
+        assert g.matrix.indptr.tolist() == g.incoming.indptr.tolist() == [0, 0, 0]
         assert g.predecessors_of(1).tolist() == []
 
     def test_degree_sums_match_edge_count(self):
         rng = np.random.default_rng(11)
         _, g = random_temporal_graph(rng, 200)
-        assert int(np.diff(g.out_indptr).sum()) == g.num_edges
-        assert int(np.diff(g.in_indptr).sum()) == g.num_edges
+        assert int(np.diff(g.matrix.indptr).sum()) == g.num_edges
+        assert int(np.diff(g.incoming.indptr).sum()) == g.num_edges
 
     def test_isolated_node(self):
         g = build_graph(pair_arrays([]), two_article_store())
@@ -304,7 +305,9 @@ class TestPositionsAreNotIds:
     """Ids far from 0..n-1 with uneven gaps, so reading a position as an id,
     or an id as a position, cannot go unnoticed."""
 
-    ARRAYS = ("node_ids", "out_indptr", "out_targets", "in_indptr", "in_sources")
+    # The ids, then the (indptr, indices) of the matrix and of its CSC form.
+    ARRAYS = ("node_ids", "matrix.indptr", "matrix.indices", "incoming.indptr", "incoming.indices")
+    arrays = staticmethod(attrgetter(*ARRAYS))
     # What build_graph gives: int64 ids and scipy's int32 indices (under 2**31 entries).
     DTYPES = [np.int64] + [np.int32] * 4
 
@@ -324,20 +327,21 @@ class TestPositionsAreNotIds:
         keep = sorted(keep)
         kept = set(keep)
         want = {(u, v) for u, v in edges if u in kept and v in kept}
-        assert [getattr(g, name).dtype for name in cls.ARRAYS] == cls.DTYPES
+        assert [array.dtype for array in cls.arrays(g)] == cls.DTYPES
+        assert g.matrix.dtype == bool
         assert g.node_ids.tolist() == keep
         citing, cited = g.edge_arrays()
         assert len(citing) == len(want)
         assert set(zip(citing.tolist(), cited.tolist())) == want
         for v in keep:
             assert g.predecessors_of(v).tolist() == sorted(u for u, w in want if w == v)
-        for indptr, positions in ((g.out_indptr, g.out_targets), (g.in_indptr, g.in_sources)):
-            for row in np.split(positions, indptr[1:-1]):
+        for m in (g.matrix, g.incoming):
+            for row in np.split(m.indices, m.indptr[1:-1]):
                 assert bool(np.all(np.diff(row) > 0))
-        # The in-CSR, read back as (citing, cited) position pairs, is the out-CSR.
+        # The CSC form, read back as (citing, cited) position pairs, is the CSR.
         nodes = np.arange(g.num_nodes)
-        out_src, out_dst = np.repeat(nodes, np.diff(g.out_indptr)), g.out_targets
-        in_dst, in_src = np.repeat(nodes, np.diff(g.in_indptr)), g.in_sources
+        out_src, out_dst = np.repeat(nodes, np.diff(g.matrix.indptr)), g.matrix.indices
+        in_dst, in_src = np.repeat(nodes, np.diff(g.incoming.indptr)), g.incoming.indices
         order = np.lexsort((in_dst, in_src))
         assert np.array_equal(in_src[order], out_src)
         assert np.array_equal(in_dst[order], out_dst)
@@ -362,10 +366,9 @@ class TestPositionsAreNotIds:
             eligible = store.ids.tolist() if cut == "all" else []
             # Keeping every node gives the parent array for array; keeping
             # none gives an empty graph whose indptrs are [0].
-            whole = [getattr(g, name) for name in self.ARRAYS]
-            want = whole if cut == "all" else [[], [0], [], [0], []]
-            for name, array in zip(self.ARRAYS, want):
-                assert np.array_equal(getattr(snap, name), array), name
+            want = self.arrays(g) if cut == "all" else [[], [0], [], [0], []]
+            for name, got, array in zip(self.ARRAYS, self.arrays(snap), want):
+                assert np.array_equal(got, array), name
         self.assert_induced(snap, edges, eligible)
 
         for parent in (g, snap):
@@ -378,8 +381,6 @@ class TestPositionsAreNotIds:
         # Drawn from the snapshot's nodes as candidates of the whole graph,
         # the sample is the one drawn from the snapshot itself.
         candidates = np.isin(g.node_ids, snap.node_ids)
-        for name in self.ARRAYS:
-            assert np.array_equal(
-                getattr(sample_nodes(g, candidates, fraction, seed=sample_seed), name),
-                getattr(sampled, name),
-            ), name
+        drawn = sample_nodes(g, candidates, fraction, seed=sample_seed)
+        for name, got, array in zip(self.ARRAYS, self.arrays(drawn), self.arrays(sampled)):
+            assert np.array_equal(got, array), name

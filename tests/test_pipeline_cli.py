@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -791,11 +792,24 @@ def test_one_cut_gives_the_snapshot_sample(tmp_path, seed):
         keep[perm[:k]] = True
         want = citegraph.induced(snapshot, keep)
         got = citegraph.sample_nodes(data.graph, candidates, cfg.sample_fraction, seed_of_month)
-        for name in ("node_ids", "out_indptr", "out_targets", "in_indptr", "in_sources"):
-            a, b = getattr(got, name), getattr(want, name)
+        names = ("node_ids", "matrix.indptr", "matrix.indices", "incoming.indptr",
+                 "incoming.indices")
+        for name, a, b in zip(names, attrgetter(*names)(got), attrgetter(*names)(want)):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert np.array_equal(compute_month(cfg, data, month, index).member_ids, want.node_ids)
     assert got.num_edges > 0  # the last month's sample cites earlier months
+
+
+def test_compute_leaves_the_ingest_graph_without_its_csc_form(prepared):
+    """Only the sampled graphs' kernels read a CSC form, so the whole graph's
+    is never built."""
+    _, cfg = prepared
+    data = ingest(cfg)
+    for index, month in enumerate(cfg.window()):
+        assert compute_month(cfg, data, month, index).member_ids.size > 0
+    assert "incoming" not in vars(data.graph)
+    data.graph.incoming
+    assert "incoming" in vars(data.graph)  # where the cached form would be
 
 
 class TestScoresCsv:
@@ -923,6 +937,63 @@ class TestMirrors:
         for stage in ("ingest", "compute", "fuse"):
             assert main([stage, "--config", str(cfg_path)]) == 0
         assert_mirrors_hold_parsed_arrays(load_config(cfg_path))
+
+    def test_ingest_records_hold_each_matrix_as_its_pattern(self, prepared, mirror_loads):
+        cfg_path, cfg = prepared
+        assert main(["ingest", "--config", str(cfg_path)]) == 0
+        out = Path(cfg.output_dir) / "ingest"
+        patterns = {
+            "annotations": {"ids", "month_idx", "retracted", "indptr", "indices", "unknown"},
+            "graph": {"out_indptr", "out_targets", "dropped"},
+        }
+        for name, arrays in patterns.items():
+            assert set(json.loads((out / f"{name}.mirror.json").read_text())["arrays"]) == arrays
+        mirror_loads.clear()
+        loaded = ingest(cfg, save=False)
+        assert mirror_loads == [("annotations", True), ("graph", True)]
+
+        with open(cfg.hierarchy) as fh:
+            h, _ = parse_hierarchy(fh)
+        with open(cfg.articles) as fh:
+            articles = parse_articles(fh)
+        with open(cfg.citations) as fh:
+            graph = citegraph.build_graph(citegraph.parse_citations(fh), articles)
+        incidence, unknown = h.incidence(articles.vocabulary, articles.annotations)
+        assert loaded.unknown_descriptor_refs == unknown > 0
+        for name in ("ids", "month_idx", "retracted"):
+            got, want = getattr(loaded, name), getattr(articles, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        got = loaded.incidence
+        assert (got.shape, got.dtype, incidence.dtype) == (incidence.shape, np.int32, np.int32)
+        assert (got.data == 1).all() and (incidence.data == 1).all()
+        for name in ("indptr", "indices"):
+            a, b = getattr(got, name), getattr(incidence, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        got = loaded.graph
+        assert np.array_equal(got.node_ids, graph.node_ids)
+        assert (got.matrix.shape, got.matrix.dtype) == (graph.matrix.shape, bool)
+        assert got.matrix.nnz == graph.matrix.nnz > 0 and got.matrix.data.all()
+        for name in ("indptr", "indices"):
+            a, b = getattr(got.matrix, name), getattr(graph.matrix, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        drops = attrgetter("self_loops_dropped", "unknown_dropped", "duplicates_dropped")
+        assert drops(got) == drops(graph)
+
+    def test_changes_edit_keeps_the_annotation_mirror(self, prepared, capsys, mirror_loads):
+        # No annotation array depends on the change records, which every
+        # stage that reads them parses again.
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        stages = ["ingest", "compute", "fuse", "evaluate"]
+        assert run_stages(cfg_path, stages, capsys) == [(0, "")] * len(stages)
+        before = results(out)
+        edit_line(Path(cfg.changes), lambda line: True, lambda line: f"# {line}")
+        mirror_loads.clear()
+        edited = run_stages(cfg_path, ["evaluate"], capsys), results(out)
+        assert ("annotations", True) in mirror_loads and ("annotations", False) not in mirror_loads
+        assert edited[0] == [(0, "")] and edited[1] != before
+        drop_mirror_records(out)
+        assert (run_stages(cfg_path, ["evaluate"], capsys), results(out)) == edited
 
     def test_score_mirror_keeps_the_bits_the_reader_gives(self, prepared, monkeypatch):
         cfg_path, cfg = prepared
