@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import fusion, pipeline, synthgen
+from . import fusion, mirror, pipeline, synthgen
 from .citegraph import write_citations
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import write_articles
@@ -112,7 +112,7 @@ def _cmd_export_plots(cfg: PipelineConfig) -> int:
             {h.codes[i]: [r or None for r in yearly[:, i].tolist()] for i in nodes},
             config_hash=cfg.config_hash(),
         )
-        (out / f"rank_{scope}.svg").write_text(svg)
+        mirror.write_file(out / f"rank_{scope}.svg", svg.encode())
     print(f"wrote {len(means)} plots to {out}")
     return 0
 

@@ -46,6 +46,8 @@ class PipelineConfig:
             self.first_month = normalize_month(self.first_month)
         if self.last_month:
             self.last_month = normalize_month(self.last_month)
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(f"sample_fraction must be in (0, 1], got {self.sample_fraction}")
         if not 0.0 < self.pagerank_alpha < 1.0:

@@ -19,6 +19,7 @@ from scipy import sparse
 from .citegraph import CitationGraph
 
 NodeSeedScores = dict[str, float]
+BATCH_WORK = 5_000_000  # stored entries that one edge chunk or focal batch of the sweep touches
 
 
 @dataclass
@@ -79,17 +80,15 @@ def _spans(work: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScores:
+def disruption_all(g: CitationGraph) -> ArticleScores:
     """Disruption of every article, equal bit for bit to `disruption_of`.
 
     n_i + n_j is the focal's in-degree.  n_j counts the edges c -> f whose
     ends share a reference: their rows of the out-adjacency A, multiplied
     element-wise, are not empty.  Row f of A @ A.T holds every citer of one
     of f's references, f itself when it has any: n_j + n_k + has_refs.
-    Edge chunks and focal batches are sized to touch `batch_work` entries.
+    Edge chunks and focal batches are sized to touch `BATCH_WORK` entries.
     """
-    if batch_work < 1:
-        raise ValueError(f"batch_work must be at least 1, got {batch_work}")
     n = g.num_nodes
     # The output comes first and the counts are combined in place: n-sized
     # arrays made late stay in the heap (34 MB more peak RSS at 1M nodes).
@@ -101,14 +100,14 @@ def disruption_all(g: CitationGraph, batch_work: int = 5_000_000) -> ArticleScor
 
     citing, cited = np.repeat(np.arange(n), outdeg), A.indices
     shares_ref = np.zeros(len(cited), dtype=bool)
-    for start, stop in _spans(outdeg[citing] + outdeg[cited], batch_work):
+    for start, stop in _spans(outdeg[citing] + outdeg[cited], BATCH_WORK):
         both = A[citing[start:stop]].multiply(A[cited[start:stop]])
         shares_ref[start:stop] = np.diff(both.indptr) > 0
     n_j = np.bincount(cited[shares_ref], minlength=n)
 
     denominator = np.zeros(n, dtype=np.int64)
     # Work per focal: total citations received by its references.
-    for start, stop in _spans(A @ indeg, batch_work):
+    for start, stop in _spans(A @ indeg, BATCH_WORK):
         denominator[start:stop] = np.diff((A[start:stop] @ AT).indptr)
     indeg -= n_j  # n_i
     denominator += indeg

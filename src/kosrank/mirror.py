@@ -4,8 +4,8 @@ The mirror at `stem` is one `np.save` file per array, `<stem>.<name>.npy`,
 and a JSON record `<stem>.mirror.json`, written last: the digest of the code
 that wrote it, the caller's meta, and the sha256 of every source file and of
 every array file.  `load` returns None unless all of them still match, so a
-stale mirror, or one from other code, is never used.  Each file is written
-to a temporary name, then `os.replace`d.
+stale mirror, or one from other code, is never used.  `write_file` writes
+every stage output to a temporary name, then `os.replace`s it.
 """
 from __future__ import annotations
 
@@ -33,6 +33,17 @@ def digests(paths) -> dict[str, str]:
     return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
 
 
+def write_file(path: Path, data: bytes) -> None:
+    """Write `data` to `path` by way of `.<name>.tmp`, which a failed write deletes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:  # gone already after the rename
+        tmp.unlink(missing_ok=True)
+
+
 def save(stem: Path, arrays: dict[str, np.ndarray], sources: dict[str, str], meta: dict) -> None:
     """Write `arrays`, then the record of their digests, `sources` and `meta`."""
     files = {}
@@ -43,11 +54,8 @@ def save(stem: Path, arrays: dict[str, np.ndarray], sources: dict[str, str], met
     written = {name[:-4]: hashlib.sha256(data).hexdigest() for name, data in files.items()}
     record = {"version": code_digest(), "meta": meta, "sources": sources, "arrays": written}
     files["mirror.json"] = json.dumps(record, sort_keys=True).encode()
-    stem.parent.mkdir(parents=True, exist_ok=True)
     for suffix, data in files.items():  # the record last
-        tmp = stem.with_name(f".{stem.name}.{suffix}.tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, stem.with_name(f"{stem.name}.{suffix}"))
+        write_file(stem.with_name(f"{stem.name}.{suffix}"), data)
 
 
 def load(stem: Path, names, sources: dict[str, str], meta: dict) -> dict[str, np.ndarray] | None:

@@ -276,7 +276,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    mirror.write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, paths: list[Path], arrays=None):
@@ -523,8 +523,9 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
         in_year = month_years == year
         member_ids = [m for m, y in zip(members, in_year) if y]
         ids = np.unique(np.concatenate(member_ids))
-        if not np.isin(ids, data.ids).all():
-            raise PipelineError(f"members of {year} include ids missing from the articles file")
+        missing = ids[~np.isin(ids, data.ids)]
+        if len(missing):
+            raise PipelineError(f"{cfg.articles}: no article {missing[0]}, a sampled member of {year}")
         at = np.searchsorted(data.ids, ids)
         rows, retracted = data.incidence[at], data.retracted[at]
         member_rows = [np.searchsorted(ids, m) for m in member_ids]

@@ -20,7 +20,7 @@ def rank_chart_svg(
     title: str,
     x_labels: Sequence[str],
     series: Mapping[str, Sequence[float | None]],
-    config_hash: str = "",
+    config_hash: str,
 ) -> str:
     """Line chart of rank vs. time; None gaps break the line."""
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -42,10 +42,9 @@ def rank_chart_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f"<!-- config_hash={config_hash} -->",
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
-    if config_hash:
-        parts.append(f"<!-- config_hash={config_hash} -->")
-    parts.append(f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     parts.append(
         f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{title}</text>'

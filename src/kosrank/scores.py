@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .hierarchy import Hierarchy
+from .mirror import write_file
 
 ASPECTS = ("disruptiveness", "influence", "informativeness", "usefulness")
 RELEVANCE = "relevance"
@@ -48,8 +49,7 @@ def read_rows(path: Path, header: str, parse: Callable) -> list:
 def write_rows(path: Path, header: str, rows: Iterable[str], config_hash: str) -> None:
     """Write the stage output CSV that `read_rows` reads, making its directory
     if need be: the config hash comment, `header`, then the comma-joined `rows`."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([f"# config_hash={config_hash}", header, *rows, ""]))
+    write_file(path, "\n".join([f"# config_hash={config_hash}", header, *rows, ""]).encode())
 
 
 def write_scores_csv(

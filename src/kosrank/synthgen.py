@@ -1,12 +1,14 @@
 """Deterministic synthetic corpus/graph/hierarchy generator.
 
 Produces desk-scale datasets with the shape the pipeline expects: a
-category forest, Zipf-distributed descriptor usage, citations that only
-point to earlier months (preferential attachment on in-degree), planted
-"evolving" descriptors with a usage boost, and retracted articles whose
-annotations are biased toward the most popular descriptors.  The
-annotations come from one sorted (article, descriptor text rank) key per
-draw, not from a loop over the articles.
+category forest in which a tenth of the descriptors map to a second node,
+descriptor usage weighted rank ** -0.5 (Zipf), citations that only point
+to earlier months (preferential attachment on in-degree), planted
+"evolving" descriptors drawn 2.5 times as often, and retracted articles
+that draw the most popular tenth of the descriptors 10 times as often.
+Module constants fix those figures.  The annotations come from one sorted
+(article, descriptor text rank) key per draw, not from a loop over the
+articles.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ from .hierarchy import Hierarchy, build_hierarchy
 from .months import month_from_index, month_index, normalize_month, year_of
 
 _CATEGORY_LETTERS = "ABCDEFGHIJKLMNOP"  # at most 16 level-1 categories
+POLYHIERARCHY_FRACTION, ZIPF_EXPONENT, EVOLVING_BOOST = 0.10, 0.5, 2.5
+RETRACTION_BIAS_FRACTION, RETRACTION_BIAS_BOOST = 0.10, 10.0
 # numpy's Poisson sampler refuses a mean above this
 _POISSON_MEAN_LIMIT = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -38,19 +42,15 @@ class ScenarioConfig:
     first_month: str = "2014-01"
     # level-1 category count, then children per node for each deeper level
     hierarchy_branching: tuple[int, ...] = (16, 9, 5, 3)
-    polyhierarchy_fraction: float = 0.10
     descriptors_per_article_mean: float = 4.0
-    zipf_exponent: float = 0.5
     pa_exponent: float = 1.0
     refs_mean: float = 5.0
-    refs_min: int = 0
     evolving_fraction: float = 0.01
-    evolving_boost: float = 2.5
     retraction_rate: float = 0.005
-    retraction_bias_fraction: float = 0.10
-    retraction_bias_boost: float = 10.0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise InfeasibleConfigError(f"seed must be >= 0, got {self.seed}")
         if self.months < 1 or self.articles_per_month < 1:
             raise InfeasibleConfigError("need at least one month and one article")
         if not self.hierarchy_branching or any(b < 1 for b in self.hierarchy_branching):
@@ -61,30 +61,19 @@ class ScenarioConfig:
             raise InfeasibleConfigError("level-2 fan-out limited to 99 by the code grammar")
         if any(b > 999 for b in self.hierarchy_branching[2:]):
             raise InfeasibleConfigError("fan-out below level 2 limited to 999")
-        for name in ("polyhierarchy_fraction", "evolving_fraction",
-                     "retraction_rate", "retraction_bias_fraction"):
+        for name in ("evolving_fraction", "retraction_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise InfeasibleConfigError(f"{name} must be in [0, 1], got {value}")
-        for name in ("evolving_boost", "retraction_bias_boost"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # also false for nan
-                raise InfeasibleConfigError(f"{name} must be finite and > 0, got {value}")
         try:
             self.first_month = normalize_month(self.first_month)
         except ValueError as exc:
             raise InfeasibleConfigError(f"first_month: {exc}") from None
-        for name in ("descriptors_per_article_mean", "refs_mean", "zipf_exponent", "pa_exponent"):
+        for name in ("descriptors_per_article_mean", "refs_mean", "pa_exponent"):
             value = getattr(self, name)
             top = _POISSON_MEAN_LIMIT if name.endswith("_mean") else math.inf
             if not 0.0 <= value < top:
                 raise InfeasibleConfigError(f"{name} must be >= 0 and below {top:g}, got {value}")
-        if self.refs_min < 0:
-            raise InfeasibleConfigError("refs_min cannot be negative")
-        if self.refs_min > 0 and self.months == 1:
-            raise InfeasibleConfigError(
-                "refs_min > 0 is infeasible: first-month articles have no citable pool"
-            )
 
 
 def _tree_codes(branching: tuple[int, ...]) -> list[str]:
@@ -101,18 +90,11 @@ def _tree_codes(branching: tuple[int, ...]) -> list[str]:
     return codes
 
 
-def _month_labels(cfg: ScenarioConfig) -> list[str]:
-    start = month_index(cfg.first_month)
-    return [month_from_index(start + i) for i in range(cfg.months)]
-
-
 def _weighted_draws(rng, cdf: np.ndarray, count: int) -> np.ndarray:
     """Indices drawn with the weights whose running sum is `cdf`.  The draws
     are searched in sorted order, so each search starts near the last one."""
     if not np.isfinite(cdf[-1]):  # r would be inf or nan, and its index out of range
-        raise InfeasibleConfigError(
-            f"draw weights sum to {cdf[-1]}: an exponent or boost is too large"
-        )
+        raise InfeasibleConfigError(f"draw weights sum to {cdf[-1]}: an exponent is too large")
     r = rng.random(count) * cdf[-1]
     order = np.argsort(r)
     draws = np.empty(count, dtype=np.intp)
@@ -134,7 +116,7 @@ def generate(
     descriptor_ids = [f"D{i + 1:06d}" for i in range(n_desc)]
 
     descriptor_map: dict[str, set[str]] = {}
-    poly = rng.random(n_desc) < cfg.polyhierarchy_fraction
+    poly = rng.random(n_desc) < POLYHIERARCHY_FRACTION
     extra = rng.integers(0, n_desc, size=n_desc)
     for i, descriptor in enumerate(descriptor_ids):
         mapped = {codes[i]}
@@ -146,21 +128,21 @@ def generate(
 
     # Zipf popularity on a shuffled rank assignment, then planted boosts.
     rank_of = rng.permutation(n_desc)
-    base_weights = 1.0 / (rank_of + 1.0) ** cfg.zipf_exponent
+    base_weights = 1.0 / (rank_of + 1.0) ** ZIPF_EXPONENT
     n_evolving = int(round(cfg.evolving_fraction * n_desc))
     evolving_idx = np.sort(rng.choice(n_desc, size=n_evolving, replace=False))
     weights = base_weights.copy()
-    weights[evolving_idx] *= cfg.evolving_boost
+    weights[evolving_idx] *= EVOLVING_BOOST
 
-    n_risky = int(round(cfg.retraction_bias_fraction * n_desc))
+    n_risky = int(round(RETRACTION_BIAS_FRACTION * n_desc))
     risky_idx = np.argsort(-base_weights, kind="stable")[:n_risky]
     biased_weights = weights.copy()
-    biased_weights[risky_idx] *= cfg.retraction_bias_boost
+    biased_weights[risky_idx] *= RETRACTION_BIAS_BOOST
 
     cdf = np.cumsum(weights)
     biased_cdf = np.cumsum(biased_weights)
 
-    months = _month_labels(cfg)
+    months = [month_from_index(month_index(cfg.first_month) + i) for i in range(cfg.months)]
     total = cfg.months * cfg.articles_per_month
     retracted = rng.random(total) < cfg.retraction_rate
     desc_counts = rng.poisson(cfg.descriptors_per_article_mean, total)
@@ -195,16 +177,9 @@ def generate(
     citing_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     cited_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     indegree = np.zeros(total, dtype=np.float64)
-    for mi in range(cfg.months):
+    for mi in range(1, cfg.months):  # the first month has nothing to cite
         pool = mi * cfg.articles_per_month
-        if pool == 0:
-            if cfg.refs_min > 0:
-                raise InfeasibleConfigError("more references required than prior articles")
-            continue
-        if cfg.refs_min > pool:
-            raise InfeasibleConfigError("more references required than prior articles")
-        refs = rng.poisson(cfg.refs_mean, cfg.articles_per_month)
-        refs = np.clip(refs, cfg.refs_min, pool)
+        refs = np.minimum(rng.poisson(cfg.refs_mean, cfg.articles_per_month), pool)
         total_refs = int(refs.sum())
         if total_refs == 0:
             continue

@@ -9,6 +9,7 @@ from conftest import (
     store_from_articles,
     temporal_store,
 )
+from kosrank import graphmetrics
 from kosrank.citegraph import build_graph
 from kosrank.corpus import Article
 from kosrank.graphmetrics import (
@@ -18,6 +19,12 @@ from kosrank.graphmetrics import (
     disruption_of,
     pagerank,
 )
+
+
+@pytest.fixture
+def set_batch_work(monkeypatch):
+    """Sets `graphmetrics.BATCH_WORK`, the sweep's chunk and batch size, for one test."""
+    return lambda work: monkeypatch.setattr(graphmetrics, "BATCH_WORK", work)
 
 
 def graph_from(edges, n):
@@ -65,10 +72,11 @@ class TestDisruption:
             for focal in rng.choice(g.node_ids, size=20, replace=False):
                 assert disruption_of(g, int(focal)) == disruption_oracle(g, int(focal))
 
-    def test_sweep_equals_single(self):
+    def test_sweep_equals_single(self, set_batch_work):
+        set_batch_work(500)
         rng = np.random.default_rng(55)
         _, g = random_temporal_graph(rng, 150)
-        sweep = disruption_all(g, batch_work=500)
+        sweep = disruption_all(g)
         assert sweep.graph_size_m == g.num_nodes
         for raw in g.node_ids:
             assert sweep.values[int(raw)] == disruption_of(g, int(raw))
@@ -85,22 +93,26 @@ class TestDisruptionSweep:
     # and give single-focal batches; the default runs everything in one.
     @pytest.mark.parametrize("batch_work", [1, 4, 37, 5_000_000])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_set_oracle(self, seed, batch_work):
+    def test_matches_set_oracle(self, set_batch_work, seed, batch_work):
+        set_batch_work(batch_work)
         _, g = random_temporal_graph(np.random.default_rng(300 + seed), 90, mean_refs=4.0)
-        assert np.array_equal(disruption_all(g, batch_work=batch_work).scores, oracle_scores(g))
+        assert np.array_equal(disruption_all(g).scores, oracle_scores(g))
 
-    def test_empty_graph(self):
+    def test_empty_graph(self, set_batch_work):
+        set_batch_work(1)
         g = build_graph(pair_arrays([]), store_from_articles([]))
-        sweep = disruption_all(g, batch_work=1)
+        sweep = disruption_all(g)
         assert sweep.scores.dtype == np.float64
         assert len(sweep.scores) == len(sweep.node_ids) == 0
 
-    def test_edgeless_graph(self):
+    def test_edgeless_graph(self, set_batch_work):
+        set_batch_work(1)
         g = graph_from([], 7)
-        assert disruption_all(g, batch_work=1).scores.tolist() == [0.0] * 7
+        assert disruption_all(g).scores.tolist() == [0.0] * 7
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_gapped_ids(self, seed):
+    def test_gapped_ids(self, set_batch_work, seed):
+        set_batch_work(3)
         rng = np.random.default_rng(seed)
         n = 80
         ids = 10**12 + 7 * np.arange(n)
@@ -108,7 +120,7 @@ class TestDisruptionSweep:
         citing = rng.integers(1, n, size=300)
         cited = rng.integers(0, citing)  # earlier articles only
         g = build_graph((ids[citing], ids[cited]), store)
-        assert np.array_equal(disruption_all(g, batch_work=3).scores, oracle_scores(g))
+        assert np.array_equal(disruption_all(g).scores, oracle_scores(g))
 
     @pytest.mark.parametrize("shared", [256, 300, 512])
     def test_many_shared_references(self, shared):
@@ -123,12 +135,6 @@ class TestDisruptionSweep:
         scores = disruption_all(g).scores
         assert scores[:3].tolist() == [-1.0, 0.0, 1.0]
         assert np.array_equal(scores, oracle_scores(g))
-
-    @pytest.mark.parametrize("batch_work", [0, -5])
-    def test_batch_work_below_one_is_an_error(self, batch_work):
-        g = graph_from([(2, 1)], 2)
-        with pytest.raises(ValueError, match="^batch_work must be at least 1, got -?\\d+$"):
-            disruption_all(g, batch_work=batch_work)
 
 
 class TestPagerank:

@@ -160,6 +160,7 @@ class TestConfig:
             ("pagerank_max_iter = -5", "pagerank_max_iter"),
             ("pagerank_tol = 0.0", "pagerank_tol"),
             ("pagerank_tol = -1e-9", "pagerank_tol"),
+            ("base_seed = -3", "base_seed"),  # numpy: "expected non-negative integer"
         ],
     )
     def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, line, key):
@@ -461,6 +462,33 @@ class TestComputeFuseTrendEvaluate:
         )
         assert evolution["results"]
         assert all(r["status"] == "skipped" for r in evolution["results"])
+
+    def test_release_with_no_window_month_is_skipped(self, prepared):
+        cfg_path, cfg = prepared
+        with open(cfg.changes, "a") as fh:  # the window is 2014-01 .. 2014-06
+            fh.write("2013AA\tD000001\textension\n")
+        for stage in ("compute", "fuse", "evaluate"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        rows = json.loads((Path(cfg.output_dir) / "evolution_tests.json").read_text())["results"]
+        early = [r for r in rows if r["release"] == "2013AA"]
+        assert [r["aspect"] for r in early] == [*ASPECTS, "relevance"]
+        assert all(r["status"] == "skipped" and r["reason"] == "no window months" for r in early)
+        assert any(r["status"] == "ok" for r in rows if r["release"] == "2014AA")
+
+    def test_member_missing_from_the_articles_is_a_one_line_error(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        path = Path(cfg.output_dir) / "members" / "2014-03.csv"
+        member = int(path.read_text().splitlines()[2])
+        articles = Path(cfg.articles)
+        lines = [line for line in articles.read_text().splitlines()
+                 if json.loads(line)["id"] != member]
+        articles.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg.articles}: no article {member}, a sampled member of 2014\n"
 
     def test_evaluate_skips_without_changes(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path, changes="")
@@ -1116,6 +1144,26 @@ class TestMirrors:
             assert run_stages(cfg_path, ["ingest"], capsys) == [(0, "")]
         error = f"error: {articles}: line 1: 'retracted' must be true or false\n"
         assert run_stages(cfg_path, ["compute"], capsys) == [(1, error)]
+
+    def test_failed_rename_leaves_the_last_output_whole(self, prepared, capsys, monkeypatch):
+        cfg_path, cfg = prepared
+        for stage in ("compute", "fuse"):
+            assert main([stage, "--config", str(cfg_path)]) == 0
+        out = Path(cfg.output_dir)
+        before = (out / "rankings.csv").read_bytes()
+        # node A tops the 2014-01 influence ranking, which changes its fused value
+        edit_line(out / "scores" / "influence_2014-01.csv", lambda line: line.startswith("A,"),
+                  lambda line: line.rsplit(",", 1)[0] + ",1e9")
+
+        def fail(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+
+        monkeypatch.setattr(os, "replace", fail)
+        capsys.readouterr()
+        assert main(["fuse", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert (out / "rankings.csv").read_bytes() == before
+        assert not list(out.rglob("*.tmp"))
 
     def test_failed_ingest_leaves_output_dir_untouched(self, prepared, capsys):
         cfg_path, cfg = prepared

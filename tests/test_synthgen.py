@@ -45,18 +45,10 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfigError):
             small_config(hierarchy_branching=(17,))
 
-    def test_refs_min_infeasible_with_one_month(self):
-        with pytest.raises(InfeasibleConfigError):
-            small_config(months=1, refs_min=2)
-
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("evolving_boost", -1.0),  # the weights' running sum would fall
-            ("evolving_boost", 0.0),
-            ("retraction_bias_boost", -10.0),
-            ("retraction_bias_boost", float("nan")),
-            ("evolving_boost", float("inf")),  # an IndexError from generate
+            ("seed", -1),  # numpy: "expected non-negative integer"
             ("first_month", "2014-13"),  # would date the articles 2015-01 on
             ("first_month", "2014"),
             ("refs_mean", float("nan")),  # numpy: "lam < 0 or lam is NaN"
@@ -64,11 +56,8 @@ class TestConfigValidation:
             ("refs_mean", -1.0),
             ("descriptors_per_article_mean", float("nan")),
             ("descriptors_per_article_mean", -0.5),
-            ("zipf_exponent", float("nan")),  # an IndexError from generate
-            ("zipf_exponent", float("-inf")),
             ("pa_exponent", float("inf")),  # edges were written silently
             ("pa_exponent", -1.0),
-            ("refs_min", -1),
         ],
     )
     def test_infeasible_value_is_rejected_by_name(self, field, value):
@@ -81,7 +70,7 @@ class TestConfigValidation:
             ("descriptors_per_article_mean", 1e30),  # numpy: "lam value too large"
             ("refs_mean", 1e30),
             ("retraction_rate", 1.5),
-            ("polyhierarchy_fraction", -0.1),
+            ("seed", -1),
         ],
     )
     def test_message_names_the_field_and_its_value(self, field, value):
@@ -154,7 +143,7 @@ class TestGenerate:
 
     def test_evolving_descriptors_boosted(self):
         cfg = small_config(
-            months=4, articles_per_month=2500, evolving_fraction=0.1, evolving_boost=2.5
+            months=4, articles_per_month=2500, evolving_fraction=0.1
         )
         _, store, _, changes = generate(cfg)
         evolving = {c.descriptor_id for c in changes}
