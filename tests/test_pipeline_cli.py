@@ -172,6 +172,22 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "stage", ["generate", "ingest", "compute", "fuse", "trend", "evaluate", "export-plots"]
+    )
+    def test_negative_seed_option_is_a_one_line_error(self, tmp_path, capsys, stage):
+        # numpy's "expected non-negative integer" came from generate at once,
+        # and from compute only after the ingest parse
+        cfg_path = make_config(tmp_path)
+        generate_inputs(cfg_path)
+        data = tmp_path / "data"
+        inputs = {p.name: p.read_bytes() for p in data.iterdir()}
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path), "--seed", "-3"]) == 1
+        assert capsys.readouterr().err == "error: base_seed must be >= 0, got -3\n"
+        assert {p.name: p.read_bytes() for p in data.iterdir()} == inputs
+        assert not (tmp_path / "out").exists()
+
     def test_int_passes_for_float_and_bool_never_for_number(self, tmp_path):
         path = make_config(tmp_path)
         path.write_text(path.read_text() + "sample_fraction = 1\n")
@@ -1164,6 +1180,50 @@ class TestMirrors:
         assert capsys.readouterr().err.count("\n") == 1
         assert (out / "rankings.csv").read_bytes() == before
         assert not list(out.rglob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            ("ingest", "ingest/annotations.mirror.json"),  # mirror.save
+            ("compute", "scores/influence_2014-01.csv"),  # scores.write_rows
+            ("evaluate", "evolution_tests.json"),  # pipeline._write_json
+            ("export-plots", "plots/rank_level-1.svg"),
+        ],
+    )
+    def test_each_writer_renames_onto_its_output(self, prepared, capsys, monkeypatch,
+                                                 stage, name):
+        cfg_path, cfg = prepared
+        for step in CHAIN:
+            assert main([step, "--config", str(cfg_path)]) == 0
+        out = Path(cfg.output_dir)
+        (out / name).write_bytes(b"stale\n")  # no stage would write these bytes
+
+        def fail(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+
+        monkeypatch.setattr(os, "replace", fail)
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert (out / name).read_bytes() == b"stale\n"
+        assert not list(out.rglob("*.tmp"))
+
+    def test_failed_write_deletes_its_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out" / "rankings.csv"
+        path.parent.mkdir()
+        path.write_bytes(b"old\n")
+        real = Path.write_bytes
+
+        def half(self, data):  # a write that stops part of the way in
+            real(self, data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", half)
+        with pytest.raises(OSError, match="No space left"):
+            mirror.write_file(path, b"new contents\n")
+        monkeypatch.undo()
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in path.parent.iterdir()] == ["rankings.csv"]
 
     def test_failed_ingest_leaves_output_dir_untouched(self, prepared, capsys):
         cfg_path, cfg = prepared

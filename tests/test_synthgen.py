@@ -32,6 +32,20 @@ def small_config(**kwargs):
     return ScenarioConfig(**defaults)
 
 
+@pytest.fixture(scope="module")
+def shaped():
+    """The default hierarchy (3,040 descriptors) and 4,000 articles, 5% of
+    them retracted: (hierarchy, usage counts of the articles that are not
+    retracted, usage counts of the retracted ones)."""
+    cfg = ScenarioConfig(seed=7, months=2, articles_per_month=2000, refs_mean=0.0,
+                         retraction_rate=0.05)
+    hierarchy, store, _, _ = generate(cfg)
+    normal, retracted = Counter(), Counter()
+    for article in store.articles.values():
+        (retracted if article.retracted else normal).update(article.descriptors)
+    return hierarchy, normal, retracted
+
+
 class TestConfigValidation:
     def test_rates_bounded(self):
         with pytest.raises(InfeasibleConfigError):
@@ -158,6 +172,40 @@ class TestGenerate:
         )
         # Zipf noise is big; boosted group should still be clearly above average
         assert mean_evolving > mean_rest
+
+    def test_one_month_cites_nothing(self):
+        # the first month has no earlier article to cite, whatever refs_mean asks
+        _, store, (citing, cited), _ = generate(small_config(months=1, refs_mean=50.0))
+        assert len(store) == 200
+        assert len(citing) == len(cited) == 0
+
+    def test_a_tenth_of_descriptors_map_to_two_nodes(self, shaped):
+        hierarchy, _, _ = shaped
+        sizes = Counter(len(codes) for codes in hierarchy.descriptor_map.values())
+        n = sum(sizes.values())
+        assert set(sizes) == {1, 2}
+        # POLYHIERARCHY_FRACTION of 3,040 descriptors, within four binomial deviations
+        expected = synthgen.POLYHIERARCHY_FRACTION * n
+        spread = 4 * math.sqrt(expected * (1 - synthgen.POLYHIERARCHY_FRACTION))
+        assert abs(sizes[2] - expected) <= spread
+
+    def test_usage_falls_with_rank_by_the_zipf_exponent(self, shaped):
+        _, normal, _ = shaped
+        counts = sorted(normal.values(), reverse=True)[:300]
+        slope = np.polyfit(np.log(np.arange(1, 301)), np.log(counts), 1)[0]
+        assert abs(slope + synthgen.ZIPF_EXPONENT) < 0.08
+
+    def test_retracted_articles_favour_the_popular_tenth(self, shaped):
+        hierarchy, normal, retracted = shaped
+        n_top = round(synthgen.RETRACTION_BIAS_FRACTION * len(hierarchy.descriptor_map))
+        top = {d for d, _ in normal.most_common(n_top)}
+
+        def share(usage):
+            return sum(v for d, v in usage.items() if d in top) / sum(usage.values())
+
+        # unbiased, both shares would be about a third; boosted, retracted
+        # articles draw about two thirds of their descriptors from this tenth
+        assert share(retracted) > 0.5 > share(normal)
 
     def test_change_records_use_valid_types_and_release(self):
         _, _, _, changes = generate(small_config(evolving_fraction=0.1))
