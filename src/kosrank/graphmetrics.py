@@ -4,22 +4,28 @@ Both read the graph's boolean matrix and its CSC form.  The disruption
 sweep takes n_i + n_j as the in-degree, n_j from one shared-reference test
 per citation edge, and n_k from the row nnz of a boolean sparse product.
 The counts are exact integers and only the final division is float, so the
-scores keep the bits of `disruption_of`.  `aggregate_to_nodes` sums article
-scores onto tree nodes as a dict; `compute` does it by an incidence product.
+scores keep the bits of `disruption_of` at any worker count: each of the
+sweep's spans, on `WORKERS` threads, writes its own slice of the counts.
+`aggregate_to_nodes` sums article scores onto tree nodes as a dict; `compute`
+does it by an incidence product.
 """
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
 
 from .citegraph import CitationGraph
 
-NodeSeedScores = dict[str, float]
-BATCH_WORK = 5_000_000  # stored entries that one edge chunk or focal batch of the sweep touches
+BATCH_WORK = 5_000_000  # stored entries that the sweep's spans in flight touch together
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+AGGREGATE_CHUNK = 65_536  # aggregate_to_nodes' slice: whole-graph lists set the 1M peak RSS
 
 
 @dataclass
@@ -69,15 +75,33 @@ def disruption_of(g: CitationGraph, focal: int) -> float:
     return (n_i - n_j) / denominator
 
 
-def _spans(work: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
-    """Consecutive (start, stop) ranges of one item or more whose work fits `budget`."""
-    cumulative = np.cumsum(np.maximum(work, 1))
-    start = 0
-    while start < len(work):
-        base = int(cumulative[start - 1]) if start else 0
+def _run_spans(work: np.ndarray, out: np.ndarray, part: Callable[[int, int], np.ndarray]) -> None:
+    """Set `out[start:stop] = part(start, stop)` over spans of one item or more of
+    `work`.  The caller and `WORKERS - 1` helper threads share the spans and
+    `BATCH_WORK`; one span or one worker runs inline.  No thread outlives the call.
+    """
+    budget, cumulative = BATCH_WORK // WORKERS, np.cumsum(np.maximum(work, 1))
+    pending, stop = deque(), 0
+    while stop < len(work):
+        start, base = stop, int(cumulative[stop - 1]) if stop else 0
         stop = max(int(np.searchsorted(cumulative, base + budget, side="right")), start + 1)
-        yield start, stop
-        start = stop
+        pending.append((start, stop))
+    helpers = min(WORKERS, len(pending)) - 1
+    pending.extend([None] * WORKERS)  # each thread stops at the first None it takes
+
+    def drain() -> None:
+        try:
+            for start, stop in iter(pending.popleft, None):
+                out[start:stop] = part(start, stop)
+        finally:  # after an error, the other threads stop when their span ends
+            pending.extendleft([None] * WORKERS)
+
+    if helpers < 1:
+        return drain()
+    with ThreadPoolExecutor(helpers) as pool:
+        helped = pool.map(lambda _: drain(), range(helpers))  # submits them all now
+        drain()
+    list(helped)  # re-raises a helper's error
 
 
 def disruption_all(g: CitationGraph) -> ArticleScores:
@@ -87,7 +111,7 @@ def disruption_all(g: CitationGraph) -> ArticleScores:
     ends share a reference: their rows of the out-adjacency A, multiplied
     element-wise, are not empty.  Row f of A @ A.T holds every citer of one
     of f's references, f itself when it has any: n_j + n_k + has_refs.
-    Edge chunks and focal batches are sized to touch `BATCH_WORK` entries.
+    Spans run on `WORKERS` threads; each writes a disjoint slice, so no bit depends on their count.
     """
     n = g.num_nodes
     # The output comes first and the counts are combined in place: n-sized
@@ -100,15 +124,13 @@ def disruption_all(g: CitationGraph) -> ArticleScores:
 
     citing, cited = np.repeat(np.arange(n), outdeg), A.indices
     shares_ref = np.zeros(len(cited), dtype=bool)
-    for start, stop in _spans(outdeg[citing] + outdeg[cited], BATCH_WORK):
-        both = A[citing[start:stop]].multiply(A[cited[start:stop]])
-        shares_ref[start:stop] = np.diff(both.indptr) > 0
+    _run_spans(outdeg[citing] + outdeg[cited], shares_ref,
+               lambda a, b: np.diff(A[citing[a:b]].multiply(A[cited[a:b]]).indptr) > 0)
     n_j = np.bincount(cited[shares_ref], minlength=n)
 
     denominator = np.zeros(n, dtype=np.int64)
     # Work per focal: total citations received by its references.
-    for start, stop in _spans(A @ indeg, BATCH_WORK):
-        denominator[start:stop] = np.diff((A[start:stop] @ AT).indptr)
+    _run_spans(A @ indeg, denominator, lambda a, b: np.diff((A[a:b] @ AT).indptr))
     indeg -= n_j  # n_i
     denominator += indeg
     denominator -= outdeg > 0  # n_i + n_j + n_k
@@ -154,7 +176,7 @@ def pagerank(
 
 def aggregate_to_nodes(
     scores: ArticleScores, article_nodes: Mapping[int, frozenset[str] | set[str]]
-) -> NodeSeedScores:
+) -> dict[str, float]:
     """Sum article scores onto their mapped nodes, divided by network size.
 
     An article mapped to several nodes contributes its full score to each;
@@ -164,10 +186,12 @@ def aggregate_to_nodes(
     if scores.graph_size_m <= 0:
         raise ValueError("graph_size_m must be positive")
     sums: dict[str, float] = {}
-    for article_id, score in zip(scores.node_ids.tolist(), scores.scores.tolist()):
-        codes = article_nodes.get(article_id)
-        if not codes:
-            continue
-        for code in sorted(codes):
-            sums[code] = sums.get(code, 0.0) + score
+    ids, values, step = scores.node_ids, scores.scores, AGGREGATE_CHUNK
+    for s in range(0, len(ids), step):
+        for article_id, score in zip(ids[s : s + step].tolist(), values[s : s + step].tolist()):
+            codes = article_nodes.get(article_id)
+            if not codes:
+                continue
+            for code in sorted(codes):
+                sums[code] = sums.get(code, 0.0) + score
     return {code: total / scores.graph_size_m for code, total in sums.items()}

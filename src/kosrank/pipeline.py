@@ -227,7 +227,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     data = ingest(cfg, save=False)
     window = cfg.window()
     month = partial(compute_month, cfg, data)
-    if threads == 1:  # in this thread: a worker thread would add its own malloc arena
+    if threads == 1:  # no thread, nor in a default-scale month's sweep: each adds a malloc arena
         results = list(map(month, window, range(len(window))))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,12 @@ from kosrank.graphmetrics import (
 def set_batch_work(monkeypatch):
     """Sets `graphmetrics.BATCH_WORK`, the sweep's chunk and batch size, for one test."""
     return lambda work: monkeypatch.setattr(graphmetrics, "BATCH_WORK", work)
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """Sets `graphmetrics.WORKERS`, the sweep's thread count, for one test."""
+    return lambda workers: monkeypatch.setattr(graphmetrics, "WORKERS", workers)
 
 
 def graph_from(edges, n):
@@ -91,12 +101,18 @@ class TestDisruptionSweep:
 
     # 1 and 4 put chunk boundaries inside a citing article's row of edges
     # and give single-focal batches; the default runs everything in one.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("batch_work", [1, 4, 37, 5_000_000])
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_set_oracle(self, set_batch_work, seed, batch_work):
+    def test_matches_set_oracle(self, set_batch_work, set_workers, seed, batch_work, workers):
         set_batch_work(batch_work)
         _, g = random_temporal_graph(np.random.default_rng(300 + seed), 90, mean_refs=4.0)
-        assert np.array_equal(disruption_all(g).scores, oracle_scores(g))
+        set_workers(1)
+        serial = disruption_all(g).scores
+        set_workers(workers)
+        scores = disruption_all(g).scores
+        assert np.array_equal(scores, oracle_scores(g))
+        assert np.array_equal(scores.view(np.int64), serial.view(np.int64))
 
     def test_empty_graph(self, set_batch_work):
         set_batch_work(1)
@@ -110,8 +126,9 @@ class TestDisruptionSweep:
         g = graph_from([], 7)
         assert disruption_all(g).scores.tolist() == [0.0] * 7
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(3))
-    def test_gapped_ids(self, set_batch_work, seed):
+    def test_gapped_ids(self, set_batch_work, set_workers, seed, workers):
         set_batch_work(3)
         rng = np.random.default_rng(seed)
         n = 80
@@ -120,7 +137,12 @@ class TestDisruptionSweep:
         citing = rng.integers(1, n, size=300)
         cited = rng.integers(0, citing)  # earlier articles only
         g = build_graph((ids[citing], ids[cited]), store)
-        assert np.array_equal(disruption_all(g).scores, oracle_scores(g))
+        set_workers(1)
+        serial = disruption_all(g).scores
+        set_workers(workers)
+        scores = disruption_all(g).scores
+        assert np.array_equal(scores, oracle_scores(g))
+        assert np.array_equal(scores.view(np.int64), serial.view(np.int64))
 
     @pytest.mark.parametrize("shared", [256, 300, 512])
     def test_many_shared_references(self, shared):
@@ -135,6 +157,77 @@ class TestDisruptionSweep:
         scores = disruption_all(g).scores
         assert scores[:3].tolist() == [-1.0, 0.0, 1.0]
         assert np.array_equal(scores, oracle_scores(g))
+
+
+class TestSweepThreads:
+    """The sweep's helper threads start only for several spans and end with the call."""
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+    def test_workers_are_the_cpus_this_process_may_use(self):
+        assert graphmetrics.WORKERS == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize(("workers", "batch_work"), [(2, 5_000_000), (1, 1)])
+    def test_one_span_or_one_worker_starts_no_thread(
+        self, set_batch_work, set_workers, monkeypatch, workers, batch_work
+    ):
+        set_workers(workers)
+        set_batch_work(batch_work)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the sweep started a thread")
+
+        monkeypatch.setattr(graphmetrics, "ThreadPoolExecutor", no_pool)
+        _, g = random_temporal_graph(np.random.default_rng(5), 90, mean_refs=4.0)
+        assert np.array_equal(disruption_all(g).scores, oracle_scores(g))
+
+    def test_no_thread_outlives_a_call(self, set_batch_work, set_workers):
+        set_batch_work(1)
+        set_workers(2)
+        _, g = random_temporal_graph(np.random.default_rng(6), 90, mean_refs=4.0)
+        before = threading.active_count()
+        scores = disruption_all(g).scores
+        assert threading.active_count() == before
+        assert np.array_equal(scores, oracle_scores(g))
+
+    def test_helper_error_leaves_the_call(self, set_batch_work, set_workers, monkeypatch):
+        set_batch_work(1)
+        set_workers(2)
+        _, g = random_temporal_graph(np.random.default_rng(7), 90, mean_refs=4.0)
+        before = threading.active_count()
+        failed = threading.Event()
+        calls_after_failure = []
+        diff = np.diff
+
+        def diff_failing_on_the_helper(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                failed.set()
+                raise RuntimeError("span failed")
+            if threading.active_count() > before:
+                # The caller holds its span until the helper has failed on the next.
+                assert failed.wait(timeout=30)
+                calls_after_failure.append(1)
+            return diff(*args, **kwargs)
+
+        monkeypatch.setattr(np, "diff", diff_failing_on_the_helper)
+        with pytest.raises(RuntimeError, match="span failed"):
+            disruption_all(g)
+        assert failed.is_set()
+        assert threading.active_count() == before
+        # The caller finished the span it held, if any, and took no other.
+        assert len(calls_after_failure) <= 1
+
+    def test_more_threads_than_cpus_with_fast_switching(self, set_batch_work, set_workers):
+        # A span lost or taken twice from the shared queue would leave a slice unset.
+        set_batch_work(1)
+        set_workers(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(3):
+                _, g = random_temporal_graph(np.random.default_rng(400 + seed), 90, mean_refs=4.0)
+                assert np.array_equal(disruption_all(g).scores, oracle_scores(g))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPagerank:
@@ -216,6 +309,23 @@ class TestAggregate:
     def test_unmapped_nodes_absent(self):
         scores = article_scores([1, 2], [1.0, 0.0])
         assert aggregate_to_nodes(scores, {}) == {}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_slices_sum_as_one_pass(self, monkeypatch, chunk):
+        monkeypatch.setattr(graphmetrics, "AGGREGATE_CHUNK", chunk)
+        rng = np.random.default_rng(9)
+        ids, values = np.arange(1, 101), rng.normal(size=100)
+        mapping = {
+            i: set(rng.choice(["A", "B", "C"], size=int(rng.integers(1, 4)), replace=False))
+            for i in range(1, 101)
+            if rng.random() < 0.8
+        }
+        expected: dict[str, float] = {}
+        for article_id, score in zip(ids.tolist(), values.tolist()):
+            for code in sorted(mapping.get(article_id, ())):
+                expected[code] = expected.get(code, 0.0) + score
+        seeds = aggregate_to_nodes(article_scores(ids, values), mapping)
+        assert seeds == {code: total / 100 for code, total in expected.items()}
 
     def test_zero_network_size_rejected(self):
         with pytest.raises(ValueError):
