@@ -7,6 +7,7 @@ overrides base_seed; compute also takes --threads, its parallel months.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from pathlib import Path
 
@@ -81,19 +82,20 @@ def _cmd_generate(cfg: PipelineConfig, args) -> int:
         if not getattr(cfg, key):
             raise pipeline.PipelineError(f"config does not set the {key} path")
     hierarchy, store, (citing, cited), changes = synthgen.generate(scenario)
-    Path(cfg.hierarchy).parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.hierarchy, "w") as fh:
-        write_hierarchy(hierarchy, fh)
-    with open(cfg.articles, "w") as fh:
-        write_articles(store, fh)
-    with open(cfg.citations, "w") as fh:
-        write_citations(citing, cited, fh)
+
+    def write(path, writer, *data):
+        text = io.StringIO()
+        writer(*data, text)
+        mirror.write_file(Path(path), text.getvalue().encode())
+
+    write(cfg.hierarchy, write_hierarchy, hierarchy)
+    write(cfg.articles, write_articles, store)
+    write(cfg.citations, write_citations, citing, cited)
     if cfg.changes:
-        with open(cfg.changes, "w") as fh:
-            write_changes(changes, fh)
+        write(cfg.changes, write_changes, changes)
     print(
         f"generated {len(store)} articles, {len(citing)} edges, "
-        f"{len(hierarchy.nodes)} hierarchy nodes, {len(changes)} change records"
+        f"{len(hierarchy.codes)} hierarchy nodes, {len(changes)} change records"
     )
     return 0
 

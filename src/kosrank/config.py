@@ -10,6 +10,7 @@ import hashlib
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from . import mirror
 from .infometrics import INFORMATIVENESS_MODES
 from .months import month_range, normalize_month
 
@@ -128,4 +129,4 @@ def write_config(cfg: PipelineConfig, path: str | Path) -> None:
             out.append(f"{f.name} = {'true' if value else 'false'}")
         else:
             out.append(f"{f.name} = {value}")
-    Path(path).write_text("\n".join(out) + "\n")
+    mirror.write_file(Path(path), ("\n".join(out) + "\n").encode())

@@ -3,11 +3,14 @@
 Tree codes are dotted hierarchical addresses: a bare category letter ("D"),
 a two-digit second level ("D12"), then three-digit segments ("D12.776",
 "M01.060.116").  The level of a code is its depth: 1 for a bare letter,
-otherwise 2 plus the number of dot separators.
+otherwise 2 plus the number of dot separators, which is the number of
+codes on its path from the root, itself included.
 
-A Hierarchy also carries one positional form: node i is `codes[i]` (sorted,
-so position order is code order), `parent[i]` its parent's position (-1 at
-a root), `level[i]` its depth, `closure` the 0/1 ancestor-or-self matrix and
+`Hierarchy(labels, descriptor_map)` is the only way to build a tree; it adds
+the missing ancestors.  A Hierarchy also carries one positional form: node
+i is `codes[i]` (sorted, so position order is code order), `parent[i]` its
+parent's position (-1 at a root), `closure` the 0/1 ancestor-or-self matrix,
+`level[i]` the length of closure row i, and
 `descriptor_nodes` the descriptor x node map; `incidence` lays an article
 x descriptor vocabulary matrix out as rows on these columns.  Float sums
 over positions add one term at a time in ascending order, never by numpy's
@@ -18,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Collection, Hashable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Collection, Hashable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -34,13 +37,6 @@ def is_tree_code(text: str) -> bool:
     return bool(TREE_CODE_RE.match(text))
 
 
-def level_of(code: str) -> int:
-    """Depth of a tree code: "D" -> 1, "D12" -> 2, "D12.776" -> 3."""
-    if len(code) == 1:
-        return 1
-    return 2 + code.count(".")
-
-
 def parent_of(code: str) -> str | None:
     """Immediate ancestor code, or None for a bare category letter."""
     if len(code) == 1:
@@ -50,26 +46,20 @@ def parent_of(code: str) -> str | None:
     return code[0]
 
 
-def ancestors_of(code: str) -> Iterator[str]:
-    """All proper ancestors, nearest first."""
-    parent = parent_of(code)
-    while parent is not None:
-        yield parent
-        parent = parent_of(parent)
-
-
 @dataclass
 class Hierarchy:
     """Immutable concept tree plus descriptor-to-node mappings.
 
-    All ancestors of every node are present, so the only roots are the
-    category letters.  The positional fields are derived from the three
-    above and take no part in equality.
+    `Hierarchy(labels, descriptor_map)` is the only constructor.  It adds
+    every missing ancestor of a code in `labels` or in a descriptor's code
+    set with the label "", so the only roots are the category letters.
+    Equality compares `labels` and `descriptor_map`; every other field is
+    derived from them.
     """
 
-    nodes: frozenset[str]
     labels: dict[str, str]
-    descriptor_map: dict[str, frozenset[str]]
+    descriptor_map: dict[str, frozenset[str]]  # given as any collections of codes
+    nodes: frozenset[str] = field(init=False, repr=False, compare=False)
     codes: tuple[str, ...] = field(init=False, repr=False, compare=False)
     position: dict[str, int] = field(init=False, repr=False, compare=False)
     parent: np.ndarray = field(init=False, repr=False, compare=False)
@@ -79,16 +69,35 @@ class Hierarchy:
     descriptor_nodes: sparse.csr_matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.codes = tuple(sorted(self.nodes))
+        for descriptor, mapped in self.descriptor_map.items():
+            if not mapped:
+                raise HierarchyError(f"descriptor {descriptor} maps to no codes")
+        # Close the node set one level up per pass: up[code] is its parent code.
+        up: dict[str, str | None] = {}
+        new = set(self.labels).union(*self.descriptor_map.values())
+        while new:
+            up.update((code, parent_of(code)) for code in new)
+            new = {up[code] for code in new} - up.keys() - {None}
+        self.codes = tuple(sorted(up))
+        self.nodes = frozenset(up)
+        self.labels = {code: self.labels.get(code, "") for code in self.codes}
+        self.descriptor_map = {d: frozenset(c) for d, c in sorted(self.descriptor_map.items())}
         self.position = {code: i for i, code in enumerate(self.codes)}
         n = len(self.codes)
-        self.parent = np.array(
-            [self.position.get(parent_of(c), -1) for c in self.codes], dtype=np.int64
+        self.parent = np.array([self.position.get(up[c], -1) for c in self.codes], dtype=np.int64)
+        # closure[i, j] = 1 iff node j is node i or one of its ancestors:
+        # pass k pairs each node with its k-th ancestor.
+        rows = ancestors = np.arange(n)
+        pairs = [(rows, ancestors)]
+        while len(rows):
+            above = self.parent[ancestors]
+            rows, ancestors = rows[above >= 0], above[above >= 0]
+            pairs.append((rows, ancestors))
+        rows, ancestors = map(np.concatenate, zip(*pairs))
+        self.closure = sparse.csr_matrix(
+            (np.ones(len(rows), dtype=np.int32), (rows, ancestors)), shape=(n, n)
         )
-        self.level = np.array([level_of(c) for c in self.codes], dtype=np.int64)
-        # closure[i, j] = 1 iff node j is node i or one of its ancestors
-        lineage = [(c, *ancestors_of(c)) for c in self.codes]
-        self.closure, _ = membership(lineage, self.position, n)
+        self.level = np.diff(self.closure.indptr)  # the length of the ancestor-or-self row
         self.descriptors = tuple(sorted(self.descriptor_map))
         self.descriptor_nodes, _ = membership(
             [self.descriptor_map[d] for d in self.descriptors], self.position, n
@@ -157,48 +166,18 @@ def membership(
     return matrix, int(len(cols) - known.sum())
 
 
-def build_hierarchy(
-    labels: dict[str, str], descriptor_map: dict[str, set[str]]
-) -> Hierarchy:
-    """Assemble a Hierarchy, materializing missing ancestor nodes.
-
-    `labels` keys define the explicitly listed nodes (label may be "").
-    Every code referenced by a descriptor must already be a key of `labels`;
-    callers decide how unlisted codes are handled before getting here.
-    """
-    nodes = set(labels)
-    for descriptor, codes in descriptor_map.items():
-        if not codes:
-            raise HierarchyError(f"descriptor {descriptor} maps to no codes")
-        nodes.update(codes)
-    for code in list(nodes):
-        nodes.update(ancestors_of(code))
-    return Hierarchy(
-        nodes=frozenset(nodes),
-        labels={code: labels.get(code, "") for code in sorted(nodes)},
-        descriptor_map={d: frozenset(c) for d, c in sorted(descriptor_map.items())},
-    )
-
-
-@dataclass
-class HierarchyParseReport:
-    autocreated_codes: int = 0  # codes seen only through descriptor rows, no listing
-
-
-def parse_hierarchy(lines: Iterable[str]) -> tuple[Hierarchy, HierarchyParseReport]:
+def parse_hierarchy(lines: Iterable[str]) -> tuple[Hierarchy, int]:
     """Parse the TSV hierarchy format: `tree_code \\t descriptor_id \\t label`.
 
     A row with an empty descriptor column just lists a node and its label.
     `#` lines and blank lines are ignored.  Duplicate (code, descriptor)
     pairs are an error; a descriptor pointing at a code that is never
-    listed auto-creates the code with an empty label and bumps the
-    report's warning counter.
+    listed auto-creates the code with an empty label.  The second value
+    counts those auto-created codes.
     """
     labels: dict[str, str] = {}
     listed: set[str] = set()
     descriptor_map: dict[str, set[str]] = {}
-    seen_pairs: set[tuple[str, str]] = set()
-    report = HierarchyParseReport()
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -214,19 +193,16 @@ def parse_hierarchy(lines: Iterable[str]) -> tuple[Hierarchy, HierarchyParseRepo
             labels[code] = label
         labels.setdefault(code, "")
         if descriptor:
-            if (code, descriptor) in seen_pairs:
-                raise HierarchyError(
-                    f"line {lineno}: duplicate row for ({code}, {descriptor})"
-                )
-            seen_pairs.add((code, descriptor))
-            descriptor_map.setdefault(descriptor, set()).add(code)
+            mapped = descriptor_map.setdefault(descriptor, set())
+            if code in mapped:
+                raise HierarchyError(f"line {lineno}: duplicate row for ({code}, {descriptor})")
+            mapped.add(code)
             if label:
                 listed.add(code)
         else:
             listed.add(code)
 
-    report.autocreated_codes = sum(1 for code in labels if code not in listed)
-    return build_hierarchy(labels, descriptor_map), report
+    return Hierarchy(labels, descriptor_map), len(labels.keys() - listed)
 
 
 def write_hierarchy(h: Hierarchy, out: TextIO) -> None:
@@ -237,6 +213,6 @@ def write_hierarchy(h: Hierarchy, out: TextIO) -> None:
     """
     by_node = h.descriptor_nodes.T.tocsr()  # node x descriptor, indices sorted
     for i, code in enumerate(h.codes):
-        out.write(f"{code}\t\t{h.labels.get(code, '')}\n")
+        out.write(f"{code}\t\t{h.labels[code]}\n")
         for row in by_node.indices[by_node.indptr[i] : by_node.indptr[i + 1]]:
             out.write(f"{code}\t{h.descriptors[row]}\t\n")

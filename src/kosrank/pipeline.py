@@ -33,7 +33,7 @@ from . import citegraph, evaluate, fusion, graphmetrics, infometrics, mirror, pr
 from .config import PipelineConfig
 from .corpus import ArticleColumns, CorpusError, parse_articles
 from .evaluate import ChangeRecord
-from .hierarchy import Hierarchy, HierarchyError, HierarchyParseReport, parse_hierarchy
+from .hierarchy import Hierarchy, HierarchyError, parse_hierarchy
 from .months import month_index, normalize_month, year_of
 from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, write_scores_csv
 
@@ -56,7 +56,7 @@ class IngestData:
     None for a stage that does not read the citations."""
 
     hierarchy: Hierarchy
-    hierarchy_report: HierarchyParseReport
+    autocreated_codes: int  # codes seen only through descriptor rows, no listing
     changes: list[ChangeRecord]
     ids: np.ndarray  # sorted article ids
     month_idx: np.ndarray  # each article's `months.month_index`
@@ -68,9 +68,9 @@ class IngestData:
     def report_lines(self) -> list[str]:
         g = self.graph
         return [
-            f"hierarchy nodes: {len(self.hierarchy.nodes)}",
-            f"descriptors mapped: {len(self.hierarchy.descriptor_map)}",
-            f"auto-created codes: {self.hierarchy_report.autocreated_codes}",
+            f"hierarchy nodes: {len(self.hierarchy.codes)}",
+            f"descriptors mapped: {len(self.hierarchy.descriptors)}",
+            f"auto-created codes: {self.autocreated_codes}",
             f"articles: {len(self.ids)}",
             f"unknown descriptor references: {self.unknown_descriptor_refs}",
             f"edges kept: {g.num_edges}",
@@ -96,7 +96,7 @@ def ingest_arrays(h: Hierarchy, articles: ArticleColumns, edges=None) -> dict[st
     return arrays
 
 
-def ingest_data(h: Hierarchy, report, changes, a: dict[str, np.ndarray]) -> IngestData:
+def ingest_data(h: Hierarchy, autocreated: int, changes, a: dict[str, np.ndarray]) -> IngestData:
     """The inputs that `ingest_arrays` laid out: each 0/1 matrix from its pattern."""
     n = len(a["ids"])
     ones = np.ones(len(a["indices"]), dtype=np.int32)  # the data `Hierarchy.incidence` gives
@@ -107,7 +107,7 @@ def ingest_data(h: Hierarchy, report, changes, a: dict[str, np.ndarray]) -> Inge
         matrix = sparse.csr_matrix((ones, a["out_targets"], a["out_indptr"]), shape=(n, n))
         graph = citegraph.CitationGraph(a["ids"], matrix, *a["dropped"].tolist())
     columns = (a["ids"], a["month_idx"], a["retracted"], incidence, int(a["unknown"]))
-    return IngestData(h, report, changes, *columns, graph)
+    return IngestData(h, autocreated, changes, *columns, graph)
 
 
 def _require(path: str, what: str) -> Path:
@@ -128,7 +128,7 @@ def _parse(path: Path, parser):
             raise type(exc)(f"{path}: {exc}") from None
 
 
-def _read_hierarchy(cfg: PipelineConfig) -> tuple[Hierarchy, HierarchyParseReport]:
+def _read_hierarchy(cfg: PipelineConfig) -> tuple[Hierarchy, int]:
     return _parse(_require(cfg.hierarchy, "hierarchy"), parse_hierarchy)
 
 
@@ -142,7 +142,7 @@ def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> In
     paths = {n: _require(getattr(cfg, n), n) for n in names if n != "changes" or cfg.changes}
     digest = mirror.digests(paths.values())
     of = lambda *keys: {str(paths[k]): digest[str(paths[k])] for k in keys if k in paths}  # noqa: E731
-    hierarchy, report = _parse(paths["hierarchy"], parse_hierarchy)
+    hierarchy, autocreated = _parse(paths["hierarchy"], parse_hierarchy)
     at = Path(cfg.output_dir) / "ingest"
     mirrors = [(at / "annotations", ANNOTATION_ARRAYS, of("hierarchy", "articles"), {}),
                (at / "graph", GRAPH_ARRAYS, of("articles", "citations"), {})][: 1 + citations]
@@ -158,7 +158,7 @@ def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> In
     if save:
         for stem, keys, sources, meta in mirrors:
             mirror.save(stem, {k: arrays[k] for k in keys}, sources, meta)
-    return ingest_data(hierarchy, report, changes, arrays)
+    return ingest_data(hierarchy, autocreated, changes, arrays)
 
 
 @dataclass
@@ -259,7 +259,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
         "counts": {
             "articles": len(data.ids),
             "graph_edges": data.graph.num_edges,
-            "hierarchy_nodes": len(data.hierarchy.nodes),
+            "hierarchy_nodes": len(data.hierarchy.codes),
         },
     }
     _write_json(out / "manifest.json", manifest)

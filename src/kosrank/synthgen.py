@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import Article, ArticleStore
 from .evaluate import CHANGE_TYPES, ChangeRecord
-from .hierarchy import Hierarchy, build_hierarchy
+from .hierarchy import Hierarchy
 from .months import month_from_index, month_index, normalize_month, year_of
 
 _CATEGORY_LETTERS = "ABCDEFGHIJKLMNOP"  # at most 16 level-1 categories
@@ -124,7 +124,7 @@ def generate(
             mapped.add(codes[int(extra[i])])
         descriptor_map[descriptor] = mapped
     labels = {code: f"node {code}" for code in codes}
-    hierarchy = build_hierarchy(labels, descriptor_map)
+    hierarchy = Hierarchy(labels, descriptor_map)
 
     # Zipf popularity on a shuffled rank assignment, then planted boosts.
     rank_of = rng.permutation(n_desc)

@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own code paths: dense
 linear algebra for PageRank, explicit global set construction for
 disruption, plain double loops for category utility, a memoized
 recursion for the hierarchy propagation, a per-line loop for the
-citation TSV, and a loop over the descriptor map for the evolution cohorts.
+citation TSV, a loop over the descriptor map for the evolution cohorts,
+and the text of a tree code for its level and its ancestors.
 """
 from __future__ import annotations
 
@@ -23,9 +24,24 @@ from kosrank.corpus import (
     parse_articles,
     write_articles,
 )
-from kosrank.hierarchy import Hierarchy, build_hierarchy, level_of, membership, parent_of
+from kosrank.hierarchy import Hierarchy, membership, parent_of
 
 _LETTERS = "ABCDEFGHIJKLMNOP"
+
+
+def level_of(code: str) -> int:
+    """Depth of a tree code, from its text: "D" -> 1, "D12" -> 2, "D12.776" -> 3."""
+    if len(code) == 1:
+        return 1
+    return 2 + code.count(".")
+
+
+def ancestors_of(code: str) -> list[str]:
+    """All proper ancestors of a tree code, nearest first, from its text."""
+    if len(code) == 1:
+        return []
+    segments = code.split(".")
+    return [".".join(segments[:k]) for k in range(len(segments) - 1, 0, -1)] + [code[0]]
 
 
 def random_tree(rng: np.random.Generator, max_nodes: int = 200, max_depth: int = 6) -> Hierarchy:
@@ -46,7 +62,7 @@ def random_tree(rng: np.random.Generator, max_nodes: int = 200, max_depth: int =
                 next_frontier.append(code)
         frontier = next_frontier
         depth += 1
-    return build_hierarchy({c: "" for c in codes}, {})
+    return Hierarchy({c: "" for c in codes}, {})
 
 
 def random_seeds(rng: np.random.Generator, h: Hierarchy, fill: float = 0.6) -> dict[str, float]:

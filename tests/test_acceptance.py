@@ -29,7 +29,7 @@ from conftest import (
 from kosrank import citegraph, evaluate, fusion, graphmetrics, synthgen
 from kosrank.cli import main as cli_main
 from kosrank.config import PipelineConfig, write_config
-from kosrank.hierarchy import HierarchyParseReport, build_hierarchy, membership
+from kosrank.hierarchy import Hierarchy, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 from kosrank.months import month_from_index, month_index, year_of
 from kosrank.pipeline import compute_month, ingest_arrays, ingest_data
@@ -165,14 +165,14 @@ def test_criterion_2_propagation_equivalence():
 
 def test_criterion_3_worked_example_goldens():
     # category utility on the 3-node tree
-    h = build_hierarchy({"C01": "", "C02": ""}, {})
+    h = Hierarchy({"C01": "", "C02": ""}, {})
     incidence, _ = membership([["C01"], ["C02"]], h.position, len(h.codes))
     cu = dict(zip(h.codes, category_utility(incidence @ h.closure, len(h.codes)).tolist()))
     assert f"{cu['C']:.4f}" == "0.5556"
     assert f"{cu['C01']:.4f}" == "0.0278"
 
     # propagation trace
-    h2 = build_hierarchy({"R01.001": "", "R01.002": "", "R02": ""}, {})
+    h2 = Hierarchy({"R01.001": "", "R01.002": "", "R02": ""}, {})
     trace = propagate(h2, {"R01.001": 4.0, "R01.002": 2.0, "R01": 1.0, "R02": 3.0})
     assert trace == {"R01.001": 4.0, "R01.002": 2.0, "R01": 4.0, "R02": 3.0, "R": 3.5}
 
@@ -217,7 +217,7 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
         base_seed=seed,
     )
     arrays = ingest_arrays(h, columns_of(store), edges)
-    data = ingest_data(h, HierarchyParseReport(), changes, arrays)
+    data = ingest_data(h, 0, changes, arrays)
     window = cfg.window()
     relevance: dict[str, np.ndarray] = {}  # fused values by position, 0 where unranked
     members: dict[str, np.ndarray] = {}

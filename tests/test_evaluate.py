@@ -17,7 +17,7 @@ from kosrank.evaluate import (
     parse_changes,
     retraction_split,
 )
-from kosrank.hierarchy import build_hierarchy
+from kosrank.hierarchy import Hierarchy
 
 
 class TestAverageRanks:
@@ -170,7 +170,7 @@ class TestChanges:
 
 
 def cohort_fixture():
-    h = build_hierarchy(
+    h = Hierarchy(
         {"C01": "", "C02": "", "D01": ""},
         {"DX1": {"C01"}, "DX2": {"C02"}, "DX3": {"D01"}, "DX4": {"C01", "D01"}},
     )
@@ -201,7 +201,7 @@ class TestEvolutionCohorts:
     def test_boosted_cohort_scores_higher(self):
         rng = np.random.default_rng(6)
         codes = [f"C{i:02d}" for i in range(1, 100)]
-        h = build_hierarchy(
+        h = Hierarchy(
             {c: "" for c in codes}, {f"D{i}": {c} for i, c in enumerate(codes)}
         )
         changed = {f"D{i}" for i in range(10)}
@@ -220,7 +220,7 @@ class TestEvolutionCohorts:
             f"D{i:03d}": set(rng.choice(tree.codes, size=int(rng.integers(1, 4))).tolist())
             for i in range(int(rng.integers(1, 40)))
         }
-        h = build_hierarchy(dict(tree.labels), descriptor_map)
+        h = Hierarchy(dict(tree.labels), descriptor_map)
         node_means = {
             code: float(rng.normal()) for code in h.codes if rng.random() < 0.5
         }
@@ -233,7 +233,7 @@ class TestEvolutionCohorts:
 
 class TestRetractionCohorts:
     def test_sum_then_yearly_mean(self):
-        h = build_hierarchy({"A01": "", "B01": ""}, {"DA": {"A01"}, "DB": {"B01"}})
+        h = Hierarchy({"A01": "", "B01": ""}, {"DA": {"A01"}, "DB": {"B01"}})
         # article 1 (retracted) is in both months, article 2 only in 2014-01
         rows, _ = h.incidence(*annotation_matrix([("DA", "DB"), ()]))
         monthly_values = [{"A01": 0.10, "B01": 0.07}, {"A01": 0.20, "B01": 0.10}]
@@ -247,7 +247,7 @@ class TestRetractionCohorts:
         assert other == [0.0]  # annotation-free article scores zero
 
     def test_single_month_article(self):
-        h = build_hierarchy({"A01": ""}, {"DA": {"A01"}})
+        h = Hierarchy({"A01": ""}, {"DA": {"A01"}})
         rows, _ = h.incidence(*annotation_matrix([("DA",)]))
         retracted, other = retraction_split(
             rows, np.array([False]), [np.array([0])], [h.node_vector({"A01": 0.17})[0]]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kosrank.fusion import mean_ranks, rank_by_aspect, rank_trend_slope, rrf_fuse, top_k
-from kosrank.hierarchy import build_hierarchy
+from kosrank.hierarchy import Hierarchy
 from kosrank.scores import ASPECTS
 
 
@@ -139,7 +139,7 @@ class TestRrfFuse:
 
 class TestPerLevel:
     def test_slice_and_rerank(self):
-        h = build_hierarchy({"C01": "", "C02": ""}, {})
+        h = Hierarchy({"C01": "", "C02": ""}, {})
         assert h.codes == ("C", "C01", "C02")
         rrf = rrf_fuse([np.array([1, 2, 3])] * len(ASPECTS))
         level2 = rank_by_aspect(rrf, (rrf > 0) & (h.level == 2))

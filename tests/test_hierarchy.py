@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import annotation_matrix, random_tree
+from conftest import ancestors_of, annotation_matrix, level_of, random_tree
 from kosrank.hierarchy import (
+    Hierarchy,
     HierarchyError,
-    ancestors_of,
-    build_hierarchy,
     is_tree_code,
-    level_of,
     parent_of,
     parse_hierarchy,
     write_hierarchy,
@@ -44,6 +42,14 @@ class TestTreeCodes:
         assert level_of("D12") == 2
         assert level_of("D12.776") == 3
         assert level_of("M01.060.116") == 4
+        h = Hierarchy({"D12.776": "", "M01.060.116": ""}, {})
+        levels = {"D": 1, "D12": 2, "D12.776": 3, "M": 1, "M01": 2, "M01.060": 3, "M01.060.116": 4}
+        assert {code: int(h.level[h.position[code]]) for code in h.codes} == levels
+
+    def test_ancestors(self):
+        assert ancestors_of("D") == []
+        assert ancestors_of("D12") == ["D"]
+        assert ancestors_of("M01.060.116") == ["M01.060", "M01", "M"]
 
     def test_parents(self):
         assert parent_of("D12.776") == "D12"
@@ -58,14 +64,40 @@ class TestTreeCodes:
                 assert level_of(parent_of(code)) == level_of(code) - 1
 
 
+class TestConstructor:
+    def test_adds_missing_ancestors_with_empty_labels(self):
+        h = Hierarchy({"D12.776": "Proteins"}, {})
+        assert h.nodes == frozenset({"D", "D12", "D12.776"})
+        assert h.codes == ("D", "D12", "D12.776")
+        assert h.labels == {"D": "", "D12": "", "D12.776": "Proteins"}
+
+    def test_adds_the_codes_of_descriptors(self):
+        h = Hierarchy({}, {"D1": {"C01.002"}})
+        assert h.codes == ("C", "C01", "C01.002")
+        assert h.labels == dict.fromkeys(h.codes, "")
+        assert h.descriptor_map == {"D1": frozenset({"C01.002"})}
+
+    def test_descriptor_without_codes_rejected(self):
+        with pytest.raises(HierarchyError, match="descriptor D1 maps to no codes"):
+            Hierarchy({}, {"D1": set()})
+
+    def test_equality_ignores_order_and_collection_type(self):
+        h = Hierarchy({"D12": "x", "C01": "y"}, {"D2": {"C01"}, "D1": {"D12", "C01"}})
+        same = Hierarchy({"C01": "y", "D12": "x", "D": "", "C": ""},
+                         {"D1": frozenset({"C01", "D12"}), "D2": frozenset({"C01"})})
+        assert h == same
+        assert h != Hierarchy({"D12": "x", "C01": "z"}, {"D2": {"C01"}, "D1": {"D12", "C01"}})
+        assert h != Hierarchy({"D12": "x", "C01": "y"}, {"D2": {"C01"}, "D1": {"D12"}})
+
+
 class TestParse:
     def test_single_row_materializes_ancestors(self):
-        h, report = parse("D12.776\tD011506\tProteins\n")
+        h, autocreated = parse("D12.776\tD011506\tProteins\n")
         assert h.nodes == frozenset({"D", "D12", "D12.776"})
         assert h.descriptor_map["D011506"] == frozenset({"D12.776"})
         assert h.labels["D12.776"] == "Proteins"
         assert h.labels["D12"] == ""
-        assert report.autocreated_codes == 0
+        assert autocreated == 0
 
     def test_child_ordering_lexicographic(self):
         h, _ = parse("C14\tD1\tx\nC01\tD2\ty\n")
@@ -80,10 +112,10 @@ class TestParse:
             parse("C01\tD1\tx\nC01\tD1\tx\n")
 
     def test_mapping_to_unlisted_code_warns(self):
-        h, report = parse("C01\t\tInfections\nC02\tD9\t\n")
+        h, autocreated = parse("C01\t\tInfections\nC02\tD9\t\n")
         assert "C02" in h.nodes
         assert h.labels["C02"] == ""
-        assert report.autocreated_codes == 1
+        assert autocreated == 1
 
     def test_comments_and_blanks_ignored(self):
         h, _ = parse("# header\n\nC01\tD1\tx\n")
@@ -144,7 +176,7 @@ class TestPositional:
             f"D{i:04d}": {codes[int(k)] for k in rng.integers(len(codes), size=1 + i % 3)}
             for i in range(8)
         }
-        h = build_hierarchy({c: "" for c in codes}, descriptor_map)
+        h = Hierarchy({c: "" for c in codes}, descriptor_map)
         pool = [*descriptor_map, "X0001", "X0002"]
         annotations = [
             [pool[int(k)] for k in rng.integers(len(pool), size=int(rng.integers(0, 5)))]
@@ -168,9 +200,9 @@ class TestRoundTrip:
         h, _ = parse("D12.776\tD011506\tProteins\nC01\tD1\tInfections\n")
         buffer = io.StringIO()
         write_hierarchy(h, buffer)
-        h2, report = parse(buffer.getvalue())
+        h2, autocreated = parse(buffer.getvalue())
         assert h2 == h
-        assert report.autocreated_codes == 0
+        assert autocreated == 0
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -182,7 +214,7 @@ class TestRoundTrip:
         descriptor_map = {
             f"D{i:04d}": {codes[int(rng.integers(len(codes)))]} for i in range(5)
         }
-        h = build_hierarchy({c: f"label {c}" for c in codes}, descriptor_map)
+        h = Hierarchy({c: f"label {c}" for c in codes}, descriptor_map)
         buffer = io.StringIO()
         write_hierarchy(h, buffer)
         h2, _ = parse(buffer.getvalue())

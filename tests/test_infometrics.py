@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import children_by_code, codes_by_level, random_tree, usefulness_oracle
-from kosrank.hierarchy import build_hierarchy, level_of, membership
+from conftest import children_by_code, codes_by_level, level_of, random_tree, usefulness_oracle
+from kosrank.hierarchy import Hierarchy, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 
 
 def flat_two_category_tree():
-    return build_hierarchy({"D": "", "E": ""}, {})
+    return Hierarchy({"D": "", "E": ""}, {})
 
 
 def incidence_of(h, groups):
@@ -47,19 +47,19 @@ def random_groups(rng, h, n_articles, n_marks):
 
 class TestMappingCounts:
     def test_propagation_chain(self):
-        h = build_hierarchy({"D12.776": ""}, {})
+        h = Hierarchy({"D12.776": ""}, {})
         counts = by_code(h, subtree_counts(closed_of(h, [["D12.776"]])))
         assert counts["D12.776"] == 1
         assert counts["D12"] == 1
         assert counts["D"] == 1
 
     def test_sibling_leaves_sum_at_parent(self):
-        h = build_hierarchy({"D12.001": "", "D12.002": ""}, {})
+        h = Hierarchy({"D12.001": "", "D12.002": ""}, {})
         counts = by_code(h, subtree_counts(closed_of(h, [["D12.001"], ["D12.002"]])))
         assert counts["D12"] == 2
 
     def test_multi_branch_article(self):
-        h = build_hierarchy({"C01": "", "D12": ""}, {})
+        h = Hierarchy({"C01": "", "D12": ""}, {})
         counts = by_code(h, subtree_counts(closed_of(h, [["C01", "D12"]])))
         assert counts["C"] == 1
         assert counts["D"] == 1
@@ -85,12 +85,12 @@ class TestInformativeness:
         assert values["E"] == pytest.approx(0.5000, abs=5e-5)
 
     def test_single_node_level_scores_zero(self):
-        h = build_hierarchy({"D": ""}, {})
+        h = Hierarchy({"D": ""}, {})
         assert scored_values(h, [["D"]])["D"] == 0.0
 
     def test_surprisal_golden(self):
         # 70% vs 2% usage shares: the rare concept is considerably more informative
-        h = build_hierarchy({"D": "", "E": "", "F": ""}, {})
+        h = Hierarchy({"D": "", "E": "", "F": ""}, {})
         values, scored = informativeness(h, np.array([70, 2, 28]), mode="surprisal")
         assert scored.all()
         values = by_code(h, values)
@@ -106,7 +106,7 @@ class TestInformativeness:
         assert "E" not in surprisal
 
     def test_empty_level_unscored(self):
-        h = build_hierarchy({"D12": ""}, {})
+        h = Hierarchy({"D12": ""}, {})
         values, scored = informativeness(h, subtree_counts(closed_of(h, [])))
         assert not scored.any() and not values.any()
 
@@ -180,7 +180,7 @@ class TestMappingMatrix:
 
 class TestUsefulness:
     def golden_values(self):
-        h = build_hierarchy({"C01": "", "C02": ""}, {})
+        h = Hierarchy({"C01": "", "C02": ""}, {})
         values = category_utility(closed_of(h, [["C01"], ["C02"]]), len(h.codes))
         return dict(zip(h.codes, values.tolist()))
 

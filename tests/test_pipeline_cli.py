@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import descriptors_of, usefulness_oracle
+from conftest import ancestors_of, descriptors_of, level_of, usefulness_oracle
 from kosrank import citegraph, evaluate, graphmetrics, mirror, pipeline, propagation, synthgen
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
 from kosrank.corpus import parse_articles
-from kosrank.hierarchy import ancestors_of, level_of, parse_hierarchy
+from kosrank.hierarchy import parse_hierarchy
 from kosrank.months import month_from_index, month_index
 from kosrank.pipeline import GRAPH_ARRAYS, compute_month, ingest, ingest_arrays
 from kosrank.scores import ASPECTS, read_scores_csv
@@ -45,25 +45,26 @@ def make_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+def generate_argv(cfg_path: Path, months=6, articles=120) -> list[str]:
+    return [
+        "generate",
+        "--config",
+        str(cfg_path),
+        "--months",
+        str(months),
+        "--articles-per-month",
+        str(articles),
+        "--evolving-fraction",
+        "0.05",
+        "--retraction-rate",
+        "0.05",
+        "--refs-mean",
+        "3.0",
+    ]
+
+
 def generate_inputs(cfg_path: Path, months=6, articles=120) -> None:
-    code = main(
-        [
-            "generate",
-            "--config",
-            str(cfg_path),
-            "--months",
-            str(months),
-            "--articles-per-month",
-            str(articles),
-            "--evolving-fraction",
-            "0.05",
-            "--retraction-rate",
-            "0.05",
-            "--refs-mean",
-            "3.0",
-        ]
-    )
-    assert code == 0
+    assert main(generate_argv(cfg_path, months, articles)) == 0
 
 
 def add_mapping_edge_cases(cfg: PipelineConfig, month: str) -> None:
@@ -1184,6 +1185,7 @@ class TestMirrors:
     @pytest.mark.parametrize(
         "stage, name",
         [
+            ("generate", "citations"),  # the config's citations path
             ("ingest", "ingest/annotations.mirror.json"),  # mirror.save
             ("compute", "scores/influence_2014-01.csv"),  # scores.write_rows
             ("evaluate", "evolution_tests.json"),  # pipeline._write_json
@@ -1195,18 +1197,19 @@ class TestMirrors:
         cfg_path, cfg = prepared
         for step in CHAIN:
             assert main([step, "--config", str(cfg_path)]) == 0
-        out = Path(cfg.output_dir)
-        (out / name).write_bytes(b"stale\n")  # no stage would write these bytes
+        path = Path(cfg.citations) if stage == "generate" else Path(cfg.output_dir) / name
+        path.write_bytes(b"stale\n")  # no stage would write these bytes
 
         def fail(src, dst):
             raise OSError(f"cannot rename {src} to {dst}")
 
         monkeypatch.setattr(os, "replace", fail)
         capsys.readouterr()
-        assert main([stage, "--config", str(cfg_path)]) == 1
+        argv = generate_argv(cfg_path) if stage == "generate" else [stage, "--config", str(cfg_path)]
+        assert main(argv) == 1
         assert capsys.readouterr().err.count("\n") == 1
-        assert (out / name).read_bytes() == b"stale\n"
-        assert not list(out.rglob("*.tmp"))
+        assert path.read_bytes() == b"stale\n"
+        assert not list(cfg_path.parent.rglob("*.tmp"))  # the inputs and the outputs
 
     def test_failed_write_deletes_its_temporary_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out" / "rankings.csv"

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import propagate_oracle, random_seeds, random_tree
-from kosrank.hierarchy import build_hierarchy
+from kosrank.hierarchy import Hierarchy
 from kosrank.propagation import propagate
 
 
 class TestWorkedExample:
     def test_golden_trace(self):
-        h = build_hierarchy({"R01.001": "", "R01.002": "", "R02": ""}, {})
+        h = Hierarchy({"R01.001": "", "R01.002": "", "R02": ""}, {})
         seeds = {"R01.001": 4.0, "R01.002": 2.0, "R01": 1.0, "R02": 3.0}
         assert propagate(h, seeds) == {
             "R01.001": 4.0,
@@ -21,21 +21,21 @@ class TestWorkedExample:
         }
 
     def test_single_seeded_root(self):
-        h = build_hierarchy({"R": ""}, {})
+        h = Hierarchy({"R": ""}, {})
         assert propagate(h, {"R": 5.0}) == {"R": 5.0}
 
     def test_all_zero_seeds(self):
-        h = build_hierarchy({"R01.001": "", "R02": ""}, {})
+        h = Hierarchy({"R01.001": "", "R02": ""}, {})
         values = propagate(h, {c: 0.0 for c in h.nodes})
         assert values and all(v == 0.0 for v in values.values())
 
     def test_unknown_seed_rejected(self):
-        h = build_hierarchy({"R": ""}, {})
+        h = Hierarchy({"R": ""}, {})
         with pytest.raises(KeyError):
             propagate(h, {"Z99": 1.0})
 
     def test_unseeded_leaves_absent_internal_present(self):
-        h = build_hierarchy({"R01": "", "R02": ""}, {})
+        h = Hierarchy({"R01": "", "R02": ""}, {})
         values = propagate(h, {"R01": 1.0})
         assert "R02" not in values
         assert values["R"] == pytest.approx(0.5)  # 1/|level 2| = 1/2
@@ -98,7 +98,7 @@ class TestProperties:
             assert after[code] >= value - 1e-12
 
     def test_sibling_order_irrelevant(self):
-        h = build_hierarchy({"R01": "", "R02": "", "R03": ""}, {})
+        h = Hierarchy({"R01": "", "R02": "", "R03": ""}, {})
         seeds_forward = {"R01": 1.0, "R02": 2.0, "R03": 3.0}
         seeds_reverse = {"R03": 3.0, "R02": 2.0, "R01": 1.0}
         assert propagate(h, seeds_forward) == propagate(h, seeds_reverse)
