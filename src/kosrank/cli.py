@@ -11,18 +11,12 @@ import io
 import sys
 from pathlib import Path
 
-from . import fusion, mirror, pipeline, synthgen
+from . import mirror, pipeline, synthgen
 from .citegraph import write_citations
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import write_articles
 from .hierarchy import write_hierarchy
-from .plots import rank_chart_svg
 from .synthgen import ScenarioConfig, write_changes
-
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to the pipeline config file")
-    parser.add_argument("--seed", type=int, default=None, help="override base_seed")
 
 
 def positive_int(text: str) -> int:
@@ -32,43 +26,7 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kosrank", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, help_text in (
-        ("ingest", "parse all inputs and print a validation report"),
-        ("compute", "per-month aspect scores for the configured window"),
-        ("fuse", "fuse aspect rankings into relevance rankings"),
-        ("trend", "yearly rank slopes and top/bottom tables"),
-        ("evaluate", "cohort tests and aspect correlations"),
-        ("export-plots", "SVG rank-trajectory charts"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        if name == "compute":
-            p.add_argument(
-                "--threads", type=positive_int, default=1, help="parallel months (default 1)"
-            )
-
-    g = sub.add_parser("generate", help="write a synthetic scenario to the config's input paths")
-    _add_common(g)
-    g.add_argument("--months", type=int, default=ScenarioConfig.months)
-    g.add_argument("--articles-per-month", type=int, default=ScenarioConfig.articles_per_month)
-    g.add_argument("--evolving-fraction", type=float, default=ScenarioConfig.evolving_fraction)
-    g.add_argument("--retraction-rate", type=float, default=ScenarioConfig.retraction_rate)
-    g.add_argument("--refs-mean", type=float, default=ScenarioConfig.refs_mean)
-    return parser
-
-
-def _cmd_ingest(cfg: PipelineConfig) -> int:
-    data = pipeline.ingest(cfg)
-    for line in data.report_lines():
-        print(line)
-    return 0
-
-
-def _cmd_generate(cfg: PipelineConfig, args) -> int:
+def _cmd_generate(cfg: PipelineConfig, args) -> list[str]:
     scenario = ScenarioConfig(
         seed=cfg.base_seed,
         months=args.months,
@@ -93,62 +51,62 @@ def _cmd_generate(cfg: PipelineConfig, args) -> int:
     write(cfg.citations, write_citations, citing, cited)
     if cfg.changes:
         write(cfg.changes, write_changes, changes)
-    print(
+    return [
         f"generated {len(store)} articles, {len(citing)} edges, "
         f"{len(hierarchy.codes)} hierarchy nodes, {len(changes)} change records"
+    ]
+
+
+# Command -> (help text, runner(cfg, args) -> the lines to print), in the
+# order --help lists them.  The runners look each stage up on `pipeline` when
+# they run, so a wrapper set on the module attribute sees the call.
+STAGES = {
+    "ingest": ("parse all inputs and print a validation report",
+               lambda cfg, args: pipeline.ingest(cfg).report_lines()),
+    "compute": ("per-month aspect scores for the configured window",
+                lambda cfg, args: [f"wrote {len(pipeline.compute(cfg, threads=args.threads))} "
+                                   f"files to {cfg.output_dir}"]),
+    "fuse": ("fuse aspect rankings into relevance rankings",
+             lambda cfg, args: [f"wrote {pipeline.fuse(cfg)}"]),
+    "trend": ("yearly rank slopes and top/bottom tables",
+              lambda cfg, args: ["wrote {} and {}".format(*pipeline.trend(cfg))]),
+    "evaluate": ("cohort tests and aspect correlations",
+                 lambda cfg, args: [f"wrote {path}" for path in pipeline.run_evaluate(cfg)]),
+    "export-plots": ("SVG rank-trajectory charts",
+                     lambda cfg, args: ["wrote {} plots to {}".format(*pipeline.export_plots(cfg))]),
+    "generate": ("write a synthetic scenario to the config's input paths", _cmd_generate),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="kosrank", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in STAGES.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True, help="path to the pipeline config file")
+        p.add_argument("--seed", type=int, default=None, help="override base_seed")
+    sub.choices["compute"].add_argument(
+        "--threads", type=positive_int, default=1, help="parallel months (default 1)"
     )
-    return 0
-
-
-def _cmd_export_plots(cfg: PipelineConfig) -> int:
-    h, _ = pipeline._read_hierarchy(cfg)
-    means = pipeline.scope_mean_ranks(cfg, h)
-    out = Path(cfg.output_dir) / "plots"
-    out.mkdir(parents=True, exist_ok=True)
-    for scope, (years, yearly, window_means) in means.items():
-        nodes = fusion.top_k(window_means, pipeline.TOP_K).tolist()
-        svg = rank_chart_svg(
-            f"top {len(nodes)} concepts, {scope}",
-            [str(y) for y in years],
-            # a mean of 0: no month of that year ranks the node, so no point
-            {h.codes[i]: [r or None for r in yearly[:, i].tolist()] for i in nodes},
-            config_hash=cfg.config_hash(),
-        )
-        mirror.write_file(out / f"rank_{scope}.svg", svg.encode())
-    print(f"wrote {len(means)} plots to {out}")
-    return 0
+    g = sub.choices["generate"]
+    g.add_argument("--months", type=int, default=ScenarioConfig.months)
+    g.add_argument("--articles-per-month", type=int, default=ScenarioConfig.articles_per_month)
+    g.add_argument("--evolving-fraction", type=float, default=ScenarioConfig.evolving_fraction)
+    g.add_argument("--retraction-rate", type=float, default=ScenarioConfig.retraction_rate)
+    g.add_argument("--refs-mean", type=float, default=ScenarioConfig.refs_mean)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, base_seed=args.seed)
-        if args.command == "ingest":
-            return _cmd_ingest(cfg)
-        if args.command == "generate":
-            return _cmd_generate(cfg, args)
-        if args.command == "compute":
-            written = pipeline.compute(cfg, threads=args.threads)
-            print(f"wrote {len(written)} files to {cfg.output_dir}")
-            return 0
-        if args.command == "fuse":
-            path = pipeline.fuse(cfg)
-            print(f"wrote {path}")
-            return 0
-        if args.command == "trend":
-            trends, tables = pipeline.trend(cfg)
-            print(f"wrote {trends} and {tables}")
-            return 0
-        if args.command == "evaluate":
-            for path in pipeline.run_evaluate(cfg):
-                print(f"wrote {path}")
-            return 0
-        if args.command == "export-plots":
-            return _cmd_export_plots(cfg)
+        for line in STAGES[args.command][1](cfg, args):
+            print(line)
     except (ConfigError, pipeline.PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
+    return 0
 
 
 if __name__ == "__main__":

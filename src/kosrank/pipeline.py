@@ -1,9 +1,10 @@
-"""End-to-end batch pipeline behind the CLI subcommands.
+"""The CLI stages but `generate`, one function each, which `cli.STAGES` runs.
 
-compute -> per-month aspect score CSVs (+ sampled-member lists + manifest)
-fuse    -> fused rankings per month, global and per level
-trend   -> yearly-average rank slopes and top/bottom tables
-evaluate-> Mann-Whitney cohort tests and aspect correlation matrices
+compute      -> per-month aspect score CSVs (+ sampled-member lists + manifest)
+fuse         -> fused rankings per month, global and per level
+trend        -> yearly-average rank slopes and top/bottom tables
+run_evaluate -> Mann-Whitney cohort tests and aspect correlation matrices
+export_plots -> one SVG rank-trajectory chart per level scope
 
 Downstream stages read the scores back as window month x aspect x node
 arrays, in `ASPECTS` order, and the rankings as window month x node arrays.
@@ -35,6 +36,7 @@ from .corpus import ArticleColumns, CorpusError, parse_articles
 from .evaluate import ChangeRecord
 from .hierarchy import Hierarchy, HierarchyError, parse_hierarchy
 from .months import month_index, normalize_month, year_of
+from .plots import rank_chart_svg
 from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, write_scores_csv
 
 RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
@@ -240,16 +242,15 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
                 file=sys.stderr,
             )
 
-    out = Path(cfg.output_dir)
+    out, h = Path(cfg.output_dir), data.hierarchy
     chash = cfg.config_hash()
-    written: list[str] = []
-    for result, mpath in zip(results, _member_paths(cfg)):
-        for aspect, values, scored in zip(ASPECTS, result.values, result.scored):
-            path = out / "scores" / f"{aspect}_{result.month}.csv"
-            write_scores_csv(data.hierarchy, path, aspect, result.month, values, scored, chash)
-            written.append(str(path))
-        write_rows(mpath, "article_id", map(str, result.member_ids.tolist()), chash)
-        written.append(str(mpath))
+    values, scored = np.array([r.values for r in results]), np.array([r.scored for r in results])
+    members = [r.member_ids for r in results]
+    score_paths, member_paths = _stage_paths(cfg, "scores"), _stage_paths(cfg, "members")
+    for path, (k, s) in zip(score_paths, np.ndindex(values.shape[:2])):
+        write_scores_csv(h, path, ASPECTS[s], window[k], values[k, s], scored[k, s], chash)
+    for path, ids in zip(member_paths, members):
+        write_rows(path, "article_id", map(str, ids.tolist()), chash)
 
     manifest = {
         "config_hash": chash,
@@ -259,30 +260,36 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
         "counts": {
             "articles": len(data.ids),
             "graph_edges": data.graph.num_edges,
-            "hierarchy_nodes": len(data.hierarchy.codes),
+            "hierarchy_nodes": len(h.codes),
         },
     }
     _write_json(out / "manifest.json", manifest)
-    written.append(str(out / "manifest.json"))
-    values, scored = np.array([r.values for r in results]), np.array([r.scored for r in results])
     # what read_scores_csv gives back: 0 where unscored, and "nan" as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
-    _stage_mirror(cfg, data.hierarchy, "scores", _score_paths(cfg), (values, scored))
-    members = [r.member_ids for r in results]
+    _stage_mirror(cfg, h, "scores", (values, scored))
     indptr = np.cumsum([0, *map(len, members)])
-    _stage_mirror(cfg, data.hierarchy, "members", _member_paths(cfg),
-                  (np.concatenate(members), indptr))
-    return written
+    _stage_mirror(cfg, h, "members", (np.concatenate(members), indptr))
+    return [str(p) for p in (*score_paths, *member_paths, out / "manifest.json")]
 
 
 def _write_json(path: Path, obj: dict) -> None:
     mirror.write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, paths: list[Path], arrays=None):
-    """Write `arrays` as the mirror of the stage outputs `paths`, which also
-    depend on the hierarchy and the window.  Without `arrays`, the mirror's
-    arrays, or None if a path is missing or the mirror does not match."""
+def _stage_paths(cfg: PipelineConfig, name: str) -> list[Path]:
+    """The stage outputs that the mirror `name` stands for: the score files,
+    month-major in `ASPECTS` order, each month's members, or the rankings."""
+    out, window = Path(cfg.output_dir), cfg.window()
+    return {"scores": [out / "scores" / f"{a}_{m}.csv" for m in window for a in ASPECTS],
+            "members": [out / "members" / f"{m}.csv" for m in window],
+            "rankings": [out / "rankings.csv"]}[name]
+
+
+def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, arrays=None):
+    """Write `arrays` as the mirror of the stage outputs `_stage_paths` names,
+    which also depend on the hierarchy and the window.  Without `arrays`, the
+    mirror's arrays, or None if a path is missing or the mirror does not match."""
+    paths = _stage_paths(cfg, name)
     if arrays is None and not all(p.exists() for p in paths):
         return None
     stem, names = Path(cfg.output_dir) / name, STAGE_ARRAYS[name]
@@ -294,17 +301,12 @@ def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, paths: list[Path
     return loaded and tuple(loaded[k] for k in names)
 
 
-def _score_paths(cfg: PipelineConfig) -> list[Path]:
-    out = Path(cfg.output_dir) / "scores"
-    return [out / f"{aspect}_{month}.csv" for month in cfg.window() for aspect in ASPECTS]
-
-
 def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
     """The node values and the scored mask over window month x aspect x node,
     from the score mirror, or else read back from the compute outputs one
     month at a time."""
-    paths = _score_paths(cfg)
-    mirrored = _stage_mirror(cfg, h, "scores", paths)
+    paths = _stage_paths(cfg, "scores")
+    mirrored = _stage_mirror(cfg, h, "scores")
     if mirrored:
         return mirrored
     window = cfg.window()
@@ -328,7 +330,7 @@ def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
     h, _ = _read_hierarchy(cfg)
     values, scored = _load_scores(cfg, h)
-    path = Path(cfg.output_dir) / "rankings.csv"
+    [path] = _stage_paths(cfg, "rankings")
     # what _load_rankings reads back: the global rows' values and both ranks
     rrfs = np.zeros((len(values), len(h.codes)))
     ranks = np.zeros((2, *rrfs.shape), dtype=np.int64)
@@ -344,7 +346,7 @@ def fuse(cfg: PipelineConfig) -> Path:
             order = np.flatnonzero(members)[np.argsort(rank[members])].tolist()  # ranks 1..n
             rows += [f"{month},{scope},{h.codes[i]},{text[i]},{r}" for r, i in enumerate(order, 1)]
     write_rows(path, RANKINGS_HEADER, rows, cfg.config_hash())
-    _stage_mirror(cfg, h, "rankings", [path], (rrfs, *ranks))
+    _stage_mirror(cfg, h, "rankings", (rrfs, *ranks))
     return path
 
 
@@ -355,8 +357,8 @@ def _load_rankings(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, ...]:
 
     Each (month, scope) must rank its nodes 1..n, and the level scopes must
     rank exactly the nodes that the global scope ranks."""
-    path = Path(cfg.output_dir) / "rankings.csv"
-    mirrored = _stage_mirror(cfg, h, "rankings", [path])
+    [path] = _stage_paths(cfg, "rankings")
+    mirrored = _stage_mirror(cfg, h, "rankings")
     if mirrored:
         return mirrored
     if not path.exists():
@@ -441,15 +443,31 @@ def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
     return trends_path, tables_path
 
 
-def _member_paths(cfg: PipelineConfig) -> list[Path]:
-    return [Path(cfg.output_dir) / "members" / f"{month}.csv" for month in cfg.window()]
+def export_plots(cfg: PipelineConfig) -> tuple[int, Path]:
+    """Write one SVG chart per level scope of its top `TOP_K` nodes' yearly
+    mean ranks; return the number of charts and their directory."""
+    h, _ = _read_hierarchy(cfg)
+    means = scope_mean_ranks(cfg, h)
+    out = Path(cfg.output_dir) / "plots"
+    out.mkdir(parents=True, exist_ok=True)
+    for scope, (years, yearly, window_means) in means.items():
+        nodes = fusion.top_k(window_means, TOP_K).tolist()
+        svg = rank_chart_svg(
+            f"top {len(nodes)} concepts, {scope}",
+            [str(y) for y in years],
+            # a mean of 0: no month of that year ranks the node, so no point
+            {h.codes[i]: [r or None for r in yearly[:, i].tolist()] for i in nodes},
+            config_hash=cfg.config_hash(),
+        )
+        mirror.write_file(out / f"rank_{scope}.svg", svg.encode())
+    return len(means), out
 
 
 def _load_members(cfg: PipelineConfig, h: Hierarchy) -> list[np.ndarray]:
     """The sampled article ids of each window month, in window order, from
     the members mirror, or else read back from the compute outputs."""
-    paths = _member_paths(cfg)
-    mirrored = _stage_mirror(cfg, h, "members", paths)
+    paths = _stage_paths(cfg, "members")
+    mirrored = _stage_mirror(cfg, h, "members")
     if mirrored:
         ids, indptr = mirrored
         return np.split(ids, indptr[1:-1])

@@ -5,6 +5,7 @@ drawn inverted so climbing the ranking points up.
 """
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Mapping, Sequence
 
 _PALETTE = (
@@ -69,18 +70,10 @@ def rank_chart_svg(
 
     for si, (name, ys) in enumerate(series.items()):
         color = _PALETTE[si % len(_PALETTE)]
-        run: list[str] = []
-        segments: list[list[str]] = []
-        for i, v in enumerate(ys):
-            if v is None:
-                if run:
-                    segments.append(run)
-                    run = []
-            else:
-                run.append(f"{x_at(i):.2f},{y_at(v):.2f}")
-        if run:
-            segments.append(run)
-        for seg in segments:
+        for given, run in groupby(enumerate(ys), key=lambda point: point[1] is not None):
+            if not given:
+                continue
+            seg = [f"{x_at(i):.2f},{y_at(v):.2f}" for i, v in run]
             if len(seg) == 1:
                 x, y = seg[0].split(",")
                 parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="{color}"/>')

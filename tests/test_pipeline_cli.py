@@ -137,6 +137,83 @@ sys.exit("scipy.stats" in sys.modules and "the chain loaded scipy.stats")
     assert run.returncode == 0, run.stderr
 
 
+COMMANDS = [
+    ("ingest", "parse all inputs and print a validation report"),
+    ("compute", "per-month aspect scores for the configured window"),
+    ("fuse", "fuse aspect rankings into relevance rankings"),
+    ("trend", "yearly rank slopes and top/bottom tables"),
+    ("evaluate", "cohort tests and aspect correlations"),
+    ("export-plots", "SVG rank-trajectory charts"),
+    ("generate", "write a synthetic scenario to the config's input paths"),
+]
+
+
+def test_help_lists_each_command_with_its_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "120")  # no help text wraps
+    for argv in [*([name, "--help"] for name, _ in COMMANDS), ["--help"]]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, argv
+    listing = capsys.readouterr().out.split("positional arguments:\n")[1]
+    lines = listing.split("\n\n")[0].splitlines()
+    assert lines[0].strip() == "{" + ",".join(name for name, _ in COMMANDS) + "}"
+    assert [tuple(line.split(None, 1)) for line in lines[1:]] == COMMANDS
+
+
+def test_each_stage_prints_what_it_wrote(tmp_path, capsys):
+    cfg_path = make_config(tmp_path)
+    out = tmp_path / "out"
+    expected = {
+        "generate": ["generated 720 articles, 1729 edges, 3040 hierarchy nodes, "
+                     "152 change records"],
+        "ingest": [
+            "hierarchy nodes: 3040",
+            "descriptors mapped: 3040",
+            "auto-created codes: 0",
+            "articles: 720",
+            "unknown descriptor references: 0",
+            "edges kept: 1729",
+            "self-loops dropped: 0",
+            "unknown-endpoint edges dropped: 0",
+            "duplicate edges dropped: 0",
+            "change records: 152",
+        ],
+        # 4 aspects x 6 months of scores, 6 member lists and the manifest
+        "compute": [f"wrote 31 files to {out}"],
+        "fuse": [f"wrote {out / 'rankings.csv'}"],
+        "trend": [f"wrote {out / 'trends.csv'} and {out / 'tables.csv'}"],
+        "evaluate": [f"wrote {out / name}" for name in (
+            "evolution_tests.json", "retraction_tests.json",
+            "correlation_pearson.csv", "correlation_spearman.csv")],
+        "export-plots": [f"wrote 4 plots to {out / 'plots'}"],  # one per hierarchy level
+    }
+    printed = {}
+    for stage in expected:
+        argv = generate_argv(cfg_path) if stage == "generate" else [stage, "--config", str(cfg_path)]
+        assert main(argv) == 0, stage
+        captured = capsys.readouterr()
+        assert captured.err == "", stage
+        printed[stage] = captured.out.splitlines()
+    assert printed == expected
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
+def test_stages_of_another_sample_fraction_are_a_one_line_error(tmp_path, capsys):
+    cfg_path = make_config(tmp_path, sample_fraction=0.5)
+    generate_inputs(cfg_path)
+    # fuse at 0.5 too, so that evaluate finds rankings.csv whether or not fuse
+    # at 0.25 fails
+    assert main(["compute", "--config", str(cfg_path)]) == 0
+    assert main(["fuse", "--config", str(cfg_path)]) == 0
+    make_config(tmp_path, sample_fraction=0.25)
+    capsys.readouterr()
+    for stage in ("fuse", "evaluate"):
+        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         path = make_config(tmp_path)
