@@ -1,19 +1,24 @@
 """Calendar-month helpers. Months are plain "YYYY-MM" strings throughout."""
 from __future__ import annotations
 
+import calendar
 import re
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-\d{2})?$")
+_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
 
 
 def normalize_month(text: str) -> str:
-    """Validate a month string, truncating a day component if present."""
+    """Validate a month string, truncating a day component, which must be a
+    day of that month, if present."""
     m = _MONTH_RE.match(text)
     if not m:
         raise ValueError(f"invalid month {text!r}, expected YYYY-MM")
     month = int(m.group(2))
     if not 1 <= month <= 12:
         raise ValueError(f"invalid month {text!r}, month component out of range")
+    day = m.group(3)
+    if day and not 1 <= int(day) <= calendar.monthrange(int(m.group(1)), month)[1]:
+        raise ValueError(f"invalid month {text!r}, day component out of range")
     return f"{m.group(1)}-{m.group(2)}"
 
 

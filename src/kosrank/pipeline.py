@@ -7,16 +7,18 @@ run_evaluate -> Mann-Whitney cohort tests and aspect correlation matrices
 export_plots -> one SVG rank-trajectory chart per level scope
 
 Downstream stages read the scores back as window month x aspect x node
-arrays, in `ASPECTS` order, and the rankings as window month x node arrays.
+arrays, in `ASPECTS` order, and fuse them into the window month x node
+arrays that `fuse` writes out (`_fused`); none reads `rankings.csv` back.
 
 Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
 
 `ingest`, `compute` and `fuse` also write `.npy` mirrors (see `mirror`) of
 the arrays they parsed or computed: `ingest/`, `scores.*`, `members.*` and
-`rankings.*`.
-A later stage uses a mirror only while every source file's sha256 matches
-its record; else it parses the text, with every check that parser makes.
+`rankings.*`, which is made from the score files and `rrf_k`.
+A later stage uses a mirror only while every source file's sha256 and the
+config values it depends on match its record; else it parses the text, with
+every check that parser makes, or fuses the scores again.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .months import month_index, normalize_month, year_of
 from .plots import rank_chart_svg
 from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, write_scores_csv
 
-RANKINGS_HEADER = "month,scope,tree_code,rrf_value,rank"
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
 TOP_K = 10  # the nodes in each top or bottom table and in each rank chart
@@ -277,24 +278,27 @@ def _write_json(path: Path, obj: dict) -> None:
 
 
 def _stage_paths(cfg: PipelineConfig, name: str) -> list[Path]:
-    """The stage outputs that the mirror `name` stands for: the score files,
-    month-major in `ASPECTS` order, each month's members, or the rankings."""
+    """The compute outputs that the mirror `name` is made from: each month's
+    members, or else the score files, month-major in `ASPECTS` order."""
     out, window = Path(cfg.output_dir), cfg.window()
-    return {"scores": [out / "scores" / f"{a}_{m}.csv" for m in window for a in ASPECTS],
-            "members": [out / "members" / f"{m}.csv" for m in window],
-            "rankings": [out / "rankings.csv"]}[name]
+    if name == "members":
+        return [out / "members" / f"{m}.csv" for m in window]
+    return [out / "scores" / f"{a}_{m}.csv" for m in window for a in ASPECTS]
 
 
 def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, arrays=None):
-    """Write `arrays` as the mirror of the stage outputs `_stage_paths` names,
-    which also depend on the hierarchy and the window.  Without `arrays`, the
-    mirror's arrays, or None if a path is missing or the mirror does not match."""
+    """Write `arrays` as the mirror of the compute outputs `_stage_paths` names,
+    which also depend on the hierarchy and the window, and the rankings on
+    `rrf_k`.  Without `arrays`, the mirror's arrays, or None if a path is
+    missing or the mirror does not match."""
     paths = _stage_paths(cfg, name)
     if arrays is None and not all(p.exists() for p in paths):
         return None
     stem, names = Path(cfg.output_dir) / name, STAGE_ARRAYS[name]
     sources = mirror.digests([cfg.hierarchy, *paths])
     meta = {"months": cfg.window(), "nodes": len(h.codes)}
+    if name == "rankings":
+        meta["rrf_k"] = cfg.rrf_k
     if arrays is not None:
         return mirror.save(stem, dict(zip(names, arrays)), sources, meta)
     loaded = mirror.load(stem, names, sources, meta)
@@ -326,76 +330,42 @@ def _scopes(h: Hierarchy, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
     return [("global", ranked)] + [(f"level-{lvl}", ranked & (h.level == lvl)) for lvl in levels]
 
 
+def _fused(h: Hierarchy, values: np.ndarray, scored: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The fused value, the global rank and the rank inside the node's level
+    scope, each over window month x node position, of the window month x
+    aspect x node scores; 0 where no aspect ranks the node."""
+    rrf = np.zeros((len(values), len(h.codes)))
+    ranks = np.zeros((2, *rrf.shape), dtype=np.int64)  # global, then level
+    for m, (month_values, month_scored) in enumerate(zip(values, scored)):
+        aspect_ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(month_values, month_scored)]
+        rrf[m] = fusion.rrf_fuse(aspect_ranks, k=k)
+        for scope, members in _scopes(h, rrf[m] > 0):  # ranked by some aspect
+            rank = fusion.rank_by_aspect(rrf[m], members)
+            ranks[int(scope != "global"), m, members] = rank[members]
+    return rrf, *ranks
+
+
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
     h, _ = _read_hierarchy(cfg)
-    values, scored = _load_scores(cfg, h)
-    [path] = _stage_paths(cfg, "rankings")
-    # what _load_rankings reads back: the global rows' values and both ranks
-    rrfs = np.zeros((len(values), len(h.codes)))
-    ranks = np.zeros((2, *rrfs.shape), dtype=np.int64)
+    rrf, *ranks = fused = _fused(h, *_load_scores(cfg, h), cfg.rrf_k)
+    path = Path(cfg.output_dir) / "rankings.csv"
     rows = []
-    for k, month in enumerate(cfg.window()):
-        aspect_ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(values[k], scored[k])]
-        rrf = fusion.rrf_fuse(aspect_ranks, k=cfg.rrf_k)
-        rrfs[k] = rrf  # 0 exactly where no aspect ranks the node
-        text = [format(v, ".17g") for v in rrf.tolist()]
-        for scope, members in _scopes(h, rrf > 0):  # ranked by some aspect
-            rank = fusion.rank_by_aspect(rrf, members)
-            ranks[int(scope != "global"), k, members] = rank[members]
+    for m, month in enumerate(cfg.window()):
+        text = [format(v, ".17g") for v in rrf[m].tolist()]
+        for scope, members in _scopes(h, rrf[m] > 0):
+            rank = ranks[int(scope != "global")][m]
             order = np.flatnonzero(members)[np.argsort(rank[members])].tolist()  # ranks 1..n
             rows += [f"{month},{scope},{h.codes[i]},{text[i]},{r}" for r, i in enumerate(order, 1)]
-    write_rows(path, RANKINGS_HEADER, rows, cfg.config_hash())
-    _stage_mirror(cfg, h, "rankings", (rrfs, *ranks))
+    write_rows(path, "month,scope,tree_code,rrf_value,rank", rows, cfg.config_hash())
+    _stage_mirror(cfg, h, "rankings", fused)
     return path
 
 
 def _load_rankings(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, ...]:
-    """The fused value, the global rank and the rank inside the node's level
-    scope, each over window month x node position; 0 where a node is unranked.
-    They come from the rankings mirror while it matches its sources.
-
-    Each (month, scope) must rank its nodes 1..n, and the level scopes must
-    rank exactly the nodes that the global scope ranks."""
-    [path] = _stage_paths(cfg, "rankings")
-    mirrored = _stage_mirror(cfg, h, "rankings")
-    if mirrored:
-        return mirrored
-    if not path.exists():
-        raise PipelineError(f"missing fuse output: {path}")
-    row_of = {month: k for k, month in enumerate(cfg.window())}
-    levels = h.level.tolist()
-    rrf = np.zeros((len(row_of), len(h.codes)))
-    global_rank, level_rank = np.zeros((2, *rrf.shape), dtype=np.int64)
-
-    def parse(month: str, scope: str, code: str, value: str, rank: str) -> None:
-        value, rank = float(value), int(rank)
-        k, i = row_of.get(month), h.position.get(code)
-        if k is None:
-            raise ValueError(f"month {month} is outside the window")
-        if i is None:
-            raise ValueError(f"tree code {code} is not in the hierarchy")
-        if scope not in ("global", f"level-{levels[i]}"):
-            raise ValueError(f"scope {scope} does not hold tree code {code}")
-        if rank < 1:
-            raise ValueError(f"rank {rank} is below 1")
-        ranks = global_rank if scope == "global" else level_rank
-        if ranks[k, i]:
-            raise ValueError(f"{month},{scope},{code} repeats an earlier row")
-        ranks[k, i] = rank
-        if scope == "global":
-            rrf[k, i] = value
-
-    read_rows(path, RANKINGS_HEADER, parse)
-    for k, month in enumerate(row_of):
-        ranked = global_rank[k] > 0
-        if not np.array_equal(ranked, level_rank[k] > 0):
-            raise PipelineError(f"{path}: {month}: level and global ranks cover different codes")
-        for scope, members in _scopes(h, ranked):
-            ranks = (global_rank if scope == "global" else level_rank)[k, members]
-            if not np.array_equal(np.sort(ranks), np.arange(1, len(ranks) + 1)):
-                raise PipelineError(f"{path}: {month},{scope}: ranks are not 1..{len(ranks)}")
-    return rrf, global_rank, level_rank
+    """`_fused` of the compute outputs, from the rankings mirror while it
+    matches the score files, the hierarchy and `rrf_k`."""
+    return _stage_mirror(cfg, h, "rankings") or _fused(h, *_load_scores(cfg, h), cfg.rrf_k)
 
 
 def scope_mean_ranks(
@@ -499,8 +469,8 @@ def _cohort_test(
 def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     """Cohort tests for evolution and retraction, plus correlation matrices.
 
-    Reads the annotation data and the compute and fuse outputs; the
-    citations are not read.
+    Reads the annotation data and the compute outputs, whose scores it
+    fuses as `fuse` does; the citations are not read.
     """
     data = ingest(cfg, citations=False, save=False)
     h = data.hierarchy

@@ -63,8 +63,8 @@ class TestParse:
             parse('{"id":1,"month":"2014-01"}\n{nope}\n')
 
     def test_day_truncated_to_month(self):
-        store = parse('{"id":1,"month":"2014-01-15"}\n')
-        assert months_of(store) == ["2014-01"]
+        store = parse('{"id":1,"month":"2014-01-15"}\n{"id":2,"month":"2016-02-29"}\n')
+        assert months_of(store) == ["2014-01", "2016-02"]
 
     def test_months_parsed_once_per_distinct_text(self, monkeypatch):
         texts = []
@@ -82,7 +82,11 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "month, reason",
-        [("2014-13", "month component out of range"), ("14-01", "expected YYYY-MM")],
+        [("2014-13", "month component out of range"), ("14-01", "expected YYYY-MM"),
+         ("2014-01-00", "day component out of range"),
+         ("2014-02-30", "day component out of range"),
+         ("2014-01-99", "day component out of range"),
+         ("2014-02-29", "day component out of range")],
     )
     def test_bad_month_names_its_line_every_time(self, month, reason):
         good = '{"id":1,"month":"2014-01"}\n'
@@ -202,6 +206,10 @@ BAD = [
     ('{"id":8,"month":null}', "invalid month 'None', expected YYYY-MM"),
     ('{"id":8,"month":"2014-13"}', "invalid month '2014-13', month component out of range"),
     ('{"id":8,"month":"14-01"}', "invalid month '14-01', expected YYYY-MM"),
+    ('{"id":8,"month":"2014-01-00"}', "invalid month '2014-01-00', day component out of range"),
+    ('{"id":8,"month":"2014-02-30"}', "invalid month '2014-02-30', day component out of range"),
+    ('{"id":8,"month":"2014-01-99"}', "invalid month '2014-01-99', day component out of range"),
+    ('{"id":8,"month":"2014-02-29"}', "invalid month '2014-02-29', day component out of range"),
     ('{"id":8,"month":"2014-01","mesh":"D1"}', "'mesh' must be an array"),
     ('{"id":8,"month":"2014-01","mesh":["D1",null]}', "'mesh' entries must be strings"),
     ('{"id":8,"month":"2014-01","mesh":[7]}', "'mesh' entries must be strings"),

@@ -250,6 +250,15 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ['first_month = "2014-02-30"', 'last_month = "2014-06-31"'])
+    def test_window_end_of_no_such_day_is_a_one_line_error(self, tmp_path, capsys, line):
+        path = make_config(tmp_path)
+        path.write_text(path.read_text() + line + "\n")
+        month = line.split('"')[1]
+        assert main(["compute", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid month {month!r}, day component out of range\n"
+
     @pytest.mark.parametrize(
         "stage", ["generate", "ingest", "compute", "fuse", "trend", "evaluate", "export-plots"]
     )
@@ -709,29 +718,6 @@ class TestComputeFuseTrendEvaluate:
             assert main([stage, "--config", str(cfg_path)]) == 1
             assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
 
-    @pytest.mark.parametrize("edit", ["global-row-deleted", "level-row-deleted", "rank-gap"])
-    def test_incomplete_rankings_is_a_one_line_error(self, prepared, capsys, edit):
-        cfg_path, cfg = prepared
-        for stage in ("compute", "fuse"):
-            assert main([stage, "--config", str(cfg_path)]) == 0
-        path = Path(cfg.output_dir) / "rankings.csv"
-        lines = path.read_text().splitlines()
-        if edit == "rank-gap":
-            # the last global row of 2014-01 moves one rank down
-            at = max(i for i, line in enumerate(lines) if line.startswith("2014-01,global,"))
-            *head, rank = lines[at].split(",")
-            lines[at] = ",".join([*head, str(int(rank) + 1)])
-            message = f"2014-01,global: ranks are not 1..{rank}"
-        else:
-            scope = "global" if edit == "global-row-deleted" else "level-1"
-            lines.remove(next(line for line in lines if line.startswith(f"2014-01,{scope},A,")))
-            message = "2014-01: level and global ranks cover different codes"
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        for stage in ("trend", "evaluate", "export-plots"):
-            assert main([stage, "--config", str(cfg_path)]) == 1
-            assert capsys.readouterr().err == f"error: {path}: {message}\n"
-
     def test_missing_changes_file_is_an_error(self, prepared, capsys):
         cfg_path, cfg = prepared
         for stage in ("compute", "fuse"):
@@ -750,41 +736,6 @@ class TestComputeFuseTrendEvaluate:
             assert main([stage, "--config", str(cfg_path)]) == 1
             err = capsys.readouterr().err
             assert err == f"error: {cfg.changes}: line 1: release 'AA' does not start with a year\n"
-
-    @pytest.mark.parametrize(
-        "edit",
-        ["unknown-code", "repeated-row", "scope-of-another-level", "month-outside-window", "rank-0"],
-    )
-    def test_bad_rankings_row_names_file_and_line(self, prepared, capsys, edit):
-        cfg_path, cfg = prepared
-        for stage in ("compute", "fuse"):
-            assert main([stage, "--config", str(cfg_path)]) == 0
-        path = Path(cfg.output_dir) / "rankings.csv"
-        lines = path.read_text().splitlines()
-        # usefulness scores every node, so every month ranks the root A
-        at = lines.index(next(line for line in lines if line.startswith("2014-01,level-1,A,")))
-        month, scope, code, value, rank = lines[at].split(",")
-        if edit == "unknown-code":
-            lines.append("2014-01,global,Z99,0.5,1")
-            at, message = len(lines) - 1, "tree code Z99 is not in the hierarchy"
-        elif edit == "repeated-row":
-            lines.append(lines[-1])
-            at = len(lines) - 1
-            message = ",".join(lines[at].split(",")[:3]) + " repeats an earlier row"
-        elif edit == "scope-of-another-level":
-            lines[at] = ",".join([month, "level-2", code, value, rank])
-            message = "scope level-2 does not hold tree code A"
-        elif edit == "month-outside-window":
-            lines[at] = ",".join(["2014-07", scope, code, value, rank])
-            message = "month 2014-07 is outside the window"
-        else:
-            lines[at] = ",".join([month, scope, code, value, "0"])
-            message = "rank 0 is below 1"
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        for stage in ("trend", "evaluate", "export-plots"):
-            assert main([stage, "--config", str(cfg_path)]) == 1
-            assert capsys.readouterr().err == f"error: {path}: line {at + 1}: {message}\n"
 
 
 # sha256 of every file the seed-1 chain writes over 300 articles a month, but
@@ -1141,8 +1092,7 @@ class TestMirrors:
 
     @pytest.mark.parametrize(
         "edit",
-        ["article", "article-broken", "score-row", "score-row-broken", "rankings-row",
-         "rankings-row-broken"],
+        ["article", "article-broken", "score-row", "score-row-broken"],
     )
     def test_edit_after_its_stage_gives_a_fresh_parse(self, prepared, capsys, mirror_loads, edit):
         cfg_path, cfg = prepared
@@ -1151,7 +1101,6 @@ class TestMirrors:
         producer, name = {
             "article": ("ingest", "annotations"),
             "score-row": ("compute", "scores"),
-            "rankings-row": ("fuse", "rankings"),
         }[kind]
         done = CHAIN.index(producer) + 1
         assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
@@ -1160,16 +1109,11 @@ class TestMirrors:
             path = Path(cfg.articles)
             pick = lambda line: '"2014-03"' in line  # noqa: E731
             change = (lambda line: line[:-1]) if edit.endswith("broken") else article_edit
-        elif kind == "score-row":
+        else:
             path = out / "scores" / "influence_2014-02.csv"
             pick = lambda line: line.startswith("A,1,influence,")  # noqa: E731
             value = "x" if edit.endswith("broken") else "-1"
             change = lambda line: line.rsplit(",", 1)[0] + f",{value}"  # noqa: E731
-        else:
-            path = out / "rankings.csv"
-            pick = lambda line: line.startswith("2014-01,global,")  # noqa: E731
-            value = "x" if edit.endswith("broken") else "0.5"
-            change = lambda line: ",".join(line.split(",")[:3] + [value] + line.split(",")[4:])  # noqa: E731
         edit_line(path, pick, change)
         mirror_loads.clear()
         stale = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
@@ -1187,13 +1131,15 @@ class TestMirrors:
         ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "scores.values.npy",
          "members.ids.npy", "rankings.rrf.npy", "ingest/annotations.mirror.json",
          "ingest/graph.mirror.json", "scores.mirror.json", "members.mirror.json",
-         "rankings.mirror.json", "hierarchy-swapped", "window-changed", "code-changed"],
+         "rankings.mirror.json", "hierarchy-swapped", "window-changed", "code-changed",
+         "rrf_k-changed"],
     )
     def test_damaged_mirror_is_not_used(self, prepared, capsys, monkeypatch, mirror_loads, damage):
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
         name = Path(damage).name.split(".")[0]
-        producer = {"annotations": "ingest", "graph": "ingest", "rankings": "fuse"}.get(name, "compute")
+        producer = {"annotations": "ingest", "graph": "ingest", "rankings": "fuse",
+                    "rrf_k-changed": "fuse"}.get(name, "compute")
         done = CHAIN.index(producer) + 1
         with monkeypatch.context() as m:
             if damage == "code-changed":  # ingest and compute write records of other code
@@ -1207,6 +1153,9 @@ class TestMirrors:
         elif damage == "window-changed":
             cfg_path.write_text(cfg_path.read_text() + 'last_month = "2014-05"\n')
             name = "scores"
+        elif damage == "rrf_k-changed":
+            cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")
+            name = "rankings"
         elif damage.endswith(".npy"):
             data = bytearray((out / damage).read_bytes())
             data[-1] ^= 1
@@ -1216,9 +1165,44 @@ class TestMirrors:
         mirror_loads.clear()
         damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
         assert (name, False) in mirror_loads and (name, True) not in mirror_loads
+        if damage == "rrf_k-changed":  # the scores do not depend on rrf_k
+            assert ("scores", True) in mirror_loads and ("scores", False) not in mirror_loads
         assert damaged[0] == [(0, "")] * (len(CHAIN) - done)
         drop_mirror_records(out)
         assert (run_stages(cfg_path, CHAIN[done:], capsys), results(out)) == damaged
+
+    def test_later_stages_do_not_read_the_rankings(self, prepared, capsys, mirror_loads):
+        cfg_path, cfg = prepared
+        out, later = Path(cfg.output_dir), CHAIN[CHAIN.index("fuse") + 1:]
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        path = out / "rankings.csv"
+        before = results(out)
+        del before["rankings.csv"]
+        edit_line(path, lambda line: line.startswith("2014-01,global,"), lambda line: "x")
+        for change in ("edited", "deleted", "records-dropped"):
+            if change == "deleted":
+                path.unlink()
+            elif change == "records-dropped":  # fused again from the parsed scores
+                drop_mirror_records(out)
+            mirror_loads.clear()
+            assert run_stages(cfg_path, later, capsys) == [(0, "")] * len(later), change
+            assert ("rankings", change != "records-dropped") in mirror_loads, change
+            after = results(out)
+            after.pop("rankings.csv", None)
+            assert after == before, change
+
+    def test_later_stages_fuse_at_their_own_rrf_k(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        out, later = Path(cfg.output_dir), CHAIN[CHAIN.index("fuse") + 1:]
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        at_60 = results(out)
+        cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")
+        stale = run_stages(cfg_path, later, capsys), results(out)
+        fresh = run_stages(cfg_path, ["fuse", *later], capsys)[1:], results(out)
+        assert stale[1].pop("rankings.csv") == at_60["rankings.csv"] != fresh[1].pop("rankings.csv")
+        assert stale == fresh
+        for name in ("trends.csv", "tables.csv", "evolution_tests.json", "plots/rank_level-1.svg"):
+            assert stale[1][name] != at_60[name], name
 
     def test_mirror_from_other_code_is_not_used(self, prepared, capsys, monkeypatch):
         # Code whose article parser took "false" for true left a mirror that

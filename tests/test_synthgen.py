@@ -65,6 +65,7 @@ class TestConfigValidation:
             ("seed", -1),  # numpy: "expected non-negative integer"
             ("first_month", "2014-13"),  # would date the articles 2015-01 on
             ("first_month", "2014"),
+            ("first_month", "2014-02-30"),  # no such day: the articles were dated 2014-02
             ("refs_mean", float("nan")),  # numpy: "lam < 0 or lam is NaN"
             ("refs_mean", float("inf")),  # numpy: "lam value too large"
             ("refs_mean", -1.0),
@@ -113,6 +114,7 @@ class TestConfigValidation:
 
     def test_first_month_drops_its_day(self):
         assert small_config(first_month="2014-03-15").first_month == "2014-03"
+        assert small_config(first_month="2016-02-29").first_month == "2016-02"
 
 
 class TestGenerate:
