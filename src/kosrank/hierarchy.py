@@ -26,7 +26,7 @@ from typing import Collection, Hashable, Iterable, Mapping, Sequence, TextIO
 import numpy as np
 from scipy import sparse
 
-TREE_CODE_RE = re.compile(r"^[A-Z](\d{2}(\.\d{3})*)?$")
+TREE_CODE_RE = re.compile(r"[A-Z]([0-9]{2}(\.[0-9]{3})*)?")
 
 
 class HierarchyError(ValueError):
@@ -34,7 +34,7 @@ class HierarchyError(ValueError):
 
 
 def is_tree_code(text: str) -> bool:
-    return bool(TREE_CODE_RE.match(text))
+    return bool(TREE_CODE_RE.fullmatch(text))
 
 
 def parent_of(code: str) -> str | None:

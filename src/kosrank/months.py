@@ -4,13 +4,13 @@ from __future__ import annotations
 import calendar
 import re
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
+_MONTH_RE = re.compile(r"([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?")
 
 
 def normalize_month(text: str) -> str:
     """Validate a month string, truncating a day component, which must be a
     day of that month, if present."""
-    m = _MONTH_RE.match(text)
+    m = _MONTH_RE.fullmatch(text)
     if not m:
         raise ValueError(f"invalid month {text!r}, expected YYYY-MM")
     month = int(m.group(2))

@@ -14,11 +14,12 @@ Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
 
 `ingest`, `compute` and `fuse` also write `.npy` mirrors (see `mirror`) of
-the arrays they parsed or computed: `ingest/`, `scores.*`, `members.*` and
-`rankings.*`, which is made from the score files and `rrf_k`.
-A later stage uses a mirror only while every source file's sha256 and the
-config values it depends on match its record; else it parses the text, with
-every check that parser makes, or fuses the scores again.
+the arrays they parsed or computed: `ingest/`, `compute.*` and `rankings.*`.
+The last two share one set of sources, compute's outputs and the hierarchy,
+and the rankings' record also holds `rrf_k`.  A later stage uses a mirror
+only while every source file's sha256 and the config values it depends on
+match its record; else it parses the text, with every check that parser
+makes, or fuses the scores again.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, 
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
 TOP_K = 10  # the nodes in each top or bottom table and in each rank chart
-STAGE_ARRAYS = {"scores": ("values", "scored"), "rankings": ("rrf", "global_rank", "level_rank"),
-                "members": ("ids", "indptr")}
+COMPUTE_ARRAYS = ("values", "scored", "ids", "indptr")
+RANKING_ARRAYS = ("rrf", "global_rank", "level_rank")
 
 
 class PipelineError(RuntimeError):
@@ -247,7 +248,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     chash = cfg.config_hash()
     values, scored = np.array([r.values for r in results]), np.array([r.scored for r in results])
     members = [r.member_ids for r in results]
-    score_paths, member_paths = _stage_paths(cfg, "scores"), _stage_paths(cfg, "members")
+    score_paths, member_paths = _compute_files(cfg)
     for path, (k, s) in zip(score_paths, np.ndindex(values.shape[:2])):
         write_scores_csv(h, path, ASPECTS[s], window[k], values[k, s], scored[k, s], chash)
     for path, ids in zip(member_paths, members):
@@ -267,9 +268,8 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     _write_json(out / "manifest.json", manifest)
     # what read_scores_csv gives back: 0 where unscored, and "nan" as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
-    _stage_mirror(cfg, h, "scores", (values, scored))
-    indptr = np.cumsum([0, *map(len, members)])
-    _stage_mirror(cfg, h, "members", (np.concatenate(members), indptr))
+    arrays = (values, scored, np.concatenate(members), np.cumsum([0, *map(len, members)]))
+    mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), *_compute_key(cfg, h))
     return [str(p) for p in (*score_paths, *member_paths, out / "manifest.json")]
 
 
@@ -277,50 +277,49 @@ def _write_json(path: Path, obj: dict) -> None:
     mirror.write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _stage_paths(cfg: PipelineConfig, name: str) -> list[Path]:
-    """The compute outputs that the mirror `name` is made from: each month's
-    members, or else the score files, month-major in `ASPECTS` order."""
+def _compute_files(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
+    """compute's score files, month-major in `ASPECTS` order, and its
+    member files, one per window month."""
     out, window = Path(cfg.output_dir), cfg.window()
-    if name == "members":
-        return [out / "members" / f"{m}.csv" for m in window]
-    return [out / "scores" / f"{a}_{m}.csv" for m in window for a in ASPECTS]
+    return ([out / "scores" / f"{a}_{m}.csv" for m in window for a in ASPECTS],
+            [out / "members" / f"{m}.csv" for m in window])
 
 
-def _stage_mirror(cfg: PipelineConfig, h: Hierarchy, name: str, arrays=None):
-    """Write `arrays` as the mirror of the compute outputs `_stage_paths` names,
-    which also depend on the hierarchy and the window, and the rankings on
-    `rrf_k`.  Without `arrays`, the mirror's arrays, or None if a path is
-    missing or the mirror does not match."""
-    paths = _stage_paths(cfg, name)
-    if arrays is None and not all(p.exists() for p in paths):
-        return None
-    stem, names = Path(cfg.output_dir) / name, STAGE_ARRAYS[name]
-    sources = mirror.digests([cfg.hierarchy, *paths])
-    meta = {"months": cfg.window(), "nodes": len(h.codes)}
-    if name == "rankings":
-        meta["rrf_k"] = cfg.rrf_k
-    if arrays is not None:
-        return mirror.save(stem, dict(zip(names, arrays)), sources, meta)
-    loaded = mirror.load(stem, names, sources, meta)
-    return loaded and tuple(loaded[k] for k in names)
+def _compute_key(cfg: PipelineConfig, h: Hierarchy) -> tuple[dict, dict]:
+    """The sources and meta of the compute mirror: the digests of the
+    hierarchy and of compute's output files, and the window and node count."""
+    score_paths, member_paths = _compute_files(cfg)
+    sources = mirror.digests([cfg.hierarchy, *score_paths, *member_paths])
+    return sources, {"months": cfg.window(), "nodes": len(h.codes)}
 
 
-def _load_scores(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, np.ndarray]:
-    """The node values and the scored mask over window month x aspect x node,
-    from the score mirror, or else read back from the compute outputs one
-    month at a time."""
-    paths = _stage_paths(cfg, "scores")
-    mirrored = _stage_mirror(cfg, h, "scores")
-    if mirrored:
-        return mirrored
-    window = cfg.window()
-    values = np.zeros((len(window), len(ASPECTS), len(h.codes)))
-    scored = np.zeros(values.shape, dtype=bool)
-    for path, (k, s) in zip(paths, np.ndindex(values.shape[:2])):
+def _compute_outputs(cfg: PipelineConfig, h: Hierarchy):
+    """compute's outputs, from one digest pass over them and the hierarchy:
+    the window month x aspect x node (values, scored), each window month's
+    sampled article ids, their `_fused` arrays at `rrf_k`, and the (sources,
+    meta) key that the rankings mirror is saved under.  The scores and
+    members come from the compute mirror and the fused arrays from the
+    rankings mirror while each matches, else from the text and `_fused`."""
+    score_paths, member_paths = _compute_files(cfg)
+    for path in (*score_paths, *member_paths):
         if not path.exists():
             raise PipelineError(f"missing compute output: {path}")
-        values[k, s], scored[k, s] = read_scores_csv(h, path, ASPECTS[s], window[k])
-    return values, scored
+    sources, meta = _compute_key(cfg, h)
+    out, window = Path(cfg.output_dir), cfg.window()
+    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, sources, meta)
+    if arrays:
+        values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
+        members = np.split(ids, indptr[1:-1])
+    else:
+        values = np.zeros((len(window), len(ASPECTS), len(h.codes)))
+        scored = np.zeros(values.shape, dtype=bool)
+        for path, (k, s) in zip(score_paths, np.ndindex(values.shape[:2])):
+            values[k, s], scored[k, s] = read_scores_csv(h, path, ASPECTS[s], window[k])
+        members = [np.array(read_rows(p, "article_id", int), dtype=np.int64) for p in member_paths]
+    meta = {**meta, "rrf_k": cfg.rrf_k}
+    fused = mirror.load(out / "rankings", RANKING_ARRAYS, sources, meta)
+    fused = tuple(fused[k] for k in RANKING_ARRAYS) if fused else _fused(h, values, scored, cfg.rrf_k)
+    return (values, scored), members, fused, (sources, meta)
 
 
 def _scopes(h: Hierarchy, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -348,7 +347,8 @@ def _fused(h: Hierarchy, values: np.ndarray, scored: np.ndarray, k: int) -> tupl
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
     h, _ = _read_hierarchy(cfg)
-    rrf, *ranks = fused = _fused(h, *_load_scores(cfg, h), cfg.rrf_k)
+    _, _, fused, (sources, meta) = _compute_outputs(cfg, h)
+    rrf, *ranks = fused
     path = Path(cfg.output_dir) / "rankings.csv"
     rows = []
     for m, month in enumerate(cfg.window()):
@@ -358,27 +358,21 @@ def fuse(cfg: PipelineConfig) -> Path:
             order = np.flatnonzero(members)[np.argsort(rank[members])].tolist()  # ranks 1..n
             rows += [f"{month},{scope},{h.codes[i]},{text[i]},{r}" for r, i in enumerate(order, 1)]
     write_rows(path, "month,scope,tree_code,rrf_value,rank", rows, cfg.config_hash())
-    _stage_mirror(cfg, h, "rankings", fused)
+    mirror.save(Path(cfg.output_dir) / "rankings", dict(zip(RANKING_ARRAYS, fused)), sources, meta)
     return path
 
 
-def _load_rankings(cfg: PipelineConfig, h: Hierarchy) -> tuple[np.ndarray, ...]:
-    """`_fused` of the compute outputs, from the rankings mirror while it
-    matches the score files, the hierarchy and `rrf_k`."""
-    return _stage_mirror(cfg, h, "rankings") or _fused(h, *_load_scores(cfg, h), cfg.rrf_k)
-
-
 def scope_mean_ranks(
-    cfg: PipelineConfig, h: Hierarchy
+    h: Hierarchy, window: list[str], level_rank: np.ndarray
 ) -> dict[str, tuple[list[int], np.ndarray, np.ndarray]]:
     """Level scope -> (the window's years, mean level rank per year x node,
-    mean level rank per node over the window), from the fused rankings.
+    mean level rank per node over the window), from the window month x node
+    fused `level_rank`.
 
     A mean is 0 where the node is outside the scope or no month of that span
     ranks it.  Scopes ranked in no window month are left out.
     """
-    _, _, level_rank = _load_rankings(cfg, h)
-    month_years = np.array([year_of(m) for m in cfg.window()])
+    month_years = np.array([year_of(m) for m in window])
     years = np.unique(month_years).tolist()
     yearly = np.array([fusion.mean_ranks(level_rank[month_years == y]) for y in years])
     window_means = fusion.mean_ranks(level_rank)
@@ -392,7 +386,8 @@ def scope_mean_ranks(
 def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
     """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
     h, _ = _read_hierarchy(cfg)
-    means = scope_mean_ranks(cfg, h)
+    _, _, (_, _, level_rank), _ = _compute_outputs(cfg, h)
+    means = scope_mean_ranks(h, cfg.window(), level_rank)
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
 
@@ -417,7 +412,8 @@ def export_plots(cfg: PipelineConfig) -> tuple[int, Path]:
     """Write one SVG chart per level scope of its top `TOP_K` nodes' yearly
     mean ranks; return the number of charts and their directory."""
     h, _ = _read_hierarchy(cfg)
-    means = scope_mean_ranks(cfg, h)
+    _, _, (_, _, level_rank), _ = _compute_outputs(cfg, h)
+    means = scope_mean_ranks(h, cfg.window(), level_rank)
     out = Path(cfg.output_dir) / "plots"
     out.mkdir(parents=True, exist_ok=True)
     for scope, (years, yearly, window_means) in means.items():
@@ -431,22 +427,6 @@ def export_plots(cfg: PipelineConfig) -> tuple[int, Path]:
         )
         mirror.write_file(out / f"rank_{scope}.svg", svg.encode())
     return len(means), out
-
-
-def _load_members(cfg: PipelineConfig, h: Hierarchy) -> list[np.ndarray]:
-    """The sampled article ids of each window month, in window order, from
-    the members mirror, or else read back from the compute outputs."""
-    paths = _stage_paths(cfg, "members")
-    mirrored = _stage_mirror(cfg, h, "members")
-    if mirrored:
-        ids, indptr = mirrored
-        return np.split(ids, indptr[1:-1])
-    members = []
-    for path in paths:
-        if not path.exists():
-            raise PipelineError(f"missing compute output: {path}")
-        members.append(np.array(read_rows(path, "article_id", int), dtype=np.int64))
-    return members
 
 
 def _cohort_test(
@@ -475,11 +455,9 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     data = ingest(cfg, citations=False, save=False)
     h = data.hierarchy
     # window month x series x node: the aspects, then the fused relevance
-    values, scored = _load_scores(cfg, h)
-    rrf, rank, _ = _load_rankings(cfg, h)
+    (values, scored), members, (rrf, rank, _), _ = _compute_outputs(cfg, h)
     values = np.concatenate([values, rrf[:, None]], axis=1)
     scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
-    members = _load_members(cfg, h)
     month_years = np.array([year_of(m) for m in cfg.window()])
     series_names = list(ASPECTS) + [RELEVANCE]
     out = Path(cfg.output_dir)

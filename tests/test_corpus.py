@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -86,11 +87,13 @@ class TestParse:
          ("2014-01-00", "day component out of range"),
          ("2014-02-30", "day component out of range"),
          ("2014-01-99", "day component out of range"),
-         ("2014-02-29", "day component out of range")],
+         ("2014-02-29", "day component out of range"),
+         ("2014-01\n", "expected YYYY-MM"), ("２０１４-01", "expected YYYY-MM"),
+         ("2014-0١", "expected YYYY-MM")],
     )
     def test_bad_month_names_its_line_every_time(self, month, reason):
         good = '{"id":1,"month":"2014-01"}\n'
-        bad = f'{{"id":2,"month":"{month}"}}\n'
+        bad = f'{{"id":2,"month":{json.dumps(month)}}}\n'
         for text, line in ((bad, 1), (good + bad, 2)):
             with pytest.raises(CorpusError) as err:
                 parse(text)

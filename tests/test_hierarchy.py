@@ -36,6 +36,8 @@ class TestTreeCodes:
         assert not is_tree_code("D12.")
         assert not is_tree_code("D123")
         assert not is_tree_code("")
+        assert not is_tree_code("D１２")  # only ASCII digits
+        assert not is_tree_code("D12\n")
 
     def test_levels(self):
         assert level_of("D") == 1

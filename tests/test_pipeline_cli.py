@@ -808,9 +808,9 @@ PINNED = {
 
 
 STAGE_MIRROR_FILES = {
-    "scores.mirror.json", "scores.values.npy", "scores.scored.npy", "rankings.mirror.json",
-    "rankings.rrf.npy", "rankings.global_rank.npy", "rankings.level_rank.npy",
-    "members.mirror.json", "members.ids.npy", "members.indptr.npy",
+    "compute.mirror.json", "compute.values.npy", "compute.scored.npy", "compute.ids.npy",
+    "compute.indptr.npy", "rankings.mirror.json", "rankings.rrf.npy", "rankings.global_rank.npy",
+    "rankings.level_rank.npy",
 }
 
 
@@ -952,12 +952,12 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
         f"ingest/{'graph' if name in GRAPH_ARRAYS else 'annotations'}.{name}": array
         for name, array in ingest_arrays(h, articles, edges).items()
     }
-    parsed.update(zip(("scores.values", "scores.scored"), pipeline._load_scores(cfg, h)))
-    members = pipeline._load_members(cfg, h)
-    parsed["members.ids"] = np.concatenate(members)
-    parsed["members.indptr"] = np.cumsum([0, *map(len, members)])
+    (values, scored), members, fused, _ = pipeline._compute_outputs(cfg, h)
+    parsed["compute.values"], parsed["compute.scored"] = values, scored
+    parsed["compute.ids"] = np.concatenate(members)
+    parsed["compute.indptr"] = np.cumsum([0, *map(len, members)])
     rankings = ("rankings.rrf", "rankings.global_rank", "rankings.level_rank")
-    parsed.update(zip(rankings, pipeline._load_rankings(cfg, h)))
+    parsed.update(zip(rankings, fused))
     assert mirrored.keys() == parsed.keys()
     for name, array in parsed.items():
         got = mirrored[name]
@@ -999,7 +999,7 @@ class TestMirrors:
         for stage in ("ingest", "compute", "fuse"):
             assert main([stage, "--config", str(cfg_path)]) == 0
         out = Path(cfg.output_dir)
-        records = ["ingest/annotations", "ingest/graph", "scores", "members", "rankings"]
+        records = ["ingest/annotations", "ingest/graph", "compute", "rankings"]
         assert all((out / f"{name}.mirror.json").exists() for name in records)
         assert_mirrors_hold_parsed_arrays(cfg)
 
@@ -1084,7 +1084,7 @@ class TestMirrors:
         monkeypatch.undo()
         assert main(["fuse", "--config", str(cfg_path)]) == 0
         # "-0" reads back as -0.0 and "nan" as float("nan"), whose sign is +
-        values = np.load(Path(cfg.output_dir) / "scores.values.npy")[:, 0]
+        values = np.load(Path(cfg.output_dir) / "compute.values.npy")[:, 0]
         assert (np.signbit(values) & (values == 0)).any() and not (values == 7.0).any()
         assert np.isnan(values).any() and not np.signbit(values[np.isnan(values)]).any()
         assert main(["ingest", "--config", str(cfg_path)]) == 0
@@ -1100,7 +1100,7 @@ class TestMirrors:
         kind = edit.removesuffix("-broken")
         producer, name = {
             "article": ("ingest", "annotations"),
-            "score-row": ("compute", "scores"),
+            "score-row": ("compute", "compute"),
         }[kind]
         done = CHAIN.index(producer) + 1
         assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
@@ -1128,11 +1128,10 @@ class TestMirrors:
 
     @pytest.mark.parametrize(
         "damage",
-        ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "scores.values.npy",
-         "members.ids.npy", "rankings.rrf.npy", "ingest/annotations.mirror.json",
-         "ingest/graph.mirror.json", "scores.mirror.json", "members.mirror.json",
-         "rankings.mirror.json", "hierarchy-swapped", "window-changed", "code-changed",
-         "rrf_k-changed"],
+        ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "compute.values.npy",
+         "compute.ids.npy", "rankings.rrf.npy", "ingest/annotations.mirror.json",
+         "ingest/graph.mirror.json", "compute.mirror.json", "rankings.mirror.json",
+         "hierarchy-swapped", "window-changed", "code-changed", "rrf_k-changed"],
     )
     def test_damaged_mirror_is_not_used(self, prepared, capsys, monkeypatch, mirror_loads, damage):
         cfg_path, cfg = prepared
@@ -1144,15 +1143,15 @@ class TestMirrors:
         with monkeypatch.context() as m:
             if damage == "code-changed":  # ingest and compute write records of other code
                 m.setattr(mirror, "code_digest", lambda: "0" * 64)
-                name = "scores"
+                name = "compute"
             assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
         if damage == "hierarchy-swapped":
             with open(cfg.hierarchy, "a") as fh:
                 fh.write("Z99\t\tnode Z99\n")
-            name = "scores"
+            name = "compute"
         elif damage == "window-changed":
             cfg_path.write_text(cfg_path.read_text() + 'last_month = "2014-05"\n')
-            name = "scores"
+            name = "compute"
         elif damage == "rrf_k-changed":
             cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")
             name = "rankings"
@@ -1166,7 +1165,7 @@ class TestMirrors:
         damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
         assert (name, False) in mirror_loads and (name, True) not in mirror_loads
         if damage == "rrf_k-changed":  # the scores do not depend on rrf_k
-            assert ("scores", True) in mirror_loads and ("scores", False) not in mirror_loads
+            assert ("compute", True) in mirror_loads and ("compute", False) not in mirror_loads
         assert damaged[0] == [(0, "")] * (len(CHAIN) - done)
         drop_mirror_records(out)
         assert (run_stages(cfg_path, CHAIN[done:], capsys), results(out)) == damaged
@@ -1203,6 +1202,32 @@ class TestMirrors:
         assert stale == fresh
         for name in ("trends.csv", "tables.csv", "evolution_tests.json", "plots/rank_level-1.svg"):
             assert stale[1][name] != at_60[name], name
+
+    def test_each_later_stage_hashes_the_compute_outputs_once(self, prepared, capsys,
+                                                              monkeypatch):
+        cfg_path, cfg = prepared
+        out, window = Path(cfg.output_dir), cfg.window()
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        outputs = {cfg.hierarchy, *(str(out / "members" / f"{m}.csv") for m in window),
+                   *(str(out / "scores" / f"{a}_{m}.csv") for m in window for a in ASPECTS)}
+        inputs = {cfg.hierarchy, cfg.articles, cfg.changes}
+        passes = []
+        digests = mirror.digests
+
+        def spy(paths):
+            paths = [str(p) for p in paths]
+            passes.append(set(paths))
+            return digests(paths)
+
+        monkeypatch.setattr(mirror, "digests", spy)
+        for mirrored in (True, False):  # the passes do not depend on the records
+            if not mirrored:
+                drop_mirror_records(out)
+            for stage, want in [("fuse", [outputs]), ("trend", [outputs]),
+                                ("evaluate", [inputs, outputs]), ("export-plots", [outputs])]:
+                passes.clear()
+                assert run_stages(cfg_path, [stage], capsys) == [(0, "")]
+                assert passes == want, (stage, mirrored)
 
     def test_mirror_from_other_code_is_not_used(self, prepared, capsys, monkeypatch):
         # Code whose article parser took "false" for true left a mirror that
