@@ -15,8 +15,9 @@ from . import mirror, pipeline, synthgen
 from .citegraph import write_citations
 from .config import ConfigError, PipelineConfig, load_config
 from .corpus import write_articles
+from .evaluate import write_changes
 from .hierarchy import write_hierarchy
-from .synthgen import ScenarioConfig, write_changes
+from .synthgen import ScenarioConfig
 
 
 def positive_int(text: str) -> int:

@@ -1,12 +1,14 @@
 """Pipeline configuration: a flat TOML-like key = value file.
 
-Values are quoted strings, integers, floats, or true/false.  Unknown keys
-are rejected so typos fail loudly.  The config hash (sha256 over the
-canonical key=value rendering) is stamped into every output file.
+Values are quoted strings, ASCII decimal ints and floats, or true/false.
+Unknown keys are rejected so typos fail loudly.  The config hash (sha256
+over the canonical key=value rendering) is stamped into every output file.
 """
 from __future__ import annotations
 
 import hashlib
+import math
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -55,8 +57,8 @@ class PipelineConfig:
             raise ConfigError(f"pagerank_alpha must be in (0, 1), got {self.pagerank_alpha}")
         if self.pagerank_max_iter < 1:
             raise ConfigError(f"pagerank_max_iter must be at least 1, got {self.pagerank_max_iter}")
-        if not self.pagerank_tol > 0.0:
-            raise ConfigError(f"pagerank_tol must be positive, got {self.pagerank_tol}")
+        if not 0.0 < self.pagerank_tol < math.inf:
+            raise ConfigError(f"pagerank_tol must be positive and finite, got {self.pagerank_tol}")
         if self.rrf_k <= 0:
             raise ConfigError(f"rrf_k must be positive, got {self.rrf_k}")
         if self.informativeness_mode not in INFORMATIVENESS_MODES:
@@ -84,14 +86,11 @@ def _parse_value(text: str, lineno: int):
         return text[1:-1]
     if text in ("true", "false"):
         return text == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse value {text!r}") from None
+    # an optional sign, ASCII digits, and for a float a fraction or an exponent:
+    # int() and float() alone also read "٤٢", "０.５", "6_0" and "inf"
+    if not re.fullmatch(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?", text):
+        raise ConfigError(f"line {lineno}: cannot parse value {text!r}")
+    return float(text) if any(c in ".eE" for c in text) else int(text)
 
 
 def load_config(path: str | Path, **overrides) -> PipelineConfig:
@@ -125,8 +124,6 @@ def write_config(cfg: PipelineConfig, path: str | Path) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, str):
             out.append(f'{f.name} = "{value}"')
-        elif isinstance(value, bool):
-            out.append(f"{f.name} = {'true' if value else 'false'}")
         else:
             out.append(f"{f.name} = {value}")
     mirror.write_file(Path(path), ("\n".join(out) + "\n").encode())

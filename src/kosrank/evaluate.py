@@ -71,6 +71,11 @@ def parse_changes(lines: Iterable[str]) -> list[ChangeRecord]:
     return records
 
 
+def write_changes(changes: list[ChangeRecord], out) -> None:
+    for record in changes:
+        out.write(f"{record.release}\t{record.descriptor_id}\t{record.change_type}\n")
+
+
 def _exact_two_sided_p(n1: int, n2: int, u_observed: float) -> float:
     # No ties: count the assignments of pooled ranks 1..n1+n2 to group one
     # by rank sum; ways[k, s] is the number of k-subsets summing to s.

@@ -205,8 +205,3 @@ def generate(
         for i, idx in enumerate(evolving_idx)
     ]
     return hierarchy, store, edges, changes
-
-
-def write_changes(changes: list[ChangeRecord], out) -> None:
-    for record in changes:
-        out.write(f"{record.release}\t{record.descriptor_id}\t{record.change_type}\n")

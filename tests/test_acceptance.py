@@ -29,6 +29,7 @@ from conftest import (
 from kosrank import citegraph, evaluate, fusion, graphmetrics, synthgen
 from kosrank.cli import main as cli_main
 from kosrank.config import PipelineConfig, write_config
+from kosrank.corpus import ArticleColumns
 from kosrank.hierarchy import Hierarchy, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 from kosrank.months import month_from_index, month_index, year_of
@@ -360,6 +361,9 @@ def test_criterion_6_pipeline_determinism(tmp_path: Path):
 
 
 def test_criterion_7_scale_smoke():
+    """What `compute` runs for one month, at 1M nodes: the sample, PageRank,
+    the disruption sweep, the incidence product, propagation and the
+    information metrics."""
     start = time.perf_counter()
     scenario = synthgen.ScenarioConfig(
         seed=1,
@@ -372,32 +376,26 @@ def test_criterion_7_scale_smoke():
         retraction_rate=0.0005,
     )
     hierarchy, store, edges, _ = synthgen.generate(scenario)
-    graph = citegraph.build_graph(edges, store)
-    snapshot = citegraph.cumulative_snapshot(graph, store, "2014-10")
-    assert snapshot.num_nodes == 1_000_000
-    assert snapshot.num_edges >= 5_000_000
+    # the columns `parse_articles` gives, without writing the text and reading it back
+    articles = [store.articles[i] for i in store.ids.tolist()]
+    vocabulary, annotations = annotation_matrix([a.descriptors for a in articles])
+    retracted = np.array([a.retracted for a in articles], dtype=bool)
+    columns = ArticleColumns(store.ids, store.month_idx, retracted, vocabulary, annotations)
+    data = ingest_data(hierarchy, 0, [], ingest_arrays(hierarchy, columns, edges))
+    assert data.month_idx.max() <= month_index("2014-10")
+    assert data.graph.num_edges >= 5_000_000
 
-    pagerank_scores = graphmetrics.pagerank(snapshot)
-    assert pagerank_scores.converged
-    disruption_scores = graphmetrics.disruption_all(snapshot)
-
-    codes: dict[int, tuple[str, ...]] = {}
-    for raw_id in snapshot.node_ids:
-        article_id = int(raw_id)
-        mapped, _ = hierarchy.treenodes_of(store.articles[article_id].descriptors)
-        if mapped:
-            codes[article_id] = tuple(sorted(mapped))
-    for article_scores in (pagerank_scores, disruption_scores):
-        seeds = graphmetrics.aggregate_to_nodes(article_scores, codes)
-        values = propagate(hierarchy, seeds)
-        assert values
+    result = compute_month(PipelineConfig(sample_fraction=1.0), data, "2014-10", 9)
+    assert len(result.member_ids) == 1_000_000
+    assert result.converged
+    assert result.scored.any(axis=1).all()  # every aspect scores some node
 
     elapsed = time.perf_counter() - start
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
     _report(
         7,
         elapsed < 600 and peak_gb < 8.0,
-        f"{snapshot.num_nodes} nodes / {snapshot.num_edges} edges: "
-        f"pagerank + disruption sweep + aggregation + propagation in "
+        f"{len(result.member_ids)} nodes / {data.graph.num_edges} edges: "
+        f"compute_month with all four aspects in "
         f"{elapsed:.0f}s (< 600s), peak rss {peak_gb:.2f} GB (< 8 GB)",
     )

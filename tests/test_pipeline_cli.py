@@ -239,6 +239,8 @@ class TestConfig:
             ("pagerank_tol = 0.0", "pagerank_tol"),
             ("pagerank_tol = -1e-9", "pagerank_tol"),
             ("base_seed = -3", "base_seed"),  # numpy: "expected non-negative integer"
+            ("base_seed = 1e2", "base_seed"),  # a float literal, though its value is whole
+            ("pagerank_tol = 1e999", "pagerank_tol"),  # float() reads it as inf
         ],
     )
     def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, line, key):
@@ -274,6 +276,43 @@ class TestConfig:
         assert capsys.readouterr().err == "error: base_seed must be >= 0, got -3\n"
         assert {p.name: p.read_bytes() for p in data.iterdir()} == inputs
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["base_seed = ٤٢", "sample_fraction = ０.５", "rrf_k = 6_0", "pagerank_tol = inf",
+         "pagerank_tol = nan"],
+    )
+    def test_number_that_is_not_an_ascii_decimal_is_a_one_line_error(self, tmp_path, capsys, line):
+        """int() and float() alone read "٤٢" as 42, "０.５" as 0.5, "6_0" as 60
+        and "inf" as a tolerance that stops PageRank after one iteration."""
+        path = make_config(tmp_path)
+        text = path.read_text()
+        path.write_text(text + line + "\n")
+        lineno = text.count("\n") + 1
+        value = line.partition("=")[2].strip()
+        with pytest.raises(ConfigError, match=f"^line {lineno}: "):
+            load_config(path)
+        assert main(["compute", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: line {lineno}: cannot parse value {value!r}\n"
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_pagerank_tol_must_be_finite(self, tol):
+        with pytest.raises(ConfigError, match="^pagerank_tol must be positive and finite"):
+            PipelineConfig(pagerank_tol=tol)
+
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [("base_seed", "7", 7), ("base_seed", "+7", 7), ("base_seed", "-0", 0),
+         ("base_seed", "007", 7), ("pagerank_tol", "0.5", 0.5), ("pagerank_tol", ".5", 0.5),
+         ("pagerank_tol", "1.", 1.0), ("pagerank_tol", "1e-9", 1e-9),
+         ("pagerank_tol", "1E3", 1000.0), ("pagerank_tol", "+2.5e+1", 25.0)],
+    )
+    def test_ascii_decimal_literals_parse(self, tmp_path, key, text, value):
+        """An int is a literal with no `.`, `e` or `E`; the others are floats."""
+        path = make_config(tmp_path)
+        path.write_text(path.read_text() + f"{key} = {text}\n")
+        parsed = getattr(load_config(path), key)
+        assert parsed == value and type(parsed) is type(value)
 
     def test_int_passes_for_float_and_bool_never_for_number(self, tmp_path):
         path = make_config(tmp_path)

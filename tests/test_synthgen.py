@@ -11,13 +11,9 @@ from kosrank import synthgen
 from kosrank.citegraph import build_graph
 from kosrank.cli import main
 from kosrank.config import PipelineConfig, write_config
+from kosrank.evaluate import write_changes
 from kosrank.months import month_index
-from kosrank.synthgen import (
-    InfeasibleConfigError,
-    ScenarioConfig,
-    generate,
-    write_changes,
-)
+from kosrank.synthgen import InfeasibleConfigError, ScenarioConfig, generate
 
 
 def small_config(**kwargs):
