@@ -45,6 +45,9 @@ class PipelineConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ConfigError(f"{f.name} must be a {f.type}, got {value!r}")
+            # a line break would split the line that `write_config` writes
+            if isinstance(value, str) and "".join(value.splitlines()) != value:
+                raise ConfigError(f"{f.name} must be one line, got {value!r}")
         if self.first_month:
             self.first_month = normalize_month(self.first_month)
         if self.last_month:

@@ -11,7 +11,7 @@ pattern the propagated incidence (`category_utility`).  Every result is a
 vector over the node positions; `informativeness` also returns which
 positions it scored.  Counts are exact integers; the one float sum,
 sum_k p(k)^2 in category utility, adds one article at a time in ascending
-id, so it keeps its bits.
+id, left to right, so it keeps its bits on every Python version.
 """
 from __future__ import annotations
 
@@ -74,7 +74,8 @@ def category_utility(closed: sparse.csr_matrix, n_nodes: int) -> np.ndarray:
     total_mass = int(row_len.sum())
     if total_mass == 0:
         return np.zeros(closed.shape[1], dtype=np.float64)
-    # Python's sum over ascending articles, skipping empty columns, keeps
-    # the constant term bit-identical run to run.
-    sum_pk_sq = sum((k / n_nodes) ** 2 for k in closed.getnnz(axis=1).tolist() if k)
+    # Left to right over ascending articles, as `acc += v` adds (3.12's `sum`
+    # compensates); `** 2`, as np.square differs from it in the last bit at times.
+    terms = [(k / n_nodes) ** 2 for k in closed.getnnz(axis=1).tolist() if k]
+    sum_pk_sq = float(np.cumsum(terms)[-1])
     return row_len / total_mass * (row_len - sum_pk_sq)

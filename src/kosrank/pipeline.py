@@ -249,8 +249,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     values, scored = np.array([r.values for r in results]), np.array([r.scored for r in results])
     members = [r.member_ids for r in results]
     score_paths, member_paths = _compute_files(cfg)
-    for path, (k, s) in zip(score_paths, np.ndindex(values.shape[:2])):
-        write_scores_csv(h, path, ASPECTS[s], window[k], values[k, s], scored[k, s], chash)
+    write_scores_csv(h, score_paths, window, values, scored, chash)
     for path, ids in zip(member_paths, members):
         write_rows(path, "article_id", map(str, ids.tolist()), chash)
 
@@ -293,19 +292,25 @@ def _compute_key(cfg: PipelineConfig, h: Hierarchy) -> tuple[dict, dict]:
     return sources, {"months": cfg.window(), "nodes": len(h.codes)}
 
 
-def _compute_outputs(cfg: PipelineConfig, h: Hierarchy):
+def _compute_outputs(cfg: PipelineConfig, h: Hierarchy, scores: bool = False):
     """compute's outputs, from one digest pass over them and the hierarchy:
     the window month x aspect x node (values, scored), each window month's
     sampled article ids, their `_fused` arrays at `rrf_k`, and the (sources,
-    meta) key that the rankings mirror is saved under.  The scores and
-    members come from the compute mirror and the fused arrays from the
-    rankings mirror while each matches, else from the text and `_fused`."""
+    meta) key that the rankings mirror is saved under.  The fused arrays come
+    from the rankings mirror while it matches, and then the scores and members
+    are None unless `scores`; else each comes from the compute mirror while it
+    matches, or from the text and `_fused`."""
     score_paths, member_paths = _compute_files(cfg)
     for path in (*score_paths, *member_paths):
         if not path.exists():
             raise PipelineError(f"missing compute output: {path}")
     sources, meta = _compute_key(cfg, h)
     out, window = Path(cfg.output_dir), cfg.window()
+    key = sources, {**meta, "rrf_k": cfg.rrf_k}
+    fused = mirror.load(out / "rankings", RANKING_ARRAYS, *key)
+    fused = fused and tuple(fused[k] for k in RANKING_ARRAYS)
+    if fused and not scores:
+        return None, None, fused, key
     arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, sources, meta)
     if arrays:
         values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
@@ -316,10 +321,7 @@ def _compute_outputs(cfg: PipelineConfig, h: Hierarchy):
         for path, (k, s) in zip(score_paths, np.ndindex(values.shape[:2])):
             values[k, s], scored[k, s] = read_scores_csv(h, path, ASPECTS[s], window[k])
         members = [np.array(read_rows(p, "article_id", int), dtype=np.int64) for p in member_paths]
-    meta = {**meta, "rrf_k": cfg.rrf_k}
-    fused = mirror.load(out / "rankings", RANKING_ARRAYS, sources, meta)
-    fused = tuple(fused[k] for k in RANKING_ARRAYS) if fused else _fused(h, values, scored, cfg.rrf_k)
-    return (values, scored), members, fused, (sources, meta)
+    return (values, scored), members, fused or _fused(h, values, scored, cfg.rrf_k), key
 
 
 def _scopes(h: Hierarchy, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -442,7 +444,8 @@ def _cohort_test(
         return dict(labels, status="skipped", reason=reason)
     r = evaluate.mann_whitney(a, b)
     row = dict(labels, status="ok", u=r.u_statistic, p=r.p_value, n1=r.n1, n2=r.n2, method=r.method)
-    row[mean_keys[0]], row[mean_keys[1]] = sum(a) / len(a), sum(b) / len(b)
+    # `acc = 0.0; acc += v` left to right: Python 3.12's `sum` over floats compensates
+    row.update(zip(mean_keys, (float(np.cumsum([0.0, *c])[-1]) / len(c) for c in (a, b))))
     return row
 
 
@@ -455,7 +458,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     data = ingest(cfg, citations=False, save=False)
     h = data.hierarchy
     # window month x series x node: the aspects, then the fused relevance
-    (values, scored), members, (rrf, rank, _), _ = _compute_outputs(cfg, h)
+    (values, scored), members, (rrf, rank, _), _ = _compute_outputs(cfg, h, scores=True)
     values = np.concatenate([values, rrf[:, None]], axis=1)
     scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
     month_years = np.array([year_of(m) for m in cfg.window()])

@@ -8,6 +8,7 @@ Stages stack them as window month x aspect (in `ASPECTS` order) x node arrays.
 A score CSV, `tree_code, level, aspect, month, value`, has one row per scored
 node in position order (which is code order), values at 17 significant digits;
 its writer and reader are the only places where score codes meet positions.
+The writer formats each distinct value of a file once, as most values repeat.
 """
 from __future__ import annotations
 
@@ -54,17 +55,23 @@ def write_rows(path: Path, header: str, rows: Iterable[str], config_hash: str) -
 
 def write_scores_csv(
     h: Hierarchy,
-    path: Path,
-    aspect: str,
-    month: str,
+    paths: list[Path],
+    window: list[str],
     values: np.ndarray,
     scored: np.ndarray,
     config_hash: str,
 ) -> None:
-    values, levels = values.tolist(), h.level.tolist()
-    rows = [f"{h.codes[i]},{levels[i]},{aspect},{month},{format(values[i], '.17g')}"
-            for i in np.flatnonzero(scored).tolist()]
-    write_rows(path, SCORES_HEADER, rows, config_hash)
+    """Write the window month x aspect x node scores to `paths`, one file
+    per (month, aspect), month-major in `ASPECTS` order.  A file's values are
+    told apart by their bits, not by `==`, so -0.0 and 0.0 keep their texts."""
+    prefix = [f"{code},{level}," for code, level in zip(h.codes, h.level.tolist())]
+    for path, (k, s) in zip(paths, np.ndindex(values.shape[:2])):
+        at = np.flatnonzero(scored[k, s])
+        bits, which = np.unique(values[k, s].view(np.int64)[at], return_inverse=True)
+        text = [format(v, ".17g") for v in bits.view(np.float64).tolist()]
+        table = f"{ASPECTS[s]},{window[k]},"
+        rows = [prefix[i] + table + text[j] for i, j in zip(at.tolist(), which.tolist())]
+        write_rows(path, SCORES_HEADER, rows, config_hash)
 
 
 def read_scores_csv(

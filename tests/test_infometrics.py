@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from conftest import children_by_code, codes_by_level, level_of, random_tree, usefulness_oracle
+from conftest import (
+    children_by_code, codes_by_level, columns_of, level_of, random_tree, usefulness_oracle,
+)
 from kosrank.hierarchy import Hierarchy, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
+from kosrank.synthgen import ScenarioConfig, generate
 
 
 def flat_two_category_tree():
@@ -199,6 +202,22 @@ class TestUsefulness:
 
     def test_empty_matrix(self):
         assert len(category_utility(sparse.csr_matrix((0, 0), dtype=np.int32), 0)) == 0
+
+    def test_sum_of_squares_adds_left_to_right_on_generated_months(self):
+        # a compensated sum, which Python 3.12's `sum` over floats is, gives
+        # other bits in each of these months
+        h, store, _, _ = generate(ScenarioConfig(seed=42, months=3))
+        columns = columns_of(store)
+        incidence, _ = h.incidence(columns.vocabulary, columns.annotations)
+        n = len(h.codes)
+        for month in np.unique(columns.month_idx).tolist():
+            closed = incidence[np.flatnonzero(columns.month_idx == month)] @ h.closure
+            acc = 0.0
+            for k in closed.getnnz(axis=1).tolist():
+                acc += (k / n) ** 2
+            row_len = closed.getnnz(axis=0)
+            expected = row_len / int(row_len.sum()) * (row_len - acc)
+            assert category_utility(closed, n).tobytes() == expected.tobytes(), month
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(31)

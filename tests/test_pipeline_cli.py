@@ -18,10 +18,10 @@ from kosrank import citegraph, evaluate, graphmetrics, mirror, pipeline, propaga
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
 from kosrank.corpus import parse_articles
-from kosrank.hierarchy import parse_hierarchy
+from kosrank.hierarchy import Hierarchy, parse_hierarchy
 from kosrank.months import month_from_index, month_index
 from kosrank.pipeline import GRAPH_ARRAYS, compute_month, ingest, ingest_arrays
-from kosrank.scores import ASPECTS, read_scores_csv
+from kosrank.scores import ASPECTS, SCORES_HEADER, read_scores_csv, write_scores_csv
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -313,6 +313,26 @@ class TestConfig:
         path.write_text(path.read_text() + f"{key} = {text}\n")
         parsed = getattr(load_config(path), key)
         assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize(
+        "brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    @pytest.mark.parametrize("key", ["output_dir", "hierarchy"])
+    def test_line_break_in_a_string_is_a_one_line_error(self, tmp_path, brk, key):
+        # `write_config` would write a file that `load_config` cannot read back
+        with pytest.raises(ConfigError) as exc:
+            write_config(PipelineConfig(**{key: f"a{brk}b"}), tmp_path / "c.cfg")
+        assert len(str(exc.value).splitlines()) == 1
+        assert str(exc.value).startswith(f"{key} must be one line, got ")
+        assert not (tmp_path / "c.cfg").exists()
+
+    @pytest.mark.parametrize(
+        "value", ['a"b', '"', "a#b", "#", "a\tb", "\t", "  a", " a ", "a\x1fb"]
+    )
+    def test_quotes_hashes_tabs_and_spaces_round_trip(self, tmp_path, value):
+        cfg = PipelineConfig(output_dir=value, hierarchy=value)
+        write_config(cfg, tmp_path / "c.cfg")
+        assert load_config(tmp_path / "c.cfg") == cfg
 
     def test_int_passes_for_float_and_bool_never_for_number(self, tmp_path):
         path = make_config(tmp_path)
@@ -885,6 +905,21 @@ class TestChainPinned:
         assert {name: written[name] for name in PINNED[window]} == PINNED[window]
 
 
+def test_cohort_means_add_left_to_right():
+    # Python 3.12's `sum` over floats compensates: it gives 1.5 / 4 for `a`
+    a, b = [1e16, 1.0, -1e16, 0.5], [-0.0, -0.0]
+
+    def loop_mean(values):
+        acc = 0.0
+        for v in values:
+            acc += v
+        return acc / len(values)
+
+    row = pipeline._cohort_test(a, b, ("mean_a", "mean_b"), year=2014)
+    assert (row["mean_a"], row["mean_b"]) == (loop_mean(a), loop_mean(b)) == (0.125, 0.0)
+    assert math.copysign(1.0, row["mean_b"]) == math.copysign(1.0, loop_mean(b)) == 1.0
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_cut_gives_the_snapshot_sample(tmp_path, seed):
     """Each window month's sample, drawn from the whole graph with the
@@ -947,6 +982,39 @@ class TestScoresCsv:
             assert np.array_equal(scored, expected_scored)
             assert np.array_equal(values, expected_values)
 
+    def test_writer_gives_the_bytes_of_a_per_row_format(self, tmp_path):
+        h = Hierarchy({f"A{i:02d}": "" for i in range(1, 12)}, {})  # 12 nodes
+        n, window = len(h.codes), ["2014-01", "2014-02"]
+        after = lambda x, to: float(np.nextafter(x, to))  # noqa: E731
+        nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                         0x7FF8000000000ABC, 0xFFF0000000000123], dtype=np.uint64)
+        values = np.zeros((len(window), len(ASPECTS), n))
+        values[0, 0] = [-0.0, 0.0, -0.0, 0.0, 1.5, 1.5, -0.0, 1.5, 0.0, -1.5, -1.5, 0.0]
+        values[0, 1, :5] = nans.view(np.float64)
+        values[0, 1, 5:] = [1.0, np.nan, -np.nan] * 2 + [1.0]
+        values[0, 2] = [np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, np.inf, 5e-324, -np.inf, 0.1, -5e-324, np.inf]
+        values[0, 3] = [after(0.1, 0), 0.1, after(0.1, 1), after(1.0, 0), 1.0, after(1.0, 2),
+                        0.1, after(0.1, 1), after(0.1, 0), 1.0, after(1.0, 0), after(1.0, 2)]
+        rng = np.random.default_rng(5)
+        values[1] = rng.choice([0.25, 1 / 3, -2.0, 1e-300], size=(len(ASPECTS), n))
+        scored = np.ones(values.shape, dtype=bool)
+        scored[1] = rng.random((len(ASPECTS), n)) < 0.6
+        scored[0, 0, [2, 3]] = scored[0, 3, 0] = False
+        scored[1, 0] = False  # a table with no scored node
+        paths = [tmp_path / f"{m}_{a}.csv" for m in window for a in ASPECTS]
+        write_scores_csv(h, paths, window, values, scored, "abc")
+        levels = h.level.tolist()
+        for path, (k, s) in zip(paths, np.ndindex(values.shape[:2])):
+            vals = values[k, s].tolist()
+            rows = [f"{h.codes[i]},{levels[i]},{ASPECTS[s]},{window[k]},{format(vals[i], '.17g')}"
+                    for i in np.flatnonzero(scored[k, s]).tolist()]
+            expected = "\n".join(["# config_hash=abc", SCORES_HEADER, *rows, ""]).encode()
+            assert path.read_bytes() == expected, path.name
+        text = paths[0].read_text()
+        assert ",-0\n" in text and ",0\n" in text and ",-1.5\n" in text
+        assert paths[len(ASPECTS)].read_text() == f"# config_hash=abc\n{SCORES_HEADER}\n"
+
 
 CHAIN = ["ingest", "compute", "fuse", "trend", "evaluate", "export-plots"]
 
@@ -991,7 +1059,7 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
         f"ingest/{'graph' if name in GRAPH_ARRAYS else 'annotations'}.{name}": array
         for name, array in ingest_arrays(h, articles, edges).items()
     }
-    (values, scored), members, fused, _ = pipeline._compute_outputs(cfg, h)
+    (values, scored), members, fused, _ = pipeline._compute_outputs(cfg, h, scores=True)
     parsed["compute.values"], parsed["compute.scored"] = values, scored
     parsed["compute.ids"] = np.concatenate(members)
     parsed["compute.indptr"] = np.cumsum([0, *map(len, members)])
@@ -1228,6 +1296,28 @@ class TestMirrors:
             after = results(out)
             after.pop("rankings.csv", None)
             assert after == before, change
+
+    def test_rank_stages_parse_no_scores_while_the_rankings_mirror_matches(
+            self, prepared, capsys, monkeypatch, mirror_loads):
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        before = results(out)
+        (out / "compute.mirror.json").unlink()
+        assert run_stages(cfg_path, ["fuse"], capsys) == [(0, "")]
+        calls = []
+        read = pipeline.read_scores_csv
+        monkeypatch.setattr(pipeline, "read_scores_csv", lambda *a: calls.append(a) or read(*a))
+        for stage in ("trend", "export-plots"):
+            calls.clear()
+            mirror_loads.clear()
+            assert run_stages(cfg_path, [stage], capsys) == [(0, "")]
+            assert (calls, mirror_loads) == ([], [("rankings", True)]), stage
+        # evaluate reads the scores themselves, from the text while the compute record is gone
+        calls.clear()
+        assert run_stages(cfg_path, ["evaluate"], capsys) == [(0, "")]
+        assert len(calls) == len(ASPECTS) * len(cfg.window())
+        assert results(out) == before
 
     def test_later_stages_fuse_at_their_own_rrf_k(self, prepared, capsys):
         cfg_path, cfg = prepared
