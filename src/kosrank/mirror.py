@@ -2,10 +2,12 @@
 
 The mirror at `stem` is one `np.save` file per array, `<stem>.<name>.npy`,
 and a JSON record `<stem>.mirror.json`, written last: the digest of the code
-that wrote it, the caller's meta, and the sha256 of every source file and of
-every array file.  `load` returns None unless all of them still match, so a
-stale mirror, or one from other code, is never used.  `write_file` writes
-every stage output to a temporary name, then `os.replace`s it.
+that wrote it, the caller's meta, the sha256 of every source file, named by
+its role rather than its path, and the sha256 of every array file.  `load`
+returns None unless all of them still match, so a stale mirror, or one from
+other code, is never used, while one copied with its sources still matches.
+`write_file` writes every stage output to a temporary name, then
+`os.replace`s it.
 """
 from __future__ import annotations
 
@@ -28,9 +30,9 @@ def code_digest() -> str:
         for p in sorted(Path(__file__).parent.glob("*.py")))).hexdigest()
 
 
-def digests(paths) -> dict[str, str]:
-    """str(path) -> sha256 of the file's bytes."""
-    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+def digests(paths: dict[str, str | Path]) -> dict[str, str]:
+    """role -> sha256 of the bytes of the file at `paths[role]`."""
+    return {role: hashlib.sha256(Path(p).read_bytes()).hexdigest() for role, p in paths.items()}
 
 
 def write_file(path: Path, data: bytes) -> None:

@@ -6,20 +6,21 @@ trend        -> yearly-average rank slopes and top/bottom tables
 run_evaluate -> Mann-Whitney cohort tests and aspect correlation matrices
 export_plots -> one SVG rank-trajectory chart per level scope
 
-Downstream stages read the scores back as window month x aspect x node
-arrays, in `ASPECTS` order, and fuse them into the window month x node
-arrays that `fuse` writes out (`_fused`); none reads `rankings.csv` back.
-
 Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
 
 `ingest`, `compute` and `fuse` also write `.npy` mirrors (see `mirror`) of
 the arrays they parsed or computed: `ingest/`, `compute.*` and `rankings.*`.
-The last two share one set of sources, compute's outputs and the hierarchy,
-and the rankings' record also holds `rrf_k`.  A later stage uses a mirror
-only while every source file's sha256 and the config values it depends on
-match its record; else it parses the text, with every check that parser
-makes, or fuses the scores again.
+A record names its sources by role, not by path, so a mirror moved with its
+inputs still matches.  `compute`'s record is the one interface to the later
+stages: they read the scores and members only from its arrays, as window
+month x aspect x node arrays in `ASPECTS` order, and fuse them into the
+window month x node arrays that `fuse` writes out (`_fused`); none reads a
+score, member or rankings CSV back.  That record holds the hierarchy's
+digest, the window, the node count and the `COMPUTE_KEYS` values; one that
+is missing or does not match is an error that says to rerun `compute`.  The
+rankings record holds the digests of the hierarchy and of compute's record,
+the same meta and `rrf_k`.
 """
 from __future__ import annotations
 
@@ -40,13 +41,16 @@ from .evaluate import ChangeRecord
 from .hierarchy import Hierarchy, HierarchyError, parse_hierarchy
 from .months import month_index, normalize_month, year_of
 from .plots import rank_chart_svg
-from .scores import ASPECTS, RELEVANCE, read_rows, read_scores_csv, write_rows, write_scores_csv
+from .scores import ASPECTS, RELEVANCE, write_rows, write_scores_csv
 
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
 TOP_K = 10  # the nodes in each top or bottom table and in each rank chart
 COMPUTE_ARRAYS = ("values", "scored", "ids", "indptr")
 RANKING_ARRAYS = ("rrf", "global_rank", "level_rank")
+# The config values `compute` reads, which its record holds beside the window
+COMPUTE_KEYS = ("sample_fraction", "base_seed", "pagerank_alpha", "pagerank_tol",
+                "pagerank_max_iter", "informativeness_mode")
 
 
 class PipelineError(RuntimeError):
@@ -144,8 +148,8 @@ def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> In
     names = ["hierarchy", "articles", "changes", "citations"][: 3 + citations]
     # A wrong path fails before any file is parsed, in the order they are read.
     paths = {n: _require(getattr(cfg, n), n) for n in names if n != "changes" or cfg.changes}
-    digest = mirror.digests(paths.values())
-    of = lambda *keys: {str(paths[k]): digest[str(paths[k])] for k in keys if k in paths}  # noqa: E731
+    digest = mirror.digests(paths)
+    of = lambda *keys: {k: digest[k] for k in keys if k in paths}  # noqa: E731
     hierarchy, autocreated = _parse(paths["hierarchy"], parse_hierarchy)
     at = Path(cfg.output_dir) / "ingest"
     mirrors = [(at / "annotations", ANNOTATION_ARRAYS, of("hierarchy", "articles"), {}),
@@ -248,7 +252,8 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     chash = cfg.config_hash()
     values, scored = np.array([r.values for r in results]), np.array([r.scored for r in results])
     members = [r.member_ids for r in results]
-    score_paths, member_paths = _compute_files(cfg)
+    score_paths = [out / "scores" / f"{a}_{m}.csv" for m in window for a in ASPECTS]
+    member_paths = [out / "members" / f"{m}.csv" for m in window]
     write_scores_csv(h, score_paths, window, values, scored, chash)
     for path, ids in zip(member_paths, members):
         write_rows(path, "article_id", map(str, ids.tolist()), chash)
@@ -265,10 +270,11 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
         },
     }
     _write_json(out / "manifest.json", manifest)
-    # what read_scores_csv gives back: 0 where unscored, and "nan" as float("nan")
+    # what the score text says: 0 where unscored, and "nan" reads back as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
     arrays = (values, scored, np.concatenate(members), np.cumsum([0, *map(len, members)]))
-    mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), *_compute_key(cfg, h))
+    sources = mirror.digests({"hierarchy": cfg.hierarchy})
+    mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), sources, _compute_meta(cfg, h))
     return [str(p) for p in (*score_paths, *member_paths, out / "manifest.json")]
 
 
@@ -276,51 +282,38 @@ def _write_json(path: Path, obj: dict) -> None:
     mirror.write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _compute_files(cfg: PipelineConfig) -> tuple[list[Path], list[Path]]:
-    """compute's score files, month-major in `ASPECTS` order, and its
-    member files, one per window month."""
-    out, window = Path(cfg.output_dir), cfg.window()
-    return ([out / "scores" / f"{a}_{m}.csv" for m in window for a in ASPECTS],
-            [out / "members" / f"{m}.csv" for m in window])
-
-
-def _compute_key(cfg: PipelineConfig, h: Hierarchy) -> tuple[dict, dict]:
-    """The sources and meta of the compute mirror: the digests of the
-    hierarchy and of compute's output files, and the window and node count."""
-    score_paths, member_paths = _compute_files(cfg)
-    sources = mirror.digests([cfg.hierarchy, *score_paths, *member_paths])
-    return sources, {"months": cfg.window(), "nodes": len(h.codes)}
+def _compute_meta(cfg: PipelineConfig, h: Hierarchy) -> dict:
+    """The meta of the compute mirror: the window, the node count and the
+    `COMPUTE_KEYS` values.  Its sources are the hierarchy's digest."""
+    meta = {"months": cfg.window(), "nodes": len(h.codes)}
+    return {**meta, **{k: getattr(cfg, k) for k in COMPUTE_KEYS}}
 
 
 def _compute_outputs(cfg: PipelineConfig, h: Hierarchy, scores: bool = False):
-    """compute's outputs, from one digest pass over them and the hierarchy:
-    the window month x aspect x node (values, scored), each window month's
-    sampled article ids, their `_fused` arrays at `rrf_k`, and the (sources,
-    meta) key that the rankings mirror is saved under.  The fused arrays come
-    from the rankings mirror while it matches, and then the scores and members
-    are None unless `scores`; else each comes from the compute mirror while it
-    matches, or from the text and `_fused`."""
-    score_paths, member_paths = _compute_files(cfg)
-    for path in (*score_paths, *member_paths):
-        if not path.exists():
-            raise PipelineError(f"missing compute output: {path}")
-    sources, meta = _compute_key(cfg, h)
-    out, window = Path(cfg.output_dir), cfg.window()
+    """compute's outputs, from its mirror: the window month x aspect x node
+    (values, scored), each window month's sampled article ids, their
+    `_fused` arrays at `rrf_k`, and the (sources, meta) key that the rankings
+    mirror is saved under, from one digest pass over the hierarchy and
+    compute's record.  The fused arrays come from the rankings mirror while
+    it matches, and then the scores and members are None unless `scores`.
+    A compute record that is missing or does not match is a PipelineError."""
+    out = Path(cfg.output_dir)
+    record = out / "compute.mirror.json"
+    stale = PipelineError(f"{record} is missing or does not match; rerun compute")
+    if not record.is_file():
+        raise stale
+    sources = mirror.digests({"hierarchy": cfg.hierarchy, record.name: record})
+    meta = _compute_meta(cfg, h)
     key = sources, {**meta, "rrf_k": cfg.rrf_k}
     fused = mirror.load(out / "rankings", RANKING_ARRAYS, *key)
     fused = fused and tuple(fused[k] for k in RANKING_ARRAYS)
     if fused and not scores:
         return None, None, fused, key
-    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, sources, meta)
-    if arrays:
-        values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
-        members = np.split(ids, indptr[1:-1])
-    else:
-        values = np.zeros((len(window), len(ASPECTS), len(h.codes)))
-        scored = np.zeros(values.shape, dtype=bool)
-        for path, (k, s) in zip(score_paths, np.ndindex(values.shape[:2])):
-            values[k, s], scored[k, s] = read_scores_csv(h, path, ASPECTS[s], window[k])
-        members = [np.array(read_rows(p, "article_id", int), dtype=np.int64) for p in member_paths]
+    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, {"hierarchy": sources["hierarchy"]}, meta)
+    if arrays is None:
+        raise stale
+    values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
+    members = np.split(ids, indptr[1:-1])
     return (values, scored), members, fused or _fused(h, values, scored, cfg.rrf_k), key
 
 

@@ -1,19 +1,20 @@
-"""Per-node score tables, and the writer and reader of every stage output CSV.
+"""Per-node score tables, and the writer of every stage output CSV.
 
 A stage output CSV is a `# config_hash=...` line, a header and one comma-joined
-line per row: `write_rows` writes it and `read_rows` reads it.  The scores of
-one aspect at one snapshot month are two arrays over node positions:
+line per row, which `write_rows` writes; no stage reads one back.  The scores
+of one aspect at one snapshot month are two arrays over node positions:
 `values[i]` is node i's score where `scored[i]` holds, and 0 elsewhere.
 Stages stack them as window month x aspect (in `ASPECTS` order) x node arrays.
 A score CSV, `tree_code, level, aspect, month, value`, has one row per scored
-node in position order (which is code order), values at 17 significant digits;
-its writer and reader are the only places where score codes meet positions.
-The writer formats each distinct value of a file once, as most values repeat.
+node in position order (which is code order), values at 17 significant digits,
+so that the text gives back every value's bits; its writer is the only place
+where score codes meet positions.  The writer formats each distinct value of a
+file once, as most values repeat.
 """
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -25,31 +26,9 @@ RELEVANCE = "relevance"
 SCORES_HEADER = "tree_code,level,aspect,month,value"
 
 
-def read_rows(path: Path, header: str, parse: Callable) -> list:
-    """`parse(*fields)` of each row of a stage output CSV, skipping blank,
-    `#` and `header` lines.  A row with a field count other than the
-    header's, or one `parse` rejects, raises a ValueError naming `path` and
-    the row's 1-based line."""
-    width = header.count(",") + 1
-    rows = []
-    with path.open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line == header:
-                continue
-            fields = line.split(",")
-            try:
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} fields, got {len(fields)}")
-                rows.append(parse(*fields))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return rows
-
-
 def write_rows(path: Path, header: str, rows: Iterable[str], config_hash: str) -> None:
-    """Write the stage output CSV that `read_rows` reads, making its directory
-    if need be: the config hash comment, `header`, then the comma-joined `rows`."""
+    """Write a stage output CSV, making its directory if need be: the config
+    hash comment, `header`, then the comma-joined `rows`."""
     write_file(path, "\n".join([f"# config_hash={config_hash}", header, *rows, ""]).encode())
 
 
@@ -72,28 +51,3 @@ def write_scores_csv(
         table = f"{ASPECTS[s]},{window[k]},"
         rows = [prefix[i] + table + text[j] for i, j in zip(at.tolist(), which.tolist())]
         write_rows(path, SCORES_HEADER, rows, config_hash)
-
-
-def read_scores_csv(
-    h: Hierarchy, path: Path, aspect: str, month: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """The `aspect` scores of `month` written to `path`, as (values, scored)
-    by position.  A row of another aspect or month, a tree code outside `h`
-    or given twice, or a level other than the code's is an error."""
-    values, scored = np.zeros(len(h.codes)), np.zeros(len(h.codes), dtype=bool)
-    levels = h.level.tolist()
-
-    def parse(code: str, level: str, row_aspect: str, row_month: str, value: str) -> None:
-        i = h.position.get(code)
-        if i is None:
-            raise ValueError(f"tree code {code} is not in the hierarchy")
-        if (row_aspect, row_month) != (aspect, month):
-            raise ValueError(f"row of {row_aspect},{row_month} in the {aspect},{month} table")
-        if level != str(levels[i]):
-            raise ValueError(f"level {level} is not the level {levels[i]} of tree code {code}")
-        if scored[i]:
-            raise ValueError(f"tree code {code} repeats an earlier row")
-        values[i], scored[i] = float(value), True
-
-    read_rows(path, SCORES_HEADER, parse)
-    return values, scored

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -21,7 +22,7 @@ from kosrank.corpus import parse_articles
 from kosrank.hierarchy import Hierarchy, parse_hierarchy
 from kosrank.months import month_from_index, month_index
 from kosrank.pipeline import GRAPH_ARRAYS, compute_month, ingest, ingest_arrays
-from kosrank.scores import ASPECTS, SCORES_HEADER, read_scores_csv, write_scores_csv
+from kosrank.scores import ASPECTS, SCORES_HEADER, write_scores_csv
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -198,20 +199,51 @@ def test_each_stage_prints_what_it_wrote(tmp_path, capsys):
     assert printed == expected
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
-def test_stages_of_another_sample_fraction_are_a_one_line_error(tmp_path, capsys):
+def compute_record_error(cfg: PipelineConfig) -> str:
+    """The stderr of a later stage that finds no matching compute record."""
+    record = Path(cfg.output_dir) / "compute.mirror.json"
+    return f"error: {record} is missing or does not match; rerun compute\n"
+
+
+# A value other than `make_config`'s for each config key that compute's record
+# holds, the window's end standing for the window
+COMPUTE_KEY_CHANGES = {
+    "sample_fraction": 0.25, "base_seed": 12, "pagerank_alpha": 0.8, "pagerank_tol": 1e-6,
+    "pagerank_max_iter": 50, "informativeness_mode": "surprisal", "last_month": "2014-05",
+}
+# The config keys that compute's record does not hold: the hierarchy is keyed
+# by its sha256 and the window by its months; compute's record vouches for its
+# outputs, not for the articles, citations and changes; rrf_k is each later
+# stage's own; and output_dir is where the record is.
+UNKEYED_CONFIG_KEYS = ("hierarchy", "articles", "citations", "changes", "first_month",
+                       "last_month", "rrf_k", "output_dir")
+
+
+def test_each_config_key_is_keyed_by_compute_or_named_unkeyed():
+    keys = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert sorted(keys) == sorted(pipeline.COMPUTE_KEYS + UNKEYED_CONFIG_KEYS)
+    assert set(COMPUTE_KEY_CHANGES) - {"last_month"} == set(pipeline.COMPUTE_KEYS)
+
+
+@pytest.mark.parametrize("change", [*COMPUTE_KEY_CHANGES, "--seed", "rrf_k", "changes"])
+def test_stages_of_another_compute_config_are_a_one_line_error(tmp_path, capsys, change):
     cfg_path = make_config(tmp_path, sample_fraction=0.5)
     generate_inputs(cfg_path)
-    # fuse at 0.5 too, so that evaluate finds rankings.csv whether or not fuse
-    # at 0.25 fails
     assert main(["compute", "--config", str(cfg_path)]) == 0
     assert main(["fuse", "--config", str(cfg_path)]) == 0
-    make_config(tmp_path, sample_fraction=0.25)
+    error = compute_record_error(load_config(cfg_path))
+    args = ["--seed", "12"] if change == "--seed" else []
+    values = {"sample_fraction": 0.5, **COMPUTE_KEY_CHANGES, "rrf_k": 30, "changes": ""}
+    if change in values:
+        make_config(tmp_path, **{"sample_fraction": 0.5, change: values[change]})
     capsys.readouterr()
     for stage in ("fuse", "evaluate"):
-        assert main([stage, "--config", str(cfg_path)]) == 1, stage
+        code = main([stage, "--config", str(cfg_path), *args])
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if change in ("rrf_k", "changes"):
+            assert (code, err) == (0, ""), stage
+        else:
+            assert (code, err) == (1, error), stage
 
 
 class TestConfig:
@@ -706,76 +738,10 @@ class TestComputeFuseTrendEvaluate:
         assert len(list((Path(cfg.output_dir) / "scores").iterdir())) == 4 * len(cfg.window())
 
     def test_missing_upstream_outputs(self, prepared, capsys):
-        cfg_path, _ = prepared
-        assert main(["fuse", "--config", str(cfg_path)]) != 0
-        assert "missing compute output" in capsys.readouterr().err
-
-    def test_truncated_score_row_names_file_and_line(self, prepared, capsys):
         cfg_path, cfg = prepared
-        assert main(["compute", "--config", str(cfg_path)]) == 0
-        path = Path(cfg.output_dir) / "scores" / "influence_2014-03.csv"
-        lines = path.read_text().splitlines()
-        lines[-1] = ",".join(lines[-1].split(",")[:3])
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(["fuse", "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {path}: line {len(lines)}: expected 5 fields, got 3\n"
-
-    def test_malformed_member_id_names_file_and_line(self, prepared, capsys):
-        cfg_path, cfg = prepared
-        for stage in ("compute", "fuse"):
-            assert main([stage, "--config", str(cfg_path)]) == 0
-        path = Path(cfg.output_dir) / "members" / "2014-02.csv"
-        lines = path.read_text().splitlines()
-        lines.insert(3, "12x")
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(["evaluate", "--config", str(cfg_path)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {path}: line 4: invalid literal for int() with base 10: '12x'\n"
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("Z99,2,influence,2014-01,0.5", "tree code Z99 is not in the hierarchy"),
-            ("A,1,influence,2014-01,1e9", "tree code A repeats an earlier row"),
-        ],
-        ids=["outside-hierarchy", "repeated"],
-    )
-    def test_bad_score_code_names_file_and_line(self, prepared, capsys, row, message):
-        cfg_path, cfg = prepared
-        for stage in ("compute", "fuse"):
-            assert main([stage, "--config", str(cfg_path)]) == 0
-        path = Path(cfg.output_dir) / "scores" / "influence_2014-01.csv"
-        with path.open("a") as fh:
-            fh.write(row + "\n")
-        line = len(path.read_text().splitlines())
-        capsys.readouterr()
-        for stage in ("fuse", "evaluate"):
+        for stage in ("fuse", "trend", "evaluate", "export-plots"):
             assert main([stage, "--config", str(cfg_path)]) == 1
-            assert capsys.readouterr().err == f"error: {path}: line {line}: {message}\n"
-
-    @pytest.mark.parametrize("edit", ["relabelled", "wrong-level"])
-    def test_score_row_of_another_table_names_file_and_line(self, prepared, capsys, edit):
-        cfg_path, cfg = prepared
-        for stage in ("compute", "fuse"):
-            assert main([stage, "--config", str(cfg_path)]) == 0
-        path = Path(cfg.output_dir) / "scores" / "influence_2014-02.csv"
-        lines = path.read_text().splitlines()
-        assert lines[2].startswith("A,1,influence,2014-02,")  # the first row
-        if edit == "relabelled":
-            relabel = (",influence,2014-02,", ",usefulness,2014-03,")
-            lines[2:] = [line.replace(*relabel) for line in lines[2:]]
-            message = "row of usefulness,2014-03 in the influence,2014-02 table"
-        else:
-            lines[2] = lines[2].replace("A,1,", "A,7,")
-            message = "level 7 is not the level 1 of tree code A"
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        for stage in ("fuse", "evaluate"):
-            assert main([stage, "--config", str(cfg_path)]) == 1
-            assert capsys.readouterr().err == f"error: {path}: line 3: {message}\n"
+            assert capsys.readouterr().err == compute_record_error(cfg), stage
 
     def test_missing_changes_file_is_an_error(self, prepared, capsys):
         cfg_path, cfg = prepared
@@ -959,6 +925,24 @@ def test_compute_leaves_the_ingest_graph_without_its_csc_form(prepared):
     assert "incoming" in vars(data.graph)  # where the cached form would be
 
 
+def read_score_text(h: Hierarchy, path: Path, aspect: str, month: str):
+    """The (values, scored) by position that the rows of the `aspect` score
+    CSV of `month` give, each row checked against the table and the tree."""
+    values, scored = np.zeros(len(h.codes)), np.zeros(len(h.codes), dtype=bool)
+    lines = path.read_text().splitlines()
+    assert lines[1] == SCORES_HEADER
+    for line in lines[2:]:
+        code, level, row_aspect, row_month, value = line.split(",")
+        i = h.position[code]
+        assert (int(level), row_aspect, row_month, scored[i]) == (h.level[i], aspect, month, False)
+        values[i], scored[i] = float(value), True
+    return values, scored
+
+
+def read_member_text(path: Path) -> np.ndarray:
+    return np.array([int(line) for line in path.read_text().splitlines()[2:]], dtype=np.int64)
+
+
 class TestScoresCsv:
     def test_round_trip(self, tmp_path):
         cfg_path = make_config(tmp_path, last_month="2014-02")
@@ -969,13 +953,7 @@ class TestScoresCsv:
         computed = compute_month(cfg, data, "2014-02", 1)
         for aspect in ASPECTS:
             path = Path(cfg.output_dir) / "scores" / f"{aspect}_2014-02.csv"
-            values, scored = read_scores_csv(data.hierarchy, path, aspect, "2014-02")
-            # every row names the aspect and the month the file holds
-            other = "usefulness" if aspect != "usefulness" else "influence"
-            for wrong in ((other, "2014-02"), (aspect, "2014-01")):
-                with pytest.raises(ValueError) as exc:
-                    read_scores_csv(data.hierarchy, path, *wrong)
-                assert str(exc.value).startswith(f"{path}: line 3: ")
+            values, scored = read_score_text(data.hierarchy, path, aspect, "2014-02")
             assert scored.any()
             # 17 significant digits give back every value's bits
             expected_values, expected_scored = aspect_scores(computed, aspect)
@@ -1029,8 +1007,10 @@ def results(out_dir: Path) -> dict[str, bytes]:
 
 
 def drop_mirror_records(out_dir: Path) -> None:
+    """Delete every mirror record but compute's, which the later stages need."""
     for record in out_dir.rglob("*.mirror.json"):
-        record.unlink()
+        if record != out_dir / "compute.mirror.json":
+            record.unlink()
 
 
 def run_stages(cfg_path: Path, stages, capsys) -> list[tuple[int, str]]:
@@ -1045,10 +1025,10 @@ def run_stages(cfg_path: Path, stages, capsys) -> list[tuple[int, str]]:
 
 def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
     """Each mirror array has the dtype, shape and bytes that the text
-    parsers return for the files it was made from."""
-    out = Path(cfg.output_dir)
+    parsers return for the files it was made from, and the rankings those
+    that `_fused` gives of the parsed scores."""
+    out, window = Path(cfg.output_dir), cfg.window()
     mirrored = {str(p.relative_to(out))[: -len(".npy")]: np.load(p) for p in out.rglob("*.npy")}
-    drop_mirror_records(out)
     with open(cfg.hierarchy) as fh:
         h, _ = parse_hierarchy(fh)
     with open(cfg.articles) as fh:
@@ -1059,12 +1039,17 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
         f"ingest/{'graph' if name in GRAPH_ARRAYS else 'annotations'}.{name}": array
         for name, array in ingest_arrays(h, articles, edges).items()
     }
-    (values, scored), members, fused, _ = pipeline._compute_outputs(cfg, h, scores=True)
+    values = np.zeros((len(window), len(ASPECTS), len(h.codes)))
+    scored = np.zeros(values.shape, dtype=bool)
+    for k, s in np.ndindex(values.shape[:2]):
+        path = out / "scores" / f"{ASPECTS[s]}_{window[k]}.csv"
+        values[k, s], scored[k, s] = read_score_text(h, path, ASPECTS[s], window[k])
+    members = [read_member_text(out / "members" / f"{m}.csv") for m in window]
     parsed["compute.values"], parsed["compute.scored"] = values, scored
     parsed["compute.ids"] = np.concatenate(members)
     parsed["compute.indptr"] = np.cumsum([0, *map(len, members)])
     rankings = ("rankings.rrf", "rankings.global_rank", "rankings.level_rank")
-    parsed.update(zip(rankings, fused))
+    parsed.update(zip(rankings, pipeline._fused(h, values, scored, cfg.rrf_k)))
     assert mirrored.keys() == parsed.keys()
     for name, array in parsed.items():
         got = mirrored[name]
@@ -1197,41 +1182,40 @@ class TestMirrors:
         assert main(["ingest", "--config", str(cfg_path)]) == 0
         assert_mirrors_hold_parsed_arrays(cfg)
 
-    @pytest.mark.parametrize(
-        "edit",
-        ["article", "article-broken", "score-row", "score-row-broken"],
-    )
+    @pytest.mark.parametrize("edit", ["article", "article-broken"])
     def test_edit_after_its_stage_gives_a_fresh_parse(self, prepared, capsys, mirror_loads, edit):
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
-        kind = edit.removesuffix("-broken")
-        producer, name = {
-            "article": ("ingest", "annotations"),
-            "score-row": ("compute", "compute"),
-        }[kind]
-        done = CHAIN.index(producer) + 1
-        assert run_stages(cfg_path, CHAIN[:done], capsys) == [(0, "")] * done
+        assert run_stages(cfg_path, ["ingest"], capsys) == [(0, "")]
         before = results(out)
-        if kind == "article":
-            path = Path(cfg.articles)
-            pick = lambda line: '"2014-03"' in line  # noqa: E731
-            change = (lambda line: line[:-1]) if edit.endswith("broken") else article_edit
-        else:
-            path = out / "scores" / "influence_2014-02.csv"
-            pick = lambda line: line.startswith("A,1,influence,")  # noqa: E731
-            value = "x" if edit.endswith("broken") else "-1"
-            change = lambda line: line.rsplit(",", 1)[0] + f",{value}"  # noqa: E731
-        edit_line(path, pick, change)
+        path = Path(cfg.articles)
+        change = (lambda line: line[:-1]) if edit.endswith("broken") else article_edit
+        edit_line(path, lambda line: '"2014-03"' in line, change)
         mirror_loads.clear()
-        stale = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
-        assert (name, False) in mirror_loads and (name, True) not in mirror_loads
+        stale = run_stages(cfg_path, CHAIN[1:], capsys), results(out)
+        assert ("annotations", False) in mirror_loads and ("annotations", True) not in mirror_loads
         drop_mirror_records(out)
-        fresh = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
+        fresh = run_stages(cfg_path, CHAIN[1:], capsys), results(out)
         assert stale == fresh
         if edit.endswith("broken"):
             assert any(code == 1 and err.startswith(f"error: {path}: line ") for code, err in stale[0])
         else:
-            assert stale[0] == [(0, "")] * (len(CHAIN) - done) and stale[1] != before
+            assert stale[0] == [(0, "")] * (len(CHAIN) - 1) and stale[1] != before
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_score_csv_edit_changes_no_later_output(self, prepared, capsys, value):
+        """The later stages read compute's arrays, not its score text."""
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        path = out / "scores" / "influence_2014-02.csv"
+        edit_line(path, lambda line: line.startswith("A,1,influence,"),
+                  lambda line: line.rsplit(",", 1)[0] + f",{value}")
+        edited = results(out)
+        assert run_stages(cfg_path, CHAIN[2:], capsys) == [(0, "")] * (len(CHAIN) - 2)
+        drop_mirror_records(out)
+        assert run_stages(cfg_path, CHAIN[2:], capsys) == [(0, "")] * (len(CHAIN) - 2)
+        assert results(out) == edited
 
     @pytest.mark.parametrize(
         "damage",
@@ -1270,7 +1254,13 @@ class TestMirrors:
             (out / damage).unlink()
         mirror_loads.clear()
         damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
-        assert (name, False) in mirror_loads and (name, True) not in mirror_loads
+        assert (name, True) not in mirror_loads
+        # a missing record is found before any load
+        assert (name, False) in mirror_loads or damage == "compute.mirror.json"
+        if name == "compute":  # compute's record is the later stages' one way to its outputs
+            assert damaged[0] == [(1, compute_record_error(cfg))] * (len(CHAIN) - done)
+            assert run_stages(cfg_path, ["compute"], capsys) == [(0, "")]
+            damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
         if damage == "rrf_k-changed":  # the scores do not depend on rrf_k
             assert ("compute", True) in mirror_loads and ("compute", False) not in mirror_loads
         assert damaged[0] == [(0, "")] * (len(CHAIN) - done)
@@ -1288,7 +1278,7 @@ class TestMirrors:
         for change in ("edited", "deleted", "records-dropped"):
             if change == "deleted":
                 path.unlink()
-            elif change == "records-dropped":  # fused again from the parsed scores
+            elif change == "records-dropped":  # fused again from compute's arrays
                 drop_mirror_records(out)
             mirror_loads.clear()
             assert run_stages(cfg_path, later, capsys) == [(0, "")] * len(later), change
@@ -1297,26 +1287,20 @@ class TestMirrors:
             after.pop("rankings.csv", None)
             assert after == before, change
 
-    def test_rank_stages_parse_no_scores_while_the_rankings_mirror_matches(
-            self, prepared, capsys, monkeypatch, mirror_loads):
+    def test_rank_stages_load_only_the_rankings_mirror_while_it_matches(
+            self, prepared, capsys, mirror_loads):
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
         before = results(out)
-        (out / "compute.mirror.json").unlink()
-        assert run_stages(cfg_path, ["fuse"], capsys) == [(0, "")]
-        calls = []
-        read = pipeline.read_scores_csv
-        monkeypatch.setattr(pipeline, "read_scores_csv", lambda *a: calls.append(a) or read(*a))
         for stage in ("trend", "export-plots"):
-            calls.clear()
             mirror_loads.clear()
             assert run_stages(cfg_path, [stage], capsys) == [(0, "")]
-            assert (calls, mirror_loads) == ([], [("rankings", True)]), stage
-        # evaluate reads the scores themselves, from the text while the compute record is gone
-        calls.clear()
+            assert mirror_loads == [("rankings", True)], stage
+        # evaluate reads the scores and the members themselves
+        mirror_loads.clear()
         assert run_stages(cfg_path, ["evaluate"], capsys) == [(0, "")]
-        assert len(calls) == len(ASPECTS) * len(cfg.window())
+        assert mirror_loads == [("annotations", True), ("rankings", True), ("compute", True)]
         assert results(out) == before
 
     def test_later_stages_fuse_at_their_own_rrf_k(self, prepared, capsys):
@@ -1332,20 +1316,72 @@ class TestMirrors:
         for name in ("trends.csv", "tables.csv", "evolution_tests.json", "plots/rank_level-1.svg"):
             assert stale[1][name] != at_60[name], name
 
+    def test_rankings_mirror_follows_a_compute_rerun(self, prepared, capsys):
+        # The rankings record holds the digest of compute's record, so new
+        # scores from edited inputs are fused again.
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        before = results(out)
+        path = Path(cfg.articles)
+        lines = path.read_text().splitlines()
+        lines[::3] = [json.dumps({**json.loads(line), "mesh": []}) for line in lines[::3]]
+        path.write_text("\n".join(lines) + "\n")
+        stages = ["ingest", "compute", "trend", "export-plots"]
+        assert run_stages(cfg_path, stages, capsys) == [(0, "")] * len(stages)
+        stale = results(out)
+        assert run_stages(cfg_path, ["fuse", "trend", "export-plots"], capsys) == [(0, "")] * 3
+        fresh = results(out)
+        assert stale.pop("rankings.csv") == before["rankings.csv"] != fresh.pop("rankings.csv")
+        assert stale == fresh and stale["tables.csv"] != before["tables.csv"]
+
+    def test_later_stages_read_no_score_member_or_rankings_text(self, prepared, capsys):
+        cfg_path, cfg = prepared
+        out, later = Path(cfg.output_dir), CHAIN[CHAIN.index("fuse"):]
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        before = results(out)
+        shutil.rmtree(out / "scores")
+        shutil.rmtree(out / "members")
+        (out / "rankings.csv").unlink()
+        drop_mirror_records(out)  # so fuse fuses compute's arrays again
+        assert run_stages(cfg_path, later, capsys) == [(0, "")] * len(later)
+        assert results(out) == {name: data for name, data in before.items()
+                                if not name.startswith(("scores/", "members/"))}
+
+    def test_copied_tree_uses_every_mirror(self, prepared, capsys, monkeypatch, mirror_loads):
+        # Records name their sources by role, so a tree moved with its config
+        # needs no parse but the hierarchy's and the changes'.
+        cfg_path, cfg = prepared
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        root, copy = cfg_path.parent, cfg_path.parent / "copy"
+        for name in ("data", "out"):
+            shutil.copytree(root / name, copy / name)
+        copy_cfg = make_config(copy)
+        hashes = cfg.config_hash().encode(), load_config(copy_cfg).config_hash().encode()
+        parsed = []
+        parse = pipeline._parse
+        monkeypatch.setattr(pipeline, "_parse",
+                            lambda path, p: parsed.append(p.__name__) or parse(path, p))
+        mirror_loads.clear()
+        assert run_stages(copy_cfg, CHAIN[1:], capsys) == [(0, "")] * (len(CHAIN) - 1)
+        assert {name for name, _ in mirror_loads} == {"annotations", "graph", "compute", "rankings"}
+        assert all(used for _, used in mirror_loads)
+        assert set(parsed) == {"parse_hierarchy", "parse_changes"}
+        assert results(copy / "out") == {name: data.replace(*hashes)
+                                         for name, data in results(root / "out").items()}
+
     def test_each_later_stage_hashes_the_compute_outputs_once(self, prepared, capsys,
                                                               monkeypatch):
         cfg_path, cfg = prepared
-        out, window = Path(cfg.output_dir), cfg.window()
+        out = Path(cfg.output_dir)
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
-        outputs = {cfg.hierarchy, *(str(out / "members" / f"{m}.csv") for m in window),
-                   *(str(out / "scores" / f"{a}_{m}.csv") for m in window for a in ASPECTS)}
+        outputs = {cfg.hierarchy, str(out / "compute.mirror.json")}
         inputs = {cfg.hierarchy, cfg.articles, cfg.changes}
         passes = []
         digests = mirror.digests
 
         def spy(paths):
-            paths = [str(p) for p in paths]
-            passes.append(set(paths))
+            passes.append({str(p) for p in paths.values()})
             return digests(paths)
 
         monkeypatch.setattr(mirror, "digests", spy)
@@ -1383,9 +1419,7 @@ class TestMirrors:
             assert main([stage, "--config", str(cfg_path)]) == 0
         out = Path(cfg.output_dir)
         before = (out / "rankings.csv").read_bytes()
-        # node A tops the 2014-01 influence ranking, which changes its fused value
-        edit_line(out / "scores" / "influence_2014-01.csv", lambda line: line.startswith("A,"),
-                  lambda line: line.rsplit(",", 1)[0] + ",1e9")
+        cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")  # which changes every rrf value
 
         def fail(src, dst):
             raise OSError(f"cannot rename {src} to {dst}")
