@@ -4,8 +4,9 @@ Edges point citing -> cited.  A graph is one boolean scipy.sparse CSR
 matrix over node positions (indices into the sorted `node_ids`) rather than
 article ids, so the kernels multiply it as it is; its CSC form, the citers
 of each node, is built on first use.  The accessors translate back and
-return ids.  Graphs are immutable once built; snapshot and sample return
-new graphs, cut from the parent's matrix by scipy's row-then-column indexing.
+return ids, which `build_graph` maps to positions by a dense table or a search.
+Graphs are immutable once built; snapshot and sample return new graphs, cut
+from the parent's matrix by scipy's row-then-column indexing.
 """
 from __future__ import annotations
 
@@ -67,15 +68,21 @@ class CitationGraph:
         return citing, self.node_ids[self.matrix.indices]
 
 
-def _positions(node_ids: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of `ids` in sorted `node_ids`, and which ids are present there.
-    Searched in sorted order, each search starts near where the last ended."""
-    if len(node_ids) == 0:
-        return np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=bool)
-    order = np.argsort(ids)
-    pos = np.empty(len(ids), dtype=np.intp)
-    pos[order] = np.minimum(np.searchsorted(node_ids, ids[order]), len(node_ids) - 1)
-    return pos, node_ids[pos] == ids
+def _positions(node_ids: np.ndarray, *sides: np.ndarray) -> list[np.ndarray]:
+    """Position in sorted `node_ids` of each id of each side, -1 where absent: by one
+    table indexed by `id - first id` if it is no longer than a side, else by searches
+    in sorted order, each starting near where the last ended."""
+    n = len(node_ids)
+    first, span = (int(node_ids[0]), int(node_ids[-1]) - int(node_ids[0]) + 1) if n else (0, 0)
+    if span <= min(map(len, sides)):  # an id outside wraps to an offset >= span: slot span, -1
+        table = np.full(span + 1, -1, dtype=np.intp)
+        table[node_ids - first] = np.arange(n)
+        return [table[np.minimum((ids - first).view(np.uint64), span)] for ids in sides]
+    out = [np.empty(len(ids), dtype=np.intp) for ids in sides]
+    for pos, ids, order in zip(out, sides, map(np.argsort, sides)):
+        pos[order] = np.minimum(np.searchsorted(node_ids, ids[order]), n - 1)
+        pos[node_ids[pos] != ids] = -1
+    return out
 
 
 def build_graph(edges: tuple[np.ndarray, np.ndarray], store: ArticleStore) -> CitationGraph:
@@ -83,15 +90,15 @@ def build_graph(edges: tuple[np.ndarray, np.ndarray], store: ArticleStore) -> Ci
 
     Self-citations, edges touching ids outside the store, and duplicate
     edges are dropped; each category is counted on the returned graph.
+    Both sides are looked up by `_positions`, in a dense table or by search.
     Rows come out sorted: `sum_duplicates` sorts each to find its repeats.
     """
     citing, cited = (np.asarray(side, dtype=np.int64) for side in edges)
     node_ids = store.ids.copy()
     n = len(node_ids)
-    src, src_known = _positions(node_ids, citing)
-    dst, dst_known = _positions(node_ids, cited)
+    src, dst = _positions(node_ids, citing, cited)
     self_loops = citing == cited
-    known = src_known & dst_known
+    known = (src >= 0) & (dst >= 0)
     keep = known & ~self_loops
     kept = int(keep.sum())
     out = sparse.csr_matrix((np.ones(kept, dtype=bool), (src[keep], dst[keep])), shape=(n, n))

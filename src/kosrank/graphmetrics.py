@@ -1,11 +1,11 @@
 """Citation-network relevance kernels: disruption index and PageRank centrality.
 
 Both read the graph's boolean matrix and its CSC form.  The disruption
-sweep takes n_i + n_j as the in-degree, n_j from one shared-reference test
-per citation edge, and n_k from the row nnz of a boolean sparse product.
+sweep takes all its counts from one integer sparse product per span, in
+which a citer of the focal weighs more than any count of shared references.
 The counts are exact integers and only the final division is float, so the
 scores keep the bits of `disruption_of` at any worker count: each of the
-sweep's spans, on `WORKERS` threads, writes its own slice of the counts.
+sweep's spans, on `WORKERS` threads, writes its own slice of the scores.
 `aggregate_to_nodes` sums article scores onto tree nodes as a dict; `compute`
 does it by an incidence product.
 """
@@ -23,7 +23,7 @@ from scipy import sparse
 
 from .citegraph import CitationGraph
 
-BATCH_WORK = 5_000_000  # stored entries that the sweep's spans in flight touch together
+BATCH_WORK = 2_000_000  # stored entries that the sweep's spans in flight touch together
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 AGGREGATE_CHUNK = 65_536  # aggregate_to_nodes' slice: whole-graph lists set the 1M peak RSS
 
@@ -107,35 +107,34 @@ def _run_spans(work: np.ndarray, out: np.ndarray, part: Callable[[int, int], np.
 def disruption_all(g: CitationGraph) -> ArticleScores:
     """Disruption of every article, equal bit for bit to `disruption_of`.
 
-    n_i + n_j is the focal's in-degree.  n_j counts the edges c -> f whose
-    ends share a reference: their rows of the out-adjacency A, multiplied
-    element-wise, are not empty.  Row f of A @ A.T holds every citer of one
-    of f's references, f itself when it has any: n_j + n_k + has_refs.
-    Spans run on `WORKERS` threads; each writes a disjoint slice, so no bit depends on their count.
+    With A the out-adjacency and K above every out-degree, entry [f, c] of
+    (A + K*I) @ A.T is c's count of references shared with f, plus K when c
+    cites f.  Row f thus holds the n_i + n_j citers of f, the n_k other
+    citers of its references, and f itself when it has any; n_j is the
+    number of entries above K.  Entries stay below 2K, so the smallest
+    unsigned type that holds 2K counts them without wrapping.  Spans run on
+    `WORKERS` threads; each writes a disjoint slice, so no bit depends on their count.
     """
     n = g.num_nodes
-    # The output comes first and the counts are combined in place: n-sized
-    # arrays made late stay in the heap (34 MB more peak RSS at 1M nodes).
-    result = np.zeros(n, dtype=np.float64)
-    A = g.matrix  # [f, r] set iff f cites r; bool, so its products OR and no count wraps
+    result = np.zeros(n, dtype=np.float64)  # made first: n-sized arrays made late stay in the heap
+    A = g.matrix  # [f, r] set iff f cites r
     AT = g.incoming.T  # its transpose, a CSR view
-    outdeg = np.diff(A.indptr).astype(np.int64)
+    outdeg = np.diff(A.indptr)
     indeg = np.diff(AT.indptr).astype(np.int64)
+    K = int(outdeg.max(initial=0)) + 1
+    dtype = np.min_scalar_type(2 * K)
 
-    citing, cited = np.repeat(np.arange(n), outdeg), A.indices
-    shares_ref = np.zeros(len(cited), dtype=bool)
-    _run_spans(outdeg[citing] + outdeg[cited], shares_ref,
-               lambda a, b: np.diff(A[citing[a:b]].multiply(A[cited[a:b]]).indptr) > 0)
-    n_j = np.bincount(cited[shares_ref], minlength=n)
+    def scores(a: int, b: int) -> np.ndarray:
+        F = A[a:b] + sparse.eye(b - a, n, a, dtype=dtype, format="csr") * K
+        P = F @ AT
+        above = np.searchsorted(np.flatnonzero(P.data > K), P.indptr)  # above K before each row
+        n_j = above[1:] - above[:-1]
+        denominator = np.diff(P.indptr) - (outdeg[a:b] > 0)  # n_i + n_j + n_k
+        return np.divide(indeg[a:b] - 2 * n_j, denominator, out=np.zeros(b - a),
+                         where=denominator > 0)
 
-    denominator = np.zeros(n, dtype=np.int64)
-    # Work per focal: total citations received by its references.
-    _run_spans(A @ indeg, denominator, lambda a, b: np.diff((A[a:b] @ AT).indptr))
-    indeg -= n_j  # n_i
-    denominator += indeg
-    denominator -= outdeg > 0  # n_i + n_j + n_k
-    indeg -= n_j  # n_i - n_j
-    np.divide(indeg, denominator, out=result, where=denominator > 0)
+    # Work per focal bounds its row's entries: citations its references receive, plus its citers.
+    _run_spans(A @ indeg + indeg, result, scores)
     return ArticleScores(g.node_ids, result)
 
 
@@ -164,9 +163,12 @@ def pagerank(
 
     x = np.ones(n, dtype=np.float64)
     converged = False
+    step = np.empty(n, dtype=np.float64)
     for _ in range(max_iter):
-        x_next = alpha * (P @ x) + beta
-        change = float(np.abs(x_next - x).sum())
+        x_next = P @ x
+        x_next *= alpha
+        x_next += beta
+        change = float(np.abs(np.subtract(x_next, x, out=step), out=step).sum())
         x = x_next
         if change < tol:
             converged = True

@@ -65,15 +65,21 @@ class TestBuild:
         assert g.successors_of(1).tolist() == [2]
         assert g.successors_of(2).tolist() == [1]
 
+    # Dense ids (step 1) span at most 400 values against 2,300 queries, so
+    # build_graph looks them up in its table; step-7 ids span at least 834
+    # and take the sorted search only when the span exceeds the queries.
+    @pytest.mark.parametrize(("step", "searched"), [(1, False), (7, True)])
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_set_oracle_on_shuffled_ids(self, seed):
+    def test_matches_set_oracle_on_shuffled_ids(self, monkeypatch, seed, step, searched):
         rng = np.random.default_rng(seed)
-        ids = 10**12 + 7 * np.sort(rng.choice(400, size=120, replace=False))
+        ids = 10**12 + step * np.sort(rng.choice(400, size=120, replace=False))
         store = store_from_articles(Article(int(i), "2014-01", ()) for i in ids)
+        limits = np.iinfo(np.int64)
         outside = np.concatenate([
             ids[:5] - 10**12,  # below the smallest id
             ids[-5:] + 10**6,  # above the largest
             ids[:-1] + rng.integers(1, 7, size=len(ids) - 1),  # in a gap
+            [ids[0] - 1, ids[-1] + 1, limits.min, limits.max],  # just outside, and the limits
         ])
         pool = np.concatenate([np.repeat(ids, 4), outside])
         citing, cited = rng.choice(pool, size=2000), rng.choice(pool, size=2000)
@@ -81,11 +87,20 @@ class TestBuild:
         citing, cited = np.append(citing, citing[repeat]), np.append(cited, cited[repeat])
         order = rng.permutation(len(citing))
         citing, cited = citing[order], cited[order]
+        assert (ids[-1] - ids[0] + 1 > len(citing)) == searched
 
+        searches, search = [], np.searchsorted
+
+        def counted_search(a, v, *args, **kwargs):
+            searches.append(len(v))
+            return search(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted_search)
         pairs = list(zip(citing.tolist(), cited.tolist()))
         known = set(ids.tolist())
         kept = [(u, v) for u, v in pairs if u != v and u in known and v in known]
         g = build_graph((citing, cited), store)
+        assert searches.count(len(citing)) == (2 if searched else 0)
         got_citing, got_cited = g.edge_arrays()
         assert set(zip(got_citing.tolist(), got_cited.tolist())) == set(kept)
         assert g.num_edges == len(set(kept))

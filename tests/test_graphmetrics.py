@@ -27,7 +27,7 @@ from kosrank.graphmetrics import (
 
 @pytest.fixture
 def set_batch_work(monkeypatch):
-    """Sets `graphmetrics.BATCH_WORK`, the sweep's chunk and batch size, for one test."""
+    """Sets `graphmetrics.BATCH_WORK`, the sweep's batch size, for one test."""
     return lambda work: monkeypatch.setattr(graphmetrics, "BATCH_WORK", work)
 
 
@@ -99,8 +99,7 @@ def oracle_scores(g):
 class TestDisruptionSweep:
     """`disruption_all` against the set oracle, bit for bit."""
 
-    # 1 and 4 put chunk boundaries inside a citing article's row of edges
-    # and give single-focal batches; the default runs everything in one.
+    # 1 and 4 give single-focal batches; the default runs everything in one.
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("batch_work", [1, 4, 37, 5_000_000])
     @pytest.mark.parametrize("seed", range(3))
@@ -144,17 +143,28 @@ class TestDisruptionSweep:
         assert np.array_equal(scores, oracle_scores(g))
         assert np.array_equal(scores.view(np.int64), serial.view(np.int64))
 
-    @pytest.mark.parametrize("shared", [256, 300, 512])
-    def test_many_shared_references(self, shared):
-        # Focal 1 and its citer 2 both cite articles 3 .. shared + 2.  The
-        # product counts `shared` at [1, 2] and [2, 1], and at least as much
-        # on both diagonals: in int8, 256 and 512 wrap to explicit zeros,
-        # which scipy drops.  The boolean product keeps every entry.
+    @pytest.mark.parametrize("shared", [125, 126, 256, 300, 512])
+    def test_many_shared_references(self, monkeypatch, shared):
+        # Focal 1 and its citer 2 both cite articles 3 .. shared + 2, so the
+        # largest out-degree is shared + 1 and K is shared + 2.  The weighted
+        # product holds shared + K at [1, 2], `shared` at [2, 1] and the
+        # out-degrees on the diagonal.  Its data take the smallest unsigned
+        # type that holds 2K: uint8 up to 125 shared references, uint16 from
+        # 126.  In int8, 256 and 512 would wrap to explicit zeros, which
+        # scipy drops.
+        types, smallest = [], np.min_scalar_type
+
+        def recorded_type(value):
+            types.append(smallest(value))
+            return types[-1]
+
+        monkeypatch.setattr(np, "min_scalar_type", recorded_type)
         refs = range(3, shared + 3)
         edges = [(2, 1)] + [(1, r) for r in refs] + [(2, r) for r in refs]
         store = store_from_articles(Article(i, "2014-01", ()) for i in range(1, shared + 3))
         g = build_graph(pair_arrays(edges), store)
         scores = disruption_all(g).scores
+        assert types == [np.uint8 if shared <= 125 else np.uint16]
         assert scores[:3].tolist() == [-1.0, 0.0, 1.0]
         assert np.array_equal(scores, oracle_scores(g))
 
