@@ -193,5 +193,4 @@ def _parse_citation_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]
 
 
 def write_citations(citing: np.ndarray, cited: np.ndarray, out) -> None:
-    for u, v in zip(citing.tolist(), cited.tolist()):
-        out.write(f"{u}\t{v}\n")
+    out.write("".join([f"{u}\t{v}\n" for u, v in zip(citing.tolist(), cited.tolist())]))

@@ -40,7 +40,7 @@ def _cmd_generate(cfg: PipelineConfig, args) -> list[str]:
     for key in ("hierarchy", "articles", "citations"):
         if not getattr(cfg, key):
             raise pipeline.PipelineError(f"config does not set the {key} path")
-    hierarchy, store, (citing, cited), changes = synthgen.generate(scenario)
+    hierarchy, articles, (citing, cited), changes = synthgen.generate_columns(scenario)
 
     def write(path, writer, *data):
         text = io.StringIO()
@@ -48,12 +48,12 @@ def _cmd_generate(cfg: PipelineConfig, args) -> list[str]:
         mirror.write_file(Path(path), text.getvalue().encode())
 
     write(cfg.hierarchy, write_hierarchy, hierarchy)
-    write(cfg.articles, write_articles, store)
+    write(cfg.articles, write_articles, articles)
     write(cfg.citations, write_citations, citing, cited)
     if cfg.changes:
         write(cfg.changes, write_changes, changes)
     return [
-        f"generated {len(store)} articles, {len(citing)} edges, "
+        f"generated {len(articles.ids)} articles, {len(citing)} edges, "
         f"{len(hierarchy.codes)} hierarchy nodes, {len(changes)} change records"
     ]
 

@@ -4,7 +4,8 @@ Input format is JSON lines, one article per line:
     {"id": 123, "month": "2014-01", "mesh": ["D011506"], "retracted": false}
 `mesh` (descriptor id strings) defaults to [] and `retracted` to false;
 day-level dates in `month` are truncated to the month.  Parsing builds no
-`Article` objects but `ArticleColumns`; `ArticleStore` is the generator's form.
+`Article` objects but `ArticleColumns`, which `write_articles` writes back;
+`ArticleStore` is the form of `synthgen.generate`, an adapter.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -81,6 +82,18 @@ class ArticleColumns:
     retracted: np.ndarray  # bool
     vocabulary: tuple[str, ...]  # the sorted descriptor ids that any article lists
     annotations: sparse.csr_matrix  # article x vocabulary, 1 where the article lists it
+
+    def rows(self, names: Sequence[str], month_name: Callable[[int], str]) -> Iterator[tuple]:
+        """(id, month, descriptors, retracted) of each article in id order: a
+        descriptor as its entry of `names`, which is aligned with `vocabulary`,
+        and a month as `month_name` of its index, called once per distinct
+        month.  The rows hold no reference to the columns."""
+        m = self.annotations
+        texts = iter(np.array(names, dtype=object)[m.indices].tolist())
+        months = {k: month_name(k) for k in np.unique(self.month_idx).tolist()}
+        return ((i, months[k], tuple(islice(texts, n)), flag) for i, k, n, flag in zip(
+            self.ids.tolist(), self.month_idx.tolist(), np.diff(m.indptr).tolist(),
+            self.retracted.tolist()))
 
 
 def parse_articles(fh: TextIO) -> ArticleColumns:
@@ -181,15 +194,12 @@ def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def write_articles(store: ArticleStore, out: TextIO) -> None:
-    """Serialize one article per line, sorted by id; round-trips through parse."""
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps makes one per call
-    for article_id in store.ids:
-        article = store.articles[int(article_id)]
-        row = {
-            "id": article.id,
-            "month": article.month,
-            "mesh": list(article.descriptors),
-            "retracted": article.retracted,
-        }
-        out.write(encode(row) + "\n")
+def write_articles(columns: ArticleColumns, out: TextIO) -> None:
+    """Write one JSON line per article, in id order, with the text that
+    `json.JSONEncoder(sort_keys=True)` gives each row; round-trips through
+    parse.  Each descriptor id and each month is encoded once."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    rows = columns.rows([*map(encode, columns.vocabulary)], lambda k: encode(month_from_index(k)))
+    out.write("".join([
+        f'{{"id": {i}, "mesh": [{", ".join(mesh)}], "month": {month}, '
+        f'"retracted": {"true" if flag else "false"}}}\n' for i, month, mesh, flag in rows]))

@@ -4,8 +4,9 @@ The mirror at `stem` is one `np.save` file per array, `<stem>.<name>.npy`,
 and a JSON record `<stem>.mirror.json`, written last: the digest of the code
 that wrote it, the caller's meta, the sha256 of every source file, named by
 its role rather than its path, and the sha256 of every array file.  `load`
-returns None unless all of them still match, so a stale mirror, or one from
-other code, is never used, while one copied with its sources still matches.
+returns None unless all of them still match (of the sources, those that the
+caller read), so a stale mirror, or one from other code, is never used, while
+one copied with its sources still matches.
 `write_file` writes every stage output to a temporary name, then
 `os.replace`s it.
 """
@@ -62,12 +63,14 @@ def save(stem: Path, arrays: dict[str, np.ndarray], sources: dict[str, str], met
 
 def load(stem: Path, names, sources: dict[str, str], meta: dict) -> dict[str, np.ndarray] | None:
     """The arrays `names`, or None unless the record is readable, lists
-    exactly these arrays, `sources` and `meta`, and every array file still
-    has its recorded digest."""
-    expected = {"version": code_digest(), "meta": json.loads(json.dumps(meta)), "sources": sources}
+    exactly these arrays and `meta`, holds the digest `sources` gives for
+    each role it names, and every array file still has its recorded digest.
+    The record may name sources that the caller did not read."""
+    expected = {"version": code_digest(), "meta": json.loads(json.dumps(meta))}
     try:
         record = json.loads(stem.with_name(f"{stem.name}.mirror.json").read_bytes())
-        if {k: record[k] for k in expected} != expected or set(record["arrays"]) != set(names):
+        if ({k: record[k] for k in expected} != expected or set(record["arrays"]) != set(names)
+                or {role: record["sources"].get(role) for role in sources} != sources):
             return None
         arrays = {}
         for name, digest in record["arrays"].items():

@@ -16,9 +16,11 @@ inputs still matches.  `compute`'s record is the one interface to the later
 stages: they read the scores and members only from its arrays, as window
 month x aspect x node arrays in `ASPECTS` order, and fuse them into the
 window month x node arrays that `fuse` writes out (`_fused`); none reads a
-score, member or rankings CSV back.  That record holds the hierarchy's
-digest, the window, the node count and the `COMPUTE_KEYS` values; one that
-is missing or does not match is an error that says to rerun `compute`.  The
+score, member or rankings CSV back.  That record holds the digests of the
+hierarchy and of the articles, the window, the node count and the
+`COMPUTE_KEYS` values; one that is missing or does not match is an error
+that says to rerun `compute`.  Only `run_evaluate`, which reads the
+articles too, checks their digest.  The
 rankings record holds the digests of the hierarchy and of compute's record,
 the same meta and `rrf_k`.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -72,6 +74,7 @@ class IngestData:
     incidence: sparse.csr_matrix  # article x node: rows over ids, columns over hierarchy.codes
     unknown_descriptor_refs: int
     graph: citegraph.CitationGraph | None = None
+    sources: dict[str, str] = field(default_factory=dict)  # role -> sha256 of each file read
 
     def report_lines(self) -> list[str]:
         g = self.graph
@@ -166,7 +169,7 @@ def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> In
     if save:
         for stem, keys, sources, meta in mirrors:
             mirror.save(stem, {k: arrays[k] for k in keys}, sources, meta)
-    return ingest_data(hierarchy, autocreated, changes, arrays)
+    return replace(ingest_data(hierarchy, autocreated, changes, arrays), sources=digest)
 
 
 @dataclass
@@ -273,7 +276,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     # what the score text says: 0 where unscored, and "nan" reads back as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
     arrays = (values, scored, np.concatenate(members), np.cumsum([0, *map(len, members)]))
-    sources = mirror.digests({"hierarchy": cfg.hierarchy})
+    sources = {k: data.sources[k] for k in ("hierarchy", "articles")}
     mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), sources, _compute_meta(cfg, h))
     return [str(p) for p in (*score_paths, *member_paths, out / "manifest.json")]
 
@@ -284,19 +287,22 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def _compute_meta(cfg: PipelineConfig, h: Hierarchy) -> dict:
     """The meta of the compute mirror: the window, the node count and the
-    `COMPUTE_KEYS` values.  Its sources are the hierarchy's digest."""
+    `COMPUTE_KEYS` values.  Its sources are the digests of the hierarchy and
+    of the articles."""
     meta = {"months": cfg.window(), "nodes": len(h.codes)}
     return {**meta, **{k: getattr(cfg, k) for k in COMPUTE_KEYS}}
 
 
-def _compute_outputs(cfg: PipelineConfig, h: Hierarchy, scores: bool = False):
+def _compute_outputs(cfg: PipelineConfig, h: Hierarchy, articles: str | None = None):
     """compute's outputs, from its mirror: the window month x aspect x node
     (values, scored), each window month's sampled article ids, their
     `_fused` arrays at `rrf_k`, and the (sources, meta) key that the rankings
     mirror is saved under, from one digest pass over the hierarchy and
     compute's record.  The fused arrays come from the rankings mirror while
-    it matches, and then the scores and members are None unless `scores`.
-    A compute record that is missing or does not match is a PipelineError."""
+    it matches, and then the scores and members are None unless the caller
+    gives `articles`, the sha256 of the articles it read, which must be the
+    articles compute read.  A compute record that is missing or does not
+    match is a PipelineError."""
     out = Path(cfg.output_dir)
     record = out / "compute.mirror.json"
     stale = PipelineError(f"{record} is missing or does not match; rerun compute")
@@ -307,9 +313,12 @@ def _compute_outputs(cfg: PipelineConfig, h: Hierarchy, scores: bool = False):
     key = sources, {**meta, "rrf_k": cfg.rrf_k}
     fused = mirror.load(out / "rankings", RANKING_ARRAYS, *key)
     fused = fused and tuple(fused[k] for k in RANKING_ARRAYS)
-    if fused and not scores:
+    if fused and articles is None:
         return None, None, fused, key
-    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, {"hierarchy": sources["hierarchy"]}, meta)
+    read = {"hierarchy": sources["hierarchy"]}  # the sources that the caller read
+    if articles is not None:
+        read["articles"] = articles
+    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, read, meta)
     if arrays is None:
         raise stale
     values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
@@ -451,7 +460,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     data = ingest(cfg, citations=False, save=False)
     h = data.hierarchy
     # window month x series x node: the aspects, then the fused relevance
-    (values, scored), members, (rrf, rank, _), _ = _compute_outputs(cfg, h, scores=True)
+    (values, scored), members, (rrf, rank, _), _ = _compute_outputs(cfg, h, data.sources["articles"])
     values = np.concatenate([values, rrf[:, None]], axis=1)
     scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
     month_years = np.array([year_of(m) for m in cfg.window()])
@@ -484,10 +493,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     for year in np.unique(month_years).tolist():
         in_year = month_years == year
         member_ids = [m for m, y in zip(members, in_year) if y]
-        ids = np.unique(np.concatenate(member_ids))
-        missing = ids[~np.isin(ids, data.ids)]
-        if len(missing):
-            raise PipelineError(f"{cfg.articles}: no article {missing[0]}, a sampled member of {year}")
+        ids = np.unique(np.concatenate(member_ids))  # compute's articles are these, by digest
         at = np.searchsorted(data.ids, ids)
         rows, retracted = data.incidence[at], data.retracted[at]
         member_rows = [np.searchsorted(ids, m) for m in member_ids]

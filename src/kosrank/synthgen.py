@@ -6,19 +6,21 @@ descriptor usage weighted rank ** -0.5 (Zipf), citations that only point
 to earlier months (preferential attachment on in-degree), planted
 "evolving" descriptors drawn 2.5 times as often, and retracted articles
 that draw the most popular tenth of the descriptors 10 times as often.
-Module constants fix those figures.  The annotations come from one sorted
+Module constants fix those figures.  `generate_columns` gives the articles
+as the `ArticleColumns` that parsing their text gives, built from one sorted
 (article, descriptor text rank) key per draw, not from a loop over the
-articles.
+articles; `generate` adapts them to an `ArticleStore`.
 """
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
+from scipy import sparse
 
-from .corpus import Article, ArticleStore
+from .corpus import Article, ArticleColumns, ArticleStore
 from .evaluate import CHANGE_TYPES, ChangeRecord
 from .hierarchy import Hierarchy
 from .months import month_from_index, month_index, normalize_month, year_of
@@ -102,10 +104,12 @@ def _weighted_draws(rng, cdf: np.ndarray, count: int) -> np.ndarray:
     return draws
 
 
-def generate(
+def generate_columns(
     cfg: ScenarioConfig,
-) -> tuple[Hierarchy, ArticleStore, tuple[np.ndarray, np.ndarray], list[ChangeRecord]]:
-    """Build (hierarchy, store, (citing, cited), change records) from `cfg`.
+) -> tuple[Hierarchy, ArticleColumns, tuple[np.ndarray, np.ndarray], list[ChangeRecord]]:
+    """Build (hierarchy, articles, (citing, cited), change records) from `cfg`,
+    the articles as the columns that `parse_articles` gives for the file
+    `write_articles` writes of them.
 
     Fully deterministic for a given config; article ids are assigned in
     publication order so citations always point at smaller ids.
@@ -142,7 +146,6 @@ def generate(
     cdf = np.cumsum(weights)
     biased_cdf = np.cumsum(biased_weights)
 
-    months = [month_from_index(month_index(cfg.first_month) + i) for i in range(cfg.months)]
     total = cfg.months * cfg.articles_per_month
     retracted = rng.random(total) < cfg.retraction_rate
     desc_counts = rng.poisson(cfg.descriptors_per_article_mean, total)
@@ -156,23 +159,27 @@ def generate(
     draws[biased] = _weighted_draws(rng, biased_cdf, int(desc_counts[retracted].sum()))
 
     # One (article, descriptor text rank) key per draw; sorted and with the
-    # repeats dropped, each article's descriptors are a run in string order.
+    # repeats dropped, each article's descriptors are a run in string order,
+    # which is the vocabulary's: the descriptors drawn at all, in text rank.
     by_text = np.argsort(descriptor_ids)
     text_rank = np.empty(n_desc, dtype=np.int64)
     text_rank[by_text] = np.arange(n_desc)
     key = np.sort(owner * n_desc + text_rank[draws])
     key = key[np.diff(key, prepend=-1) != 0]  # keys are >= 0
-    counts = np.bincount(key // n_desc, minlength=total).tolist()
-    names = iter(np.array(descriptor_ids, dtype=object)[by_text][key % n_desc].tolist())
-    del owner, biased, draws, key  # freed before the objects are built
-    month_of = (month for month in months for _ in range(cfg.articles_per_month))
-    ids = list(range(1, total + 1))  # one int object per id, shared with the dict keys
-    articles = [
-        Article(i, month, tuple(islice(names, count)), flag)
-        for i, month, count, flag in zip(ids, month_of, counts, retracted.tolist())
-    ]
-    store = ArticleStore(articles=dict(zip(ids, articles)))
-    del ids, names, counts, articles  # freed before the edge arrays are built
+    drawn = np.bincount(key % n_desc, minlength=n_desc) > 0  # by text rank
+    vocabulary = tuple(np.array(descriptor_ids)[by_text][drawn].tolist())
+    column_of = np.cumsum(drawn) - 1  # a drawn text rank -> its vocabulary column
+    indptr = np.searchsorted(key, np.arange(total + 1, dtype=np.int64) * n_desc)
+    annotations = sparse.csr_matrix(
+        (np.ones(len(key), dtype=np.int32), column_of[key % n_desc], indptr),
+        shape=(total, len(vocabulary)))
+    first = month_index(cfg.first_month)
+    columns = ArticleColumns(
+        ids=np.arange(1, total + 1, dtype=np.int64),
+        month_idx=np.repeat(np.arange(first, first + cfg.months, dtype=np.int64),
+                            cfg.articles_per_month),
+        retracted=retracted, vocabulary=vocabulary, annotations=annotations)
+    del owner, biased, draws, key  # freed before the edge arrays are built
 
     citing_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     cited_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
@@ -204,4 +211,26 @@ def generate(
         ChangeRecord(release, descriptor_ids[int(idx)], CHANGE_TYPES[i % len(CHANGE_TYPES)])
         for i, idx in enumerate(evolving_idx)
     ]
+    return hierarchy, columns, edges, changes
+
+
+def generate(
+    cfg: ScenarioConfig,
+) -> tuple[Hierarchy, ArticleStore, tuple[np.ndarray, np.ndarray], list[ChangeRecord]]:
+    """`generate_columns` with the articles as an `ArticleStore`, which holds
+    no reference to the columns; articles with the same descriptors share
+    one tuple.  The articles are built with the cyclic collector paused,
+    since they hold no cycles; its state is restored after."""
+    hierarchy, columns, edges, changes = generate_columns(cfg)
+    rows = columns.rows(columns.vocabulary, month_from_index)
+    del columns
+    same: dict[tuple[str, ...], tuple[str, ...]] = {}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        store = ArticleStore({i: Article(i, month, same.setdefault(d, d), flag)
+                              for i, month, d, flag in rows})
+    finally:
+        if enabled:
+            gc.enable()
     return hierarchy, store, edges, changes

@@ -4,26 +4,20 @@ Oracles here deliberately avoid the library's own code paths: dense
 linear algebra for PageRank, explicit global set construction for
 disruption, plain double loops for category utility, a memoized
 recursion for the hierarchy propagation, a per-line loop for the
-citation TSV, a loop over the descriptor map for the evolution cohorts,
-and the text of a tree code for its level and its ancestors.
+citation TSV, one encoder call per article row for the articles file, a
+loop over the descriptor map for the evolution cohorts, and the text of a
+tree code for its level and its ancestors.
 """
 from __future__ import annotations
 
-import io
-from typing import Iterable
+import json
+from typing import Iterable, TextIO
 
 import numpy as np
 from scipy import sparse
 
 from kosrank.citegraph import CitationGraph, GraphError, build_graph
-from kosrank.corpus import (
-    Article,
-    ArticleColumns,
-    ArticleStore,
-    CorpusError,
-    parse_articles,
-    write_articles,
-)
+from kosrank.corpus import Article, ArticleColumns, ArticleStore, CorpusError
 from kosrank.hierarchy import Hierarchy, membership, parent_of
 
 _LETTERS = "ABCDEFGHIJKLMNOP"
@@ -152,13 +146,31 @@ def store_from_articles(articles: Iterable[Article]) -> ArticleStore:
     return ArticleStore(articles=table)
 
 
-def columns_of(store: ArticleStore) -> ArticleColumns:
-    """The columns that `parse_articles` gives for the file `write_articles`
-    writes from `store`."""
-    text = io.StringIO()
-    write_articles(store, text)
-    text.seek(0)
-    return parse_articles(text)
+def write_articles_oracle(store: ArticleStore, out: TextIO) -> None:
+    """One article per line, sorted by id, each row JSON-encoded on its own."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    for article_id in store.ids:
+        article = store.articles[int(article_id)]
+        row = {
+            "id": article.id,
+            "month": article.month,
+            "mesh": list(article.descriptors),
+            "retracted": article.retracted,
+        }
+        out.write(encode(row) + "\n")
+
+
+def assert_same_columns(got: ArticleColumns, want: ArticleColumns) -> None:
+    """Every field of `got` has the dtype and the values of `want`'s."""
+    assert got.vocabulary == want.vocabulary
+    for name in ("ids", "month_idx", "retracted"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), name
+    a, b = got.annotations, want.annotations
+    assert a.shape == b.shape
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.tolist()) == (y.dtype, y.tolist()), name
 
 
 def descriptors_of(columns: ArticleColumns, article_id: int) -> tuple[str, ...]:

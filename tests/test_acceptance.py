@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    annotation_matrix,
     codes_by_level,
-    columns_of,
     disruption_oracle,
     pagerank_oracle,
     pair_arrays,
@@ -29,7 +27,6 @@ from conftest import (
 from kosrank import citegraph, evaluate, fusion, graphmetrics, synthgen
 from kosrank.cli import main as cli_main
 from kosrank.config import PipelineConfig, write_config
-from kosrank.corpus import ArticleColumns
 from kosrank.hierarchy import Hierarchy, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 from kosrank.months import month_from_index, month_index, year_of
@@ -209,7 +206,7 @@ def test_criterion_3_worked_example_goldens():
 def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
     """Default scenario end to end, in memory; returns (p_ev, p_ret, means)."""
     scenario = synthgen.ScenarioConfig(seed=seed)
-    h, store, edges, changes = synthgen.generate(scenario)
+    h, columns, edges, changes = synthgen.generate_columns(scenario)
     last = month_from_index(month_index(scenario.first_month) + scenario.months - 1)
     cfg = PipelineConfig(
         first_month=scenario.first_month,
@@ -217,7 +214,7 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
         sample_fraction=0.10,
         base_seed=seed,
     )
-    arrays = ingest_arrays(h, columns_of(store), edges)
+    arrays = ingest_arrays(h, columns, edges)
     data = ingest_data(h, 0, changes, arrays)
     window = cfg.window()
     relevance: dict[str, np.ndarray] = {}  # fused values by position, 0 where unranked
@@ -244,10 +241,10 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
     for year in sorted({year_of(m) for m in window}):
         months = [m for m in window if year_of(m) == year]
         ids = np.unique(np.concatenate([members[m] for m in months]))
-        articles = [store.articles[i] for i in ids.tolist()]
+        at = np.searchsorted(data.ids, ids)
         retracted, other = evaluate.retraction_split(
-            h.incidence(*annotation_matrix([a.descriptors for a in articles]))[0],
-            np.array([a.retracted for a in articles], dtype=bool),
+            data.incidence[at],
+            data.retracted[at],
             [np.searchsorted(ids, members[m]) for m in months],
             [relevance[m] for m in months],
         )
@@ -375,12 +372,7 @@ def test_criterion_7_scale_smoke():
         pa_exponent=0.5,
         retraction_rate=0.0005,
     )
-    hierarchy, store, edges, _ = synthgen.generate(scenario)
-    # the columns `parse_articles` gives, without writing the text and reading it back
-    articles = [store.articles[i] for i in store.ids.tolist()]
-    vocabulary, annotations = annotation_matrix([a.descriptors for a in articles])
-    retracted = np.array([a.retracted for a in articles], dtype=bool)
-    columns = ArticleColumns(store.ids, store.month_idx, retracted, vocabulary, annotations)
+    hierarchy, columns, edges, _ = synthgen.generate_columns(scenario)
     data = ingest_data(hierarchy, 0, [], ingest_arrays(hierarchy, columns, edges))
     assert data.month_idx.max() <= month_index("2014-10")
     assert data.graph.num_edges >= 5_000_000

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import descriptors_of, store_from_articles
+from conftest import assert_same_columns, descriptors_of, store_from_articles, write_articles_oracle
 from kosrank import corpus
 from kosrank.corpus import Article, CorpusError, parse_articles, write_articles
 from kosrank.months import month_from_index, month_index
@@ -21,18 +21,6 @@ def parse_by_line(text):
 
 def months_of(columns):
     return [month_from_index(m) for m in columns.month_idx.tolist()]
-
-
-def assert_same_columns(got, want):
-    assert got.vocabulary == want.vocabulary
-    for name in ("ids", "month_idx", "retracted"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), name
-    a, b = got.annotations, want.annotations
-    assert a.shape == b.shape
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x.dtype, x.tolist()) == (y.dtype, y.tolist()), name
 
 
 def in_month(store, month):
@@ -171,15 +159,29 @@ class TestRoundTrip:
             '{"id":1,"month":"2014-01"}\n'
         )
         store = parse(text)
-        written = store_from_articles(
-            Article(i, month_from_index(m), descriptors_of(store, i), r)
-            for i, m, r in zip(*(a.tolist() for a in (store.ids, store.month_idx, store.retracted)))
-        )
         buffer = io.StringIO()
-        write_articles(written, buffer)
+        write_articles(store, buffer)
         again = parse(buffer.getvalue())
         assert_same_columns(again, store)
         assert descriptors_of(again, 2) == ("A", "B")
+
+    def test_writer_gives_the_per_row_text_of_parsed_columns(self):
+        # descriptor ids that JSON escapes: a quote, a backslash, non-ASCII
+        # and a control character; each article's in string order, as the
+        # columns list them
+        articles = [
+            Article(-3, "2013-12", ('D"1', "D\u2028")),
+            Article(1, "2014-01", ("D\x01", 'D"1', "D\\2", "Dé"), retracted=True),
+            Article(2, "2014-02", ()),  # no descriptors
+            Article(2**63 - 1, "2014-02", ("Dé", "D😀")),
+        ]
+        assert all(list(a.descriptors) == sorted(a.descriptors) for a in articles)
+        expected = io.StringIO()
+        write_articles_oracle(store_from_articles(articles), expected)
+        assert "\\u00e9" in expected.getvalue() and "\\u0001" in expected.getvalue()
+        written = io.StringIO()
+        write_articles(parse(expected.getvalue()), written)
+        assert written.getvalue() == expected.getvalue()
 
 
 GOOD = [

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import (
-    children_by_code, codes_by_level, columns_of, level_of, random_tree, usefulness_oracle,
+    children_by_code, codes_by_level, level_of, random_tree, usefulness_oracle,
 )
 from kosrank.hierarchy import Hierarchy, membership
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
-from kosrank.synthgen import ScenarioConfig, generate
+from kosrank.synthgen import ScenarioConfig, generate_columns
 
 
 def flat_two_category_tree():
@@ -206,8 +206,7 @@ class TestUsefulness:
     def test_sum_of_squares_adds_left_to_right_on_generated_months(self):
         # a compensated sum, which Python 3.12's `sum` over floats is, gives
         # other bits in each of these months
-        h, store, _, _ = generate(ScenarioConfig(seed=42, months=3))
-        columns = columns_of(store)
+        h, columns, _, _ = generate_columns(ScenarioConfig(seed=42, months=3))
         incidence, _ = h.incidence(columns.vocabulary, columns.annotations)
         n = len(h.codes)
         for month in np.unique(columns.month_idx).tolist():

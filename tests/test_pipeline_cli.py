@@ -211,10 +211,10 @@ COMPUTE_KEY_CHANGES = {
     "sample_fraction": 0.25, "base_seed": 12, "pagerank_alpha": 0.8, "pagerank_tol": 1e-6,
     "pagerank_max_iter": 50, "informativeness_mode": "surprisal", "last_month": "2014-05",
 }
-# The config keys that compute's record does not hold: the hierarchy is keyed
-# by its sha256 and the window by its months; compute's record vouches for its
-# outputs, not for the articles, citations and changes; rrf_k is each later
-# stage's own; and output_dir is where the record is.
+# The config keys that compute's record does not hold: the hierarchy and the
+# articles are keyed by their sha256 and the window by its months; compute's
+# record vouches for its outputs, not for the citations and changes; rrf_k is
+# each later stage's own; and output_dir is where the record is.
 UNKEYED_CONFIG_KEYS = ("hierarchy", "articles", "citations", "changes", "first_month",
                        "last_month", "rrf_k", "output_dir")
 
@@ -244,6 +244,22 @@ def test_stages_of_another_compute_config_are_a_one_line_error(tmp_path, capsys,
             assert (code, err) == (0, ""), stage
         else:
             assert (code, err) == (1, error), stage
+
+
+def test_evaluate_of_articles_that_compute_did_not_read_is_a_one_line_error(tmp_path, capsys):
+    # compute's record holds the sha256 of the articles it sampled; evaluate
+    # used to mix its samples with the annotations of a later ingest
+    cfg_path = make_config(tmp_path, base_seed=1, last_month="2014-03", sample_fraction=0.5)
+    generate_inputs(cfg_path, months=3, articles=300)
+    stages = ["ingest", "compute", "fuse", "evaluate"]
+    assert run_stages(cfg_path, stages, capsys) == [(0, "")] * len(stages)
+    cfg = load_config(cfg_path)
+    articles = Path(cfg.articles)
+    rows = [json.loads(line) for line in articles.read_text().splitlines()]
+    articles.write_text("".join(json.dumps({**row, "mesh": []} if k % 3 == 0 else row) + "\n"
+                                for k, row in enumerate(rows)))
+    assert run_stages(cfg_path, ["ingest", "evaluate"], capsys) == [
+        (0, ""), (1, compute_record_error(cfg))]
 
 
 class TestConfig:
@@ -468,10 +484,10 @@ class TestGenerate:
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(line for line in lines if not line.startswith("articles ")))
 
-        def generate(scenario):
+        def generate_columns(scenario):
             raise AssertionError("generate ran before the config paths were checked")
 
-        monkeypatch.setattr(synthgen, "generate", generate)
+        monkeypatch.setattr(synthgen, "generate_columns", generate_columns)
         assert main(["generate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: config does not set the articles path\n"
@@ -670,6 +686,8 @@ class TestComputeFuseTrendEvaluate:
         assert any(r["status"] == "ok" for r in rows if r["release"] == "2014AA")
 
     def test_member_missing_from_the_articles_is_a_one_line_error(self, prepared, capsys):
+        # compute's record holds the sha256 of the articles it sampled, so
+        # articles edited after compute are a stale record
         cfg_path, cfg = prepared
         for stage in ("compute", "fuse"):
             assert main([stage, "--config", str(cfg_path)]) == 0
@@ -682,7 +700,7 @@ class TestComputeFuseTrendEvaluate:
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {cfg.articles}: no article {member}, a sampled member of 2014\n"
+        assert err == compute_record_error(cfg)
 
     def test_evaluate_skips_without_changes(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path, changes="")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import math
@@ -7,13 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import assert_same_columns, descriptors_of, store_from_articles, write_articles_oracle
 from kosrank import synthgen
 from kosrank.citegraph import build_graph
 from kosrank.cli import main
 from kosrank.config import PipelineConfig, write_config
+from kosrank.corpus import Article, parse_articles, write_articles
 from kosrank.evaluate import write_changes
-from kosrank.months import month_index
-from kosrank.synthgen import InfeasibleConfigError, ScenarioConfig, generate
+from kosrank.months import month_from_index, month_index
+from kosrank.synthgen import InfeasibleConfigError, ScenarioConfig, generate, generate_columns
 
 
 def small_config(**kwargs):
@@ -287,8 +290,14 @@ class TestGenerate:
         # way to one sorted (article, descriptor) key; any change to the RNG
         # calls or their post-processing shows here.  `scenario` sets the
         # fields the CLI has no option for.
-        real = synthgen.generate
-        monkeypatch.setattr(synthgen, "generate", lambda s: real(replace(s, **scenario)))
+        generated = []
+        real = synthgen.generate_columns
+
+        def shaped(s):
+            generated.append(replace(s, **scenario))
+            return real(generated[-1])
+
+        monkeypatch.setattr(synthgen, "generate_columns", shaped)
         cfg = PipelineConfig(
             hierarchy=str(tmp_path / "hierarchy.tsv"),
             articles=str(tmp_path / "articles.jsonl"),
@@ -301,3 +310,62 @@ class TestGenerate:
         assert main(["generate", "--config", str(tmp_path / "pipeline.cfg"), *args]) == 0
         for name, digest in expected.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        # the articles are the per-row text of the store that `generate` builds
+        text = io.StringIO()
+        write_articles_oracle(generate(*generated)[1], text)
+        assert (tmp_path / "articles.jsonl").read_text() == text.getvalue()
+
+
+# Shapes of the columns: articles with and without descriptors, retracted or not
+COLUMN_SHAPES = [
+    dict(),
+    dict(retraction_rate=0.0),
+    dict(retraction_rate=1.0, descriptors_per_article_mean=9.0),
+    dict(descriptors_per_article_mean=0.0),
+    dict(months=1, articles_per_month=1, hierarchy_branching=(1,)),
+]
+
+
+class TestColumns:
+    @pytest.mark.parametrize("fields", COLUMN_SHAPES)
+    def test_columns_are_the_parse_of_their_text(self, fields):
+        _, columns, _, _ = generate_columns(small_config(**fields))
+        text = io.StringIO()
+        write_articles(columns, text)
+        text.seek(0)
+        assert_same_columns(parse_articles(text), columns)
+
+    @pytest.mark.parametrize("fields", COLUMN_SHAPES)
+    def test_generate_gives_the_store_of_the_columns(self, fields):
+        cfg = small_config(**fields)
+        h, columns, (citing, cited), changes = generate_columns(cfg)
+        got = generate(cfg)
+        rows = (a.tolist() for a in (columns.ids, columns.month_idx, columns.retracted))
+        store = store_from_articles(
+            Article(i, month_from_index(m), descriptors_of(columns, i), flag)
+            for i, m, flag in zip(*rows))
+        assert got[0] == h and got[1] == store and got[3] == changes
+        descriptors = [a.descriptors for a in got[1].articles.values()]
+        assert len(set(map(id, descriptors))) == len(set(descriptors))  # one tuple each
+        assert got[2][0].tolist() == citing.tolist() and got[2][1].tolist() == cited.tolist()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_generate_pauses_the_collector_and_restores_its_state(self, monkeypatch, enabled):
+        paused = []
+
+        def article(*fields):
+            paused.append(not gc.isenabled())
+            return Article(*fields)
+
+        monkeypatch.setattr(synthgen, "Article", article)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            generate(small_config(months=1))
+            assert gc.isenabled() == enabled
+            monkeypatch.setattr(synthgen, "Article", lambda *fields: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                generate(small_config(months=1))
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
+        assert paused and all(paused)
