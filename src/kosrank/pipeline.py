@@ -9,20 +9,19 @@ export_plots -> one SVG rank-trajectory chart per level scope
 Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
 
-`ingest`, `compute` and `fuse` also write `.npy` mirrors (see `mirror`) of
-the arrays they parsed or computed: `ingest/`, `compute.*` and `rankings.*`.
-A record names its sources by role, not by path, so a mirror moved with its
-inputs still matches.  `compute`'s record is the one interface to the later
-stages: they read the scores and members only from its arrays, as window
-month x aspect x node arrays in `ASPECTS` order, and fuse them into the
-window month x node arrays that `fuse` writes out (`_fused`); none reads a
-score, member or rankings CSV back.  That record holds the digests of the
-hierarchy and of the articles, the window, the node count and the
-`COMPUTE_KEYS` values; one that is missing or does not match is an error
-that says to rerun `compute`.  Only `run_evaluate`, which reads the
-articles too, checks their digest.  The
-rankings record holds the digests of the hierarchy and of compute's record,
-the same meta and `rrf_k`.
+`ingest` and `compute` also write `.npy` mirrors (see `mirror`) of the
+arrays they parsed or computed: `ingest/` and `compute.*`.  A record names
+its sources by role, not by path, so a mirror moved with its inputs still
+matches.  `compute`'s record is the one interface to the later stages: they
+read the node codes and levels, the scores and the members only from its
+arrays, the scores as window month x aspect x node arrays in `ASPECTS`
+order, and each fuses them at its own `rrf_k` into the window month x node
+arrays that `fuse` writes out (`_fused`).  So `fuse`, `trend` and
+`export_plots` parse no input, and no stage reads what `fuse` writes.  That
+record holds the digests of the hierarchy and of the articles, the window
+and the `COMPUTE_KEYS` values; one that is missing or does not match is an
+error that says to rerun `compute`.  Only `run_evaluate`, which reads the
+articles too, checks their digest.
 """
 from __future__ import annotations
 
@@ -48,8 +47,7 @@ from .scores import ASPECTS, RELEVANCE, write_rows, write_scores_csv
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
 TOP_K = 10  # the nodes in each top or bottom table and in each rank chart
-COMPUTE_ARRAYS = ("values", "scored", "ids", "indptr")
-RANKING_ARRAYS = ("rrf", "global_rank", "level_rank")
+COMPUTE_ARRAYS = ("codes", "level", "values", "scored", "ids", "indptr")
 # The config values `compute` reads, which its record holds beside the window
 COMPUTE_KEYS = ("sample_fraction", "base_seed", "pagerank_alpha", "pagerank_tol",
                 "pagerank_max_iter", "informativeness_mode")
@@ -137,10 +135,6 @@ def _parse(path: Path, parser):
             return parser(fh)
         except (CorpusError, citegraph.GraphError, HierarchyError, evaluate.EvaluationError) as exc:
             raise type(exc)(f"{path}: {exc}") from None
-
-
-def _read_hierarchy(cfg: PipelineConfig) -> tuple[Hierarchy, int]:
-    return _parse(_require(cfg.hierarchy, "hierarchy"), parse_hierarchy)
 
 
 def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> IngestData:
@@ -275,9 +269,10 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     _write_json(out / "manifest.json", manifest)
     # what the score text says: 0 where unscored, and "nan" reads back as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
-    arrays = (values, scored, np.concatenate(members), np.cumsum([0, *map(len, members)]))
+    arrays = (np.array(h.codes), h.level, values, scored, np.concatenate(members),
+              np.cumsum([0, *map(len, members)]))
     sources = {k: data.sources[k] for k in ("hierarchy", "articles")}
-    mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), sources, _compute_meta(cfg, h))
+    mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), sources, _compute_meta(cfg))
     return [str(p) for p in (*score_paths, *member_paths, out / "manifest.json")]
 
 
@@ -285,64 +280,52 @@ def _write_json(path: Path, obj: dict) -> None:
     mirror.write_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
-def _compute_meta(cfg: PipelineConfig, h: Hierarchy) -> dict:
-    """The meta of the compute mirror: the window, the node count and the
-    `COMPUTE_KEYS` values.  Its sources are the digests of the hierarchy and
-    of the articles."""
-    meta = {"months": cfg.window(), "nodes": len(h.codes)}
-    return {**meta, **{k: getattr(cfg, k) for k in COMPUTE_KEYS}}
+def _compute_meta(cfg: PipelineConfig) -> dict:
+    """The meta of the compute mirror: the window and the `COMPUTE_KEYS`
+    values.  Its sources are the digests of the hierarchy and of the articles."""
+    return {"months": cfg.window(), **{k: getattr(cfg, k) for k in COMPUTE_KEYS}}
 
 
-def _compute_outputs(cfg: PipelineConfig, h: Hierarchy, articles: str | None = None):
-    """compute's outputs, from its mirror: the window month x aspect x node
-    (values, scored), each window month's sampled article ids, their
-    `_fused` arrays at `rrf_k`, and the (sources, meta) key that the rankings
-    mirror is saved under, from one digest pass over the hierarchy and
-    compute's record.  The fused arrays come from the rankings mirror while
-    it matches, and then the scores and members are None unless the caller
-    gives `articles`, the sha256 of the articles it read, which must be the
-    articles compute read.  A compute record that is missing or does not
-    match is a PipelineError."""
+def _compute_outputs(cfg: PipelineConfig, sources: dict[str, str]):
+    """compute's outputs, from its mirror: the node codes, their levels, the
+    window month x aspect x node (values, scored), each window month's
+    sampled article ids and the `_fused` arrays of the scores at `rrf_k`.
+    `sources` holds the sha256 of each input that the caller read, by role,
+    each of which must be the file that compute read; a compute record that
+    is missing or does not match is a PipelineError."""
     out = Path(cfg.output_dir)
-    record = out / "compute.mirror.json"
-    stale = PipelineError(f"{record} is missing or does not match; rerun compute")
-    if not record.is_file():
-        raise stale
-    sources = mirror.digests({"hierarchy": cfg.hierarchy, record.name: record})
-    meta = _compute_meta(cfg, h)
-    key = sources, {**meta, "rrf_k": cfg.rrf_k}
-    fused = mirror.load(out / "rankings", RANKING_ARRAYS, *key)
-    fused = fused and tuple(fused[k] for k in RANKING_ARRAYS)
-    if fused and articles is None:
-        return None, None, fused, key
-    read = {"hierarchy": sources["hierarchy"]}  # the sources that the caller read
-    if articles is not None:
-        read["articles"] = articles
-    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, read, meta)
+    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, sources, _compute_meta(cfg))
     if arrays is None:
-        raise stale
-    values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
-    members = np.split(ids, indptr[1:-1])
-    return (values, scored), members, fused or _fused(h, values, scored, cfg.rrf_k), key
+        raise PipelineError(f"{out / 'compute.mirror.json'} is missing or does not match; "
+                            "rerun compute")
+    codes, level, values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
+    fused = _fused(level, values, scored, cfg.rrf_k)
+    return codes.tolist(), level, (values, scored), np.split(ids, indptr[1:-1]), fused
 
 
-def _scopes(h: Hierarchy, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """The rankings scopes of the `ranked` nodes and each scope's member
-    mask: global, then every level that holds a ranked node."""
-    levels = np.unique(h.level[ranked]).tolist()
-    return [("global", ranked)] + [(f"level-{lvl}", ranked & (h.level == lvl)) for lvl in levels]
+def _hierarchy_digest(cfg: PipelineConfig) -> dict[str, str]:
+    """The sources of a stage that parses no input: the hierarchy's sha256."""
+    return mirror.digests({"hierarchy": _require(cfg.hierarchy, "hierarchy")})
 
 
-def _fused(h: Hierarchy, values: np.ndarray, scored: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+def _scopes(level: np.ndarray, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """The rankings scopes of the `ranked` nodes, of the node `level`s, and
+    each scope's member mask: global, then every level that holds a ranked node."""
+    levels = np.unique(level[ranked]).tolist()
+    return [("global", ranked)] + [(f"level-{lvl}", ranked & (level == lvl)) for lvl in levels]
+
+
+def _fused(level: np.ndarray, values: np.ndarray, scored: np.ndarray,
+           k: int) -> tuple[np.ndarray, ...]:
     """The fused value, the global rank and the rank inside the node's level
     scope, each over window month x node position, of the window month x
     aspect x node scores; 0 where no aspect ranks the node."""
-    rrf = np.zeros((len(values), len(h.codes)))
+    rrf = np.zeros((len(values), len(level)))
     ranks = np.zeros((2, *rrf.shape), dtype=np.int64)  # global, then level
     for m, (month_values, month_scored) in enumerate(zip(values, scored)):
         aspect_ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(month_values, month_scored)]
         rrf[m] = fusion.rrf_fuse(aspect_ranks, k=k)
-        for scope, members in _scopes(h, rrf[m] > 0):  # ranked by some aspect
+        for scope, members in _scopes(level, rrf[m] > 0):  # ranked by some aspect
             rank = fusion.rank_by_aspect(rrf[m], members)
             ranks[int(scope != "global"), m, members] = rank[members]
     return rrf, *ranks
@@ -350,28 +333,25 @@ def _fused(h: Hierarchy, values: np.ndarray, scored: np.ndarray, k: int) -> tupl
 
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
-    h, _ = _read_hierarchy(cfg)
-    _, _, fused, (sources, meta) = _compute_outputs(cfg, h)
-    rrf, *ranks = fused
+    codes, level, _, _, (rrf, *ranks) = _compute_outputs(cfg, _hierarchy_digest(cfg))
     path = Path(cfg.output_dir) / "rankings.csv"
     rows = []
     for m, month in enumerate(cfg.window()):
         text = [format(v, ".17g") for v in rrf[m].tolist()]
-        for scope, members in _scopes(h, rrf[m] > 0):
+        for scope, members in _scopes(level, rrf[m] > 0):
             rank = ranks[int(scope != "global")][m]
             order = np.flatnonzero(members)[np.argsort(rank[members])].tolist()  # ranks 1..n
-            rows += [f"{month},{scope},{h.codes[i]},{text[i]},{r}" for r, i in enumerate(order, 1)]
+            rows += [f"{month},{scope},{codes[i]},{text[i]},{r}" for r, i in enumerate(order, 1)]
     write_rows(path, "month,scope,tree_code,rrf_value,rank", rows, cfg.config_hash())
-    mirror.save(Path(cfg.output_dir) / "rankings", dict(zip(RANKING_ARRAYS, fused)), sources, meta)
     return path
 
 
 def scope_mean_ranks(
-    h: Hierarchy, window: list[str], level_rank: np.ndarray
+    level: np.ndarray, window: list[str], level_rank: np.ndarray
 ) -> dict[str, tuple[list[int], np.ndarray, np.ndarray]]:
     """Level scope -> (the window's years, mean level rank per year x node,
-    mean level rank per node over the window), from the window month x node
-    fused `level_rank`.
+    mean level rank per node over the window), from the node `level`s and
+    the window month x node fused `level_rank`.
 
     A mean is 0 where the node is outside the scope or no month of that span
     ranks it.  Scopes ranked in no window month are left out.
@@ -380,28 +360,27 @@ def scope_mean_ranks(
     years = np.unique(month_years).tolist()
     yearly = np.array([fusion.mean_ranks(level_rank[month_years == y]) for y in years])
     window_means = fusion.mean_ranks(level_rank)
-    ranked_levels = np.unique(h.level[window_means > 0]).tolist()
+    ranked_levels = np.unique(level[window_means > 0]).tolist()
     return {
-        scope: (years, yearly * (h.level == lvl), window_means * (h.level == lvl))
+        scope: (years, yearly * (level == lvl), window_means * (level == lvl))
         for scope, lvl in sorted((f"level-{lvl}", lvl) for lvl in ranked_levels)
     }
 
 
 def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
     """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
-    h, _ = _read_hierarchy(cfg)
-    _, _, (_, _, level_rank), _ = _compute_outputs(cfg, h)
-    means = scope_mean_ranks(h, cfg.window(), level_rank)
+    codes, level, _, _, (_, _, level_rank) = _compute_outputs(cfg, _hierarchy_digest(cfg))
+    means = scope_mean_ranks(level, cfg.window(), level_rank)
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
 
     trends = [
-        f"{h.codes[i]},{h.level[i]},{format(slope, '.17g')},{years[y0]},{years[y1]}"
+        f"{codes[i]},{level[i]},{format(slope, '.17g')},{years[y0]},{years[y1]}"
         for years, yearly, _ in means.values()
         for i, slope, y0, y1 in zip(*(a.tolist() for a in fusion.rank_trend_slope(yearly)))
     ]
     tables = [
-        f"{scope},{kind},{position},{h.codes[i]},{format(float(window_means[i]), '.17g')}"
+        f"{scope},{kind},{position},{codes[i]},{format(float(window_means[i]), '.17g')}"
         for scope, (_, _, window_means) in means.items()
         for kind, sign in (("top", 1), ("bottom", -1))
         for position, i in enumerate(fusion.top_k(sign * window_means, TOP_K).tolist(), start=1)
@@ -415,9 +394,8 @@ def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
 def export_plots(cfg: PipelineConfig) -> tuple[int, Path]:
     """Write one SVG chart per level scope of its top `TOP_K` nodes' yearly
     mean ranks; return the number of charts and their directory."""
-    h, _ = _read_hierarchy(cfg)
-    _, _, (_, _, level_rank), _ = _compute_outputs(cfg, h)
-    means = scope_mean_ranks(h, cfg.window(), level_rank)
+    codes, level, _, _, (_, _, level_rank) = _compute_outputs(cfg, _hierarchy_digest(cfg))
+    means = scope_mean_ranks(level, cfg.window(), level_rank)
     out = Path(cfg.output_dir) / "plots"
     out.mkdir(parents=True, exist_ok=True)
     for scope, (years, yearly, window_means) in means.items():
@@ -426,7 +404,7 @@ def export_plots(cfg: PipelineConfig) -> tuple[int, Path]:
             f"top {len(nodes)} concepts, {scope}",
             [str(y) for y in years],
             # a mean of 0: no month of that year ranks the node, so no point
-            {h.codes[i]: [r or None for r in yearly[:, i].tolist()] for i in nodes},
+            {codes[i]: [r or None for r in yearly[:, i].tolist()] for i in nodes},
             config_hash=cfg.config_hash(),
         )
         mirror.write_file(out / f"rank_{scope}.svg", svg.encode())
@@ -459,8 +437,9 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     """
     data = ingest(cfg, citations=False, save=False)
     h = data.hierarchy
+    sources = {k: data.sources[k] for k in ("hierarchy", "articles")}
     # window month x series x node: the aspects, then the fused relevance
-    (values, scored), members, (rrf, rank, _), _ = _compute_outputs(cfg, h, data.sources["articles"])
+    _, _, (values, scored), members, (rrf, rank, _) = _compute_outputs(cfg, sources)
     values = np.concatenate([values, rrf[:, None]], axis=1)
     scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
     month_years = np.array([year_of(m) for m in cfg.window()])

@@ -761,6 +761,20 @@ class TestComputeFuseTrendEvaluate:
             assert main([stage, "--config", str(cfg_path)]) == 1
             assert capsys.readouterr().err == compute_record_error(cfg), stage
 
+    @pytest.mark.parametrize("stage", ["fuse", "trend", "export-plots"])
+    def test_rank_stage_without_the_hierarchy_is_a_one_line_error(self, prepared, capsys, stage):
+        # These stages parse no input, but the hierarchy's sha256 keys compute's record.
+        cfg_path, cfg = prepared
+        assert run_stages(cfg_path, ["compute", stage], capsys) == [(0, "")] * 2
+        out = Path(cfg.output_dir)
+        before, text = read_all_outputs(out), cfg_path.read_text()
+        missing = Path(cfg.hierarchy).with_name("hierarchy.missing")
+        for value, err in [("", "error: config does not set the hierarchy path\n"),
+                           (str(missing), f"error: hierarchy file not found: {missing}\n")]:
+            cfg_path.write_text(text + f'hierarchy = "{value}"\n')
+            assert run_stages(cfg_path, [stage], capsys) == [(1, err)], value
+        assert read_all_outputs(out) == before
+
     def test_missing_changes_file_is_an_error(self, prepared, capsys):
         cfg_path, cfg = prepared
         for stage in ("compute", "fuse"):
@@ -851,9 +865,8 @@ PINNED = {
 
 
 STAGE_MIRROR_FILES = {
-    "compute.mirror.json", "compute.values.npy", "compute.scored.npy", "compute.ids.npy",
-    "compute.indptr.npy", "rankings.mirror.json", "rankings.rrf.npy", "rankings.global_rank.npy",
-    "rankings.level_rank.npy",
+    "compute.mirror.json", "compute.codes.npy", "compute.level.npy", "compute.values.npy",
+    "compute.scored.npy", "compute.ids.npy", "compute.indptr.npy",
 }
 
 
@@ -1043,8 +1056,8 @@ def run_stages(cfg_path: Path, stages, capsys) -> list[tuple[int, str]]:
 
 def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
     """Each mirror array has the dtype, shape and bytes that the text
-    parsers return for the files it was made from, and the rankings those
-    that `_fused` gives of the parsed scores."""
+    parsers return for the files it was made from: compute's node codes and
+    levels those of the parsed hierarchy."""
     out, window = Path(cfg.output_dir), cfg.window()
     mirrored = {str(p.relative_to(out))[: -len(".npy")]: np.load(p) for p in out.rglob("*.npy")}
     with open(cfg.hierarchy) as fh:
@@ -1063,11 +1076,10 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
         path = out / "scores" / f"{ASPECTS[s]}_{window[k]}.csv"
         values[k, s], scored[k, s] = read_score_text(h, path, ASPECTS[s], window[k])
     members = [read_member_text(out / "members" / f"{m}.csv") for m in window]
+    parsed["compute.codes"], parsed["compute.level"] = np.array(h.codes), h.level
     parsed["compute.values"], parsed["compute.scored"] = values, scored
     parsed["compute.ids"] = np.concatenate(members)
     parsed["compute.indptr"] = np.cumsum([0, *map(len, members)])
-    rankings = ("rankings.rrf", "rankings.global_rank", "rankings.level_rank")
-    parsed.update(zip(rankings, pipeline._fused(h, values, scored, cfg.rrf_k)))
     assert mirrored.keys() == parsed.keys()
     for name, array in parsed.items():
         got = mirrored[name]
@@ -1109,7 +1121,7 @@ class TestMirrors:
         for stage in ("ingest", "compute", "fuse"):
             assert main([stage, "--config", str(cfg_path)]) == 0
         out = Path(cfg.output_dir)
-        records = ["ingest/annotations", "ingest/graph", "compute", "rankings"]
+        records = ["ingest/annotations", "ingest/graph", "compute"]  # fuse writes no mirror
         assert all((out / f"{name}.mirror.json").exists() for name in records)
         assert_mirrors_hold_parsed_arrays(cfg)
 
@@ -1238,15 +1250,15 @@ class TestMirrors:
     @pytest.mark.parametrize(
         "damage",
         ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "compute.values.npy",
-         "compute.ids.npy", "rankings.rrf.npy", "ingest/annotations.mirror.json",
-         "ingest/graph.mirror.json", "compute.mirror.json", "rankings.mirror.json",
-         "hierarchy-swapped", "window-changed", "code-changed", "rrf_k-changed"],
+         "compute.level.npy", "compute.ids.npy", "ingest/annotations.mirror.json",
+         "ingest/graph.mirror.json", "compute.mirror.json", "hierarchy-swapped",
+         "window-changed", "code-changed", "rrf_k-changed"],
     )
     def test_damaged_mirror_is_not_used(self, prepared, capsys, monkeypatch, mirror_loads, damage):
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
         name = Path(damage).name.split(".")[0]
-        producer = {"annotations": "ingest", "graph": "ingest", "rankings": "fuse",
+        producer = {"annotations": "ingest", "graph": "ingest",
                     "rrf_k-changed": "fuse"}.get(name, "compute")
         done = CHAIN.index(producer) + 1
         with monkeypatch.context() as m:
@@ -1263,7 +1275,6 @@ class TestMirrors:
             name = "compute"
         elif damage == "rrf_k-changed":
             cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")
-            name = "rankings"
         elif damage.endswith(".npy"):
             data = bytearray((out / damage).read_bytes())
             data[-1] ^= 1
@@ -1272,15 +1283,14 @@ class TestMirrors:
             (out / damage).unlink()
         mirror_loads.clear()
         damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
-        assert (name, True) not in mirror_loads
-        # a missing record is found before any load
-        assert (name, False) in mirror_loads or damage == "compute.mirror.json"
+        if damage == "rrf_k-changed":  # the scores do not depend on rrf_k
+            assert ("compute", True) in mirror_loads and ("compute", False) not in mirror_loads
+        else:
+            assert (name, True) not in mirror_loads and (name, False) in mirror_loads
         if name == "compute":  # compute's record is the later stages' one way to its outputs
             assert damaged[0] == [(1, compute_record_error(cfg))] * (len(CHAIN) - done)
             assert run_stages(cfg_path, ["compute"], capsys) == [(0, "")]
             damaged = run_stages(cfg_path, CHAIN[done:], capsys), results(out)
-        if damage == "rrf_k-changed":  # the scores do not depend on rrf_k
-            assert ("compute", True) in mirror_loads and ("compute", False) not in mirror_loads
         assert damaged[0] == [(0, "")] * (len(CHAIN) - done)
         drop_mirror_records(out)
         assert (run_stages(cfg_path, CHAIN[done:], capsys), results(out)) == damaged
@@ -1293,20 +1303,18 @@ class TestMirrors:
         before = results(out)
         del before["rankings.csv"]
         edit_line(path, lambda line: line.startswith("2014-01,global,"), lambda line: "x")
-        for change in ("edited", "deleted", "records-dropped"):
+        for change in ("edited", "deleted"):
             if change == "deleted":
                 path.unlink()
-            elif change == "records-dropped":  # fused again from compute's arrays
-                drop_mirror_records(out)
             mirror_loads.clear()
             assert run_stages(cfg_path, later, capsys) == [(0, "")] * len(later), change
-            assert ("rankings", change != "records-dropped") in mirror_loads, change
+            assert ("compute", True) in mirror_loads, change
+            assert ("compute", False) not in mirror_loads, change
             after = results(out)
             after.pop("rankings.csv", None)
             assert after == before, change
 
-    def test_rank_stages_load_only_the_rankings_mirror_while_it_matches(
-            self, prepared, capsys, mirror_loads):
+    def test_rank_stages_load_only_the_compute_mirror(self, prepared, capsys, mirror_loads):
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
@@ -1314,11 +1322,11 @@ class TestMirrors:
         for stage in ("trend", "export-plots"):
             mirror_loads.clear()
             assert run_stages(cfg_path, [stage], capsys) == [(0, "")]
-            assert mirror_loads == [("rankings", True)], stage
-        # evaluate reads the scores and the members themselves
+            assert mirror_loads == [("compute", True)], stage
+        # evaluate reads the annotations too
         mirror_loads.clear()
         assert run_stages(cfg_path, ["evaluate"], capsys) == [(0, "")]
-        assert mirror_loads == [("annotations", True), ("rankings", True), ("compute", True)]
+        assert mirror_loads == [("annotations", True), ("compute", True)]
         assert results(out) == before
 
     def test_later_stages_fuse_at_their_own_rrf_k(self, prepared, capsys):
@@ -1334,9 +1342,9 @@ class TestMirrors:
         for name in ("trends.csv", "tables.csv", "evolution_tests.json", "plots/rank_level-1.svg"):
             assert stale[1][name] != at_60[name], name
 
-    def test_rankings_mirror_follows_a_compute_rerun(self, prepared, capsys):
-        # The rankings record holds the digest of compute's record, so new
-        # scores from edited inputs are fused again.
+    def test_rank_stages_follow_a_compute_rerun_without_fuse(self, prepared, capsys):
+        # trend and export-plots fuse compute's arrays themselves, so new
+        # scores from edited inputs reach them before fuse runs again.
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
@@ -1361,7 +1369,7 @@ class TestMirrors:
         shutil.rmtree(out / "scores")
         shutil.rmtree(out / "members")
         (out / "rankings.csv").unlink()
-        drop_mirror_records(out)  # so fuse fuses compute's arrays again
+        drop_mirror_records(out)  # so evaluate parses its inputs again
         assert run_stages(cfg_path, later, capsys) == [(0, "")] * len(later)
         assert results(out) == {name: data for name, data in before.items()
                                 if not name.startswith(("scores/", "members/"))}
@@ -1382,18 +1390,36 @@ class TestMirrors:
                             lambda path, p: parsed.append(p.__name__) or parse(path, p))
         mirror_loads.clear()
         assert run_stages(copy_cfg, CHAIN[1:], capsys) == [(0, "")] * (len(CHAIN) - 1)
-        assert {name for name, _ in mirror_loads} == {"annotations", "graph", "compute", "rankings"}
+        assert {name for name, _ in mirror_loads} == {"annotations", "graph", "compute"}
         assert all(used for _, used in mirror_loads)
         assert set(parsed) == {"parse_hierarchy", "parse_changes"}
         assert results(copy / "out") == {name: data.replace(*hashes)
                                          for name, data in results(root / "out").items()}
+
+    def test_rank_stages_parse_nothing(self, prepared, capsys, monkeypatch):
+        # fuse, trend and export-plots take the node codes and levels from
+        # compute's record, not from the hierarchy text.
+        cfg_path, cfg = prepared
+        out, stages = Path(cfg.output_dir), ["fuse", "trend", "export-plots"]
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        before = results(out)
+        for name in ("rankings.csv", "trends.csv", "tables.csv"):
+            (out / name).unlink()
+        shutil.rmtree(out / "plots")
+        parsed = []
+        parse = pipeline._parse
+        monkeypatch.setattr(pipeline, "_parse",
+                            lambda path, p: parsed.append(p.__name__) or parse(path, p))
+        assert run_stages(cfg_path, stages, capsys) == [(0, "")] * len(stages)
+        assert parsed == []
+        assert results(out) == before
 
     def test_each_later_stage_hashes_the_compute_outputs_once(self, prepared, capsys,
                                                               monkeypatch):
         cfg_path, cfg = prepared
         out = Path(cfg.output_dir)
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
-        outputs = {cfg.hierarchy, str(out / "compute.mirror.json")}
+        hierarchy = {cfg.hierarchy}
         inputs = {cfg.hierarchy, cfg.articles, cfg.changes}
         passes = []
         digests = mirror.digests
@@ -1406,8 +1432,8 @@ class TestMirrors:
         for mirrored in (True, False):  # the passes do not depend on the records
             if not mirrored:
                 drop_mirror_records(out)
-            for stage, want in [("fuse", [outputs]), ("trend", [outputs]),
-                                ("evaluate", [inputs, outputs]), ("export-plots", [outputs])]:
+            for stage, want in [("fuse", [hierarchy]), ("trend", [hierarchy]),
+                                ("evaluate", [inputs]), ("export-plots", [hierarchy])]:
                 passes.clear()
                 assert run_stages(cfg_path, [stage], capsys) == [(0, "")]
                 assert passes == want, (stage, mirrored)
