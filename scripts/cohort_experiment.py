@@ -58,8 +58,8 @@ def run_seed(seed: int, months: int, articles_per_month: int, workdir: Path) -> 
         if code != 0:
             raise SystemExit(f"step {argv[0]} failed for seed {seed}")
 
-    evolution = json.loads((workdir / "out" / "evolution_tests.json").read_text())
-    retraction = json.loads((workdir / "out" / "retraction_tests.json").read_text())
+    evolution = json.loads((workdir / "out" / "evolution_tests.json").read_text(encoding="utf-8"))
+    retraction = json.loads((workdir / "out" / "retraction_tests.json").read_text(encoding="utf-8"))
     ev = [r for r in evolution["results"] if r["aspect"] == "relevance" and r["status"] == "ok"]
     ret = [r for r in retraction["results"] if r["aspect"] == "relevance" and r["status"] == "ok"]
     return {

@@ -20,8 +20,6 @@ from typing import Collection, Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .hierarchy import Hierarchy
-
 CHANGE_TYPES = ("description", "extension", "move", "removal")
 EXACT_LIMIT = 10  # per-group size cap for the exact path
 
@@ -133,27 +131,29 @@ def mann_whitney(a: Sequence[float], b: Sequence[float]) -> TestResult:
 
 
 def descriptor_sums(
-    h: Hierarchy, values: np.ndarray, given: np.ndarray
+    descriptor_nodes: sparse.csr_matrix, values: np.ndarray, given: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-descriptor sums of a node vector, or of each column of a node x
     month array, each in ascending code order, and which descriptors have a
-    given node; `values` and `given` are indexed by node position first."""
-    return h.descriptor_nodes @ values, (h.descriptor_nodes @ given.astype(np.int32)) > 0
+    given node, of the 0/1 descriptor x node `descriptor_nodes`; `values`
+    and `given` are indexed by node position first."""
+    return descriptor_nodes @ values, (descriptor_nodes @ given.astype(np.int32)) > 0
 
 
 def evolution_cohorts(
-    h: Hierarchy, values: np.ndarray, scored: np.ndarray, changed: Collection[str]
+    descriptors: Sequence[str], descriptor_nodes: sparse.csr_matrix, values: np.ndarray,
+    scored: np.ndarray, changed: Collection[str],
 ) -> tuple[list[float], list[float]]:
     """Per-descriptor sums of a node vector, split into (evolving, stable).
 
-    `values` and `scored` are laid out as for `descriptor_sums`; descriptors
-    with no scored node are left out, and `changed` holds the evolving
-    descriptor ids.  Both lists are in descriptor id order.  An empty
-    evolving list signals that the release had no evolving descriptors
-    and the statistical test should be skipped.
+    `descriptors` names the rows of `descriptor_nodes`; `values` and `scored`
+    are laid out as for `descriptor_sums`.  Descriptors with no scored node
+    are left out, `changed` holds the evolving ids, and both lists are in
+    `descriptors` order.  An empty evolving list signals that the release
+    had no evolving descriptors and the statistical test should be skipped.
     """
-    sums, given = descriptor_sums(h, values, scored)
-    evolving = np.array([d in changed for d in h.descriptors], dtype=bool)
+    sums, given = descriptor_sums(descriptor_nodes, values, scored)
+    evolving = np.array([d in changed for d in descriptors], dtype=bool)
     return sums[given & evolving].tolist(), sums[given & ~evolving].tolist()
 
 
@@ -169,14 +169,16 @@ def retraction_split(
     month k of the year lists its sampled members as row numbers in
     `member_rows[k]` and its node values in `node_vectors[k]`.  In each
     month a member scores the sum of its nodes' values (0 when it has no
-    annotations); its means are taken over the months it appears in.
+    annotations); its means are taken over the months it appears in, and
+    an article in none is left out.
     """
     sums = np.zeros(rows.shape[0], dtype=np.float64)
     counts = np.zeros(rows.shape[0], dtype=np.int64)
     for at, values in zip(member_rows, node_vectors):
-        np.add.at(sums, at, (rows @ values)[at])
+        np.add.at(sums, at, rows[at] @ values)
         np.add.at(counts, at, 1)
-    means = sums / counts
+    seen = counts > 0
+    means, retracted = sums[seen] / counts[seen], retracted[seen]
     return means[retracted].tolist(), means[~retracted].tolist()
 
 

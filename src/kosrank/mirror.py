@@ -7,8 +7,8 @@ its role rather than its path, and the sha256 of every array file.  `load`
 returns None unless all of them still match (of the sources, those that the
 caller read), so a stale mirror, or one from other code, is never used, while
 one copied with its sources still matches.
-`write_file` writes every stage output to a temporary name, then
-`os.replace`s it.
+`parse_utf8` reads every input file as UTF-8 text, and `write_file` writes
+every stage output to a temporary name, then `os.replace`s it.
 """
 from __future__ import annotations
 
@@ -34,6 +34,18 @@ def code_digest() -> str:
 def digests(paths: dict[str, str | Path]) -> dict[str, str]:
     """role -> sha256 of the bytes of the file at `paths[role]`."""
     return {role: hashlib.sha256(Path(p).read_bytes()).hexdigest() for role, p in paths.items()}
+
+
+def parse_utf8(path: Path, parser):
+    """`parser` of the file at `path`, open as UTF-8 text; a byte that is not
+    UTF-8 is a ValueError that names the path and the byte's line."""
+    with path.open(encoding="utf-8") as fh:
+        try:
+            return parser(fh)
+        except UnicodeDecodeError:  # its offset is into a decode buffer
+            lines = path.read_bytes().splitlines()  # as a text file counts them
+            bad = (n for n, b in enumerate(lines, 1) if b.decode("utf-8", "ignore").encode() != b)
+            raise ValueError(f"{path}: line {next(bad, 0)}: not UTF-8") from None
 
 
 def write_file(path: Path, data: bytes) -> None:

@@ -13,15 +13,15 @@ orderings are pinned so reruns (at any thread count) are byte-identical.
 arrays they parsed or computed: `ingest/` and `compute.*`.  A record names
 its sources by role, not by path, so a mirror moved with its inputs still
 matches.  `compute`'s record is the one interface to the later stages: they
-read the node codes and levels, the scores and the members only from its
-arrays, the scores as window month x aspect x node arrays in `ASPECTS`
-order, and each fuses them at its own `rrf_k` into the window month x node
-arrays that `fuse` writes out (`_fused`).  So `fuse`, `trend` and
-`export_plots` parse no input, and no stage reads what `fuse` writes.  That
-record holds the digests of the hierarchy and of the articles, the window
-and the `COMPUTE_KEYS` values; one that is missing or does not match is an
-error that says to rerun `compute`.  Only `run_evaluate`, which reads the
-articles too, checks their digest.
+read the node codes and levels, the scores, the members and, for
+`run_evaluate`, the descriptor map and the sampled articles' ids, node rows
+and retraction flags only from its arrays.  Each fuses the window month x
+aspect x node scores at its own `rrf_k` into the window month x node arrays
+that `fuse` writes out (`_fused`).  So `run_evaluate` parses only the change
+records, the other later stages no input, and no stage reads what `fuse`
+writes.  That record holds the digests of the hierarchy and of the articles,
+the window and the `COMPUTE_KEYS` values; one that is missing or does not
+match is an error that says to rerun `compute`.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from scipy import sparse
 from . import citegraph, evaluate, fusion, graphmetrics, infometrics, mirror, propagation
 from .config import PipelineConfig
 from .corpus import ArticleColumns, CorpusError, parse_articles
-from .evaluate import ChangeRecord
+from .evaluate import ChangeRecord, parse_changes
 from .hierarchy import Hierarchy, HierarchyError, parse_hierarchy
 from .months import month_index, normalize_month, year_of
 from .plots import rank_chart_svg
@@ -47,7 +47,9 @@ from .scores import ASPECTS, RELEVANCE, write_rows, write_scores_csv
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
 TOP_K = 10  # the nodes in each top or bottom table and in each rank chart
-COMPUTE_ARRAYS = ("codes", "level", "values", "scored", "ids", "indptr")
+COMPUTE_ARRAYS = ("codes", "level", "values", "scored", "ids", "indptr", "descriptors",
+                  "descriptor_indptr", "descriptor_indices", "sampled_ids", "sampled_indptr",
+                  "sampled_indices", "retracted")
 # The config values `compute` reads, which its record holds beside the window
 COMPUTE_KEYS = ("sample_fraction", "base_seed", "pagerank_alpha", "pagerank_tol",
                 "pagerank_max_iter", "informativeness_mode")
@@ -60,8 +62,7 @@ class PipelineError(RuntimeError):
 @dataclass
 class IngestData:
     """The parsed inputs: the hierarchy, the change records, the article
-    columns with their article x node incidence, and the citation graph,
-    None for a stage that does not read the citations."""
+    columns with their article x node incidence, and the citation graph."""
 
     hierarchy: Hierarchy
     autocreated_codes: int  # codes seen only through descriptor rows, no listing
@@ -71,7 +72,7 @@ class IngestData:
     retracted: np.ndarray  # bool
     incidence: sparse.csr_matrix  # article x node: rows over ids, columns over hierarchy.codes
     unknown_descriptor_refs: int
-    graph: citegraph.CitationGraph | None = None
+    graph: citegraph.CitationGraph
     sources: dict[str, str] = field(default_factory=dict)  # role -> sha256 of each file read
 
     def report_lines(self) -> list[str]:
@@ -90,31 +91,29 @@ class IngestData:
         ]
 
 
-def ingest_arrays(h: Hierarchy, articles: ArticleColumns, edges=None) -> dict[str, np.ndarray]:
+def ingest_arrays(h: Hierarchy, articles: ArticleColumns, edges) -> dict[str, np.ndarray]:
     """The ingest mirror arrays of parsed inputs: the article columns, the
-    pattern of their incidence on `h`, the unknown descriptor count and,
-    given the edges, the pattern of the graph's matrix and its drop counters."""
+    pattern of their incidence on `h`, the unknown descriptor count, and the
+    pattern of the graph's matrix of the `edges` and its drop counters."""
     m, unknown = h.incidence(articles.vocabulary, articles.annotations)
-    arrays = dict(ids=articles.ids, month_idx=articles.month_idx, retracted=articles.retracted,
-                  indptr=m.indptr, indices=m.indices, unknown=np.array(unknown))
-    if edges is not None:
-        g = citegraph.build_graph(edges, articles)  # it reads only the sorted `ids`
-        drops = [g.self_loops_dropped, g.unknown_dropped, g.duplicates_dropped]
-        arrays.update(out_indptr=g.matrix.indptr, out_targets=g.matrix.indices,
-                      dropped=np.array(drops))
-    return arrays
+    g = citegraph.build_graph(edges, articles)  # it reads only the sorted `ids`
+    drops = [g.self_loops_dropped, g.unknown_dropped, g.duplicates_dropped]
+    return dict(ids=articles.ids, month_idx=articles.month_idx, retracted=articles.retracted,
+                indptr=m.indptr, indices=m.indices, unknown=np.array(unknown),
+                out_indptr=g.matrix.indptr, out_targets=g.matrix.indices, dropped=np.array(drops))
+
+
+def _ones(indptr: np.ndarray, indices: np.ndarray, width: int, dtype=np.int32):
+    """The 0/1 CSR matrix of `width` columns with a stored pattern."""
+    return sparse.csr_matrix((np.ones(len(indices), dtype), indices, indptr),
+                             shape=(len(indptr) - 1, width))
 
 
 def ingest_data(h: Hierarchy, autocreated: int, changes, a: dict[str, np.ndarray]) -> IngestData:
     """The inputs that `ingest_arrays` laid out: each 0/1 matrix from its pattern."""
-    n = len(a["ids"])
-    ones = np.ones(len(a["indices"]), dtype=np.int32)  # the data `Hierarchy.incidence` gives
-    incidence = sparse.csr_matrix((ones, a["indices"], a["indptr"]), shape=(n, len(h.codes)))
-    graph = None
-    if "dropped" in a:
-        ones = np.ones(len(a["out_targets"]), dtype=bool)
-        matrix = sparse.csr_matrix((ones, a["out_targets"], a["out_indptr"]), shape=(n, n))
-        graph = citegraph.CitationGraph(a["ids"], matrix, *a["dropped"].tolist())
+    matrix = _ones(a["out_indptr"], a["out_targets"], len(a["ids"]), bool)
+    graph = citegraph.CitationGraph(a["ids"], matrix, *a["dropped"].tolist())
+    incidence = _ones(a["indptr"], a["indices"], len(h.codes))
     columns = (a["ids"], a["month_idx"], a["retracted"], incidence, int(a["unknown"]))
     return IngestData(h, autocreated, changes, *columns, graph)
 
@@ -129,36 +128,35 @@ def _require(path: str, what: str) -> Path:
 
 
 def _parse(path: Path, parser):
-    """`parser` of the open file at `path`; an input error names the path."""
-    with path.open() as fh:
-        try:
-            return parser(fh)
-        except (CorpusError, citegraph.GraphError, HierarchyError, evaluate.EvaluationError) as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+    """`parser` of the UTF-8 text file at `path`; an input error names the path."""
+    try:
+        return mirror.parse_utf8(path, parser)
+    except (CorpusError, citegraph.GraphError, HierarchyError, evaluate.EvaluationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def ingest(cfg: PipelineConfig, citations: bool = True, save: bool = True) -> IngestData:
-    """Parse and cross-validate the configured inputs, the citations if
-    `citations`, and with `save` mirror the parsed arrays under
-    `<output_dir>/ingest/`.  Without `save`, the arrays come from those
-    mirrors while they match their sources, else from parsing."""
-    names = ["hierarchy", "articles", "changes", "citations"][: 3 + citations]
+def ingest(cfg: PipelineConfig, save: bool = True) -> IngestData:
+    """Parse and cross-validate the configured inputs, and with `save` mirror
+    the parsed arrays under `<output_dir>/ingest/`.  Without `save`, the
+    arrays come from those mirrors while they match their sources, else
+    from parsing."""
+    names = ["hierarchy", "articles", "changes", "citations"]
     # A wrong path fails before any file is parsed, in the order they are read.
     paths = {n: _require(getattr(cfg, n), n) for n in names if n != "changes" or cfg.changes}
     digest = mirror.digests(paths)
-    of = lambda *keys: {k: digest[k] for k in keys if k in paths}  # noqa: E731
+    of = lambda *keys: {k: digest[k] for k in keys}  # noqa: E731
     hierarchy, autocreated = _parse(paths["hierarchy"], parse_hierarchy)
     at = Path(cfg.output_dir) / "ingest"
     mirrors = [(at / "annotations", ANNOTATION_ARRAYS, of("hierarchy", "articles"), {}),
-               (at / "graph", GRAPH_ARRAYS, of("articles", "citations"), {})][: 1 + citations]
+               (at / "graph", GRAPH_ARRAYS, of("articles", "citations"), {})]
     arrays = None
     if not save:
         parts = [mirror.load(*m) for m in mirrors]
         arrays = None if None in parts else {k: v for part in parts for k, v in part.items()}
     articles = _parse(paths["articles"], parse_articles) if arrays is None else None
-    changes = _parse(paths["changes"], evaluate.parse_changes) if "changes" in paths else []
+    changes = _parse(paths["changes"], parse_changes) if "changes" in paths else []
     if arrays is None:
-        edges = _parse(paths["citations"], citegraph.parse_citations) if citations else None
+        edges = _parse(paths["citations"], citegraph.parse_citations)
         arrays = ingest_arrays(hierarchy, articles, edges)
     if save:
         for stem, keys, sources, meta in mirrors:
@@ -269,8 +267,12 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     _write_json(out / "manifest.json", manifest)
     # what the score text says: 0 where unscored, and "nan" reads back as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
-    arrays = (np.array(h.codes), h.level, values, scored, np.concatenate(members),
-              np.cumsum([0, *map(len, members)]))
+    sampled, ids = np.zeros(len(data.ids), dtype=bool), np.concatenate(members)
+    sampled[np.searchsorted(data.ids, ids)] = True  # the window's sampled articles
+    rows, d = data.incidence[sampled], h.descriptor_nodes
+    arrays = (np.array(h.codes), h.level, values, scored, ids, np.cumsum([0, *map(len, members)]),
+              np.array(h.descriptors), d.indptr, d.indices, data.ids[sampled], rows.indptr,
+              rows.indices, data.retracted[sampled])
     sources = {k: data.sources[k] for k in ("hierarchy", "articles")}
     mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), sources, _compute_meta(cfg))
     return [str(p) for p in (*score_paths, *member_paths, out / "manifest.json")]
@@ -289,7 +291,7 @@ def _compute_meta(cfg: PipelineConfig) -> dict:
 def _compute_outputs(cfg: PipelineConfig, sources: dict[str, str]):
     """compute's outputs, from its mirror: the node codes, their levels, the
     window month x aspect x node (values, scored), each window month's
-    sampled article ids and the `_fused` arrays of the scores at `rrf_k`.
+    sampled article ids, `_fused` of the scores at `rrf_k`, and the arrays.
     `sources` holds the sha256 of each input that the caller read, by role,
     each of which must be the file that compute read; a compute record that
     is missing or does not match is a PipelineError."""
@@ -298,14 +300,14 @@ def _compute_outputs(cfg: PipelineConfig, sources: dict[str, str]):
     if arrays is None:
         raise PipelineError(f"{out / 'compute.mirror.json'} is missing or does not match; "
                             "rerun compute")
-    codes, level, values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS)
+    codes, level, values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS[:6])
     fused = _fused(level, values, scored, cfg.rrf_k)
-    return codes.tolist(), level, (values, scored), np.split(ids, indptr[1:-1]), fused
+    return codes.tolist(), level, (values, scored), np.split(ids, indptr[1:-1]), fused, arrays
 
 
-def _hierarchy_digest(cfg: PipelineConfig) -> dict[str, str]:
-    """The sources of a stage that parses no input: the hierarchy's sha256."""
-    return mirror.digests({"hierarchy": _require(cfg.hierarchy, "hierarchy")})
+def _sources(cfg: PipelineConfig, *roles: str) -> dict[str, str]:
+    """The sources of a later stage: the sha256 of each input of `roles`."""
+    return mirror.digests({role: _require(getattr(cfg, role), role) for role in roles})
 
 
 def _scopes(level: np.ndarray, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
@@ -333,7 +335,7 @@ def _fused(level: np.ndarray, values: np.ndarray, scored: np.ndarray,
 
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
-    codes, level, _, _, (rrf, *ranks) = _compute_outputs(cfg, _hierarchy_digest(cfg))
+    codes, level, _, _, (rrf, *ranks), _ = _compute_outputs(cfg, _sources(cfg, "hierarchy"))
     path = Path(cfg.output_dir) / "rankings.csv"
     rows = []
     for m, month in enumerate(cfg.window()):
@@ -369,7 +371,7 @@ def scope_mean_ranks(
 
 def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
     """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
-    codes, level, _, _, (_, _, level_rank) = _compute_outputs(cfg, _hierarchy_digest(cfg))
+    codes, level, _, _, (_, _, level_rank), _ = _compute_outputs(cfg, _sources(cfg, "hierarchy"))
     means = scope_mean_ranks(level, cfg.window(), level_rank)
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
@@ -394,7 +396,7 @@ def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
 def export_plots(cfg: PipelineConfig) -> tuple[int, Path]:
     """Write one SVG chart per level scope of its top `TOP_K` nodes' yearly
     mean ranks; return the number of charts and their directory."""
-    codes, level, _, _, (_, _, level_rank) = _compute_outputs(cfg, _hierarchy_digest(cfg))
+    codes, level, _, _, (_, _, level_rank), _ = _compute_outputs(cfg, _sources(cfg, "hierarchy"))
     means = scope_mean_ranks(level, cfg.window(), level_rank)
     out = Path(cfg.output_dir) / "plots"
     out.mkdir(parents=True, exist_ok=True)
@@ -432,14 +434,16 @@ def _cohort_test(
 def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     """Cohort tests for evolution and retraction, plus correlation matrices.
 
-    Reads the annotation data and the compute outputs, whose scores it
-    fuses as `fuse` does; the citations are not read.
+    Parses the change records and reads the rest from compute's record,
+    whose scores it fuses as `fuse` does.
     """
-    data = ingest(cfg, citations=False, save=False)
-    h = data.hierarchy
-    sources = {k: data.sources[k] for k in ("hierarchy", "articles")}
+    sources = _sources(cfg, "hierarchy", "articles")
+    changes = _parse(_require(cfg.changes, "changes"), parse_changes) if cfg.changes else []
+    codes, _, (values, scored), members, (rrf, rank, _), a = _compute_outputs(cfg, sources)
+    descriptors = a["descriptors"].tolist()
+    descriptor_nodes = _ones(a["descriptor_indptr"], a["descriptor_indices"], len(codes))
+    sampled_rows = _ones(a["sampled_indptr"], a["sampled_indices"], len(codes))
     # window month x series x node: the aspects, then the fused relevance
-    _, _, (values, scored), members, (rrf, rank, _) = _compute_outputs(cfg, sources)
     values = np.concatenate([values, rrf[:, None]], axis=1)
     scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
     month_years = np.array([year_of(m) for m in cfg.window()])
@@ -450,16 +454,17 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
 
     # Evolution: one test per (release, aspect) on per-descriptor yearly means.
     evolution_rows: list[dict] = []
-    for release in sorted({c.release for c in data.changes}):
+    for release in sorted({c.release for c in changes}):
         in_year = month_years == int(release[:4])
         reason = "empty cohort" if in_year.any() else "no window months"
-        changed = {c.descriptor_id for c in data.changes if c.release == release}
+        changed = {c.descriptor_id for c in changes if c.release == release}
         for s, name in enumerate(series_names):
             # node values averaged over the release year's months (summed one
             # month at a time), then summed per descriptor inside evolution_cohorts
             sums, counts = values[in_year, s].sum(axis=0), scored[in_year, s].sum(axis=0)
             means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-            cohorts = evaluate.evolution_cohorts(h, means, counts > 0, changed)
+            cohorts = evaluate.evolution_cohorts(descriptors, descriptor_nodes, means, counts > 0,
+                                                 changed)
             keys = ("mean_evolving", "mean_stable")
             evolution_rows.append(
                 _cohort_test(*cohorts, keys, reason, release=release, aspect=name)
@@ -467,17 +472,14 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     _write_json(written[0], {"config_hash": chash, "results": evolution_rows})
 
     # Retraction: one test per (year, aspect) on yearly per-article means.
-    # The year's sampled members and their incidence rows serve every series.
+    # The year's members, as rows of the window's sampled articles, serve every series.
     retraction_rows: list[dict] = []
     for year in np.unique(month_years).tolist():
         in_year = month_years == year
-        member_ids = [m for m, y in zip(members, in_year) if y]
-        ids = np.unique(np.concatenate(member_ids))  # compute's articles are these, by digest
-        at = np.searchsorted(data.ids, ids)
-        rows, retracted = data.incidence[at], data.retracted[at]
-        member_rows = [np.searchsorted(ids, m) for m in member_ids]
+        member_rows = [np.searchsorted(a["sampled_ids"], m) for m, y in zip(members, in_year) if y]
         for s, name in enumerate(series_names):
-            cohorts = evaluate.retraction_split(rows, retracted, member_rows, values[in_year, s])
+            cohorts = evaluate.retraction_split(sampled_rows, a["retracted"], member_rows,
+                                                values[in_year, s])
             keys = ("mean_retracted", "mean_other")
             retraction_rows.append(_cohort_test(*cohorts, keys, year=year, aspect=name))
     _write_json(written[1], {"config_hash": chash, "results": retraction_rows})
@@ -486,7 +488,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     # pairs scored in every series.  Each series is laid out descriptor-major,
     # month-minor, which is the sorted order of those pairs.
     by_descriptor = [
-        evaluate.descriptor_sums(h, values[:, s].T, scored[:, s].T)
+        evaluate.descriptor_sums(descriptor_nodes, values[:, s].T, scored[:, s].T)
         for s in range(len(series_names))
     ]
     in_all = np.logical_and.reduce([given.ravel() for _, given in by_descriptor])

@@ -232,7 +232,8 @@ def _run_cohort_scenario(seed: int) -> tuple[float, float, float, float]:
     counts = sum((rrf > 0).astype(np.int64) for rrf in year)
     node_means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     evolving, stable = evaluate.evolution_cohorts(
-        h, node_means, counts > 0, {c.descriptor_id for c in changes}
+        h.descriptors, h.descriptor_nodes, node_means, counts > 0,
+        {c.descriptor_id for c in changes}
     )
     p_evolution = evaluate.mann_whitney(evolving, stable).p_value
 

@@ -181,7 +181,9 @@ def cohort_fixture():
 class TestEvolutionCohorts:
     def test_partition(self):
         h, node_values = cohort_fixture()
-        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), {"DX2"})
+        evolving, stable = evolution_cohorts(
+            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), {"DX2"}
+        )
         assert evolving == [pytest.approx(0.07)]
         assert len(stable) == 3
         # DX4 spans two codes and sums them
@@ -189,13 +191,17 @@ class TestEvolutionCohorts:
 
     def test_no_changes_signals_skip(self):
         h, node_values = cohort_fixture()
-        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), set())
+        evolving, stable = evolution_cohorts(
+            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), set()
+        )
         assert evolving == []
         assert len(stable) == 4
 
     def test_exhaustive_and_disjoint(self):
         h, node_values = cohort_fixture()
-        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), {"DX1"})
+        evolving, stable = evolution_cohorts(
+            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), {"DX1"}
+        )
         assert len(evolving) + len(stable) == 4
 
     def test_boosted_cohort_scores_higher(self):
@@ -209,7 +215,9 @@ class TestEvolutionCohorts:
         for i, c in enumerate(codes):
             base = float(rng.random())
             node_values[c] = base * (2.5 if f"D{i}" in changed else 1.0)
-        evolving, stable = evolution_cohorts(h, *h.node_vector(node_values), changed)
+        evolving, stable = evolution_cohorts(
+            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), changed
+        )
         assert np.mean(evolving) > np.mean(stable)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -226,9 +234,8 @@ class TestEvolutionCohorts:
         }
         changed = {d for d in descriptor_map if rng.random() < 0.3}
         values, scored = h.node_vector(node_means)
-        assert evolution_cohorts(h, values, scored, changed) == evolution_cohorts_oracle(
-            h, node_means, changed
-        )
+        cohorts = evolution_cohorts(h.descriptors, h.descriptor_nodes, values, scored, changed)
+        assert cohorts == evolution_cohorts_oracle(h, node_means, changed)
 
 
 class TestRetractionCohorts:
@@ -254,6 +261,17 @@ class TestRetractionCohorts:
         )
         assert retracted == []
         assert other == [pytest.approx(0.17)]
+
+    def test_article_in_no_month_is_left_out(self):
+        # The rows may cover more articles than the year samples, as the
+        # window's sampled articles do for each year of the window.
+        h = Hierarchy({"A01": ""}, {"DA": {"A01"}})
+        rows, _ = h.incidence(*annotation_matrix([("DA",), ("DA",), ("DA",)]))
+        retracted, other = retraction_split(
+            rows, np.array([True, True, False]), [np.array([1, 2])],
+            [h.node_vector({"A01": 0.17})[0]],
+        )
+        assert (retracted, other) == ([0.17], [0.17])
 
 
 class TestCorrelation:

@@ -458,6 +458,22 @@ class TestIngest:
         assert main(["ingest", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: line {len(lines)}: {reason}\n"
 
+    @pytest.mark.parametrize("what", ["hierarchy", "articles", "citations", "changes", "config"])
+    def test_byte_that_is_not_utf8_is_a_one_line_error(self, tmp_path, capsys, what):
+        """A line with a byte that is not UTF-8, put halfway into an input
+        file, fails `ingest` with one line that names the file and that
+        line, not the byte's offset into a decode buffer."""
+        cfg_path = make_config(tmp_path)
+        generate_inputs(cfg_path)
+        path = cfg_path if what == "config" else Path(getattr(load_config(cfg_path), what))
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = len(lines) // 2
+        lines.insert(at, b"2014\xff\tD1\tmove\n")
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line {at + 1}: not UTF-8\n"
+
     def test_missing_citations_file_fails_with_path(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path)
         generate_inputs(cfg_path)
@@ -866,7 +882,10 @@ PINNED = {
 
 STAGE_MIRROR_FILES = {
     "compute.mirror.json", "compute.codes.npy", "compute.level.npy", "compute.values.npy",
-    "compute.scored.npy", "compute.ids.npy", "compute.indptr.npy",
+    "compute.scored.npy", "compute.ids.npy", "compute.indptr.npy", "compute.descriptors.npy",
+    "compute.descriptor_indptr.npy", "compute.descriptor_indices.npy",
+    "compute.sampled_ids.npy", "compute.sampled_indptr.npy", "compute.sampled_indices.npy",
+    "compute.retracted.npy",
 }
 
 
@@ -1056,8 +1075,10 @@ def run_stages(cfg_path: Path, stages, capsys) -> list[tuple[int, str]]:
 
 def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
     """Each mirror array has the dtype, shape and bytes that the text
-    parsers return for the files it was made from: compute's node codes and
-    levels those of the parsed hierarchy."""
+    parsers return for the files it was made from: compute's node codes,
+    levels, descriptors and descriptor x node pattern those of the parsed
+    hierarchy, and its sampled rows and flags those of the ingest incidence
+    and the parsed articles at the ids of the window's members."""
     out, window = Path(cfg.output_dir), cfg.window()
     mirrored = {str(p.relative_to(out))[: -len(".npy")]: np.load(p) for p in out.rglob("*.npy")}
     with open(cfg.hierarchy) as fh:
@@ -1080,6 +1101,15 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
     parsed["compute.values"], parsed["compute.scored"] = values, scored
     parsed["compute.ids"] = np.concatenate(members)
     parsed["compute.indptr"] = np.cumsum([0, *map(len, members)])
+    parsed["compute.descriptors"] = np.array(h.descriptors)
+    parsed["compute.descriptor_indptr"] = h.descriptor_nodes.indptr
+    parsed["compute.descriptor_indices"] = h.descriptor_nodes.indices
+    sampled = np.isin(articles.ids, parsed["compute.ids"])
+    incidence, _ = h.incidence(articles.vocabulary, articles.annotations)
+    parsed["compute.sampled_ids"] = articles.ids[sampled]
+    parsed["compute.sampled_indptr"] = incidence[sampled].indptr
+    parsed["compute.sampled_indices"] = incidence[sampled].indices
+    parsed["compute.retracted"] = articles.retracted[sampled]
     assert mirrored.keys() == parsed.keys()
     for name, array in parsed.items():
         got = mirrored[name]
@@ -1176,19 +1206,19 @@ class TestMirrors:
 
     def test_changes_edit_keeps_the_annotation_mirror(self, prepared, capsys, mirror_loads):
         # No annotation array depends on the change records, which every
-        # stage that reads them parses again.
+        # stage that reads them parses again: compute, rerun, keeps using the
+        # annotations mirror, and evaluate its record.
         cfg_path, cfg = prepared
-        out = Path(cfg.output_dir)
-        stages = ["ingest", "compute", "fuse", "evaluate"]
-        assert run_stages(cfg_path, stages, capsys) == [(0, "")] * len(stages)
+        out, stages = Path(cfg.output_dir), ["compute", "evaluate"]
+        assert run_stages(cfg_path, ["ingest", *stages], capsys) == [(0, "")] * 3
         before = results(out)
         edit_line(Path(cfg.changes), lambda line: True, lambda line: f"# {line}")
         mirror_loads.clear()
-        edited = run_stages(cfg_path, ["evaluate"], capsys), results(out)
-        assert ("annotations", True) in mirror_loads and ("annotations", False) not in mirror_loads
-        assert edited[0] == [(0, "")] and edited[1] != before
+        edited = run_stages(cfg_path, stages, capsys), results(out)
+        assert mirror_loads == [("annotations", True), ("graph", True), ("compute", True)]
+        assert edited[0] == [(0, "")] * 2 and edited[1] != before
         drop_mirror_records(out)
-        assert (run_stages(cfg_path, ["evaluate"], capsys), results(out)) == edited
+        assert (run_stages(cfg_path, stages, capsys), results(out)) == edited
 
     def test_score_mirror_keeps_the_bits_the_reader_gives(self, prepared, monkeypatch):
         cfg_path, cfg = prepared
@@ -1250,7 +1280,8 @@ class TestMirrors:
     @pytest.mark.parametrize(
         "damage",
         ["ingest/annotations.ids.npy", "ingest/graph.out_targets.npy", "compute.values.npy",
-         "compute.level.npy", "compute.ids.npy", "ingest/annotations.mirror.json",
+         "compute.level.npy", "compute.ids.npy", "compute.sampled_indices.npy",
+         "ingest/annotations.mirror.json",
          "ingest/graph.mirror.json", "compute.mirror.json", "hierarchy-swapped",
          "window-changed", "code-changed", "rrf_k-changed"],
     )
@@ -1319,14 +1350,28 @@ class TestMirrors:
         out = Path(cfg.output_dir)
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
         before = results(out)
-        for stage in ("trend", "export-plots"):
+        for stage in ("trend", "evaluate", "export-plots"):
             mirror_loads.clear()
             assert run_stages(cfg_path, [stage], capsys) == [(0, "")]
             assert mirror_loads == [("compute", True)], stage
-        # evaluate reads the annotations too
+        assert results(out) == before
+
+    def test_evaluate_parses_only_the_changes(self, prepared, capsys, monkeypatch, mirror_loads):
+        # evaluate takes the descriptors, their nodes and the sampled
+        # articles' rows and flags from compute's record, so it needs no
+        # ingest output and parses neither the hierarchy nor the articles.
+        cfg_path, cfg = prepared
+        out = Path(cfg.output_dir)
+        assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
+        before = results(out)
+        shutil.rmtree(out / "ingest")
+        parsed = []
+        parse = pipeline._parse
+        monkeypatch.setattr(pipeline, "_parse",
+                            lambda path, p: parsed.append(p.__name__) or parse(path, p))
         mirror_loads.clear()
         assert run_stages(cfg_path, ["evaluate"], capsys) == [(0, "")]
-        assert mirror_loads == [("annotations", True), ("compute", True)]
+        assert (parsed, mirror_loads) == (["parse_changes"], [("compute", True)])
         assert results(out) == before
 
     def test_later_stages_fuse_at_their_own_rrf_k(self, prepared, capsys):
@@ -1369,7 +1414,7 @@ class TestMirrors:
         shutil.rmtree(out / "scores")
         shutil.rmtree(out / "members")
         (out / "rankings.csv").unlink()
-        drop_mirror_records(out)  # so evaluate parses its inputs again
+        drop_mirror_records(out)  # no later stage reads an ingest record
         assert run_stages(cfg_path, later, capsys) == [(0, "")] * len(later)
         assert results(out) == {name: data for name, data in before.items()
                                 if not name.startswith(("scores/", "members/"))}
@@ -1420,7 +1465,7 @@ class TestMirrors:
         out = Path(cfg.output_dir)
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
         hierarchy = {cfg.hierarchy}
-        inputs = {cfg.hierarchy, cfg.articles, cfg.changes}
+        inputs = {cfg.hierarchy, cfg.articles}  # evaluate parses the changes, unhashed
         passes = []
         digests = mirror.digests
 
