@@ -18,7 +18,7 @@ from typing import Iterable, TextIO
 import numpy as np
 from scipy import sparse
 
-from .corpus import ID_RANGE, ArticleStore
+from .corpus import ID_RANGE, ArticleStore, decimal_rows
 
 
 class GraphError(ValueError):
@@ -192,5 +192,8 @@ def _parse_citation_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]
     return np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
 
 
-def write_citations(citing: np.ndarray, cited: np.ndarray, out) -> None:
-    out.write("".join([f"{u}\t{v}\n" for u, v in zip(citing.tolist(), cited.tolist())]))
+def write_citations(citing: np.ndarray, cited: np.ndarray, out: TextIO) -> None:
+    """Write the edges (citing[k], cited[k]) as the `citing \\t cited` TSV
+    lines that `parse_citations` reads back, in order, each id in decimal:
+    the text of one `decimal_rows` over both columns."""
+    out.write(decimal_rows(citing, b"\t", cited, b"\n"))

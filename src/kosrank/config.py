@@ -103,7 +103,8 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
         raise ConfigError(f"config file not found: {path}")
     known = {f.name: f.type for f in fields(PipelineConfig)}
     values: dict[str, object] = {}
-    lines = mirror.parse_utf8(path, lambda fh: fh.read().splitlines())
+    # only "\n" ends a line, as the file counts them: str.splitlines also breaks at "\f"
+    lines = mirror.parse_utf8(path, lambda fh: fh.read().split("\n"))
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -4,8 +4,10 @@ Input format is JSON lines, one article per line:
     {"id": 123, "month": "2014-01", "mesh": ["D011506"], "retracted": false}
 `mesh` (descriptor id strings) defaults to [] and `retracted` to false;
 day-level dates in `month` are truncated to the month.  Parsing builds no
-`Article` objects but `ArticleColumns`, which `write_articles` writes back;
-`ArticleStore` is the form of `synthgen.generate`, an adapter.
+`Article` objects but `ArticleColumns`, which `write_articles` writes back
+with no per-row format, its ids by `decimal_rows`, as are the citations;
+`ArticleStore` is the form of `synthgen.generate`, an adapter, and the one
+caller of `ArticleColumns.rows`.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -83,14 +85,12 @@ class ArticleColumns:
     vocabulary: tuple[str, ...]  # the sorted descriptor ids that any article lists
     annotations: sparse.csr_matrix  # article x vocabulary, 1 where the article lists it
 
-    def rows(self, names: Sequence[str], month_name: Callable[[int], str]) -> Iterator[tuple]:
-        """(id, month, descriptors, retracted) of each article in id order: a
-        descriptor as its entry of `names`, which is aligned with `vocabulary`,
-        and a month as `month_name` of its index, called once per distinct
-        month.  The rows hold no reference to the columns."""
+    def rows(self) -> Iterator[tuple]:
+        """(id, month, descriptors, retracted) of each article in id order;
+        the rows hold no reference to the columns."""
         m = self.annotations
-        texts = iter(np.array(names, dtype=object)[m.indices].tolist())
-        months = {k: month_name(k) for k in np.unique(self.month_idx).tolist()}
+        texts = iter(np.array(self.vocabulary, dtype=object)[m.indices].tolist())
+        months = {k: month_from_index(k) for k in np.unique(self.month_idx).tolist()}
         return ((i, months[k], tuple(islice(texts, n)), flag) for i, k, n, flag in zip(
             self.ids.tolist(), self.month_idx.tolist(), np.diff(m.indptr).tolist(),
             self.retracted.tolist()))
@@ -194,12 +194,57 @@ def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
+def decimal_rows(*parts: bytes | np.ndarray) -> str:
+    """The ASCII text of rows that each join `parts`: a bytes part as it is,
+    an int64 array part as the row's entry in decimal.  It is cut at once from
+    a uint8 matrix, a column per row and a row per byte, sign or digit place,
+    by a mask that keeps the significant digits and the signs of negatives."""
+    n = next(len(p) for p in parts if not isinstance(p, bytes))
+    blocks = []  # each part's rows: (its bytes or signs, None or its magnitudes, their count)
+    for part in parts:
+        if isinstance(part, bytes):
+            blocks.append((part, None, len(part)))
+        else:
+            ids = np.asarray(part, dtype=np.int64)
+            mag = np.where(ids < 0, -ids.view(np.uint64), ids.view(np.uint64))  # |-2**63| fits
+            digits = len(str(mag.max())) if n else 1
+            # divmod runs faster in uint32, which holds every 9-digit magnitude
+            blocks.append((ids < 0, mag.astype(np.uint32) if digits <= 9 else mag, 1 + digits))
+    text = np.empty((sum(rows for *_, rows in blocks), n), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    at = 0
+    for head, mag, rows in blocks:
+        if mag is None:
+            text[at : at + rows] = np.frombuffer(head, dtype=np.uint8)[:, None]
+        else:
+            for r in range(at + rows - 1, at, -1):  # the digits, last first
+                mag, digit = np.divmod(mag, 10)
+                text[r] = digit + ord("0")
+                keep[r - 1] = mag > 0  # the place above holds a digit while any is left
+            text[at], keep[at] = ord("-"), head
+        at += rows
+    return text.T[keep.T].tobytes().decode("ascii")
+
+
 def write_articles(columns: ArticleColumns, out: TextIO) -> None:
     """Write one JSON line per article, in id order, with the text that
     `json.JSONEncoder(sort_keys=True)` gives each row; round-trips through
-    parse.  Each descriptor id and each month is encoded once."""
+    parse.  The text is one join of an array of pieces: each article's head,
+    its descriptors from a table of their encodings, with `, ` after all but
+    the last, and a tail from a (month x retracted) table."""
     encode = json.JSONEncoder(sort_keys=True).encode
-    rows = columns.rows([*map(encode, columns.vocabulary)], lambda k: encode(month_from_index(k)))
-    out.write("".join([
-        f'{{"id": {i}, "mesh": [{", ".join(mesh)}], "month": {month}, '
-        f'"retracted": {"true" if flag else "false"}}}\n' for i, month, mesh, flag in rows]))
+    m, n = columns.annotations, len(columns.ids)
+    sizes = np.diff(m.indptr)
+    words = [*map(encode, columns.vocabulary)]
+    table = np.array([word + ", " for word in words] + words, dtype=object)  # with ", ", without
+    months, month_of = np.unique(columns.month_idx, return_inverse=True)
+    tails = np.array([f'], "month": {encode(month_from_index(k))}, "retracted": {flag}}}\n'
+                      for k in months.tolist() for flag in ("false", "true")], dtype=object)
+    row = np.repeat(np.arange(n), sizes)  # each descriptor's article
+    last = np.diff(row, append=n) > 0  # an article's last descriptor, which has no ", "
+    heads = m.indptr[:-1] + 2 * np.arange(n)  # piece k of article i is at heads[i] + k
+    pieces = np.empty(m.nnz + 2 * n, dtype=object)
+    pieces[heads] = decimal_rows(b'{"id": ', columns.ids, b', "mesh": [\n').splitlines()
+    pieces[np.arange(m.nnz) + 2 * row + 1] = table[m.indices + len(words) * last]
+    pieces[heads + sizes + 1] = tails[2 * month_of + columns.retracted]
+    out.write("".join(pieces.tolist()))

@@ -38,14 +38,16 @@ def digests(paths: dict[str, str | Path]) -> dict[str, str]:
 
 def parse_utf8(path: Path, parser):
     """`parser` of the file at `path`, open as UTF-8 text; a byte that is not
-    UTF-8 is a ValueError that names the path and the byte's line."""
+    UTF-8 is a ValueError that names the path and the byte's line, unless
+    `parser` fails on the lines before it, which then gives the error."""
     with path.open(encoding="utf-8") as fh:
         try:
             return parser(fh)
         except UnicodeDecodeError:  # its offset is into a decode buffer
-            lines = path.read_bytes().splitlines()  # as a text file counts them
-            bad = (n for n, b in enumerate(lines, 1) if b.decode("utf-8", "ignore").encode() != b)
-            raise ValueError(f"{path}: line {next(bad, 0)}: not UTF-8") from None
+            lines = path.read_bytes().splitlines(keepends=True)  # as a text file counts them
+    bad = next(n for n, b in enumerate(lines) if b.decode("utf-8", "ignore").encode() != b)
+    parser(io.TextIOWrapper(io.BytesIO(b"".join(lines[:bad])), encoding="utf-8"))
+    raise ValueError(f"{path}: line {bad + 1}: not UTF-8")
 
 
 def write_file(path: Path, data: bytes) -> None:

@@ -23,7 +23,7 @@ from scipy import sparse
 from .corpus import Article, ArticleColumns, ArticleStore
 from .evaluate import CHANGE_TYPES, ChangeRecord
 from .hierarchy import Hierarchy
-from .months import month_from_index, month_index, normalize_month, year_of
+from .months import month_index, normalize_month, year_of
 
 _CATEGORY_LETTERS = "ABCDEFGHIJKLMNOP"  # at most 16 level-1 categories
 POLYHIERARCHY_FRACTION, ZIPF_EXPONENT, EVOLVING_BOOST = 0.10, 0.5, 2.5
@@ -222,7 +222,7 @@ def generate(
     one tuple.  The articles are built with the cyclic collector paused,
     since they hold no cycles; its state is restored after."""
     hierarchy, columns, edges, changes = generate_columns(cfg)
-    rows = columns.rows(columns.vocabulary, month_from_index)
+    rows = columns.rows()
     del columns
     same: dict[tuple[str, ...], tuple[str, ...]] = {}
     enabled = gc.isenabled()

@@ -4,9 +4,10 @@ Oracles here deliberately avoid the library's own code paths: dense
 linear algebra for PageRank, explicit global set construction for
 disruption, plain double loops for category utility, a memoized
 recursion for the hierarchy propagation, a per-line loop for the
-citation TSV, one encoder call per article row for the articles file, a
-loop over the descriptor map for the evolution cohorts, and the text of a
-tree code for its level and its ancestors.
+citation TSV, one f-string per edge for the citation writer, one encoder
+call per article row for the articles file, a loop over the descriptor
+map for the evolution cohorts, and the text of a tree code for its level
+and its ancestors.
 """
 from __future__ import annotations
 
@@ -128,6 +129,12 @@ def parse_citations_oracle(lines) -> tuple[np.ndarray, np.ndarray]:
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer article id") from None
     return np.asarray(citing, dtype=np.int64), np.asarray(cited, dtype=np.int64)
+
+
+def write_citations_oracle(citing: np.ndarray, cited: np.ndarray, out: TextIO) -> None:
+    """One `citing \\t cited` line per edge, each formatted on its own."""
+    for u, v in zip(citing.tolist(), cited.tolist()):
+        out.write(f"{u}\t{v}\n")
 
 
 def pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from conftest import (
     random_temporal_graph,
     store_from_articles,
     temporal_store,
+    write_citations_oracle,
 )
 from kosrank.citegraph import (
     GraphError,
@@ -18,6 +19,7 @@ from kosrank.citegraph import (
     induced,
     parse_citations,
     sample_nodes,
+    write_citations,
 )
 from kosrank.corpus import Article
 from kosrank.months import month_index
@@ -314,6 +316,45 @@ class TestParseCitations:
             parse_citations_oracle(io.StringIO(text))
         with pytest.raises(GraphError, match="^line 2: article id outside the int64 range$"):
             parse_citations(io.StringIO(text))
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestWriteCitations:
+    @pytest.mark.parametrize(
+        "citing, cited",
+        [
+            ([], []),
+            ([0], [0]),
+            ([-1, -20, 3], [5, -600, 0]),
+            ([INT64.max, -INT64.max, INT64.min], [INT64.min, INT64.max, -INT64.max]),
+            ([1, 22, 333], [4444444, 5, 66]),  # columns of different widths
+            # either side of the 9-digit magnitudes that uint32 holds
+            ([999_999_999, -999_999_999, 1], [1, 2, 3]),
+            ([1_000_000_000, 999_999_999, -1_000_000_000], [2**32, 2**32 - 1, -(2**32)]),
+        ],
+        ids=["empty", "zero", "negative", "int64-limits", "widths", "9-digits", "10-digits"],
+    )
+    def test_gives_the_per_row_text_and_parses_back(self, citing, cited):
+        citing, cited = (np.array(side, dtype=np.int64) for side in (citing, cited))
+        expected, written = io.StringIO(), io.StringIO()
+        write_citations_oracle(citing, cited, expected)
+        write_citations(citing, cited, written)
+        assert written.getvalue() == expected.getvalue()
+        written.seek(0)
+        again = parse_citations(written)
+        assert again[0].tolist() == citing.tolist() and again[1].tolist() == cited.tolist()
+
+    def test_gives_the_per_row_text_of_random_ids(self):
+        rng = np.random.default_rng(11)
+        # magnitudes of 1 to 18 digits, each with either sign
+        scale = 10 ** rng.integers(0, 19, size=(2, 2000)).astype(np.float64)
+        sides = (rng.random((2, 2000)) * scale).astype(np.int64) * rng.choice([-1, 1], (2, 2000))
+        expected, written = io.StringIO(), io.StringIO()
+        write_citations_oracle(*sides, expected)
+        write_citations(*sides, written)
+        assert written.getvalue() == expected.getvalue()
 
 
 class TestPositionsAreNotIds:

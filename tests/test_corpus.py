@@ -170,6 +170,7 @@ class TestRoundTrip:
         # and a control character; each article's in string order, as the
         # columns list them
         articles = [
+            Article(-(2**63), "2014-02", ("D\\2",)),
             Article(-3, "2013-12", ('D"1', "D\u2028")),
             Article(1, "2014-01", ("D\x01", 'D"1', "D\\2", "Dé"), retracted=True),
             Article(2, "2014-02", ()),  # no descriptors
@@ -182,6 +183,11 @@ class TestRoundTrip:
         written = io.StringIO()
         write_articles(parse(expected.getvalue()), written)
         assert written.getvalue() == expected.getvalue()
+
+    def test_writer_gives_no_text_of_no_articles(self):
+        written = io.StringIO()
+        write_articles(parse(""), written)
+        assert written.getvalue() == ""
 
 
 GOOD = [

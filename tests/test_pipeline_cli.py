@@ -343,6 +343,19 @@ class TestConfig:
         assert main(["compute", "--config", str(path)]) == 1
         assert capsys.readouterr().err == f"error: line {lineno}: cannot parse value {value!r}\n"
 
+    @pytest.mark.parametrize(
+        "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_a_newline_ends_a_config_line(self, tmp_path, brk):
+        """`str.splitlines` breaks a line at each of these too, which would
+        shift every later line number and read the rest of a comment."""
+        path = tmp_path / "c.cfg"
+        path.write_text(f"base_seed = 1\n# x{brk}y = 2\nbogus = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="^line 3: unknown config key 'bogus'$"):
+            load_config(path)
+        path.write_text(f"base_seed = 1\n# x{brk}y = 2\n", encoding="utf-8")
+        assert load_config(path).base_seed == 1
+
     @pytest.mark.parametrize("tol", [math.inf, math.nan])
     def test_pagerank_tol_must_be_finite(self, tol):
         with pytest.raises(ConfigError, match="^pagerank_tol must be positive and finite"):
@@ -473,6 +486,28 @@ class TestIngest:
         capsys.readouterr()
         assert main(["ingest", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: line {at + 1}: not UTF-8\n"
+
+    @pytest.mark.parametrize(
+        "what, line, reason",
+        [
+            ("articles", '{"id": 2, "month": ', "invalid JSON (Expecting value)"),
+            ("citations", "2\tx", "non-integer article id"),
+        ],
+    )
+    def test_bad_line_before_a_byte_that_is_not_utf8_wins(self, tmp_path, capsys, what, line,
+                                                          reason):
+        """The error is the first bad line's, though the parse that runs
+        into the byte that is not UTF-8 fails on that byte."""
+        cfg_path = make_config(tmp_path)
+        generate_inputs(cfg_path)
+        path = Path(getattr(load_config(cfg_path), what))
+        lines = path.read_bytes().splitlines(keepends=True)
+        at = len(lines) // 2
+        lines[at:at] = [line.encode() + b"\n", b"2014\xff\tD1\tmove\n"]
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line {at + 1}: {reason}\n"
 
     def test_missing_citations_file_fails_with_path(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path)

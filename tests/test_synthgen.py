@@ -8,9 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import assert_same_columns, descriptors_of, store_from_articles, write_articles_oracle
+from conftest import (
+    assert_same_columns,
+    descriptors_of,
+    store_from_articles,
+    write_articles_oracle,
+    write_citations_oracle,
+)
 from kosrank import synthgen
-from kosrank.citegraph import build_graph
+from kosrank.citegraph import build_graph, parse_citations, write_citations
 from kosrank.cli import main
 from kosrank.config import PipelineConfig, write_config
 from kosrank.corpus import Article, parse_articles, write_articles
@@ -334,6 +340,17 @@ class TestColumns:
         write_articles(columns, text)
         text.seek(0)
         assert_same_columns(parse_articles(text), columns)
+
+    @pytest.mark.parametrize("fields", COLUMN_SHAPES)
+    def test_edges_are_the_parse_of_their_text(self, fields):
+        _, _, (citing, cited), _ = generate_columns(small_config(**fields))
+        text, expected = io.StringIO(), io.StringIO()
+        write_citations(citing, cited, text)
+        write_citations_oracle(citing, cited, expected)
+        assert text.getvalue() == expected.getvalue()
+        text.seek(0)
+        again = parse_citations(text)
+        assert again[0].tolist() == citing.tolist() and again[1].tolist() == cited.tolist()
 
     @pytest.mark.parametrize("fields", COLUMN_SHAPES)
     def test_generate_gives_the_store_of_the_columns(self, fields):
