@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TextIO
 
 from . import mirror
 from .infometrics import INFORMATIVENESS_MODES
@@ -101,11 +102,20 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    known = {f.name: f.type for f in fields(PipelineConfig)}
+    values = mirror.parse_utf8(path, _read_values)
+    values.update({k: v for k, v in overrides.items() if v is not None})
+    try:
+        return PipelineConfig(**values)  # type: ignore[arg-type]
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _read_values(fh: TextIO) -> dict[str, object]:
+    """key -> value of each `key = value` line of the open config file `fh`."""
+    known = {f.name for f in fields(PipelineConfig)}
     values: dict[str, object] = {}
     # only "\n" ends a line, as the file counts them: str.splitlines also breaks at "\f"
-    lines = mirror.parse_utf8(path, lambda fh: fh.read().split("\n"))
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(fh.read().split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -116,11 +126,7 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         values[key] = _parse_value(rest, lineno)
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return PipelineConfig(**values)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return values
 
 
 def write_config(cfg: PipelineConfig, path: str | Path) -> None:

@@ -5,12 +5,15 @@ Input format is JSON lines, one article per line:
 `mesh` (descriptor id strings) defaults to [] and `retracted` to false;
 day-level dates in `month` are truncated to the month.  Parsing builds no
 `Article` objects but `ArticleColumns`, which `write_articles` writes back
-with no per-row format, its ids by `decimal_rows`, as are the citations;
-`ArticleStore` is the form of `synthgen.generate`, an adapter, and the one
-caller of `ArticleColumns.rows`.
+with no per-row format, its ids by `decimal_rows`, as are the citations.
+Text in the writer's form is read off its bytes a block at a time, and a
+block is kept only if writing what was read gives back its text; any other
+block is JSON-decoded.  `ArticleStore` is the form of `synthgen.generate`,
+an adapter, and the one caller of `ArticleColumns.rows`.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from itertools import chain, count, islice, repeat
@@ -18,15 +21,20 @@ from operator import itemgetter
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 from .months import month_from_index, month_index, normalize_month
 
 
 ID_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)  # article ids are int64
-# Lines parsed at a time: few enough that a chunk's rows are freed before
-# the cyclic collector's full passes walk them.
-CHUNK_LINES = 512
+# Lines read off their bytes at a time; of a block that this read does not
+# take, lines JSON-decoded at a time, few enough that a chunk's rows are
+# freed before the cyclic collector's full passes walk them.
+BLOCK_LINES, CHUNK_LINES = 8192, 512
+# The longest descriptor id that the block read takes: it pads each one in
+# a block to the longest, so one long id would cost that much for every id.
+WORD_BYTES = 64
 _scan = json.JSONDecoder().scan_once
 FIELDS = (("id", None), ("month", None), ("mesh", []), ("retracted", False))  # key, default
 TYPES = (int, str, list, bool, str)  # of each field, then of each mesh entry
@@ -99,10 +107,13 @@ class ArticleColumns:
 def parse_articles(fh: TextIO) -> ArticleColumns:
     """Parse the JSON-lines articles in the open, seekable text file `fh`.
 
-    Duplicate ids, missing months, an `id` that is not a JSON integer, a
-    `retracted` that is not a boolean and a `mesh` entry that is not a
-    string are fatal.  Input that breaks a rule is read again from where it
-    started, through a line loop that raises a CorpusError naming the line."""
+    Each block of `BLOCK_LINES` lines is read off its bytes, with no line
+    decoded as JSON, and kept only if `write_articles` of what was read gives
+    back the block's text; any other block is decoded `CHUNK_LINES` lines at
+    a time.  Duplicate ids, missing months, an `id` that is not a JSON
+    integer, a `retracted` that is not a boolean and a `mesh` entry that is
+    not a string are fatal.  Input that breaks a rule is read again from where
+    it started, through a line loop that raises a CorpusError naming the line."""
     start = fh.tell()
     try:
         return _columns(fh)
@@ -112,31 +123,22 @@ def parse_articles(fh: TextIO) -> ArticleColumns:
 
 
 def _columns(lines: Iterable[str]) -> ArticleColumns:
-    """The columns of the JSON `lines`, decoded and checked a chunk at a time
-    so that no row outlives its chunk; a ValueError, TypeError or
-    OverflowError, which names no line, where the input breaks a rule."""
+    """The columns of the JSON `lines`, read a block at a time so that no row
+    outlives its block; a ValueError, TypeError or OverflowError, which names
+    no line, where the input breaks a rule."""
     lines, month_of, code_of = iter(lines), {}, {}  # code_of: descriptor id -> its code
     parts = [[()] * 5]  # types the columns of an empty input
-    for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []):
-        text = list(filter(None, map(str.strip, chunk)))  # what json.loads reads of a line
-        # scan_once raises StopIteration where no value starts, which ends the
-        # map early; the check of the ends catches that too.
-        decoded = list(map(_scan, text, repeat(0)))
-        if list(map(itemgetter(1), decoded)) != list(map(len, text)):
-            raise ValueError("not one JSON value per line")
-        ids, months, meshes, retracted = columns = [  # dict.get: a TypeError off a dict
-            list(map(dict.get, map(itemgetter(0), decoded), repeat(key), repeat(default)))
-            for key, default in FIELDS]
-        descriptors = list(chain.from_iterable(meshes))
-        # exact types: a bool is an int to isinstance
-        if any(set(map(type, c)) - {t} for c, t in zip([*columns, descriptors], TYPES)):
-            raise ValueError("a field of another type")
-        month_of.update((m, month_index(normalize_month(m))) for m in set(months) - month_of.keys())
-        code_of.update(zip(set(descriptors) - code_of.keys(), count(len(code_of))))
-        parts.append((ids, [*map(month_of.get, months)], retracted, [*map(len, meshes)],
-                      [*map(code_of.get, descriptors)]))
+    for block in iter(lambda: list(islice(lines, BLOCK_LINES)), []):
+        read = _block(block)
+        if read is None:
+            parts.extend(_chunk(block[k : k + CHUNK_LINES], month_of, code_of)
+                         for k in range(0, len(block), CHUNK_LINES))
+            continue
+        *head, words, local = read
+        code_of.update(zip(set(words) - code_of.keys(), count(len(code_of))))
+        parts.append((*head, np.array([*map(code_of.get, words)], dtype=np.int64)[local]))
     ids, month_idx, retracted, sizes, codes = (
-        np.concatenate([np.array(part[k], dtype=dtype) for part in parts])
+        np.concatenate([np.asarray(part[k], dtype=dtype) for part in parts])
         for k, dtype in enumerate((np.int64, np.int64, bool, np.int64, np.int64)))
     order = np.argsort(ids)
     if (np.diff(ids[order]) == 0).any():
@@ -150,6 +152,97 @@ def _columns(lines: Iterable[str]) -> ArticleColumns:
     annotations.data[:] = 1
     return ArticleColumns(ids[order], month_idx[order], retracted[order], tuple(vocabulary),
                           annotations[order])
+
+
+def _chunk(chunk: list[str], month_of: dict[str, int], code_of: dict[str, int]) -> tuple:
+    """(ids, month indices, retracted flags, descriptor counts, descriptor
+    codes) of the JSON lines `chunk`, as lists; `month_of` and `code_of`
+    gain the chunk's new month texts and descriptor ids."""
+    text = list(filter(None, map(str.strip, chunk)))  # what json.loads reads of a line
+    # scan_once raises StopIteration where no value starts, which ends the
+    # map early; the check of the ends catches that too.
+    decoded = list(map(_scan, text, repeat(0)))
+    if list(map(itemgetter(1), decoded)) != list(map(len, text)):
+        raise ValueError("not one JSON value per line")
+    ids, months, meshes, retracted = columns = [  # dict.get: a TypeError off a dict
+        list(map(dict.get, map(itemgetter(0), decoded), repeat(key), repeat(default)))
+        for key, default in FIELDS]
+    descriptors = list(chain.from_iterable(meshes))
+    # exact types: a bool is an int to isinstance
+    if any(set(map(type, c)) - {t} for c, t in zip([*columns, descriptors], TYPES)):
+        raise ValueError("a field of another type")
+    month_of.update((m, month_index(normalize_month(m))) for m in set(months) - month_of.keys())
+    code_of.update(zip(set(descriptors) - code_of.keys(), count(len(code_of))))
+    return (ids, [*map(month_of.get, months)], retracted, [*map(len, meshes)],
+            [*map(code_of.get, descriptors)])
+
+
+def _block(lines: list[str]) -> tuple | None:
+    """(ids, month indices, retracted flags, descriptor counts, the distinct
+    descriptor ids, each listed descriptor's index among them) of `lines`, in
+    line order, read off their bytes where `write_articles` puts each field:
+        {"id": <id>, "mesh": ["<descriptor>", ...], "month": "YYYY-MM", "retracted": <flag>}
+    None unless `write_articles` of them gives back the text of `lines`, whose
+    JSON decode is then what was read: the one check of the read."""
+    text = "".join(lines)
+    if not text.isascii():  # else a character is not a byte
+        return None
+    a = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    if len(ends) != len(lines):  # a line that does not end in "\n"
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    quotes = np.flatnonzero(a == ord('"'))
+    first = np.searchsorted(quotes, starts)  # the index of each line's first quote
+    sizes = np.diff(first, append=len(quotes)) // 2 - 5  # 10 quotes, then 2 a descriptor
+    if (sizes < 0).any():
+        return None
+    byte = lambda at: a[np.clip(at, 0, len(a) - 1)]  # noqa: E731
+    # an id: the sign and digits after `{"id": `, up to the `, ` before "mesh"
+    negative = byte(starts + 7) == ord("-")
+    end = quotes[first + 2] - 2
+    width = end - starts - 7 - negative
+    if not ((width >= 1) & (width <= 19)).all():  # 19 digits hold every int64 magnitude
+        return None
+    place = np.arange(-int(width.max()), 0)
+    digits = byte(end[:, None] + place)
+    digits[place < -width[:, None]] = ord("0")
+    magnitude = _decimal(digits)
+    ids = np.where(negative, -magnitude, magnitude).view(np.int64)
+    # No month index outside 0000-01..9999-12 passes the check: of those
+    # that this arithmetic can give, none writes text that gives it again.
+    month = quotes[first + 2 * sizes + 6]  # the opening quote of "YYYY-MM"
+    month_idx = (12 * _decimal(byte(month[:, None] + np.arange(1, 5)))
+                 + _decimal(byte(month[:, None] + np.arange(6, 8))) - 1).view(np.int64)
+    retracted = byte(quotes[first + 2 * sizes + 9] + 3) == ord("t")  # after `"retracted": `
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    # descriptor j of a line is between its quotes 4 + 2j and 5 + 2j
+    at = np.repeat(first + 4 - 2 * indptr[:-1], sizes) + 2 * np.arange(indptr[-1])
+    lengths = quotes[at + 1] - quotes[at] - 1
+    longest = max(8, int(lengths.max(initial=0)))
+    if longest > WORD_BYTES:
+        return None
+    # each descriptor's bytes, then zeros up to `longest`
+    padded = sliding_window_view(np.concatenate((a, np.zeros(longest, np.uint8))), longest)[
+        quotes[at] + 1]
+    padded[np.arange(longest) >= lengths[:, None]] = 0
+    if longest == 8:  # sorted as big-endian uint64 keys, faster than as strings
+        keys, local = np.unique(padded.view(">u8").astype(np.uint64).ravel(), return_inverse=True)
+        words = keys.astype(">u8").view("S8")
+    else:
+        words, local = np.unique(padded.view(f"S{longest}").ravel(), return_inverse=True)
+    words = tuple(word.decode("ascii") for word in words.tolist())
+    annotations = sparse.csr_matrix((np.ones(len(local), dtype=np.int32), local, indptr),
+                                    shape=(len(lines), len(words)))
+    out = io.StringIO()
+    write_articles(ArticleColumns(ids, month_idx, retracted, words, annotations), out)
+    return (ids, month_idx, retracted, sizes, words, local) if out.getvalue() == text else None
+
+
+def _decimal(digits: np.ndarray) -> np.ndarray:
+    """The uint64 value of each row of ASCII digit bytes, most significant first."""
+    powers = 10 ** np.arange(digits.shape[1] - 1, -1, -1, dtype=np.uint64)
+    return (digits - ord("0")).astype(np.uint64) @ powers
 
 
 def _checked_lines(lines: Iterable[str]) -> Iterator[str]:

@@ -231,12 +231,27 @@ BAD = [
     ('{"id":7,"month":"2014-01"}', "duplicate id 7, first on line {first}"),
 ]
 
-LAYOUTS = ["lf", "crlf", "blank-lines", "reversed"]
+LAYOUTS = ["lf", "crlf", "blank-lines", "reversed", "writer"]
+
+
+def writer_layout(row: str) -> str:
+    """`row` with the key order and spacing of `write_articles`, and with
+    `mesh` and `retracted` at their defaults where it leaves them out, if
+    it is a JSON object; else `row` as it is."""
+    try:
+        value = json.loads(row)
+    except json.JSONDecodeError:
+        return row
+    if isinstance(value, dict):
+        value = {"mesh": [], "retracted": False, **value}
+    return json.dumps(value, sort_keys=True)
 
 
 def layout(rows: list[str], style: str) -> tuple[str, dict[int, int]]:
     """`rows` as a file in `style`, and the 1-based line of each row by its
     index in `rows`."""
+    if style == "writer":
+        rows = [*map(writer_layout, rows)]
     lines = rows[::-1] if style == "reversed" else list(rows)
     if style == "blank-lines":
         lines = [part for row in lines for part in ("", "  \t", row)]
@@ -248,11 +263,12 @@ def layout(rows: list[str], style: str) -> tuple[str, dict[int, int]]:
     return "".join(line + end for line in lines), line_of
 
 
-@pytest.fixture(params=[512, 2], ids=["chunk-512", "chunk-2"])
+@pytest.fixture(params=[(corpus.BLOCK_LINES, 512), (2, 2)], ids=["chunk-512", "chunk-2"])
 def chunk_lines(request, monkeypatch):
-    """Runs a test with the default chunk size and with chunks of 2 lines."""
-    monkeypatch.setattr(corpus, "CHUNK_LINES", request.param)
-    return request.param
+    """Runs a test with the default block and chunk sizes, and with blocks
+    and chunks of 2 lines."""
+    monkeypatch.setattr(corpus, "BLOCK_LINES", request.param[0])
+    monkeypatch.setattr(corpus, "CHUNK_LINES", request.param[1])
 
 
 class TestChunkedParse:
@@ -343,3 +359,91 @@ class TestChunkedParse:
         del rows[1300]
         text = "\n".join(rows) + "\n"
         assert_same_columns(parse(text), parse_by_line(text))
+
+
+def writer_row(article_id: int | str, mesh: list[str], month: str, retracted: bool) -> str:
+    """The line that `write_articles` gives these fields, `article_id` as it is."""
+    return (f'{{"id": {article_id}, "mesh": {json.dumps(mesh)}, '
+            f'"month": "{month}", "retracted": {json.dumps(retracted)}}}')
+
+
+def outcome(parser, text):
+    """The columns that `parser` gives of `text`, or its CorpusError's message."""
+    try:
+        return parser(text)
+    except CorpusError as exc:
+        return str(exc)
+
+
+def assert_block_read_is_the_line_loop(text):
+    """`parse` of `text` gives the columns of the line loop, or its one-line
+    CorpusError, and the block read of each block of `text` raises nothing."""
+    want, got = outcome(parse_by_line, text), outcome(parse, text)
+    if isinstance(want, str):
+        assert got == want and "\n" not in want
+    else:
+        assert_same_columns(got, want)
+    lines = io.StringIO(text).readlines()
+    for k in range(0, len(lines), corpus.BLOCK_LINES):
+        corpus._block(lines[k : k + corpus.BLOCK_LINES])  # which parse_articles may not show
+
+
+BASE = [writer_row(1, ["D1", "D2"], "2014-01", False), writer_row(2, [], "2014-02", True),
+        writer_row(3, ["D3"], "2013-12", False), writer_row(9, ["D1"], "2014-01", True)]
+
+
+def near_writer(row: str) -> str:
+    """The `BASE` rows as `write_articles` lays them out, with `row` third."""
+    return "".join(line + "\n" for line in [*BASE[:2], row, *BASE[2:]])
+
+
+# (name, text): each text is writer output but for one line or one byte
+NEAR_WRITER = [
+    ("unsorted", near_writer(writer_row(5, ["D2", "D1"], "2014-01", False))),
+    ("repeated", near_writer(writer_row(5, ["D1", "D1"], "2014-01", False))),
+    ("escape", near_writer(writer_row(5, ["D\\u00e9"], "2014-01", False))),
+    ("raw-e-acute", near_writer(writer_row(5, ["Dé"], "2014-01", False))),
+    *((f"id-{i}", near_writer(writer_row(i, ["D1"], "2014-01", False)))
+      for i in ["-0", "01", "1234567890123456789", "9999999999999999999",
+                str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), "+5", "5.0"]),
+    ("day-month", near_writer(writer_row(5, ["D1"], "2014-01-15", False))),
+    ("month-13", near_writer(writer_row(5, ["D1"], "2014-13", False))),
+    ("month-00", near_writer(writer_row(5, ["D1"], "2014-00", False))),
+    ("year-0000", near_writer(writer_row(5, ["D1"], "0000-01", False))),
+    ("crlf", near_writer(writer_row(5, [], "2014-01", False)).replace("\n", "\r\n")),
+    ("no-final-newline", near_writer(writer_row(5, [], "2014-01", False))[:-1]),
+    ("respaced", near_writer(writer_row(5, [], "2014-01", False).replace(', "month"', ',"month"'))),
+    ("descending", "".join(writer_row(i, ["D1"], "2014-01", False) + "\n" for i in (6, 5, 4, 3))),
+    ("repeat-across-blocks", near_writer(writer_row(1, [], "2014-01", False))),
+    ("cut-after-retracted", near_writer('{"id": 5, "mesh": [], "month": "2014-01", "retracted"')),
+    ("cut-after-retracted-at-end", near_writer(writer_row(5, [], "2014-01", False))
+     + '{"id": 6, "mesh": [], "month": "2014-01", "retracted"'),
+    ("quote-in-descriptor", near_writer(writer_row(5, ['D"1'], "2014-01", False))),
+    ("long-descriptor", near_writer(writer_row(5, ["D" * 70, "D1"], "2014-01", False))),
+    ("wide-descriptor", near_writer(writer_row(5, ["D000000001"], "2014-01", False))),
+    ("extra-key", near_writer(writer_row(5, [], "2014-01", False)[:-1] + ', "x": 1}')),
+]
+
+
+class TestBlockRead:
+    @pytest.mark.parametrize("text", [text for _, text in NEAR_WRITER],
+                             ids=[name for name, _ in NEAR_WRITER])
+    def test_near_writer_text(self, chunk_lines, text):
+        assert_block_read_is_the_line_loop(text)
+
+    def test_a_descriptor_too_long_for_the_block_read_is_decoded(self):
+        text = dict(NEAR_WRITER)["long-descriptor"]
+        assert corpus._block(io.StringIO(text).readlines()) is None
+        assert corpus._block(io.StringIO(text.replace("D" * 70, "D" * 64)).readlines())
+
+    def test_one_byte_edits_of_writer_text(self, chunk_lines):
+        """Each of 300 seeded one-character edits of writer text, over every
+        character that the read looks for, parses as the line loop does."""
+        rng = np.random.default_rng(42)
+        text = near_writer(writer_row(-5, ["D1", "D22"], "2014-01", True))
+        alphabet = ' \n"-,:[]{}0123456789ftD\\\r' + "é"
+        for _ in range(300):
+            at, char = int(rng.integers(len(text))), alphabet[rng.integers(len(alphabet))]
+            edit = int(rng.integers(3))  # replace, insert, delete
+            tail = text[at + 1 :] if edit != 1 else text[at:]
+            assert_block_read_is_the_line_loop(text[:at] + (char if edit < 2 else "") + tail)

@@ -492,22 +492,25 @@ class TestIngest:
         [
             ("articles", '{"id": 2, "month": ', "invalid JSON (Expecting value)"),
             ("citations", "2\tx", "non-integer article id"),
+            ("config", "bogus = 1", "unknown config key 'bogus'"),
         ],
     )
     def test_bad_line_before_a_byte_that_is_not_utf8_wins(self, tmp_path, capsys, what, line,
                                                           reason):
         """The error is the first bad line's, though the parse that runs
-        into the byte that is not UTF-8 fails on that byte."""
+        into the byte that is not UTF-8 fails on that byte.  A config error
+        names no path."""
         cfg_path = make_config(tmp_path)
         generate_inputs(cfg_path)
-        path = Path(getattr(load_config(cfg_path), what))
+        path = cfg_path if what == "config" else Path(getattr(load_config(cfg_path), what))
         lines = path.read_bytes().splitlines(keepends=True)
         at = len(lines) // 2
         lines[at:at] = [line.encode() + b"\n", b"2014\xff\tD1\tmove\n"]
         path.write_bytes(b"".join(lines))
         capsys.readouterr()
         assert main(["ingest", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: line {at + 1}: {reason}\n"
+        named = "" if what == "config" else f"{path}: "
+        assert capsys.readouterr().err == f"error: {named}line {at + 1}: {reason}\n"
 
     def test_missing_citations_file_fails_with_path(self, tmp_path, capsys):
         cfg_path = make_config(tmp_path)

@@ -15,7 +15,7 @@ from conftest import (
     write_articles_oracle,
     write_citations_oracle,
 )
-from kosrank import synthgen
+from kosrank import corpus, synthgen
 from kosrank.citegraph import build_graph, parse_citations, write_citations
 from kosrank.cli import main
 from kosrank.config import PipelineConfig, write_config
@@ -334,12 +334,22 @@ COLUMN_SHAPES = [
 
 class TestColumns:
     @pytest.mark.parametrize("fields", COLUMN_SHAPES)
-    def test_columns_are_the_parse_of_their_text(self, fields):
+    def test_columns_are_the_parse_of_their_text(self, monkeypatch, fields):
+        """Every block of the written text is read off its bytes: with the
+        JSON decode made to raise, the parse still gives the columns."""
         _, columns, _, _ = generate_columns(small_config(**fields))
         text = io.StringIO()
         write_articles(columns, text)
-        text.seek(0)
-        assert_same_columns(parse_articles(text), columns)
+
+        def decode(*args):
+            raise AssertionError("a block was JSON-decoded")
+
+        monkeypatch.setattr(corpus, "_chunk", decode)
+        monkeypatch.setattr(corpus, "_checked_lines", decode)
+        for block_lines in (corpus.BLOCK_LINES, 64):
+            monkeypatch.setattr(corpus, "BLOCK_LINES", block_lines)
+            text.seek(0)
+            assert_same_columns(parse_articles(text), columns)
 
     @pytest.mark.parametrize("fields", COLUMN_SHAPES)
     def test_edges_are_the_parse_of_their_text(self, fields):
