@@ -63,8 +63,8 @@ class PipelineConfig:
             raise ConfigError(f"pagerank_max_iter must be at least 1, got {self.pagerank_max_iter}")
         if not 0.0 < self.pagerank_tol < math.inf:
             raise ConfigError(f"pagerank_tol must be positive and finite, got {self.pagerank_tol}")
-        if self.rrf_k <= 0:
-            raise ConfigError(f"rrf_k must be positive, got {self.rrf_k}")
+        if not 0 < self.rrf_k <= 2**53:  # so k + rank, in int64, cannot wrap
+            raise ConfigError(f"rrf_k must be positive and at most 2**53, got {self.rrf_k}")
         if self.informativeness_mode not in INFORMATIVENESS_MODES:
             raise ConfigError(f"unknown informativeness_mode {self.informativeness_mode!r}")
 

@@ -13,11 +13,11 @@ orderings are pinned so reruns (at any thread count) are byte-identical.
 arrays they parsed or computed: `ingest/` and `compute.*`.  A record names
 its sources by role, not by path, so a mirror moved with its inputs still
 matches.  `compute`'s record is the one interface to the later stages: they
-read the node codes and levels, the scores, the members and, for
-`run_evaluate`, the descriptor map and the sampled articles' ids, node rows
-and retraction flags only from its arrays.  Each fuses the window month x
-aspect x node scores at its own `rrf_k` into the window month x node arrays
-that `fuse` writes out (`_fused`).  So `run_evaluate` parses only the change
+read the node codes and levels, the scores and each aspect's ranks, the
+members and, for `run_evaluate`, the descriptor map and the sampled
+articles' ids, node rows and retraction flags only from its arrays.  Each
+fuses the ranks at its own `rrf_k` into the window month x node arrays that
+`fuse` writes out (`_fused`).  So `run_evaluate` parses only the change
 records, the other later stages no input, and no stage reads what `fuse`
 writes.  That record holds the digests of the hierarchy and of the articles,
 the window and the `COMPUTE_KEYS` values; one that is missing or does not
@@ -47,7 +47,7 @@ from .scores import ASPECTS, RELEVANCE, write_rows, write_scores_csv
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
 TOP_K = 10  # the nodes in each top or bottom table and in each rank chart
-COMPUTE_ARRAYS = ("codes", "level", "values", "scored", "ids", "indptr", "descriptors",
+COMPUTE_ARRAYS = ("codes", "level", "values", "aspect_rank", "ids", "indptr", "descriptors",
                   "descriptor_indptr", "descriptor_indices", "sampled_ids", "sampled_indptr",
                   "sampled_indices", "retracted")
 # The config values `compute` reads, which its record holds beside the window
@@ -267,12 +267,14 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     _write_json(out / "manifest.json", manifest)
     # what the score text says: 0 where unscored, and "nan" reads back as float("nan")
     values = np.where(scored, np.where(np.isnan(values), np.nan, values), 0.0)
+    aspect_rank = np.array([list(map(fusion.rank_by_aspect, v, s)) for v, s in zip(values, scored)],
+                           dtype=np.int32)  # window month x aspect x node, 0 where unscored
     sampled, ids = np.zeros(len(data.ids), dtype=bool), np.concatenate(members)
     sampled[np.searchsorted(data.ids, ids)] = True  # the window's sampled articles
     rows, d = data.incidence[sampled], h.descriptor_nodes
-    arrays = (np.array(h.codes), h.level, values, scored, ids, np.cumsum([0, *map(len, members)]),
-              np.array(h.descriptors), d.indptr, d.indices, data.ids[sampled], rows.indptr,
-              rows.indices, data.retracted[sampled])
+    arrays = (np.array(h.codes), h.level, values, aspect_rank, ids,
+              np.cumsum([0, *map(len, members)]), np.array(h.descriptors), d.indptr, d.indices,
+              data.ids[sampled], rows.indptr, rows.indices, data.retracted[sampled])
     sources = {k: data.sources[k] for k in ("hierarchy", "articles")}
     mirror.save(out / "compute", dict(zip(COMPUTE_ARRAYS, arrays)), sources, _compute_meta(cfg))
     return [str(p) for p in (*score_paths, *member_paths, out / "manifest.json")]
@@ -291,7 +293,7 @@ def _compute_meta(cfg: PipelineConfig) -> dict:
 def _compute_outputs(cfg: PipelineConfig, sources: dict[str, str]):
     """compute's outputs, from its mirror: the node codes, their levels, the
     window month x aspect x node (values, scored), each window month's
-    sampled article ids, `_fused` of the scores at `rrf_k`, and the arrays.
+    sampled article ids, `_fused` of the aspect ranks at `rrf_k`, and the arrays.
     `sources` holds the sha256 of each input that the caller read, by role,
     each of which must be the file that compute read; a compute record that
     is missing or does not match is a PipelineError."""
@@ -300,9 +302,9 @@ def _compute_outputs(cfg: PipelineConfig, sources: dict[str, str]):
     if arrays is None:
         raise PipelineError(f"{out / 'compute.mirror.json'} is missing or does not match; "
                             "rerun compute")
-    codes, level, values, scored, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS[:6])
-    fused = _fused(level, values, scored, cfg.rrf_k)
-    return codes.tolist(), level, (values, scored), np.split(ids, indptr[1:-1]), fused, arrays
+    codes, level, values, aspect_rank, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS[:6])
+    return (codes.tolist(), level, (values, aspect_rank > 0), np.split(ids, indptr[1:-1]),
+            _fused(level, aspect_rank, cfg.rrf_k), arrays)
 
 
 def _sources(cfg: PipelineConfig, *roles: str) -> dict[str, str]:
@@ -310,27 +312,23 @@ def _sources(cfg: PipelineConfig, *roles: str) -> dict[str, str]:
     return mirror.digests({role: _require(getattr(cfg, role), role) for role in roles})
 
 
-def _scopes(level: np.ndarray, ranked: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """The rankings scopes of the `ranked` nodes, of the node `level`s, and
-    each scope's member mask: global, then every level that holds a ranked node."""
-    levels = np.unique(level[ranked]).tolist()
-    return [("global", ranked)] + [(f"level-{lvl}", ranked & (level == lvl)) for lvl in levels]
+def _level_order(level: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The positions that the global `rank` ranks, by node `level`, then by rank."""
+    ranked = np.flatnonzero(rank)
+    return ranked[np.lexsort((rank[ranked], level[ranked]))]
 
 
-def _fused(level: np.ndarray, values: np.ndarray, scored: np.ndarray,
-           k: int) -> tuple[np.ndarray, ...]:
-    """The fused value, the global rank and the rank inside the node's level
-    scope, each over window month x node position, of the window month x
-    aspect x node scores; 0 where no aspect ranks the node."""
-    rrf = np.zeros((len(values), len(level)))
-    ranks = np.zeros((2, *rrf.shape), dtype=np.int64)  # global, then level
-    for m, (month_values, month_scored) in enumerate(zip(values, scored)):
-        aspect_ranks = [fusion.rank_by_aspect(v, s) for v, s in zip(month_values, month_scored)]
-        rrf[m] = fusion.rrf_fuse(aspect_ranks, k=k)
-        for scope, members in _scopes(level, rrf[m] > 0):  # ranked by some aspect
-            rank = fusion.rank_by_aspect(rrf[m], members)
-            ranks[int(scope != "global"), m, members] = rank[members]
-    return rrf, *ranks
+def _fused(level: np.ndarray, aspect_rank: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The fused value, the global rank and the level rank (the global order
+    restricted to the node's level) over window month x node position, of the
+    window month x aspect x node ranks; 0 where no aspect ranks the node."""
+    rrf = np.array([fusion.rrf_fuse(r.astype(np.int64), k=k) for r in aspect_rank])  # k + rank
+    rank = np.array([fusion.rank_by_aspect(v, v > 0) for v in rrf])  # ranked by some aspect
+    level_rank = np.zeros_like(rank)
+    for m, order in enumerate(_level_order(level, r) for r in rank):
+        levels = level[order]  # ascending: each level starts where searchsorted finds it
+        level_rank[m, order] = np.arange(1, len(order) + 1) - np.searchsorted(levels, levels)
+    return rrf, rank, level_rank
 
 
 def fuse(cfg: PipelineConfig) -> Path:
@@ -338,12 +336,13 @@ def fuse(cfg: PipelineConfig) -> Path:
     codes, level, _, _, (rrf, *ranks), _ = _compute_outputs(cfg, _sources(cfg, "hierarchy"))
     path = Path(cfg.output_dir) / "rankings.csv"
     rows = []
-    for m, month in enumerate(cfg.window()):
-        text = [format(v, ".17g") for v in rrf[m].tolist()]
-        for scope, members in _scopes(level, rrf[m] > 0):
-            rank = ranks[int(scope != "global")][m]
-            order = np.flatnonzero(members)[np.argsort(rank[members])].tolist()  # ranks 1..n
-            rows += [f"{month},{scope},{codes[i]},{text[i]},{r}" for r, i in enumerate(order, 1)]
+    for month, month_rrf, rank, level_rank in zip(cfg.window(), rrf, *ranks):
+        text = [format(v, ".17g") for v in month_rrf.tolist()]
+        order = _level_order(level, rank)
+        rows += [f"{month},global,{codes[i]},{text[i]},{r}"
+                 for r, i in enumerate(order[np.argsort(rank[order])].tolist(), 1)]
+        rows += [f"{month},level-{lvl},{codes[i]},{text[i]},{r}" for i, lvl, r in
+                 zip(order.tolist(), level[order].tolist(), level_rank[order].tolist())]
     write_rows(path, "month,scope,tree_code,rrf_value,rank", rows, cfg.config_hash())
     return path
 

@@ -6,8 +6,9 @@ disruption, plain double loops for category utility, a memoized
 recursion for the hierarchy propagation, a per-line loop for the
 citation TSV, one f-string per edge for the citation writer, one encoder
 call per article row for the articles file, a loop over the descriptor
-map for the evolution cohorts, and the text of a tree code for its level
-and its ancestors.
+map for the evolution cohorts, the text of a tree code for its level
+and its ancestors, and a ranking of each level scope by its own mask for
+the fused ranks.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from scipy import sparse
 
 from kosrank.citegraph import CitationGraph, GraphError, build_graph
 from kosrank.corpus import Article, ArticleColumns, ArticleStore, CorpusError
+from kosrank.fusion import rank_by_aspect, rrf_fuse
 from kosrank.hierarchy import Hierarchy, membership, parent_of
 
 _LETTERS = "ABCDEFGHIJKLMNOP"
@@ -307,3 +309,21 @@ def evolution_cohorts_oracle(
             total += node_means[code]
         (evolving if descriptor in changed else stable).append(total)
     return evolving, stable
+
+
+def fused_oracle(level: np.ndarray, values: np.ndarray, scored: np.ndarray,
+                 k: int) -> tuple[np.ndarray, ...]:
+    """The fused value, the global rank and the level rank over window month
+    x node of window month x aspect x node (values, scored): each aspect
+    ranked, the ranks fused, and the fused values ranked once per scope, the
+    global one and each level that holds a ranked node, by that scope's mask."""
+    rrf = np.zeros((len(values), len(level)))
+    ranks = np.zeros((2, *rrf.shape), dtype=np.int64)  # global, then level
+    for m, (month_values, month_scored) in enumerate(zip(values, scored)):
+        rrf[m] = rrf_fuse([rank_by_aspect(v, s) for v, s in zip(month_values, month_scored)], k=k)
+        ranked = rrf[m] > 0
+        ranks[0, m] = rank_by_aspect(rrf[m], ranked)
+        for lvl in np.unique(level[ranked]).tolist():
+            members = ranked & (level == lvl)
+            ranks[1, m, members] = rank_by_aspect(rrf[m], members)[members]
+    return rrf, *ranks

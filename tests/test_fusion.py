@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fused_oracle
 from kosrank.fusion import mean_ranks, rank_by_aspect, rank_trend_slope, rrf_fuse, top_k
 from kosrank.hierarchy import Hierarchy
+from kosrank.pipeline import _fused
 from kosrank.scores import ASPECTS
 
 
@@ -144,6 +146,64 @@ class TestPerLevel:
         rrf = rrf_fuse([np.array([1, 2, 3])] * len(ASPECTS))
         level2 = rank_by_aspect(rrf, (rrf > 0) & (h.level == 2))
         assert level2.tolist() == [0, 1, 2]
+
+
+# ties, -0.0 beside 0.0, NaN of either sign and both infinities
+ODD_VALUES = [0.0, -0.0, 1.0, 0.5, -2.0, np.nan, -np.nan, np.inf, -np.inf]
+
+
+class TestFusedFromAspectRanks:
+    """`pipeline._fused` fuses the int32 aspect ranks of compute's record and
+    takes each level's ranks from the global order; the oracle ranks the
+    scores of every aspect and then every scope by its own mask."""
+
+    @staticmethod
+    def assert_fused_as_oracle(level, values, scored, k):
+        aspect_rank = np.zeros(values.shape, dtype=np.int32)
+        for m, s in np.ndindex(values.shape[:2]):
+            aspect_rank[m, s] = rank_by_aspect(values[m, s], scored[m, s])
+        got, want = _fused(level, aspect_rank, k), fused_oracle(level, values, scored, k)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    @pytest.mark.parametrize("k", [1, 60, 2**53])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_months(self, seed, k):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        level = rng.integers(1, 7, n)
+        values = rng.choice(ODD_VALUES, size=(5, len(ASPECTS), n))
+        scored = rng.random(values.shape) < 0.7
+        scored[1] = False  # a month that scores nothing
+        scored[3] = False
+        scored[3, 2, rng.integers(n)] = True  # a month with one ranked node
+        self.assert_fused_as_oracle(level, values, scored, k)
+        assert scored[0].any()  # and a month with ranked nodes at several levels
+
+    @pytest.mark.parametrize("k", [1, 60, 2**53])
+    def test_one_level(self, k):
+        rng = np.random.default_rng(11)
+        values = rng.choice(ODD_VALUES, size=(3, len(ASPECTS), 250))
+        scored = rng.random(values.shape) < 0.5
+        self.assert_fused_as_oracle(np.ones(250, dtype=np.int64), values, scored, k)
+
+    def test_level_ranks_of_a_hierarchy(self):
+        h = Hierarchy({f"{c}{i:02d}": "" for c in "CDE" for i in range(1, 9)}, {})
+        rng = np.random.default_rng(2)
+        values = rng.choice(ODD_VALUES, size=(2, len(ASPECTS), len(h.codes)))
+        scored = rng.random(values.shape) < 0.8
+        self.assert_fused_as_oracle(h.level, values, scored, 60)
+
+    @pytest.mark.parametrize("k", [1, 60])
+    def test_rrf_fuse_of_int32_ranks_gives_the_int64_bits(self, k):
+        rng = np.random.default_rng(4)
+        small = [rank_by_aspect(rng.random(500), rng.random(500) < 0.7) for _ in ASPECTS]
+        large = [rng.integers(0, 2**31 - 1 - k, 500) for _ in ASPECTS]  # 0 is unranked
+        for ranks in (small, large):
+            wide = rrf_fuse([r.astype(np.int64) for r in ranks], k=k)
+            narrow = rrf_fuse([r.astype(np.int32) for r in ranks], k=k)
+            assert (narrow.dtype, narrow.tobytes()) == (wide.dtype, wide.tobytes())
 
 
 def slopes_of(series):

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import ancestors_of, descriptors_of, level_of, usefulness_oracle
-from kosrank import citegraph, evaluate, graphmetrics, mirror, pipeline, propagation, synthgen
+from kosrank import (citegraph, evaluate, fusion, graphmetrics, mirror, pipeline, propagation,
+                     synthgen)
 from kosrank.cli import main
 from kosrank.config import ConfigError, load_config, write_config, PipelineConfig
 from kosrank.corpus import parse_articles
@@ -244,6 +245,38 @@ def test_stages_of_another_compute_config_are_a_one_line_error(tmp_path, capsys,
             assert (code, err) == (0, ""), stage
         else:
             assert (code, err) == (1, error), stage
+
+
+@pytest.fixture()
+def computed(tmp_path):
+    """A config whose window is computed."""
+    cfg_path = make_config(tmp_path, last_month="2014-03", sample_fraction=0.5)
+    generate_inputs(cfg_path, months=3)
+    assert main(["compute", "--config", str(cfg_path)]) == 0
+    return cfg_path
+
+
+@pytest.mark.parametrize("rrf_k", [10**20, 9223372036854775000])
+def test_rrf_k_above_2_pow_53_is_a_one_line_error(computed, capsys, rrf_k):
+    # 10**20 overflowed int64 in fuse; 9223372036854775000 + rank wrapped in
+    # int64, so 1/(k + rank) turned negative and fuse left those nodes out
+    computed.write_text(computed.read_text() + f"rrf_k = {rrf_k}\n")
+    capsys.readouterr()
+    assert main(["fuse", "--config", str(computed)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: rrf_k must be positive and at most 2**53, got {rrf_k}\n"
+
+
+def test_rrf_k_of_2_pow_53_ranks_every_node_that_60_does(computed, capsys):
+    rankings = Path(load_config(computed).output_dir) / "rankings.csv"
+    ranked = []  # the month,scope,tree_code of each row
+    for line in ["", f"rrf_k = {2**53}\n"]:
+        computed.write_text(computed.read_text() + line)
+        capsys.readouterr()
+        assert main(["fuse", "--config", str(computed)]) == 0 and capsys.readouterr().err == ""
+        rows = rankings.read_text().splitlines()[2:]
+        ranked.append(sorted(row.rsplit(",", 2)[0] for row in rows))
+    assert ranked[0] and ranked[0] == ranked[1]
 
 
 def test_evaluate_of_articles_that_compute_did_not_read_is_a_one_line_error(tmp_path, capsys):
@@ -920,7 +953,7 @@ PINNED = {
 
 STAGE_MIRROR_FILES = {
     "compute.mirror.json", "compute.codes.npy", "compute.level.npy", "compute.values.npy",
-    "compute.scored.npy", "compute.ids.npy", "compute.indptr.npy", "compute.descriptors.npy",
+    "compute.aspect_rank.npy", "compute.ids.npy", "compute.indptr.npy", "compute.descriptors.npy",
     "compute.descriptor_indptr.npy", "compute.descriptor_indices.npy",
     "compute.sampled_ids.npy", "compute.sampled_indptr.npy", "compute.sampled_indices.npy",
     "compute.retracted.npy",
@@ -1115,8 +1148,9 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
     """Each mirror array has the dtype, shape and bytes that the text
     parsers return for the files it was made from: compute's node codes,
     levels, descriptors and descriptor x node pattern those of the parsed
-    hierarchy, and its sampled rows and flags those of the ingest incidence
-    and the parsed articles at the ids of the window's members."""
+    hierarchy, its aspect ranks `rank_by_aspect` of the parsed scores, and its
+    sampled rows and flags those of the ingest incidence and the parsed
+    articles at the ids of the window's members."""
     out, window = Path(cfg.output_dir), cfg.window()
     mirrored = {str(p.relative_to(out))[: -len(".npy")]: np.load(p) for p in out.rglob("*.npy")}
     with open(cfg.hierarchy) as fh:
@@ -1130,13 +1164,14 @@ def assert_mirrors_hold_parsed_arrays(cfg: PipelineConfig) -> None:
         for name, array in ingest_arrays(h, articles, edges).items()
     }
     values = np.zeros((len(window), len(ASPECTS), len(h.codes)))
-    scored = np.zeros(values.shape, dtype=bool)
+    aspect_rank = np.zeros(values.shape, dtype=np.int32)
     for k, s in np.ndindex(values.shape[:2]):
         path = out / "scores" / f"{ASPECTS[s]}_{window[k]}.csv"
-        values[k, s], scored[k, s] = read_score_text(h, path, ASPECTS[s], window[k])
+        values[k, s], scored = read_score_text(h, path, ASPECTS[s], window[k])
+        aspect_rank[k, s] = fusion.rank_by_aspect(values[k, s], scored)
     members = [read_member_text(out / "members" / f"{m}.csv") for m in window]
     parsed["compute.codes"], parsed["compute.level"] = np.array(h.codes), h.level
-    parsed["compute.values"], parsed["compute.scored"] = values, scored
+    parsed["compute.values"], parsed["compute.aspect_rank"] = values, aspect_rank
     parsed["compute.ids"] = np.concatenate(members)
     parsed["compute.indptr"] = np.cumsum([0, *map(len, members)])
     parsed["compute.descriptors"] = np.array(h.descriptors)
@@ -1277,6 +1312,19 @@ class TestMirrors:
         values = np.load(Path(cfg.output_dir) / "compute.values.npy")[:, 0]
         assert (np.signbit(values) & (values == 0)).any() and not (values == 7.0).any()
         assert np.isnan(values).any() and not np.signbit(values[np.isnan(values)]).any()
+        # each month's ranks run down its values, -0.0 tied with 0.0 by
+        # position, then -inf, then NaN last
+        ranks = np.load(Path(cfg.output_dir) / "compute.aspect_rank.npy")[:, 0]
+        for month_values, rank in zip(values, ranks):
+            ranked = np.flatnonzero(rank)
+            order = ranked[np.argsort(rank[ranked])]
+            nan = np.isnan(month_values[order])
+            assert nan[-1] and np.array_equal(nan, np.sort(nan))
+            ordered = month_values[order[~nan]]
+            assert ordered[-1] == -np.inf and (ordered[:-1] >= ordered[1:]).all()
+            ties = order[~nan][ordered == 0]
+            assert (np.diff(ties) > 0).all()
+            assert np.signbit(month_values[ties]).any()
         assert main(["ingest", "--config", str(cfg_path)]) == 0
         assert_mirrors_hold_parsed_arrays(cfg)
 
