@@ -1,8 +1,8 @@
 """Pipeline configuration: a flat TOML-like key = value file.
 
 Values are quoted strings, ASCII decimal ints and floats, or true/false.
-Unknown keys are rejected so typos fail loudly.  The config hash (sha256
-over the canonical key=value rendering) is stamped into every output file.
+Unknown or repeated keys are rejected so typos fail loudly.  The config hash
+(sha256 of the canonical key=value rendering) is stamped in every output file.
 """
 from __future__ import annotations
 
@@ -113,7 +113,7 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
 def _read_values(fh: TextIO) -> dict[str, object]:
     """key -> value of each `key = value` line of the open config file `fh`."""
     known = {f.name for f in fields(PipelineConfig)}
-    values: dict[str, object] = {}
+    values, line_of = {}, {}  # key -> its value, and the line that set it
     # only "\n" ends a line, as the file counts them: str.splitlines also breaks at "\f"
     for lineno, raw in enumerate(fh.read().split("\n"), start=1):
         line = raw.strip()
@@ -125,6 +125,8 @@ def _read_values(fh: TextIO) -> dict[str, object]:
         key = key.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if line_of.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: {key!r} is set again, first on line {line_of[key]}")
         values[key] = _parse_value(rest, lineno)
     return values
 

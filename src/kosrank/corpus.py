@@ -7,9 +7,10 @@ day-level dates in `month` are truncated to the month.  Parsing builds no
 `Article` objects but `ArticleColumns`, which `write_articles` writes back
 with no per-row format, its ids by `decimal_rows`, as are the citations.
 Text in the writer's form is read off its bytes a block at a time, and a
-block is kept only if writing what was read gives back its text; any other
-block is JSON-decoded.  `ArticleStore` is the form of `synthgen.generate`,
-an adapter, and the one caller of `ArticleColumns.rows`.
+block is kept only if writing what was read (its annotations built by
+`hierarchy.pattern`) gives back its text; any other block is JSON-decoded.
+`ArticleStore` is the form of `synthgen.generate`, an adapter, and the one
+caller of `ArticleColumns.rows`.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
+from .hierarchy import pattern
 from .months import month_from_index, month_index, normalize_month
 
 
@@ -232,8 +234,7 @@ def _block(lines: list[str]) -> tuple | None:
     else:
         words, local = np.unique(padded.view(f"S{longest}").ravel(), return_inverse=True)
     words = tuple(word.decode("ascii") for word in words.tolist())
-    annotations = sparse.csr_matrix((np.ones(len(local), dtype=np.int32), local, indptr),
-                                    shape=(len(lines), len(words)))
+    annotations = pattern(indptr, local, len(words))
     out = io.StringIO()
     write_articles(ArticleColumns(ids, month_idx, retracted, words, annotations), out)
     return (ids, month_idx, retracted, sizes, words, local) if out.getvalue() == text else None

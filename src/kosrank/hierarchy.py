@@ -10,9 +10,10 @@ codes on its path from the root, itself included.
 the missing ancestors.  A Hierarchy also carries one positional form: node
 i is `codes[i]` (sorted, so position order is code order), `parent[i]` its
 parent's position (-1 at a root), `closure` the 0/1 ancestor-or-self matrix,
-`level[i]` the length of closure row i, and
-`descriptor_nodes` the descriptor x node map; `incidence` lays an article
-x descriptor vocabulary matrix out as rows on these columns.  Float sums
+`level[i]` the length of closure row i, and `descriptor_nodes` the
+descriptor x node map; `incidence` lays an article x descriptor vocabulary
+matrix out as rows on these columns.  `pattern` builds every 0/1 matrix
+that the package keeps as a stored pattern, these two included.  Float sums
 over positions add one term at a time in ascending order, never by numpy's
 pairwise reductions, so every output keeps its bits from run to run.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Collection, Hashable, Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -98,10 +99,10 @@ class Hierarchy:
             (np.ones(len(rows), dtype=np.int32), (rows, ancestors)), shape=(n, n)
         )
         self.level = np.diff(self.closure.indptr)  # the length of the ancestor-or-self row
-        self.descriptors = tuple(sorted(self.descriptor_map))
-        self.descriptor_nodes, _ = membership(
-            [self.descriptor_map[d] for d in self.descriptors], self.position, n
-        )
+        self.descriptors, groups = tuple(self.descriptor_map), self.descriptor_map.values()
+        nodes = np.fromiter(map(self.position.get, chain.from_iterable(groups)), dtype=np.int64)
+        self.descriptor_nodes = pattern(np.cumsum([0, *map(len, groups)]), nodes, n)
+        self.descriptor_nodes.sort_indices()
 
     def treenodes_of(self, descriptors: Iterable[str]) -> tuple[set[str], int]:
         """Union of the tree codes mapped by the given descriptor ids.
@@ -126,7 +127,9 @@ class Hierarchy:
         matrix `annotations`, the nodes its descriptor ids map to (columns are
         node positions, each row sorted), and the count of unmapped marks."""
         row_of = {d: i for i, d in enumerate(self.descriptors)}
-        known, _ = membership([(d,) for d in vocabulary], row_of, len(self.descriptors))
+        rows = np.fromiter(map(row_of.get, vocabulary, repeat(-1)), dtype=np.int64)
+        indptr = np.concatenate(([0], np.cumsum(rows >= 0)))  # one entry per known id
+        known = pattern(indptr, rows[rows >= 0], len(self.descriptors))
         annotated = annotations @ known  # one mark per known id: vocabulary ids are distinct
         marks = (annotated @ self.descriptor_nodes).tocsr()
         marks.data[:] = 1
@@ -146,24 +149,11 @@ class Hierarchy:
         return vector, given
 
 
-def membership(
-    groups: Sequence[Collection[Hashable]], index: Mapping[Hashable, int], width: int
-) -> tuple[sparse.csr_matrix, int]:
-    """0/1 CSR matrix whose row r marks column index[k] for each k in groups[r].
-
-    Indices come out sorted and repeats count once.  Keys missing from
-    `index` are skipped; the second value counts them.
-    """
-    cols = np.fromiter(map(index.get, chain.from_iterable(groups), repeat(-1)), dtype=np.int64)
-    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    known = cols >= 0
-    matrix = sparse.csr_matrix(
-        (np.ones(int(known.sum()), dtype=np.int32), (rows[known], cols[known])),
-        shape=(len(groups), width),
-    )
-    matrix.sum_duplicates()
-    matrix.data[:] = 1
-    return matrix, int(len(cols) - known.sum())
+def pattern(indptr: np.ndarray, indices: np.ndarray, width: int, dtype=np.int32):
+    """The 0/1 CSR matrix of `width` columns whose row r marks the sorted,
+    distinct columns `indices[indptr[r]:indptr[r + 1]]`."""
+    return sparse.csr_matrix((np.ones(len(indices), dtype), indices, indptr),
+                             shape=(len(indptr) - 1, width))
 
 
 def parse_hierarchy(lines: Iterable[str]) -> tuple[Hierarchy, int]:

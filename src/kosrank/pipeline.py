@@ -9,19 +9,19 @@ export_plots -> one SVG rank-trajectory chart per level scope
 Every output file carries the config hash in a header comment, and all
 orderings are pinned so reruns (at any thread count) are byte-identical.
 
-`ingest` and `compute` also write `.npy` mirrors (see `mirror`) of the
-arrays they parsed or computed: `ingest/` and `compute.*`.  A record names
-its sources by role, not by path, so a mirror moved with its inputs still
-matches.  `compute`'s record is the one interface to the later stages: they
-read the node codes and levels, the scores and each aspect's ranks, the
-members and, for `run_evaluate`, the descriptor map and the sampled
-articles' ids, node rows and retraction flags only from its arrays.  Each
-fuses the ranks at its own `rrf_k` into the window month x node arrays that
-`fuse` writes out (`_fused`).  So `run_evaluate` parses only the change
-records, the other later stages no input, and no stage reads what `fuse`
-writes.  That record holds the digests of the hierarchy and of the articles,
-the window and the `COMPUTE_KEYS` values; one that is missing or does not
-match is an error that says to rerun `compute`.
+`ingest` and `compute` also write `.npy` mirrors (see `mirror`) of the arrays
+they parsed or computed: `ingest/` and `compute.*`.  A record names its
+sources by role, not by path, so a mirror moved with its inputs still matches.
+`compute`'s record, which `_record` loads by name, is the one interface to the
+later stages: they read the node codes and levels, the scores and each
+aspect's ranks, the members and, for `run_evaluate`, the descriptor map and
+the sampled articles' ids, node rows and retraction flags (each 0/1 matrix by
+`hierarchy.pattern`) only from its arrays.  Each fuses the ranks at its own
+`rrf_k` into the window month x node arrays that `fuse` writes out (`_fused`).
+So `run_evaluate` parses only the change records, the other later stages no
+input, and no stage reads what `fuse` writes.  That record holds the digests
+of the hierarchy and of the articles, the window and the `COMPUTE_KEYS`
+values; a missing or mismatched one is an error that says to rerun `compute`.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from . import citegraph, evaluate, fusion, graphmetrics, infometrics, mirror, pr
 from .config import PipelineConfig
 from .corpus import ArticleColumns, CorpusError, parse_articles
 from .evaluate import ChangeRecord, parse_changes
-from .hierarchy import Hierarchy, HierarchyError, parse_hierarchy
+from .hierarchy import Hierarchy, HierarchyError, parse_hierarchy, pattern
 from .months import month_index, normalize_month, year_of
 from .plots import rank_chart_svg
 from .scores import ASPECTS, RELEVANCE, write_rows, write_scores_csv
@@ -103,17 +103,11 @@ def ingest_arrays(h: Hierarchy, articles: ArticleColumns, edges) -> dict[str, np
                 out_indptr=g.matrix.indptr, out_targets=g.matrix.indices, dropped=np.array(drops))
 
 
-def _ones(indptr: np.ndarray, indices: np.ndarray, width: int, dtype=np.int32):
-    """The 0/1 CSR matrix of `width` columns with a stored pattern."""
-    return sparse.csr_matrix((np.ones(len(indices), dtype), indices, indptr),
-                             shape=(len(indptr) - 1, width))
-
-
 def ingest_data(h: Hierarchy, autocreated: int, changes, a: dict[str, np.ndarray]) -> IngestData:
     """The inputs that `ingest_arrays` laid out: each 0/1 matrix from its pattern."""
-    matrix = _ones(a["out_indptr"], a["out_targets"], len(a["ids"]), bool)
+    matrix = pattern(a["out_indptr"], a["out_targets"], len(a["ids"]), bool)
     graph = citegraph.CitationGraph(a["ids"], matrix, *a["dropped"].tolist())
-    incidence = _ones(a["indptr"], a["indices"], len(h.codes))
+    incidence = pattern(a["indptr"], a["indices"], len(h.codes))
     columns = (a["ids"], a["month_idx"], a["retracted"], incidence, int(a["unknown"]))
     return IngestData(h, autocreated, changes, *columns, graph)
 
@@ -290,26 +284,17 @@ def _compute_meta(cfg: PipelineConfig) -> dict:
     return {"months": cfg.window(), **{k: getattr(cfg, k) for k in COMPUTE_KEYS}}
 
 
-def _compute_outputs(cfg: PipelineConfig, sources: dict[str, str]):
-    """compute's outputs, from its mirror: the node codes, their levels, the
-    window month x aspect x node (values, scored), each window month's
-    sampled article ids, `_fused` of the aspect ranks at `rrf_k`, and the arrays.
-    `sources` holds the sha256 of each input that the caller read, by role,
-    each of which must be the file that compute read; a compute record that
-    is missing or does not match is a PipelineError."""
-    out = Path(cfg.output_dir)
-    arrays = mirror.load(out / "compute", COMPUTE_ARRAYS, sources, _compute_meta(cfg))
+def _record(cfg: PipelineConfig, *roles: str) -> dict[str, np.ndarray]:
+    """compute's record, its arrays by name.  It must hold the sha256 of
+    each input of `roles`, the file that compute read, and this config's
+    `_compute_meta`; a record that is missing or does not match is a
+    PipelineError."""
+    sources = mirror.digests({role: _require(getattr(cfg, role), role) for role in roles})
+    stem = Path(cfg.output_dir) / "compute"
+    arrays = mirror.load(stem, COMPUTE_ARRAYS, sources, _compute_meta(cfg))
     if arrays is None:
-        raise PipelineError(f"{out / 'compute.mirror.json'} is missing or does not match; "
-                            "rerun compute")
-    codes, level, values, aspect_rank, ids, indptr = (arrays[k] for k in COMPUTE_ARRAYS[:6])
-    return (codes.tolist(), level, (values, aspect_rank > 0), np.split(ids, indptr[1:-1]),
-            _fused(level, aspect_rank, cfg.rrf_k), arrays)
-
-
-def _sources(cfg: PipelineConfig, *roles: str) -> dict[str, str]:
-    """The sources of a later stage: the sha256 of each input of `roles`."""
-    return mirror.digests({role: _require(getattr(cfg, role), role) for role in roles})
+        raise PipelineError(f"{stem}.mirror.json is missing or does not match; rerun compute")
+    return arrays
 
 
 def _level_order(level: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -333,7 +318,9 @@ def _fused(level: np.ndarray, aspect_rank: np.ndarray, k: int) -> tuple[np.ndarr
 
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
-    codes, level, _, _, (rrf, *ranks), _ = _compute_outputs(cfg, _sources(cfg, "hierarchy"))
+    a = _record(cfg, "hierarchy")
+    codes, level = a["codes"].tolist(), a["level"]
+    rrf, *ranks = _fused(level, a["aspect_rank"], cfg.rrf_k)
     path = Path(cfg.output_dir) / "rankings.csv"
     rows = []
     for month, month_rrf, rank, level_rank in zip(cfg.window(), rrf, *ranks):
@@ -370,8 +357,9 @@ def scope_mean_ranks(
 
 def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
     """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
-    codes, level, _, _, (_, _, level_rank), _ = _compute_outputs(cfg, _sources(cfg, "hierarchy"))
-    means = scope_mean_ranks(level, cfg.window(), level_rank)
+    a = _record(cfg, "hierarchy")
+    codes, level = a["codes"].tolist(), a["level"]
+    means = scope_mean_ranks(level, cfg.window(), _fused(level, a["aspect_rank"], cfg.rrf_k)[2])
     out = Path(cfg.output_dir)
     chash = cfg.config_hash()
 
@@ -395,8 +383,9 @@ def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
 def export_plots(cfg: PipelineConfig) -> tuple[int, Path]:
     """Write one SVG chart per level scope of its top `TOP_K` nodes' yearly
     mean ranks; return the number of charts and their directory."""
-    codes, level, _, _, (_, _, level_rank), _ = _compute_outputs(cfg, _sources(cfg, "hierarchy"))
-    means = scope_mean_ranks(level, cfg.window(), level_rank)
+    a = _record(cfg, "hierarchy")
+    codes, level = a["codes"].tolist(), a["level"]
+    means = scope_mean_ranks(level, cfg.window(), _fused(level, a["aspect_rank"], cfg.rrf_k)[2])
     out = Path(cfg.output_dir) / "plots"
     out.mkdir(parents=True, exist_ok=True)
     for scope, (years, yearly, window_means) in means.items():
@@ -436,15 +425,16 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
     Parses the change records and reads the rest from compute's record,
     whose scores it fuses as `fuse` does.
     """
-    sources = _sources(cfg, "hierarchy", "articles")
     changes = _parse(_require(cfg.changes, "changes"), parse_changes) if cfg.changes else []
-    codes, _, (values, scored), members, (rrf, rank, _), a = _compute_outputs(cfg, sources)
-    descriptors = a["descriptors"].tolist()
-    descriptor_nodes = _ones(a["descriptor_indptr"], a["descriptor_indices"], len(codes))
-    sampled_rows = _ones(a["sampled_indptr"], a["sampled_indices"], len(codes))
+    a = _record(cfg, "hierarchy", "articles")
+    rrf, rank, _ = _fused(a["level"], a["aspect_rank"], cfg.rrf_k)
+    members = np.split(a["ids"], a["indptr"][1:-1])  # each window month's sampled ids
+    descriptors, n = a["descriptors"].tolist(), len(a["codes"])
+    descriptor_nodes = pattern(a["descriptor_indptr"], a["descriptor_indices"], n)
+    sampled_rows = pattern(a["sampled_indptr"], a["sampled_indices"], n)
     # window month x series x node: the aspects, then the fused relevance
-    values = np.concatenate([values, rrf[:, None]], axis=1)
-    scored = np.concatenate([scored, rank[:, None] > 0], axis=1)
+    values = np.concatenate([a["values"], rrf[:, None]], axis=1)
+    scored = np.concatenate([a["aspect_rank"] > 0, rank[:, None] > 0], axis=1)
     month_years = np.array([year_of(m) for m in cfg.window()])
     series_names = list(ASPECTS) + [RELEVANCE]
     out = Path(cfg.output_dir)

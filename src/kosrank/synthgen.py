@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import Article, ArticleColumns, ArticleStore
 from .evaluate import CHANGE_TYPES, ChangeRecord
-from .hierarchy import Hierarchy
+from .hierarchy import Hierarchy, pattern
 from .months import month_index, normalize_month, year_of
 
 _CATEGORY_LETTERS = "ABCDEFGHIJKLMNOP"  # at most 16 level-1 categories
@@ -170,9 +169,7 @@ def generate_columns(
     vocabulary = tuple(np.array(descriptor_ids)[by_text][drawn].tolist())
     column_of = np.cumsum(drawn) - 1  # a drawn text rank -> its vocabulary column
     indptr = np.searchsorted(key, np.arange(total + 1, dtype=np.int64) * n_desc)
-    annotations = sparse.csr_matrix(
-        (np.ones(len(key), dtype=np.int32), column_of[key % n_desc], indptr),
-        shape=(total, len(vocabulary)))
+    annotations = pattern(indptr, column_of[key % n_desc], len(vocabulary))
     first = month_index(cfg.first_month)
     columns = ArticleColumns(
         ids=np.arange(1, total + 1, dtype=np.int64),

@@ -7,13 +7,14 @@ recursion for the hierarchy propagation, a per-line loop for the
 citation TSV, one f-string per edge for the citation writer, one encoder
 call per article row for the articles file, a loop over the descriptor
 map for the evolution cohorts, the text of a tree code for its level
-and its ancestors, and a ranking of each level scope by its own mask for
-the fused ranks.
+and its ancestors, a ranking of each level scope by its own mask for
+the fused ranks, and a dict lookup per key for the 0/1 membership matrices.
 """
 from __future__ import annotations
 
 import json
-from typing import Iterable, TextIO
+from itertools import chain, repeat
+from typing import Collection, Hashable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -21,7 +22,7 @@ from scipy import sparse
 from kosrank.citegraph import CitationGraph, GraphError, build_graph
 from kosrank.corpus import Article, ArticleColumns, ArticleStore, CorpusError
 from kosrank.fusion import rank_by_aspect, rrf_fuse
-from kosrank.hierarchy import Hierarchy, membership, parent_of
+from kosrank.hierarchy import Hierarchy, parent_of
 
 _LETTERS = "ABCDEFGHIJKLMNOP"
 
@@ -188,6 +189,27 @@ def descriptors_of(columns: ArticleColumns, article_id: int) -> tuple[str, ...]:
     assert columns.ids[i] == article_id
     m = columns.annotations
     return tuple(columns.vocabulary[j] for j in m.indices[m.indptr[i] : m.indptr[i + 1]])
+
+
+def membership(
+    groups: Sequence[Collection[Hashable]], index: Mapping[Hashable, int], width: int
+) -> tuple[sparse.csr_matrix, int]:
+    """0/1 CSR matrix whose row r marks column index[k] for each k in groups[r].
+
+    Indices come out sorted and repeats count once.  Keys missing from
+    `index` are skipped; the second value counts them.  Built through COO
+    and `sum_duplicates`, not `hierarchy.pattern`, so it checks that builder.
+    """
+    cols = np.fromiter(map(index.get, chain.from_iterable(groups), repeat(-1)), dtype=np.int64)
+    rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    known = cols >= 0
+    matrix = sparse.csr_matrix(
+        (np.ones(int(known.sum()), dtype=np.int32), (rows[known], cols[known])),
+        shape=(len(groups), width),
+    )
+    matrix.sum_duplicates()
+    matrix.data[:] = 1
+    return matrix, int(len(cols) - known.sum())
 
 
 def annotation_matrix(

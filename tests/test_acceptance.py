@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     codes_by_level,
     disruption_oracle,
+    membership,
     pagerank_oracle,
     pair_arrays,
     propagate_oracle,
@@ -27,7 +28,7 @@ from conftest import (
 from kosrank import citegraph, evaluate, fusion, graphmetrics, synthgen
 from kosrank.cli import main as cli_main
 from kosrank.config import PipelineConfig, write_config
-from kosrank.hierarchy import Hierarchy, membership
+from kosrank.hierarchy import Hierarchy
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 from kosrank.months import month_from_index, month_index, year_of
 from kosrank.pipeline import compute_month, ingest_arrays, ingest_data

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ancestors_of, annotation_matrix, level_of, random_tree
+from conftest import ancestors_of, annotation_matrix, level_of, membership, random_tree
 from kosrank.hierarchy import (
     Hierarchy,
     HierarchyError,
     is_tree_code,
     parent_of,
     parse_hierarchy,
+    pattern,
     write_hierarchy,
 )
 
@@ -195,6 +196,92 @@ class TestPositional:
             assert row.tolist() == sorted(h.position[c] for c in mapped)
             assert marks.data[marks.indptr[r] : marks.indptr[r + 1]].tolist() == [1] * len(row)
         assert unknown == expected_unknown
+
+
+def assert_same_csr(got, want):
+    """The same shape and the same index and data arrays, dtypes included:
+    compute's record stores these arrays' bytes."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.has_sorted_indices and want.has_sorted_indices
+
+
+def mapped_tree(rng, max_nodes=60, descriptors=8):
+    """A random tree whose descriptors map to 1-3 codes each, some of them
+    codes that only the map names (and their missing ancestors)."""
+    codes = sorted(random_tree(rng, max_nodes=max_nodes).nodes)
+    new = [c + ("99" if len(c) == 1 else ".999") for c in codes] + ["Z", "Y42.001"]
+    pool = codes + new[: int(rng.integers(0, len(new) + 1))]
+    descriptor_map = {
+        f"D{i:04d}": {pool[int(k)] for k in rng.integers(len(pool), size=1 + i % 3)}
+        for i in range(descriptors)
+    }
+    return Hierarchy({c: "" for c in codes}, descriptor_map)
+
+
+def incidence_oracle(h, annotations):
+    """The membership matrix of each row's mapped nodes, and the count of
+    the row ids that no descriptor of `h` names."""
+    groups = [set().union(*(h.descriptor_map.get(d, ()) for d in row)) for row in annotations]
+    unknown = sum(d not in h.descriptor_map for row in annotations for d in set(row))
+    return membership(groups, h.position, len(h.codes))[0], unknown
+
+
+class TestPattern:
+    """`pattern` builds the 0/1 matrices that `membership`, the dict-and-COO
+    oracle, gives: the same bytes, dtypes and sortedness."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_descriptor_nodes_match_membership(self, seed):
+        h = mapped_tree(np.random.default_rng(seed))
+        groups = [h.descriptor_map[d] for d in h.descriptors]
+        assert_same_csr(h.descriptor_nodes, membership(groups, h.position, len(h.codes))[0])
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_incidence_matches_membership(self, seed):
+        rng = np.random.default_rng(seed)
+        h = mapped_tree(rng)
+        pool = [*h.descriptors, "X0001", "X0002", "D9999"]  # the last three unknown
+        annotations = [
+            [pool[int(k)] for k in rng.integers(len(pool), size=int(rng.integers(0, 5)))]
+            for _ in range(int(rng.integers(0, 15)))
+        ]
+        marks, unknown = h.incidence(*annotation_matrix(annotations))
+        want, want_unknown = incidence_oracle(h, annotations)
+        assert_same_csr(marks, want)
+        assert unknown == want_unknown
+
+    @pytest.mark.parametrize("annotations", [[], [[], []]])
+    def test_empty_vocabulary(self, annotations):
+        h = mapped_tree(np.random.default_rng(5))
+        marks, unknown = h.incidence(*annotation_matrix(annotations))
+        assert_same_csr(marks, incidence_oracle(h, annotations)[0])
+        assert unknown == 0
+
+    def test_hierarchy_without_descriptors(self):
+        h = Hierarchy({"D12.776": "", "E01": ""}, {})
+        assert_same_csr(h.descriptor_nodes, membership([], h.position, len(h.codes))[0])
+        annotations = [["D0001"], [], ["D0001", "D0002"]]
+        marks, unknown = h.incidence(*annotation_matrix(annotations))
+        assert_same_csr(marks, incidence_oracle(h, annotations)[0])
+        assert (marks.nnz, unknown) == (0, 3)
+
+    def test_bool_dtype(self):
+        m = pattern(np.array([0, 2, 2, 3]), np.array([0, 2, 1]), 3, bool)
+        assert m.dtype == bool and m.data.all()
+        assert m.toarray().tolist() == [[True, False, True], [False] * 3, [False, True, False]]
+
+    def test_empty_rows(self):
+        m = pattern(np.array([0, 0, 1, 1]), np.array([3]), 4)
+        assert_same_csr(m, membership([(), (3,), ()], {3: 3}, 4)[0])
+
+    def test_width_zero(self):
+        m = pattern(np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64), 0)
+        assert_same_csr(m, membership([(), ()], {}, 0)[0])
 
 
 class TestRoundTrip:

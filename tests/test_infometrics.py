@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from conftest import (
-    children_by_code, codes_by_level, level_of, random_tree, usefulness_oracle,
+    children_by_code, codes_by_level, level_of, membership, random_tree, usefulness_oracle,
 )
-from kosrank.hierarchy import Hierarchy, membership
+from kosrank.hierarchy import Hierarchy
 from kosrank.infometrics import category_utility, informativeness, subtree_counts
 from kosrank.synthgen import ScenarioConfig, generate_columns
 

@@ -47,6 +47,15 @@ def make_config(tmp_path: Path, **overrides) -> Path:
     return path
 
 
+def set_line(path: Path, line: str) -> None:
+    """Append the config `line` to the config file `path`, in place of the
+    line that sets the same key: a config that sets a key twice is an error."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in path.read_text().splitlines(keepends=True)
+            if old.partition("=")[0].strip() != key]
+    path.write_text("".join(kept) + line + "\n")
+
+
 def generate_argv(cfg_path: Path, months=6, articles=120) -> list[str]:
     return [
         "generate",
@@ -260,18 +269,31 @@ def computed(tmp_path):
 def test_rrf_k_above_2_pow_53_is_a_one_line_error(computed, capsys, rrf_k):
     # 10**20 overflowed int64 in fuse; 9223372036854775000 + rank wrapped in
     # int64, so 1/(k + rank) turned negative and fuse left those nodes out
-    computed.write_text(computed.read_text() + f"rrf_k = {rrf_k}\n")
+    set_line(computed, f"rrf_k = {rrf_k}")
     capsys.readouterr()
     assert main(["fuse", "--config", str(computed)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: rrf_k must be positive and at most 2**53, got {rrf_k}\n"
 
 
+@pytest.mark.parametrize("value", [7, 60])
+def test_key_set_twice_is_a_one_line_error(computed, capsys, value):
+    # the later line used to override the first with no message, even a typo
+    text = computed.read_text()
+    first = text.splitlines().index("rrf_k = 60") + 1
+    computed.write_text(text + f"rrf_k = {value}\n")
+    capsys.readouterr()
+    assert main(["fuse", "--config", str(computed)]) == 1
+    lineno = text.count("\n") + 1
+    assert capsys.readouterr().err == (
+        f"error: line {lineno}: 'rrf_k' is set again, first on line {first}\n")
+
+
 def test_rrf_k_of_2_pow_53_ranks_every_node_that_60_does(computed, capsys):
     rankings = Path(load_config(computed).output_dir) / "rankings.csv"
     ranked = []  # the month,scope,tree_code of each row
-    for line in ["", f"rrf_k = {2**53}\n"]:
-        computed.write_text(computed.read_text() + line)
+    for line in ["rrf_k = 60", f"rrf_k = {2**53}"]:
+        set_line(computed, line)
         capsys.readouterr()
         assert main(["fuse", "--config", str(computed)]) == 0 and capsys.readouterr().err == ""
         rows = rankings.read_text().splitlines()[2:]
@@ -326,7 +348,7 @@ class TestConfig:
     )
     def test_mistyped_value_is_a_one_line_error(self, tmp_path, capsys, line, key):
         path = make_config(tmp_path)
-        path.write_text(path.read_text() + line + "\n")
+        set_line(path, line)
         with pytest.raises(ConfigError, match=key):
             load_config(path)
         assert main(["compute", "--config", str(path)]) == 1
@@ -336,7 +358,7 @@ class TestConfig:
     @pytest.mark.parametrize("line", ['first_month = "2014-02-30"', 'last_month = "2014-06-31"'])
     def test_window_end_of_no_such_day_is_a_one_line_error(self, tmp_path, capsys, line):
         path = make_config(tmp_path)
-        path.write_text(path.read_text() + line + "\n")
+        set_line(path, line)
         month = line.split('"')[1]
         assert main(["compute", "--config", str(path)]) == 1
         err = capsys.readouterr().err
@@ -367,9 +389,8 @@ class TestConfig:
         """int() and float() alone read "٤٢" as 42, "０.５" as 0.5, "6_0" as 60
         and "inf" as a tolerance that stops PageRank after one iteration."""
         path = make_config(tmp_path)
-        text = path.read_text()
-        path.write_text(text + line + "\n")
-        lineno = text.count("\n") + 1
+        set_line(path, line)
+        lineno = path.read_text().count("\n")  # the last line
         value = line.partition("=")[2].strip()
         with pytest.raises(ConfigError, match=f"^line {lineno}: "):
             load_config(path)
@@ -404,7 +425,7 @@ class TestConfig:
     def test_ascii_decimal_literals_parse(self, tmp_path, key, text, value):
         """An int is a literal with no `.`, `e` or `E`; the others are floats."""
         path = make_config(tmp_path)
-        path.write_text(path.read_text() + f"{key} = {text}\n")
+        set_line(path, f"{key} = {text}")
         parsed = getattr(load_config(path), key)
         assert parsed == value and type(parsed) is type(value)
 
@@ -430,9 +451,9 @@ class TestConfig:
 
     def test_int_passes_for_float_and_bool_never_for_number(self, tmp_path):
         path = make_config(tmp_path)
-        path.write_text(path.read_text() + "sample_fraction = 1\n")
+        set_line(path, "sample_fraction = 1")
         assert load_config(path).sample_fraction == 1
-        path.write_text(path.read_text() + "rrf_k = true\n")
+        set_line(path, "rrf_k = true")
         with pytest.raises(ConfigError, match="rrf_k"):
             load_config(path)
 
@@ -833,7 +854,7 @@ class TestComputeFuseTrendEvaluate:
         cfg_path, cfg = prepared
         assert main(["compute", "--config", str(cfg_path)]) == 0
         assert capsys.readouterr().err == ""
-        cfg_path.write_text(cfg_path.read_text() + "pagerank_max_iter = 1\n")
+        set_line(cfg_path, "pagerank_max_iter = 1")
         assert main(["compute", "--config", str(cfg_path)]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err == [
@@ -854,11 +875,11 @@ class TestComputeFuseTrendEvaluate:
         cfg_path, cfg = prepared
         assert run_stages(cfg_path, ["compute", stage], capsys) == [(0, "")] * 2
         out = Path(cfg.output_dir)
-        before, text = read_all_outputs(out), cfg_path.read_text()
+        before = read_all_outputs(out)
         missing = Path(cfg.hierarchy).with_name("hierarchy.missing")
         for value, err in [("", "error: config does not set the hierarchy path\n"),
                            (str(missing), f"error: hierarchy file not found: {missing}\n")]:
-            cfg_path.write_text(text + f'hierarchy = "{value}"\n')
+            set_line(cfg_path, f'hierarchy = "{value}"')
             assert run_stages(cfg_path, [stage], capsys) == [(1, err)], value
         assert read_all_outputs(out) == before
 
@@ -867,7 +888,7 @@ class TestComputeFuseTrendEvaluate:
         for stage in ("compute", "fuse"):
             assert main([stage, "--config", str(cfg_path)]) == 0
         missing = Path(cfg.changes).with_name("changse.tsv")
-        cfg_path.write_text(cfg_path.read_text() + f'changes = "{missing}"\n')
+        set_line(cfg_path, f'changes = "{missing}"')
         capsys.readouterr()
         for stage in ("ingest", "compute", "evaluate"):
             assert main([stage, "--config", str(cfg_path)]) == 1
@@ -1388,10 +1409,10 @@ class TestMirrors:
                 fh.write("Z99\t\tnode Z99\n")
             name = "compute"
         elif damage == "window-changed":
-            cfg_path.write_text(cfg_path.read_text() + 'last_month = "2014-05"\n')
+            set_line(cfg_path, 'last_month = "2014-05"')
             name = "compute"
         elif damage == "rrf_k-changed":
-            cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")
+            set_line(cfg_path, "rrf_k = 30")
         elif damage.endswith(".npy"):
             data = bytearray((out / damage).read_bytes())
             data[-1] ^= 1
@@ -1465,7 +1486,7 @@ class TestMirrors:
         out, later = Path(cfg.output_dir), CHAIN[CHAIN.index("fuse") + 1:]
         assert run_stages(cfg_path, CHAIN, capsys) == [(0, "")] * len(CHAIN)
         at_60 = results(out)
-        cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")
+        set_line(cfg_path, "rrf_k = 30")
         stale = run_stages(cfg_path, later, capsys), results(out)
         fresh = run_stages(cfg_path, ["fuse", *later], capsys)[1:], results(out)
         assert stale[1].pop("rankings.csv") == at_60["rankings.csv"] != fresh[1].pop("rankings.csv")
@@ -1594,7 +1615,7 @@ class TestMirrors:
             assert main([stage, "--config", str(cfg_path)]) == 0
         out = Path(cfg.output_dir)
         before = (out / "rankings.csv").read_bytes()
-        cfg_path.write_text(cfg_path.read_text() + "rrf_k = 30\n")  # which changes every rrf value
+        set_line(cfg_path, "rrf_k = 30")  # which changes every rrf value
 
         def fail(src, dst):
             raise OSError(f"cannot rename {src} to {dst}")
