@@ -18,7 +18,7 @@ from typing import Iterable, TextIO
 import numpy as np
 from scipy import sparse
 
-from .corpus import ID_RANGE, ArticleStore, decimal_rows
+from .corpus import ID_RANGE, ArticleStore, text_rows
 
 
 class GraphError(ValueError):
@@ -195,5 +195,5 @@ def _parse_citation_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray]
 def write_citations(citing: np.ndarray, cited: np.ndarray, out: TextIO) -> None:
     """Write the edges (citing[k], cited[k]) as the `citing \\t cited` TSV
     lines that `parse_citations` reads back, in order, each id in decimal:
-    the text of one `decimal_rows` over both columns."""
-    out.write(decimal_rows(citing, b"\t", cited, b"\n"))
+    the text of one `text_rows` over both columns."""
+    out.write(text_rows(citing, b"\t", cited, b"\n").decode())

@@ -5,7 +5,7 @@ Input format is JSON lines, one article per line:
 `mesh` (descriptor id strings) defaults to [] and `retracted` to false;
 day-level dates in `month` are truncated to the month.  Parsing builds no
 `Article` objects but `ArticleColumns`, which `write_articles` writes back
-with no per-row format, its ids by `decimal_rows`, as are the citations.
+with no per-row format, its ids by `text_rows`, as are the citations and CSVs.
 Text in the writer's form is read off its bytes a block at a time, and a
 block is kept only if writing what was read (its annotations built by
 `hierarchy.pattern`) gives back its text; any other block is JSON-decoded.
@@ -288,36 +288,37 @@ def _checked_lines(lines: Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def decimal_rows(*parts: bytes | np.ndarray) -> str:
-    """The ASCII text of rows that each join `parts`: a bytes part as it is,
-    an int64 array part as the row's entry in decimal.  It is cut at once from
-    a uint8 matrix, a column per row and a row per byte, sign or digit place,
-    by a mask that keeps the significant digits and the signs of negatives."""
+def text_rows(*parts: bytes | np.ndarray) -> bytes:
+    """The ASCII text of rows that each join `parts`: a bytes part as it is, an
+    `S` array part as the row's entry, an integer array part as the row's entry
+    in decimal.  The parts lie side by side in one 0-padded uint8 matrix, a row
+    per text row; the text is its bytes in row order but the 0s, which no part holds."""
     n = next(len(p) for p in parts if not isinstance(p, bytes))
-    blocks = []  # each part's rows: (its bytes or signs, None or its magnitudes, their count)
+    blocks = []  # each part's bytes (a bytes part's one row for all), or its signs and magnitudes
     for part in parts:
-        if isinstance(part, bytes):
-            blocks.append((part, None, len(part)))
+        if isinstance(part, bytes) or part.dtype.kind == "S":
+            entries = np.ascontiguousarray([part] if isinstance(part, bytes) else part)
+            blocks.append(entries.view(np.uint8).reshape(-1, entries.itemsize))
         else:
-            ids = np.asarray(part, dtype=np.int64)
-            mag = np.where(ids < 0, -ids.view(np.uint64), ids.view(np.uint64))  # |-2**63| fits
+            ints = np.asarray(part, dtype=np.int64)
+            mag = np.where(ints < 0, -ints.view(np.uint64), ints.view(np.uint64))  # |-2**63| fits
             digits = len(str(mag.max())) if n else 1
             # divmod runs faster in uint32, which holds every 9-digit magnitude
-            blocks.append((ids < 0, mag.astype(np.uint32) if digits <= 9 else mag, 1 + digits))
-    text = np.empty((sum(rows for *_, rows in blocks), n), dtype=np.uint8)
-    keep = np.ones(text.shape, dtype=bool)
-    at = 0
-    for head, mag, rows in blocks:
-        if mag is None:
-            text[at : at + rows] = np.frombuffer(head, dtype=np.uint8)[:, None]
-        else:
-            for r in range(at + rows - 1, at, -1):  # the digits, last first
-                mag, digit = np.divmod(mag, 10)
-                text[r] = digit + ord("0")
-                keep[r - 1] = mag > 0  # the place above holds a digit while any is left
-            text[at], keep[at] = ord("-"), head
-        at += rows
-    return text.T[keep.T].tobytes().decode("ascii")
+            blocks.append((ints < 0, mag.astype(np.uint32) if digits <= 9 else mag, 1 + digits))
+    ends = np.cumsum([b.shape[1] if isinstance(b, np.ndarray) else b[2] for b in blocks]).tolist()
+    text = np.zeros((n, ends[-1]), dtype=np.uint8)
+    for block, end in zip(blocks, ends):
+        if isinstance(block, np.ndarray):
+            text[:, end - block.shape[1] : end] = block
+            continue
+        negative, mag, width = block
+        text[:, end - width] = negative * ord("-")
+        live = True  # the last place holds a digit, a place above it one while any is left
+        for r in range(end - 1, end - width, -1):
+            mag, digit = np.divmod(mag, 10)
+            text[:, r] = (digit + ord("0")) * live
+            live = mag > 0
+    return text[text != 0].tobytes()  # in row order
 
 
 def write_articles(columns: ArticleColumns, out: TextIO) -> None:
@@ -338,7 +339,7 @@ def write_articles(columns: ArticleColumns, out: TextIO) -> None:
     last = np.diff(row, append=n) > 0  # an article's last descriptor, which has no ", "
     heads = m.indptr[:-1] + 2 * np.arange(n)  # piece k of article i is at heads[i] + k
     pieces = np.empty(m.nnz + 2 * n, dtype=object)
-    pieces[heads] = decimal_rows(b'{"id": ', columns.ids, b', "mesh": [\n').splitlines()
+    pieces[heads] = text_rows(b'{"id": ', columns.ids, b', "mesh": [\n').decode().splitlines()
     pieces[np.arange(m.nnz) + 2 * row + 1] = table[m.indices + len(words) * last]
     pieces[heads + sizes + 1] = tails[2 * month_of + columns.retracted]
     out.write("".join(pieces.tolist()))

@@ -50,12 +50,13 @@ def parse_utf8(path: Path, parser):
     raise ValueError(f"{path}: line {bad + 1}: not UTF-8")
 
 
-def write_file(path: Path, data: bytes) -> None:
-    """Write `data` to `path` by way of `.<name>.tmp`, which a failed write deletes."""
+def write_file(path: Path, *chunks: bytes) -> None:
+    """Write `chunks`, in order, to `path` by way of `.<name>.tmp`, which a failed write deletes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:  # gone already after the rename
         tmp.unlink(missing_ok=True)

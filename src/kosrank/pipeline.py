@@ -37,12 +37,12 @@ from scipy import sparse
 
 from . import citegraph, evaluate, fusion, graphmetrics, infometrics, mirror, propagation
 from .config import PipelineConfig
-from .corpus import ArticleColumns, CorpusError, parse_articles
+from .corpus import ArticleColumns, CorpusError, parse_articles, text_rows
 from .evaluate import ChangeRecord, parse_changes
 from .hierarchy import Hierarchy, HierarchyError, parse_hierarchy, pattern
 from .months import month_index, normalize_month, year_of
 from .plots import rank_chart_svg
-from .scores import ASPECTS, RELEVANCE, write_rows, write_scores_csv
+from .scores import ASPECTS, RELEVANCE, float_text, write_rows, write_scores_csv
 
 ANNOTATION_ARRAYS = ("ids", "month_idx", "retracted", "indptr", "indices", "unknown")
 GRAPH_ARRAYS = ("out_indptr", "out_targets", "dropped")
@@ -245,7 +245,7 @@ def compute(cfg: PipelineConfig, threads: int = 1) -> list[str]:
     member_paths = [out / "members" / f"{m}.csv" for m in window]
     write_scores_csv(h, score_paths, window, values, scored, chash)
     for path, ids in zip(member_paths, members):
-        write_rows(path, "article_id", map(str, ids.tolist()), chash)
+        write_rows(path, "article_id", [text_rows(ids, b"\n")], chash)
 
     manifest = {
         "config_hash": chash,
@@ -319,24 +319,25 @@ def _fused(level: np.ndarray, aspect_rank: np.ndarray, k: int) -> tuple[np.ndarr
 def fuse(cfg: PipelineConfig) -> Path:
     """Fuse per-aspect rankings per month; write global and per-level rows."""
     a = _record(cfg, "hierarchy")
-    codes, level = a["codes"].tolist(), a["level"]
+    codes, level = a["codes"].astype("S"), a["level"]
     rrf, *ranks = _fused(level, a["aspect_rank"], cfg.rrf_k)
     path = Path(cfg.output_dir) / "rankings.csv"
-    rows = []
+    rows = []  # a month's global rows, then its level rows
     for month, month_rrf, rank, level_rank in zip(cfg.window(), rrf, *ranks):
-        text = [format(v, ".17g") for v in month_rrf.tolist()]
         order = _level_order(level, rank)
-        rows += [f"{month},global,{codes[i]},{text[i]},{r}"
-                 for r, i in enumerate(order[np.argsort(rank[order])].tolist(), 1)]
-        rows += [f"{month},level-{lvl},{codes[i]},{text[i]},{r}" for i, lvl, r in
-                 zip(order.tolist(), level[order].tolist(), level_rank[order].tolist())]
+        text, by_rank = float_text(month_rrf[order]), np.argsort(rank[order])
+        ranked = order[by_rank]  # in global rank order
+        rows += [text_rows(f"{month},global,".encode(), codes[ranked], b",", text[by_rank], b",",
+                           rank[ranked], b"\n"),
+                 text_rows(f"{month},level-".encode(), level[order], b",", codes[order], b",",
+                           text, b",", level_rank[order], b"\n")]
     write_rows(path, "month,scope,tree_code,rrf_value,rank", rows, cfg.config_hash())
     return path
 
 
 def scope_mean_ranks(
     level: np.ndarray, window: list[str], level_rank: np.ndarray
-) -> dict[str, tuple[list[int], np.ndarray, np.ndarray]]:
+) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Level scope -> (the window's years, mean level rank per year x node,
     mean level rank per node over the window), from the node `level`s and
     the window month x node fused `level_rank`.
@@ -345,7 +346,7 @@ def scope_mean_ranks(
     ranks it.  Scopes ranked in no window month are left out.
     """
     month_years = np.array([year_of(m) for m in window])
-    years = np.unique(month_years).tolist()
+    years = np.unique(month_years)
     yearly = np.array([fusion.mean_ranks(level_rank[month_years == y]) for y in years])
     window_means = fusion.mean_ranks(level_rank)
     ranked_levels = np.unique(level[window_means > 0]).tolist()
@@ -358,22 +359,18 @@ def scope_mean_ranks(
 def trend(cfg: PipelineConfig) -> tuple[Path, Path]:
     """Write rank-trend slopes (yearly mean ranks) and top/bottom tables."""
     a = _record(cfg, "hierarchy")
-    codes, level = a["codes"].tolist(), a["level"]
+    codes, level = a["codes"].astype("S"), a["level"]
     means = scope_mean_ranks(level, cfg.window(), _fused(level, a["aspect_rank"], cfg.rrf_k)[2])
-    out = Path(cfg.output_dir)
-    chash = cfg.config_hash()
-
-    trends = [
-        f"{codes[i]},{level[i]},{format(slope, '.17g')},{years[y0]},{years[y1]}"
-        for years, yearly, _ in means.values()
-        for i, slope, y0, y1 in zip(*(a.tolist() for a in fusion.rank_trend_slope(yearly)))
-    ]
-    tables = [
-        f"{scope},{kind},{position},{codes[i]},{format(float(window_means[i]), '.17g')}"
-        for scope, (_, _, window_means) in means.items()
-        for kind, sign in (("top", 1), ("bottom", -1))
-        for position, i in enumerate(fusion.top_k(sign * window_means, TOP_K).tolist(), start=1)
-    ]
+    out, chash = Path(cfg.output_dir), cfg.config_hash()
+    trends = [text_rows(codes[i], b",", level[i], b",", float_text(slope), b",", years[y0], b",",
+                        years[y1], b"\n")
+              for years, yearly, _ in means.values()
+              for i, slope, y0, y1 in [fusion.rank_trend_slope(yearly)]]
+    tables = [text_rows(f"{scope},{kind},".encode(), np.arange(1, len(top) + 1), b",", codes[top],
+                        b",", float_text(window_means[top]), b"\n")
+              for scope, (_, _, window_means) in means.items()
+              for kind, sign in (("top", 1), ("bottom", -1))
+              for top in [fusion.top_k(sign * window_means, TOP_K)]]
     trends_path, tables_path = out / "trends.csv", out / "tables.csv"
     write_rows(trends_path, "tree_code,level,slope,first_year,last_year", trends, chash)
     write_rows(tables_path, "scope,kind,position,tree_code,mean_rank", tables, chash)
@@ -490,7 +487,7 @@ def run_evaluate(cfg: PipelineConfig) -> list[Path]:
         except evaluate.EvaluationError as exc:
             write_rows(cpath, f"# skipped: {exc}", [], chash)
             continue
-        rows = [",".join([name, *(format(v, ".17g") for v in row)])
-                for name, row in zip(series_names, matrix.tolist())]
-        write_rows(cpath, ",".join(["series", *series_names]), rows, chash)
+        cells = [part for column in matrix.T for part in (b",", float_text(column))]
+        rows = text_rows(np.array(series_names, dtype="S"), *cells, b"\n")
+        write_rows(cpath, ",".join(["series", *series_names]), [rows], chash)
     return written

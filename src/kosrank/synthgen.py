@@ -70,6 +70,8 @@ class ScenarioConfig:
             self.first_month = normalize_month(self.first_month)
         except ValueError as exc:
             raise InfeasibleConfigError(f"first_month: {exc}") from None
+        if month_index(self.first_month) + self.months - 1 > month_index("9999-12"):
+            raise InfeasibleConfigError(f"months: {self.months} from {self.first_month} pass 9999")
         for name in ("descriptors_per_article_mean", "refs_mean", "pa_exponent"):
             value = getattr(self, name)
             top = _POISSON_MEAN_LIMIT if name.endswith("_mean") else math.inf

@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own code paths: dense
 linear algebra for PageRank, explicit global set construction for
 disruption, plain double loops for category utility, a memoized
 recursion for the hierarchy propagation, a per-line loop for the
-citation TSV, one f-string per edge for the citation writer, one encoder
+citation TSV, one f-string per edge for the citation writer and per
+entry for the row assembler, one encoder
 call per article row for the articles file, a loop over the descriptor
 map for the evolution cohorts, the text of a tree code for its level
 and its ancestors, a ranking of each level scope by its own mask for
@@ -138,6 +139,15 @@ def write_citations_oracle(citing: np.ndarray, cited: np.ndarray, out: TextIO) -
     """One `citing \\t cited` line per edge, each formatted on its own."""
     for u, v in zip(citing.tolist(), cited.tolist()):
         out.write(f"{u}\t{v}\n")
+
+
+def text_rows_oracle(*parts) -> list[str]:
+    """Each row that `text_rows(*parts)` writes, one f-string per entry: a
+    bytes part and an `S` entry decoded, an integer entry in decimal."""
+    n = next(len(part) for part in parts if not isinstance(part, bytes))
+    columns = [[part] * n if isinstance(part, bytes) else part.tolist() for part in parts]
+    return ["".join(entry.decode() if isinstance(entry, bytes) else f"{entry}" for entry in row)
+            for row in zip(*columns)]
 
 
 def pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:

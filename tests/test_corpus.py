@@ -4,9 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import assert_same_columns, descriptors_of, store_from_articles, write_articles_oracle
+from conftest import (
+    assert_same_columns,
+    descriptors_of,
+    store_from_articles,
+    text_rows_oracle,
+    write_articles_oracle,
+)
 from kosrank import corpus
-from kosrank.corpus import Article, CorpusError, parse_articles, write_articles
+from kosrank.corpus import Article, CorpusError, parse_articles, text_rows, write_articles
 from kosrank.months import month_from_index, month_index
 
 
@@ -447,3 +453,25 @@ class TestBlockRead:
             edit = int(rng.integers(3))  # replace, insert, delete
             tail = text[at + 1 :] if edit != 1 else text[at:]
             assert_block_read_is_the_line_loop(text[:at] + (char if edit < 2 else "") + tail)
+
+
+class TestTextRows:
+    @pytest.mark.parametrize("n", [0, 1, 4, 300])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_are_the_oracle_text(self, n, seed):
+        rng = np.random.default_rng(seed)
+        info = np.iinfo(np.int64)
+        wide = rng.integers(info.min, info.max, size=n, dtype=np.int64, endpoint=True)
+        edges = np.array([0, -1, info.min, info.max], dtype=np.int64)[:n]
+        wide[: len(edges)] = edges
+        narrow = rng.integers(-999, 1000, size=n).astype(np.int32)  # the uint32 divmod
+        words = np.array([bytes(rng.integers(33, 127, size=k).tolist())
+                          for k in rng.integers(0, 12, size=n).tolist()], dtype="S")
+        empty = np.array([b""] * n, dtype="S")
+        letters = np.array([bytes([c]) for c in rng.integers(65, 91, size=n).tolist()], dtype="S")
+        for parts in [
+            (wide, b"\n"),
+            (b"<", wide, b",", words, narrow, b"\t", letters, empty, b">\n"),
+            (letters, np.zeros(n, dtype=np.int64), words, b"", narrow, empty),
+        ]:
+            assert text_rows(*parts) == "".join(text_rows_oracle(*parts)).encode()

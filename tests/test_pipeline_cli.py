@@ -601,6 +601,16 @@ class TestGenerate:
         assert err == "error: config does not set the articles path\n"
 
 
+    def test_months_past_9999_fail_before_any_file_is_written(self, tmp_path, capsys):
+        path = make_config(tmp_path, first_month="9999-06", last_month="9999-12")
+        argv = ["generate", "--config", str(path), "--articles-per-month", "50", "--months"]
+        assert main([*argv, "12"]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not list((tmp_path / "data").iterdir())
+        assert main([*argv, "7"]) == 0
+        assert main(["ingest", "--config", str(path)]) == 0
+
+
 class TestComputeFuseTrendEvaluate:
     def test_compute_outputs(self, prepared):
         cfg_path, cfg = prepared
@@ -1660,15 +1670,22 @@ class TestMirrors:
         path = tmp_path / "out" / "rankings.csv"
         path.parent.mkdir()
         path.write_bytes(b"old\n")
-        real = Path.write_bytes
+        real = Path.open
 
-        def half(self, data):  # a write that stops part of the way in
-            real(self, data[: len(data) // 2])
-            raise OSError("No space left on device")
+        def opened(self, *args, **kwargs):  # a file whose write stops part of the way in
+            fh = real(self, *args, **kwargs)
+            write = fh.write
 
-        monkeypatch.setattr(Path, "write_bytes", half)
+            def half(data):
+                write(data[: len(data) // 2])
+                raise OSError("No space left on device")
+
+            fh.write = half
+            return fh
+
+        monkeypatch.setattr(Path, "open", opened)
         with pytest.raises(OSError, match="No space left"):
-            mirror.write_file(path, b"new contents\n")
+            mirror.write_file(path, b"new ", b"contents\n")
         monkeypatch.undo()
         assert path.read_bytes() == b"old\n"
         assert [p.name for p in path.parent.iterdir()] == ["rankings.csv"]

@@ -99,6 +99,12 @@ class TestConfigValidation:
         assert str(exc.value).startswith(f"{field} must be ")
         assert str(exc.value).endswith(f"got {value}")
 
+    def test_last_month_past_9999_is_rejected(self):
+        # the articles of 10000-01 on were written, which ingest rejects
+        small_config(first_month="9999-06", months=7)  # up to 9999-12
+        with pytest.raises(InfeasibleConfigError, match="^months: 8 from 9999-06 pass 9999$"):
+            small_config(first_month="9999-06", months=8)
+
     def test_poisson_means_below_numpy_limit_are_accepted(self):
         # only the configs are built: generate would draw counts near 2**63
         limit = synthgen._POISSON_MEAN_LIMIT
