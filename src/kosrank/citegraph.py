@@ -5,8 +5,8 @@ matrix over node positions (indices into the sorted `node_ids`) rather than
 article ids, so the kernels multiply it as it is; its CSC form, the citers
 of each node, is built on first use.  The accessors translate back and
 return ids, which `build_graph` maps to positions by a dense table or a search.
-Graphs are immutable once built; snapshot and sample return new graphs, cut
-from the parent's matrix by scipy's row-then-column indexing.
+Graphs are immutable once built; a snapshot or sample that keeps every node
+shares the parent's matrix, and any other is cut by row-then-column indexing.
 """
 from __future__ import annotations
 
@@ -110,10 +110,12 @@ def build_graph(edges: tuple[np.ndarray, np.ndarray], store: ArticleStore) -> Ci
 def induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
     """Subgraph on the nodes where the boolean mask `keep` is set.
 
-    scipy gathers only the kept rows, then maps their entries to the kept
-    columns in row order, and the kept positions ascend, so each row stays
-    sorted.
+    Keeping every node shares the parent's arrays, which nothing writes; else
+    scipy gathers only the kept rows, then maps their entries to the kept columns
+    in row order, and the kept positions ascend, so each row stays sorted.
     """
+    if keep.all():
+        return CitationGraph(g.node_ids, g.matrix)
     idx = np.flatnonzero(keep)
     return CitationGraph(g.node_ids[idx], g.matrix[idx][:, idx])
 

@@ -1,8 +1,8 @@
 """Citation-network relevance kernels: disruption index and PageRank centrality.
 
-Both read the graph's boolean matrix and its CSC form.  The disruption
-sweep takes all its counts from one integer sparse product per span, in
-which a citer of the focal weighs more than any count of shared references.
+Both read the graph's boolean matrix and its CSC form.  The disruption sweep
+counts only cited focals (an uncited one scores 0), by one numeric sparse product
+per span, in which a citer of the focal outweighs any count of shared references.
 The counts are exact integers and only the final division is float, so the
 scores keep the bits of `disruption_of` at any worker count: each of the
 sweep's spans, on `WORKERS` threads, writes its own slice of the scores.
@@ -20,6 +20,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .citegraph import CitationGraph
 
@@ -75,22 +76,25 @@ def disruption_of(g: CitationGraph, focal: int) -> float:
     return (n_i - n_j) / denominator
 
 
-def _run_spans(work: np.ndarray, out: np.ndarray, part: Callable[[int, int], np.ndarray]) -> None:
+def _run_spans(work: np.ndarray, out: np.ndarray, worker: Callable[[int], Callable]) -> None:
     """Set `out[start:stop] = part(start, stop)` over spans of one item or more of
-    `work`.  The caller and `WORKERS - 1` helper threads share the spans and
-    `BATCH_WORK`; one span or one worker runs inline.  No thread outlives the call.
+    `work`; each thread makes its `part = worker(largest)` once, where no span sums
+    above `largest`.  The caller and `WORKERS - 1` helper threads share the spans
+    and `BATCH_WORK`; one span or one worker runs inline.  No thread outlives the call.
     """
     budget, cumulative = BATCH_WORK // WORKERS, np.cumsum(np.maximum(work, 1))
-    pending, stop = deque(), 0
+    pending, stop, largest = deque(), 0, 0
     while stop < len(work):
         start, base = stop, int(cumulative[stop - 1]) if stop else 0
         stop = max(int(np.searchsorted(cumulative, base + budget, side="right")), start + 1)
         pending.append((start, stop))
+        largest = max(largest, int(cumulative[stop - 1]) - base)
     helpers = min(WORKERS, len(pending)) - 1
     pending.extend([None] * WORKERS)  # each thread stops at the first None it takes
 
     def drain() -> None:
         try:
+            part = worker(largest)
             for start, stop in iter(pending.popleft, None):
                 out[start:stop] = part(start, stop)
         finally:  # after an error, the other threads stop when their span ends
@@ -112,8 +116,10 @@ def disruption_all(g: CitationGraph) -> ArticleScores:
     cites f.  Row f thus holds the n_i + n_j citers of f, the n_k other
     citers of its references, and f itself when it has any; n_j is the
     number of entries above K.  Entries stay below 2K, so the smallest
-    unsigned type that holds 2K counts them without wrapping.  Spans run on
-    `WORKERS` threads; each writes a disjoint slice, so no bit depends on their count.
+    unsigned type that holds 2K counts them without wrapping.  An uncited focal
+    scores +0.0 (n_i = n_j = 0) and takes no row.  Each span is one call of scipy's
+    numeric kernel, into the output its thread sized once for the largest span.
+    Spans run on `WORKERS` threads, each writing a disjoint slice of the scores.
     """
     n = g.num_nodes
     result = np.zeros(n, dtype=np.float64)  # made first: n-sized arrays made late stay in the heap
@@ -123,18 +129,30 @@ def disruption_all(g: CitationGraph) -> ArticleScores:
     indeg = np.diff(AT.indptr).astype(np.int64)
     K = int(outdeg.max(initial=0)) + 1
     dtype = np.min_scalar_type(2 * K)
+    cited = np.flatnonzero(indeg)
+    index, weights = AT.indices.dtype, AT.data.astype(dtype)
 
-    def scores(a: int, b: int) -> np.ndarray:
-        F = A[a:b] + sparse.eye(b - a, n, a, dtype=dtype, format="csr") * K
-        P = F @ AT
-        above = np.searchsorted(np.flatnonzero(P.data > K), P.indptr)  # above K before each row
-        n_j = above[1:] - above[:-1]
-        denominator = np.diff(P.indptr) - (outdeg[a:b] > 0)  # n_i + n_j + n_k
-        return np.divide(indeg[a:b] - 2 * n_j, denominator, out=np.zeros(b - a),
-                         where=denominator > 0)
+    def worker(largest: int) -> Callable[[int, int], np.ndarray]:
+        indices, data = np.empty(largest, dtype=index), np.empty(largest, dtype=dtype)
+
+        def scores(a: int, b: int) -> np.ndarray:
+            rows = cited[a:b]
+            F = A[rows] + sparse.csr_matrix(  # these rows of A + K*I
+                (np.full(b - a, K, dtype=dtype), rows, np.arange(b - a + 1)), (b - a, n))
+            indptr = np.empty(b - a + 1, dtype=index)
+            _sparsetools.csr_matmat(b - a, n, F.indptr.astype(index, copy=False),
+                                    F.indices.astype(index, copy=False), F.data, AT.indptr,
+                                    AT.indices, weights, indptr, indices, data)
+            above = np.searchsorted(np.flatnonzero(data[: indptr[-1]] > K), indptr)
+            denominator = np.diff(indptr) - (outdeg[rows] > 0)  # n_i + n_j + n_k, never 0 here
+            return (indeg[rows] - 2 * (above[1:] - above[:-1])) / denominator
+
+        return scores
 
     # Work per focal bounds its row's entries: citations its references receive, plus its citers.
-    _run_spans(A @ indeg + indeg, result, scores)
+    part = np.empty(len(cited))
+    _run_spans((A @ indeg + indeg)[cited], part, worker)
+    result[cited] = part
     return ArticleScores(g.node_ids, result)
 
 

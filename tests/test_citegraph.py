@@ -440,3 +440,32 @@ class TestPositionsAreNotIds:
         drawn = sample_nodes(g, candidates, fraction, seed=sample_seed)
         for name, got, array in zip(self.ARRAYS, self.arrays(drawn), self.arrays(sampled)):
             assert np.array_equal(got, array), name
+
+
+class TestSharedCut:
+    """A cut that keeps every node shares its parent's arrays, and cuts of it
+    are still exact."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_cuts_share_the_parent_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        store, g, edges = TestPositionsAreNotIds.gapped_graph(rng)
+        full_cuts = {
+            "induced": induced(g, np.ones(g.num_nodes, dtype=bool)),
+            "last month": cumulative_snapshot(g, store, store.months()[-1]),
+            "sample": sample_nodes(g, everyone(g), 1.0, seed=seed),
+        }
+        for name, full in full_cuts.items():
+            assert full.matrix is g.matrix, name
+            assert np.array_equal(full.node_ids, g.node_ids), name
+            keep = rng.random(full.num_nodes) < 0.5
+            TestPositionsAreNotIds.assert_induced(
+                induced(full, keep), edges, full.node_ids[keep].tolist()
+            )
+            fraction = float(rng.uniform(0.05, 0.95))
+            sampled = sample_nodes(full, everyone(full), fraction, seed=seed)
+            k = int(np.floor(fraction * full.num_nodes))
+            perm = np.random.Generator(np.random.PCG64(seed)).permutation(full.num_nodes)
+            TestPositionsAreNotIds.assert_induced(sampled, edges, full.node_ids[perm[:k]].tolist())
+        # Nothing above wrote into the shared parent.
+        TestPositionsAreNotIds.assert_induced(g, edges, store.ids.tolist())

@@ -113,6 +113,43 @@ class TestDisruptionSweep:
         assert np.array_equal(scores, oracle_scores(g))
         assert np.array_equal(scores.view(np.int64), serial.view(np.int64))
 
+    # Every node cited: a directed 12-cycle with four chords.  One node cited:
+    # articles 2..8 cite article 1, and 9 and 10 cite nothing, so every focal
+    # but 1 is uncited, with n_k = 6 (2..8) or all counts 0 (9, 10).
+    CITED_GRAPHS = {
+        "every": ([(i, i % 12 + 1) for i in range(1, 13)]
+                  + [(i, (i + 4) % 12 + 1) for i in range(1, 13, 3)], 12, 12),
+        "one": ([(i, 1) for i in range(2, 9)], 10, 1),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("batch_work", [1, 5_000_000])
+    @pytest.mark.parametrize("cited", CITED_GRAPHS)
+    def test_every_or_one_node_cited(self, set_batch_work, set_workers, cited, batch_work,
+                                     workers):
+        set_batch_work(batch_work)
+        set_workers(workers)
+        edges, n, cited_nodes = self.CITED_GRAPHS[cited]
+        g = graph_from(edges, n)
+        assert np.count_nonzero(np.diff(g.incoming.indptr)) == cited_nodes
+        want = np.array([disruption_of(g, int(v)) for v in g.node_ids], dtype=np.float64)
+        # Through the int64 view, an uncited focal's 0.0 is checked to its sign bit.
+        assert np.array_equal(disruption_all(g).scores.view(np.int64), want.view(np.int64))
+
+    def test_no_sizing_pass(self, monkeypatch, set_batch_work, set_workers):
+        # scipy's `@` sizes its output by csr_matmat_maxnnz before the numeric
+        # pass; the sweep sizes each span's output by its work bound instead.
+        def refused(*args):
+            raise AssertionError("the sweep ran scipy's sizing pass")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scipy.sparse") and hasattr(module, "csr_matmat_maxnnz"):
+                monkeypatch.setattr(module, "csr_matmat_maxnnz", refused)
+        set_batch_work(37)
+        set_workers(2)
+        _, g = random_temporal_graph(np.random.default_rng(8), 90, mean_refs=4.0)
+        assert np.array_equal(disruption_all(g).scores, oracle_scores(g))
+
     def test_empty_graph(self, set_batch_work):
         set_batch_work(1)
         g = build_graph(pair_arrays([]), store_from_articles([]))

@@ -749,6 +749,22 @@ class TestComputeFuseTrendEvaluate:
         for code, value in oracle.items():
             assert usefulness[code] == pytest.approx(value, abs=1e-12)
 
+    def test_full_sample_leaves_the_shared_graph_unwritten(self, prepared):
+        # At sample_fraction 1.0 the last month's sample keeps every node, so
+        # its kernels read data.graph's own arrays.
+        _, cfg = prepared
+        data = ingest(cfg)
+        month = cfg.window()[-1]
+        candidates = data.month_idx <= month_index(month)
+        sampled = citegraph.sample_nodes(data.graph, candidates, 1.0, cfg.base_seed)
+        assert sampled.matrix is data.graph.matrix
+        matrix = data.graph.matrix
+        before = [array.copy() for array in (matrix.indptr, matrix.indices, matrix.data)]
+        compute_month(cfg, data, month, len(cfg.window()) - 1)
+        after = (matrix.indptr, matrix.indices, matrix.data)
+        for name, old, new in zip(("indptr", "indices", "data"), before, after):
+            assert old.dtype == new.dtype and old.tobytes() == new.tobytes(), name
+
     def test_empty_sample_writes_empty_graph_tables(self, prepared):
         _, cfg = prepared
         cfg = dataclasses.replace(cfg, sample_fraction=0.005)  # 0 of 2014-01's 120 articles
