@@ -3,8 +3,8 @@
 Edges point citing -> cited.  A graph is one boolean scipy.sparse CSR
 matrix over node positions (indices into the sorted `node_ids`) rather than
 article ids, so the kernels multiply it as it is; its CSC form, the citers
-of each node, is built on first use.  The accessors translate back and
-return ids, which `build_graph` maps to positions by a dense table or a search.
+of each node, is built on first use.  `build_graph` maps ids to positions by
+a dense table or a search; `edge_arrays`, the one accessor, maps them back.
 Graphs are immutable once built; a snapshot or sample that keeps every node
 shares the parent's matrix, and any other is cut by row-then-column indexing.
 """
@@ -19,6 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import ID_RANGE, ArticleStore, text_rows
+from .months import month_index, normalize_month
 
 
 class GraphError(ValueError):
@@ -45,22 +46,6 @@ class CitationGraph:
     @property
     def num_edges(self) -> int:
         return self.matrix.nnz
-
-    def _position(self, article_id: int) -> int:
-        i = int(np.searchsorted(self.node_ids, article_id))
-        if i >= len(self.node_ids) or int(self.node_ids[i]) != article_id:
-            raise GraphError(f"unknown article id {article_id}")
-        return i
-
-    def successors_of(self, article_id: int) -> np.ndarray:
-        """Ids of the articles cited by `article_id` (its references), sorted."""
-        m, i = self.matrix, self._position(article_id)
-        return self.node_ids[m.indices[m.indptr[i] : m.indptr[i + 1]]]
-
-    def predecessors_of(self, article_id: int) -> np.ndarray:
-        """Ids of the articles citing `article_id`, sorted."""
-        m, i = self.incoming, self._position(article_id)
-        return self.node_ids[m.indices[m.indptr[i] : m.indptr[i + 1]]]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(citing, cited) id arrays in citing-major order."""
@@ -122,8 +107,8 @@ def induced(g: CitationGraph, keep: np.ndarray) -> CitationGraph:
 
 def cumulative_snapshot(g: CitationGraph, store: ArticleStore, month: str) -> CitationGraph:
     """Induced subgraph over articles published in `month` or earlier."""
-    keep = np.isin(g.node_ids, store.ids_up_to(month))
-    return induced(g, keep)
+    ids = store.ids[store.month_idx <= month_index(normalize_month(month))]
+    return induced(g, np.isin(g.node_ids, ids))
 
 
 def sample_nodes(

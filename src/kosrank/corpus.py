@@ -9,8 +9,8 @@ with no per-row format, its ids by `text_rows`, as are the citations and CSVs.
 Text in the writer's form is read off its bytes a block at a time, and a
 block is kept only if writing what was read (its annotations built by
 `hierarchy.pattern`) gives back its text; any other block is JSON-decoded.
-`ArticleStore` is the form of `synthgen.generate`, an adapter, and the one
-caller of `ArticleColumns.rows`.
+`ArticleStore`, id-keyed `Article`s with their sorted ids and month indices,
+is the form that `synthgen.generate`, an adapter, builds from the columns.
 """
 from __future__ import annotations
 
@@ -79,11 +79,6 @@ class ArticleStore:
     def months(self) -> list[str]:
         return [month_from_index(i) for i in np.unique(self.month_idx).tolist()]
 
-    def ids_up_to(self, month: str) -> np.ndarray:
-        """Sorted ids of articles published in `month` or earlier."""
-        cutoff = month_index(normalize_month(month))
-        return self.ids[self.month_idx <= cutoff]
-
 
 @dataclass
 class ArticleColumns:
@@ -94,16 +89,6 @@ class ArticleColumns:
     retracted: np.ndarray  # bool
     vocabulary: tuple[str, ...]  # the sorted descriptor ids that any article lists
     annotations: sparse.csr_matrix  # article x vocabulary, 1 where the article lists it
-
-    def rows(self) -> Iterator[tuple]:
-        """(id, month, descriptors, retracted) of each article in id order;
-        the rows hold no reference to the columns."""
-        m = self.annotations
-        texts = iter(np.array(self.vocabulary, dtype=object)[m.indices].tolist())
-        months = {k: month_from_index(k) for k in np.unique(self.month_idx).tolist()}
-        return ((i, months[k], tuple(islice(texts, n)), flag) for i, k, n, flag in zip(
-            self.ids.tolist(), self.month_idx.tolist(), np.diff(m.indptr).tolist(),
-            self.retracted.tolist()))
 
 
 def parse_articles(fh: TextIO) -> ArticleColumns:

@@ -1,11 +1,12 @@
 """Citation-network relevance kernels: disruption index and PageRank centrality.
 
-Both read the graph's boolean matrix and its CSC form.  The disruption sweep
-counts only cited focals (an uncited one scores 0), by one numeric sparse product
-per span, in which a citer of the focal outweighs any count of shared references.
-The counts are exact integers and only the final division is float, so the
-scores keep the bits of `disruption_of` at any worker count: each of the
-sweep's spans, on `WORKERS` threads, writes its own slice of the scores.
+Both read the graph's boolean matrix and its CSC form, as does `disruption_of`,
+the one-focal reference, by sets of positions.  The disruption sweep counts only
+cited focals (an uncited one scores 0), by one numeric sparse product per span,
+in which a citer of the focal outweighs any count of shared references.  The
+counts are exact integers and only the final division is float, so the scores
+keep the bits of `disruption_of` at any worker count: each of the sweep's spans,
+on `WORKERS` threads, writes its own slice of the scores.
 `aggregate_to_nodes` sums article scores onto tree nodes as a dict; `compute`
 does it by an incidence product.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .citegraph import CitationGraph
+from .citegraph import CitationGraph, GraphError
 
 BATCH_WORK = 2_000_000  # stored entries that the sweep's spans in flight touch together
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -53,21 +54,27 @@ def disruption_of(g: CitationGraph, focal: int) -> float:
     Citers of the focal split into those citing none of its references
     (i) and those citing at least one (j); k counts articles citing a
     reference without citing the focal.  0 when all three sets are empty.
+    The sets hold node positions; a GraphError if `focal` is no node of `g`.
     """
-    refs = set(g.successors_of(focal).tolist())
-    citers = set(g.predecessors_of(focal).tolist())
+    f = int(np.searchsorted(g.node_ids, focal))
+    if f >= g.num_nodes or int(g.node_ids[f]) != focal:
+        raise GraphError(f"unknown article id {focal}")
+
+    def row(m, i: int) -> list[int]:  # the positions that row (or column) i of m lists
+        return m.indices[m.indptr[i] : m.indptr[i + 1]].tolist()
+
+    refs, citers = set(row(g.matrix, f)), set(row(g.incoming, f))
 
     n_j = 0
     for citer in citers:
-        cited = g.successors_of(citer)
-        if refs and not refs.isdisjoint(cited.tolist()):
+        if refs and not refs.isdisjoint(row(g.matrix, citer)):
             n_j += 1
     n_i = len(citers) - n_j
 
     ref_citers: set[int] = set()
     for ref in refs:
-        ref_citers.update(g.predecessors_of(ref).tolist())
-    ref_citers.discard(focal)
+        ref_citers.update(row(g.incoming, ref))
+    ref_citers.discard(f)
     n_k = len(ref_citers - citers)
 
     denominator = n_i + n_j + n_k
@@ -76,25 +83,22 @@ def disruption_of(g: CitationGraph, focal: int) -> float:
     return (n_i - n_j) / denominator
 
 
-def _run_spans(work: np.ndarray, out: np.ndarray, worker: Callable[[int], Callable]) -> None:
+def _run_spans(work: np.ndarray, out: np.ndarray, part: Callable[[int, int], np.ndarray]) -> None:
     """Set `out[start:stop] = part(start, stop)` over spans of one item or more of
-    `work`; each thread makes its `part = worker(largest)` once, where no span sums
-    above `largest`.  The caller and `WORKERS - 1` helper threads share the spans
-    and `BATCH_WORK`; one span or one worker runs inline.  No thread outlives the call.
+    `work`.  The caller and `WORKERS - 1` helper threads share the spans and
+    `BATCH_WORK`; one span or one worker runs inline.  No thread outlives the call.
     """
     budget, cumulative = BATCH_WORK // WORKERS, np.cumsum(np.maximum(work, 1))
-    pending, stop, largest = deque(), 0, 0
+    pending, stop = deque(), 0
     while stop < len(work):
         start, base = stop, int(cumulative[stop - 1]) if stop else 0
         stop = max(int(np.searchsorted(cumulative, base + budget, side="right")), start + 1)
         pending.append((start, stop))
-        largest = max(largest, int(cumulative[stop - 1]) - base)
     helpers = min(WORKERS, len(pending)) - 1
     pending.extend([None] * WORKERS)  # each thread stops at the first None it takes
 
     def drain() -> None:
         try:
-            part = worker(largest)
             for start, stop in iter(pending.popleft, None):
                 out[start:stop] = part(start, stop)
         finally:  # after an error, the other threads stop when their span ends
@@ -132,26 +136,24 @@ def disruption_all(g: CitationGraph) -> ArticleScores:
     cited = np.flatnonzero(indeg)
     index, weights = AT.indices.dtype, AT.data.astype(dtype)
 
-    def worker(largest: int) -> Callable[[int, int], np.ndarray]:
-        indices, data = np.empty(largest, dtype=index), np.empty(largest, dtype=dtype)
-
-        def scores(a: int, b: int) -> np.ndarray:
-            rows = cited[a:b]
-            F = A[rows] + sparse.csr_matrix(  # these rows of A + K*I
-                (np.full(b - a, K, dtype=dtype), rows, np.arange(b - a + 1)), (b - a, n))
-            indptr = np.empty(b - a + 1, dtype=index)
-            _sparsetools.csr_matmat(b - a, n, F.indptr.astype(index, copy=False),
-                                    F.indices.astype(index, copy=False), F.data, AT.indptr,
-                                    AT.indices, weights, indptr, indices, data)
-            above = np.searchsorted(np.flatnonzero(data[: indptr[-1]] > K), indptr)
-            denominator = np.diff(indptr) - (outdeg[rows] > 0)  # n_i + n_j + n_k, never 0 here
-            return (indeg[rows] - 2 * (above[1:] - above[:-1])) / denominator
-
-        return scores
-
     # Work per focal bounds its row's entries: citations its references receive, plus its citers.
+    work = (A @ indeg + indeg)[cited]
+
+    def scores(a: int, b: int) -> np.ndarray:
+        rows, size = cited[a:b], int(work[a:b].sum())
+        F = A[rows] + sparse.csr_matrix(  # these rows of A + K*I
+            (np.full(b - a, K, dtype=dtype), rows, np.arange(b - a + 1)), (b - a, n))
+        indptr = np.empty(b - a + 1, dtype=index)
+        indices, data = np.empty(size, dtype=index), np.empty(size, dtype=dtype)
+        _sparsetools.csr_matmat(b - a, n, F.indptr.astype(index, copy=False),
+                                F.indices.astype(index, copy=False), F.data, AT.indptr,
+                                AT.indices, weights, indptr, indices, data)
+        above = np.searchsorted(np.flatnonzero(data[: indptr[-1]] > K), indptr)
+        denominator = np.diff(indptr) - (outdeg[rows] > 0)  # n_i + n_j + n_k, never 0 here
+        return (indeg[rows] - 2 * (above[1:] - above[:-1])) / denominator
+
     part = np.empty(len(cited))
-    _run_spans((A @ indeg + indeg)[cited], part, worker)
+    _run_spans(work, part, scores)
     result[cited] = part
     return ArticleScores(g.node_ids, result)
 

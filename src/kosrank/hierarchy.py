@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 from scipy import sparse
@@ -135,18 +135,6 @@ class Hierarchy:
         marks.data[:] = 1
         marks.sort_indices()
         return marks, annotations.nnz - annotated.nnz
-
-    def node_vector(self, values: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
-        """`values` laid out by node position (0 where absent), and which
-        positions were given.  Codes outside the tree are ignored."""
-        vector = np.zeros(len(self.codes), dtype=np.float64)
-        given = np.zeros(len(self.codes), dtype=bool)
-        for code, value in values.items():
-            i = self.position.get(code)
-            if i is not None:
-                vector[i] = value
-                given[i] = True
-        return vector, given
 
 
 def pattern(indptr: np.ndarray, indices: np.ndarray, width: int, dtype=np.int32):

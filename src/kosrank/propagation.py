@@ -19,15 +19,17 @@ import numpy as np
 
 from .hierarchy import Hierarchy
 
-def propagate(h: Hierarchy, seeds: Mapping[str, float]) -> dict[str, float]:
-    """Spread `seeds` (tree code -> value) up the tree; see module docstring.
 
-    Raises KeyError for seed codes outside the hierarchy.
+def propagate(h: Hierarchy, seeds: Mapping[str, float]) -> dict[str, float]:
+    """Spread `seeds` (tree code -> value) up the tree, laid out by `h.position`;
+    see module docstring.  Raises KeyError for a seed code outside the hierarchy.
     """
-    seed, seeded = h.node_vector(seeds)
-    if int(seeded.sum()) != len(seeds):
-        unknown = next(code for code in seeds if code not in h.position)
-        raise KeyError(f"unknown seed code {unknown}")
+    seed, seeded = np.zeros(len(h.codes), dtype=np.float64), np.zeros(len(h.codes), dtype=bool)
+    for code, value in seeds.items():
+        i = h.position.get(code)
+        if i is None:
+            raise KeyError(f"unknown seed code {code}")
+        seed[i], seeded[i] = value, True
     values, scored = propagate_positions(h, seed, seeded)
     keep = np.flatnonzero(scored)
     return dict(zip([h.codes[i] for i in keep], values[keep].tolist()))

@@ -16,13 +16,14 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .corpus import Article, ArticleColumns, ArticleStore
 from .evaluate import CHANGE_TYPES, ChangeRecord
 from .hierarchy import Hierarchy, pattern
-from .months import month_index, normalize_month, year_of
+from .months import month_from_index, month_index, normalize_month, year_of
 
 _CATEGORY_LETTERS = "ABCDEFGHIJKLMNOP"  # at most 16 level-1 categories
 POLYHIERARCHY_FRACTION, ZIPF_EXPONENT, EVOLVING_BOOST = 0.10, 0.5, 2.5
@@ -221,8 +222,13 @@ def generate(
     one tuple.  The articles are built with the cyclic collector paused,
     since they hold no cycles; its state is restored after."""
     hierarchy, columns, edges, changes = generate_columns(cfg)
-    rows = columns.rows()
-    del columns
+    m = columns.annotations
+    texts = iter(np.array(columns.vocabulary, dtype=object)[m.indices].tolist())
+    months = {k: month_from_index(k) for k in np.unique(columns.month_idx).tolist()}
+    rows = ((i, months[k], tuple(islice(texts, n)), flag) for i, k, n, flag in zip(
+        columns.ids.tolist(), columns.month_idx.tolist(), np.diff(m.indptr).tolist(),
+        columns.retracted.tolist()))
+    del columns, m
     same: dict[tuple[str, ...], tuple[str, ...]] = {}
     enabled = gc.isenabled()
     gc.disable()

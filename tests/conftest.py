@@ -14,6 +14,7 @@ the fused ranks, and a dict lookup per key for the 0/1 membership matrices.
 from __future__ import annotations
 
 import json
+import weakref
 from itertools import chain, repeat
 from typing import Collection, Hashable, Iterable, Mapping, Sequence, TextIO
 
@@ -112,6 +113,18 @@ def propagate_oracle(h: Hierarchy, seeds: dict[str, float]) -> dict[str, float]:
         for n in memo
         if children[n] or n in seeds
     }
+
+
+def node_vector(h: Hierarchy, values: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """`values` (tree code -> value) laid out by node position, 0 where
+    absent, and which positions were given.  Codes outside the tree are ignored."""
+    vector = np.zeros(len(h.codes), dtype=np.float64)
+    given = np.zeros(len(h.codes), dtype=bool)
+    for code, value in values.items():
+        if code in h.position:
+            vector[h.position[code]] = value
+            given[h.position[code]] = True
+    return vector, given
 
 
 def parse_citations_oracle(lines) -> tuple[np.ndarray, np.ndarray]:
@@ -260,15 +273,37 @@ def random_temporal_graph(
     )
 
 
+Adjacency = dict[int, list[int]]
+_ADJACENCY: dict[int, tuple[Adjacency, Adjacency]] = {}  # id(graph) -> its id_adjacency
+
+
+def id_adjacency(g: CitationGraph) -> tuple[Adjacency, Adjacency]:
+    """(successors, predecessors) of the graph `g`: each node id -> the ids it
+    cites, and the ids that cite it, in `edge_arrays` order.  Built once per
+    graph, which nothing changes once built, and dropped with it."""
+    key = id(g)
+    if key not in _ADJACENCY:
+        successors: Adjacency = {int(v): [] for v in g.node_ids}
+        predecessors: Adjacency = {int(v): [] for v in g.node_ids}
+        citing, cited = g.edge_arrays()
+        for u, v in zip(citing.tolist(), cited.tolist()):
+            successors[u].append(v)
+            predecessors[v].append(u)
+        _ADJACENCY[key] = successors, predecessors
+        weakref.finalize(g, _ADJACENCY.pop, key)
+    return _ADJACENCY[key]
+
+
 def disruption_oracle(g: CitationGraph, focal: int) -> float:
     """Explicit i/j/k set construction over every node in the graph."""
-    refs = set(g.successors_of(focal).tolist())
+    successors = id_adjacency(g)[0]
+    refs = set(successors[focal])
     i_set, j_set, k_set = set(), set(), set()
     for raw in g.node_ids:
         node = int(raw)
         if node == focal:
             continue
-        out = set(g.successors_of(node).tolist())
+        out = set(successors[node])
         cites_focal = focal in out
         cites_ref = bool(out & refs)
         if cites_focal and cites_ref:
@@ -288,12 +323,10 @@ def pagerank_oracle(g: CitationGraph, alpha: float = 0.85) -> dict[int, float]:
     n = g.num_nodes
     pos = {int(v): i for i, v in enumerate(g.node_ids)}
     P = np.zeros((n, n))
-    for raw in g.node_ids:
-        source = int(raw)
-        targets = g.successors_of(source)
-        if len(targets):
+    for source, targets in id_adjacency(g)[0].items():
+        if targets:
             w = 1.0 / len(targets)
-            for t in targets.tolist():
+            for t in targets:
                 P[pos[t], pos[source]] += w
     x = np.linalg.solve(np.eye(n) - alpha * P, (1.0 - alpha) * np.ones(n))
     return {int(v): float(x[pos[int(v)]]) for v in g.node_ids}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    id_adjacency,
     pair_arrays,
     parse_citations_oracle,
     random_temporal_graph,
@@ -22,6 +23,7 @@ from kosrank.citegraph import (
     write_citations,
 )
 from kosrank.corpus import Article
+from kosrank.graphmetrics import disruption_of
 from kosrank.months import month_index
 
 
@@ -37,8 +39,9 @@ def two_article_store():
 class TestBuild:
     def test_basic_edge(self):
         g = build_graph(pair_arrays([(2, 1)]), two_article_store())
-        assert g.successors_of(2).tolist() == [1]
-        assert g.predecessors_of(1).tolist() == [2]
+        successors, predecessors = id_adjacency(g)
+        assert successors[2] == [1]
+        assert predecessors[1] == [2]
         assert g.num_edges == 1
 
     def test_self_loop_dropped(self):
@@ -64,8 +67,7 @@ class TestBuild:
         assert g.unknown_dropped == 2
         assert g.duplicates_dropped == 2
         assert g.num_edges == 2
-        assert g.successors_of(1).tolist() == [2]
-        assert g.successors_of(2).tolist() == [1]
+        assert id_adjacency(g)[0] == {1: [2], 2: [1]}
 
     # Dense ids (step 1) span at most 400 values against 2,300 queries, so
     # build_graph looks them up in its table; step-7 ids span at least 834
@@ -124,7 +126,7 @@ class TestBuild:
         g = build_graph((none, none), two_article_store())
         assert (g.num_nodes, g.num_edges, g.duplicates_dropped) == (2, 0, 0)
         assert g.matrix.indptr.tolist() == g.incoming.indptr.tolist() == [0, 0, 0]
-        assert g.predecessors_of(1).tolist() == []
+        assert id_adjacency(g)[1][1] == []
 
     def test_degree_sums_match_edge_count(self):
         rng = np.random.default_rng(11)
@@ -134,8 +136,9 @@ class TestBuild:
 
     def test_isolated_node(self):
         g = build_graph(pair_arrays([]), two_article_store())
-        assert g.successors_of(1).tolist() == []
-        assert g.predecessors_of(1).tolist() == []
+        successors, predecessors = id_adjacency(g)
+        assert successors[1] == []
+        assert predecessors[1] == []
 
     @pytest.mark.parametrize("dtype", [None, np.int64])
     def test_list_pair_and_array_pair_give_the_same_edges(self, dtype):
@@ -150,8 +153,8 @@ class TestBuild:
 
     def test_unknown_focal_raises(self):
         g = build_graph(pair_arrays([(2, 1)]), two_article_store())
-        with pytest.raises(GraphError):
-            g.successors_of(42)
+        with pytest.raises(GraphError, match="^unknown article id 42$"):
+            disruption_of(g, 42)
 
 
 class TestSnapshot:
@@ -389,8 +392,9 @@ class TestPositionsAreNotIds:
         citing, cited = g.edge_arrays()
         assert len(citing) == len(want)
         assert set(zip(citing.tolist(), cited.tolist())) == want
+        predecessors = id_adjacency(g)[1]
         for v in keep:
-            assert g.predecessors_of(v).tolist() == sorted(u for u, w in want if w == v)
+            assert predecessors[v] == sorted(u for u, w in want if w == v)
         for m in (g.matrix, g.incoming):
             for row in np.split(m.indices, m.indptr[1:-1]):
                 assert bool(np.all(np.diff(row) > 0))

@@ -7,11 +7,13 @@ import pytest
 from conftest import (
     assert_same_columns,
     descriptors_of,
+    pair_arrays,
     store_from_articles,
     text_rows_oracle,
     write_articles_oracle,
 )
 from kosrank import corpus
+from kosrank.citegraph import build_graph, cumulative_snapshot
 from kosrank.corpus import Article, CorpusError, parse_articles, text_rows, write_articles
 from kosrank.months import month_from_index, month_index
 
@@ -132,8 +134,10 @@ class TestQueries:
 
     def test_cumulative(self):
         store = self.make_store()
-        assert store.ids_up_to("2014-02").tolist() == [1, 2]
-        assert store.ids_up_to("2013-12").tolist() == []
+        g = build_graph(pair_arrays([(2, 1)]), store)
+        assert cumulative_snapshot(g, store, "2014-02").node_ids.tolist() == [1, 2]
+        assert cumulative_snapshot(g, store, "2014-01-31").node_ids.tolist() == [1]
+        assert cumulative_snapshot(g, store, "2013-12").node_ids.tolist() == []
 
     def test_retracted_ids(self):
         assert not any(a.retracted for a in self.make_store().articles.values())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import annotation_matrix, evolution_cohorts_oracle, random_tree
+from conftest import annotation_matrix, evolution_cohorts_oracle, node_vector, random_tree
 from kosrank.evaluate import (
     ChangeRecord,
     EvaluationError,
@@ -182,7 +182,7 @@ class TestEvolutionCohorts:
     def test_partition(self):
         h, node_values = cohort_fixture()
         evolving, stable = evolution_cohorts(
-            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), {"DX2"}
+            h.descriptors, h.descriptor_nodes, *node_vector(h, node_values), {"DX2"}
         )
         assert evolving == [pytest.approx(0.07)]
         assert len(stable) == 3
@@ -192,7 +192,7 @@ class TestEvolutionCohorts:
     def test_no_changes_signals_skip(self):
         h, node_values = cohort_fixture()
         evolving, stable = evolution_cohorts(
-            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), set()
+            h.descriptors, h.descriptor_nodes, *node_vector(h, node_values), set()
         )
         assert evolving == []
         assert len(stable) == 4
@@ -200,7 +200,7 @@ class TestEvolutionCohorts:
     def test_exhaustive_and_disjoint(self):
         h, node_values = cohort_fixture()
         evolving, stable = evolution_cohorts(
-            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), {"DX1"}
+            h.descriptors, h.descriptor_nodes, *node_vector(h, node_values), {"DX1"}
         )
         assert len(evolving) + len(stable) == 4
 
@@ -216,7 +216,7 @@ class TestEvolutionCohorts:
             base = float(rng.random())
             node_values[c] = base * (2.5 if f"D{i}" in changed else 1.0)
         evolving, stable = evolution_cohorts(
-            h.descriptors, h.descriptor_nodes, *h.node_vector(node_values), changed
+            h.descriptors, h.descriptor_nodes, *node_vector(h, node_values), changed
         )
         assert np.mean(evolving) > np.mean(stable)
 
@@ -233,7 +233,7 @@ class TestEvolutionCohorts:
             code: float(rng.normal()) for code in h.codes if rng.random() < 0.5
         }
         changed = {d for d in descriptor_map if rng.random() < 0.3}
-        values, scored = h.node_vector(node_means)
+        values, scored = node_vector(h, node_means)
         cohorts = evolution_cohorts(h.descriptors, h.descriptor_nodes, values, scored, changed)
         assert cohorts == evolution_cohorts_oracle(h, node_means, changed)
 
@@ -248,7 +248,7 @@ class TestRetractionCohorts:
             rows,
             np.array([True, False]),
             [np.array([0, 1]), np.array([0])],
-            [h.node_vector(values)[0] for values in monthly_values],
+            [node_vector(h, values)[0] for values in monthly_values],
         )
         assert retracted == [pytest.approx((0.17 + 0.30) / 2)]
         assert other == [0.0]  # annotation-free article scores zero
@@ -257,7 +257,7 @@ class TestRetractionCohorts:
         h = Hierarchy({"A01": ""}, {"DA": {"A01"}})
         rows, _ = h.incidence(*annotation_matrix([("DA",)]))
         retracted, other = retraction_split(
-            rows, np.array([False]), [np.array([0])], [h.node_vector({"A01": 0.17})[0]]
+            rows, np.array([False]), [np.array([0])], [node_vector(h, {"A01": 0.17})[0]]
         )
         assert retracted == []
         assert other == [pytest.approx(0.17)]
@@ -269,7 +269,7 @@ class TestRetractionCohorts:
         rows, _ = h.incidence(*annotation_matrix([("DA",), ("DA",), ("DA",)]))
         retracted, other = retraction_split(
             rows, np.array([True, True, False]), [np.array([1, 2])],
-            [h.node_vector({"A01": 0.17})[0]],
+            [node_vector(h, {"A01": 0.17})[0]],
         )
         assert (retracted, other) == ([0.17], [0.17])
 
