@@ -3,8 +3,8 @@
 Edges point citing -> cited.  A graph is one boolean scipy.sparse CSR
 matrix over node positions (indices into the sorted `node_ids`) rather than
 article ids, so the kernels multiply it as it is; its CSC form, the citers
-of each node, is built on first use.  `build_graph` maps ids to positions by
-a dense table or a search; `edge_arrays`, the one accessor, maps them back.
+of each node, is built on first use.  `build_graph` keys each edge by its
+positions, found by a dense table or a search; `edge_arrays` maps them back.
 Graphs are immutable once built; a snapshot or sample that keeps every node
 shares the parent's matrix, and any other is cut by row-then-column indexing.
 """
@@ -19,6 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import ID_RANGE, ArticleStore, text_rows
+from .hierarchy import key_pattern
 from .months import month_index, normalize_month
 
 
@@ -76,19 +77,22 @@ def build_graph(edges: tuple[np.ndarray, np.ndarray], store: ArticleStore) -> Ci
     Self-citations, edges touching ids outside the store, and duplicate
     edges are dropped; each category is counted on the returned graph.
     Both sides are looked up by `_positions`, in a dense table or by search.
-    Rows come out sorted: `sum_duplicates` sorts each to find its repeats.
+    `key_pattern` takes one key per kept edge, citing * n + cited position.
     """
+    n = len(store.ids)
+    if n * n > np.iinfo(np.int64).max:  # Python ints: checked before any array is made
+        raise GraphError(f"{n} articles: an edge key, citing * {n} + cited, overflows int64")
     citing, cited = (np.asarray(side, dtype=np.int64) for side in edges)
     node_ids = store.ids.copy()
-    n = len(node_ids)
     src, dst = _positions(node_ids, citing, cited)
     self_loops = citing == cited
     known = (src >= 0) & (dst >= 0)
     keep = known & ~self_loops
-    kept = int(keep.sum())
-    out = sparse.csr_matrix((np.ones(kept, dtype=bool), (src[keep], dst[keep])), shape=(n, n))
-    out.sum_duplicates()  # a no-op where the constructor already merged them
-    drops = int(self_loops.sum()), int((~known & ~self_loops).sum()), kept - out.nnz
+    src *= n
+    src += dst
+    del dst  # freed before the kept keys are gathered
+    out = key_pattern(src[keep], n, n, dtype=bool)
+    drops = int(self_loops.sum()), int((~known & ~self_loops).sum()), int(keep.sum()) - out.nnz
     return CitationGraph(node_ids, out, *drops)
 
 

@@ -7,8 +7,8 @@ day-level dates in `month` are truncated to the month.  Parsing builds no
 `Article` objects but `ArticleColumns`, which `write_articles` writes back
 with no per-row format, its ids by `text_rows`, as are the citations and CSVs.
 Text in the writer's form is read off its bytes a block at a time, and a
-block is kept only if writing what was read (its annotations built by
-`hierarchy.pattern`) gives back its text; any other block is JSON-decoded.
+block is kept only if writing what was read gives back its text; any other
+block is JSON-decoded.  `hierarchy.key_pattern` builds the annotations.
 `ArticleStore`, id-keyed `Article`s with their sorted ids and month indices,
 is the form that `synthgen.generate`, an adapter, builds from the columns.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
-from .hierarchy import pattern
+from .hierarchy import key_pattern, pattern
 from .months import month_from_index, month_index, normalize_month
 
 
@@ -132,13 +132,12 @@ def _columns(lines: Iterable[str]) -> ArticleColumns:
         raise ValueError("a repeated id")
     vocabulary = sorted(code_of)
     rank = np.argsort(np.array([*map(code_of.get, vocabulary)], dtype=np.int64))  # code -> rank
-    annotations = sparse.csr_matrix(
-        (np.ones(len(codes), dtype=np.int32), (np.repeat(np.arange(len(ids)), sizes), rank[codes])),
-        shape=(len(ids), len(vocabulary)))
-    annotations.sum_duplicates()  # an id listed twice by one article counts once
-    annotations.data[:] = 1
+    rows = np.empty_like(order)
+    rows[order] = np.arange(len(ids)) * len(vocabulary)  # each line's row in id order, as a key
+    keys = np.repeat(rows, sizes)
+    keys += rank[codes]  # an id that one article lists twice repeats its key, kept once
     return ArticleColumns(ids[order], month_idx[order], retracted[order], tuple(vocabulary),
-                          annotations[order])
+                          key_pattern(keys, len(ids), len(vocabulary)))
 
 
 def _chunk(chunk: list[str], month_of: dict[str, int], code_of: dict[str, int]) -> tuple:

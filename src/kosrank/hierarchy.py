@@ -12,10 +12,11 @@ i is `codes[i]` (sorted, so position order is code order), `parent[i]` its
 parent's position (-1 at a root), `closure` the 0/1 ancestor-or-self matrix,
 `level[i]` the length of closure row i, and `descriptor_nodes` the
 descriptor x node map; `incidence` lays an article x descriptor vocabulary
-matrix out as rows on these columns.  `pattern` builds every 0/1 matrix
-that the package keeps as a stored pattern, these two included.  Float sums
-over positions add one term at a time in ascending order, never by numpy's
-pairwise reductions, so every output keeps its bits from run to run.
+matrix out as rows on these columns.  `pattern` builds every 0/1 matrix kept
+as a stored pattern, `descriptor_nodes` included, and `key_pattern` every one
+whose entries may repeat, `closure` included.  Float sums over positions add
+one term at a time in ascending order, never by numpy's pairwise reductions,
+so every output keeps its bits from run to run.
 """
 from __future__ import annotations
 
@@ -89,15 +90,12 @@ class Hierarchy:
         # closure[i, j] = 1 iff node j is node i or one of its ancestors:
         # pass k pairs each node with its k-th ancestor.
         rows = ancestors = np.arange(n)
-        pairs = [(rows, ancestors)]
+        keys = [rows * n + ancestors]
         while len(rows):
             above = self.parent[ancestors]
             rows, ancestors = rows[above >= 0], above[above >= 0]
-            pairs.append((rows, ancestors))
-        rows, ancestors = map(np.concatenate, zip(*pairs))
-        self.closure = sparse.csr_matrix(
-            (np.ones(len(rows), dtype=np.int32), (rows, ancestors)), shape=(n, n)
-        )
+            keys.append(rows * n + ancestors)
+        self.closure = key_pattern(np.concatenate(keys), n, n)
         self.level = np.diff(self.closure.indptr)  # the length of the ancestor-or-self row
         self.descriptors, groups = tuple(self.descriptor_map), self.descriptor_map.values()
         nodes = np.fromiter(map(self.position.get, chain.from_iterable(groups)), dtype=np.int64)
@@ -142,6 +140,16 @@ def pattern(indptr: np.ndarray, indices: np.ndarray, width: int, dtype=np.int32)
     distinct columns `indices[indptr[r]:indptr[r + 1]]`."""
     return sparse.csr_matrix((np.ones(len(indices), dtype), indices, indptr),
                              shape=(len(indptr) - 1, width))
+
+
+def key_pattern(keys: np.ndarray, height: int, width: int, dtype=np.int32):
+    """The 0/1 CSR matrix of `height` x `width` marking (k // width, k % width)
+    for each distinct k of the int64 array `keys`, which it sorts in place; each
+    k is in [0, height * width), which must fit in int64."""
+    keys.sort()  # row-major: repeats are adjacent, and each row's columns ascend
+    keys = np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]) + 1)  # each repeat
+    indptr = np.searchsorted(keys, np.arange(height + 1) * width)
+    return pattern(indptr, np.remainder(keys, width, out=keys), width, dtype)
 
 
 def parse_hierarchy(lines: Iterable[str]) -> tuple[Hierarchy, int]:

@@ -9,7 +9,8 @@ entry for the row assembler, one encoder
 call per article row for the articles file, a loop over the descriptor
 map for the evolution cohorts, the text of a tree code for its level
 and its ancestors, a ranking of each level scope by its own mask for
-the fused ranks, and a dict lookup per key for the 0/1 membership matrices.
+the fused ranks, a dict lookup per key for the 0/1 membership matrices,
+and COO with `sum_duplicates` for the 0/1 matrices with repeats.
 """
 from __future__ import annotations
 
@@ -220,19 +221,47 @@ def membership(
     """0/1 CSR matrix whose row r marks column index[k] for each k in groups[r].
 
     Indices come out sorted and repeats count once.  Keys missing from
-    `index` are skipped; the second value counts them.  Built through COO
-    and `sum_duplicates`, not `hierarchy.pattern`, so it checks that builder.
+    `index` are skipped; the second value counts them.  Built by
+    `coo_pattern`, not `hierarchy.pattern`, so it checks that builder.
     """
     cols = np.fromiter(map(index.get, chain.from_iterable(groups), repeat(-1)), dtype=np.int64)
     rows = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     known = cols >= 0
-    matrix = sparse.csr_matrix(
-        (np.ones(int(known.sum()), dtype=np.int32), (rows[known], cols[known])),
-        shape=(len(groups), width),
-    )
+    return coo_pattern(rows[known], cols[known], (len(groups), width)), int(len(cols) - known.sum())
+
+
+def coo_pattern(rows, cols, shape: tuple[int, int], dtype=np.int32) -> sparse.csr_matrix:
+    """0/1 CSR matrix marking (rows[k], cols[k]) for each k, a repeat once:
+    built through COO and `sum_duplicates`, which `src/` does not call."""
+    matrix = sparse.csr_matrix((np.ones(len(rows), dtype), (rows, cols)), shape=shape)
     matrix.sum_duplicates()
     matrix.data[:] = 1
-    return matrix, int(len(cols) - known.sum())
+    return matrix
+
+
+def assert_same_csr(got, want):
+    """The same shape and the same index and data arrays, dtypes included:
+    compute's record stores these arrays' bytes."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.has_sorted_indices and want.has_sorted_indices
+
+
+def assert_keyed_layout(got) -> None:
+    """int32 index arrays in canonical form, as `hierarchy.key_pattern` builds."""
+    assert (got.indptr.dtype, got.indices.dtype) == (np.int32, np.int32)
+    assert got.has_canonical_format
+
+
+def forbid_sum_duplicates(patch) -> None:
+    """Make any CSR `sum_duplicates` call raise while the `monkeypatch`
+    context `patch` lasts."""
+    def forbidden(self):
+        raise AssertionError("sum_duplicates called")
+
+    patch.setattr(sparse.csr_matrix, "sum_duplicates", forbidden)
 
 
 def annotation_matrix(

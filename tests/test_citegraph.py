@@ -1,10 +1,16 @@
 import io
+import tracemalloc
 from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import (
+    assert_keyed_layout,
+    assert_same_csr,
+    coo_pattern,
+    forbid_sum_duplicates,
     id_adjacency,
     pair_arrays,
     parse_citations_oracle,
@@ -13,6 +19,7 @@ from conftest import (
     temporal_store,
     write_citations_oracle,
 )
+from kosrank import synthgen
 from kosrank.citegraph import (
     GraphError,
     build_graph,
@@ -151,10 +158,78 @@ class TestBuild:
         assert list(zip(got_citing.tolist(), got_cited.tolist())) == [(2, 1), (3, 1), (4, 1)]
         assert (g.self_loops_dropped, g.unknown_dropped, g.duplicates_dropped) == (0, 0, 0)
 
+    # Ids within 100 values take the dense table, within 10**6 the search.
+    @pytest.mark.parametrize("span", [100, 10**6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_keyed_layout_matches_coo(self, monkeypatch, seed, span):
+        rng = np.random.default_rng(seed)
+        ids = np.sort(rng.choice(span, size=80, replace=False))
+        store = store_from_articles(Article(int(i), "2014-01", ()) for i in ids)
+        pool = np.append(ids, [-1, span])  # two ids outside the store
+        citing, cited = rng.choice(pool, size=600), rng.choice(pool, size=600)
+        with monkeypatch.context() as patch:
+            forbid_sum_duplicates(patch)
+            g = build_graph((citing, cited), store)
+        position = {int(v): k for k, v in enumerate(ids)}
+        kept = [(position[u], position[v]) for u, v in zip(citing.tolist(), cited.tolist())
+                if u != v and u in position and v in position]
+        rows, cols = np.array(kept, dtype=np.int64).T
+        assert_same_csr(g.matrix, coo_pattern(rows, cols, (len(ids),) * 2, bool))
+        assert_keyed_layout(g.matrix)
+        assert g.duplicates_dropped == len(kept) - len(set(kept)) > 0
+
+    def test_edge_keys_past_int64_raise_before_any_array(self):
+        # 3,037,000,500**2 is past 2**63 - 1, and broadcast ids allocate nothing.
+        store = SimpleNamespace(ids=np.broadcast_to(np.int64(1), (3_037_000_500,)))
+        none = np.zeros(0, dtype=np.int64)
+        with pytest.raises(GraphError, match=r"^3037000500 articles: [^\n]* overflows int64$"):
+            build_graph((none, none), store)
+
+        class Ids:  # 3,037,000,499**2 fits: the guard passes, and the copy is refused
+            __len__ = staticmethod(lambda: 3_037_000_499)
+
+            def copy(self):
+                raise LookupError("past the guard")
+
+        with pytest.raises(LookupError, match="past the guard"):
+            build_graph((none, none), SimpleNamespace(ids=Ids()))
+
     def test_unknown_focal_raises(self):
         g = build_graph(pair_arrays([(2, 1)]), two_article_store())
         with pytest.raises(GraphError, match="^unknown article id 42$"):
             disruption_of(g, 42)
+
+
+class TestBuildMemory:
+    """`build_graph` keys each edge in one int64 array, so its traced peak
+    stays at or under 32 bytes per input edge, whatever the edge order."""
+
+    def test_peak_per_edge_in_either_order(self):
+        cfg = synthgen.ScenarioConfig(seed=7, months=4, articles_per_month=25_000,
+                                      hierarchy_branching=(8, 6, 4), refs_mean=5.8)
+        _, articles, (citing, cited), _ = synthgen.generate_columns(cfg)
+        rng = np.random.default_rng(7)
+        # 2,000 repeated edges, 500 self-citations and 500 edges to unknown ids
+        repeat, loops = rng.integers(len(citing), size=2000), rng.choice(articles.ids, size=500)
+        citing = np.concatenate([citing, citing[repeat], loops, loops])
+        cited = np.concatenate([cited, cited[repeat], loops, -1 - loops])
+        assert 430_000 < len(citing) < 440_000
+        graphs = []
+        for order in (np.arange(len(citing)), rng.permutation(len(citing))):
+            edges = citing[order], cited[order]
+            tracemalloc.start()
+            try:
+                graphs.append(build_graph(edges, articles))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32 * len(citing), peak / len(citing)
+        in_order, shuffled = graphs
+        for g in graphs:
+            assert_keyed_layout(g.matrix)
+        assert_same_csr(shuffled.matrix, in_order.matrix)
+        drops = attrgetter("self_loops_dropped", "unknown_dropped", "duplicates_dropped")
+        assert drops(shuffled) == drops(in_order) == (500, 500, 2000)
 
 
 class TestSnapshot:

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    annotation_matrix,
+    assert_keyed_layout,
     assert_same_columns,
+    assert_same_csr,
     descriptors_of,
+    forbid_sum_duplicates,
     pair_arrays,
     store_from_articles,
     text_rows_oracle,
@@ -119,6 +123,31 @@ class TestParse:
         assert str(err.value) == f"line 2: {reason}"
         store = parse('{"id":9223372036854775807,"month":"2014-01"}\n')
         assert store.ids.tolist() == [2**63 - 1]
+
+
+    # sort_keys gives the writer's form, which the block read takes; the
+    # other key order is JSON-decoded.
+    @pytest.mark.parametrize("sort_keys", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_annotations_match_coo(self, monkeypatch, seed, sort_keys):
+        """Shuffled ids, and descriptors listed twice by one article: the
+        annotations are the COO-built membership of the rows in id order."""
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(np.arange(-10**15, 10**15, 10**12), size=int(rng.integers(1, 60)),
+                         replace=False)
+        pool = [f"D{k:06d}" for k in rng.choice(10**6, size=12, replace=False)]
+        mesh = [[pool[k] for k in rng.integers(len(pool), size=int(rng.integers(0, 6)))]
+                for _ in ids]
+        text = "".join(json.dumps({"id": int(i), "mesh": m, "month": "2014-01",
+                                   "retracted": False}, sort_keys=sort_keys) + "\n"
+                       for i, m in zip(ids.tolist(), mesh))
+        with monkeypatch.context() as patch:
+            forbid_sum_duplicates(patch)
+            columns = parse(text)
+        vocabulary, want = annotation_matrix([mesh[k] for k in np.argsort(ids)])
+        assert columns.vocabulary == vocabulary
+        assert_same_csr(columns.annotations, want)
+        assert_keyed_layout(columns.annotations)
 
 
 class TestQueries:

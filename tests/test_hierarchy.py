@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ancestors_of, annotation_matrix, level_of, membership, random_tree
+from conftest import (
+    ancestors_of,
+    annotation_matrix,
+    assert_keyed_layout,
+    assert_same_csr,
+    coo_pattern,
+    forbid_sum_duplicates,
+    level_of,
+    membership,
+    random_tree,
+)
 from kosrank.hierarchy import (
     Hierarchy,
     HierarchyError,
     is_tree_code,
+    key_pattern,
     parent_of,
     parse_hierarchy,
     pattern,
@@ -198,16 +209,6 @@ class TestPositional:
         assert unknown == expected_unknown
 
 
-def assert_same_csr(got, want):
-    """The same shape and the same index and data arrays, dtypes included:
-    compute's record stores these arrays' bytes."""
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.has_sorted_indices and want.has_sorted_indices
-
-
 def mapped_tree(rng, max_nodes=60, descriptors=8):
     """A random tree whose descriptors map to 1-3 codes each, some of them
     codes that only the map names (and their missing ancestors)."""
@@ -282,6 +283,43 @@ class TestPattern:
     def test_width_zero(self):
         m = pattern(np.zeros(3, dtype=np.int64), np.zeros(0, dtype=np.int64), 0)
         assert_same_csr(m, membership([(), ()], {}, 0)[0])
+
+
+class TestKeyPattern:
+    """`key_pattern` builds the 0/1 matrices with repeats that `coo_pattern`,
+    the COO-and-`sum_duplicates` oracle, gives, and calls no `sum_duplicates`."""
+
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([np.int32, bool]))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_coo(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        height, width = (int(k) for k in rng.integers(1, 8, size=2))
+        keys = rng.integers(0, height * width, size=int(rng.integers(0, 60)))
+        keys = np.append(keys, keys[: int(rng.integers(0, len(keys) + 1))])  # repeats
+        rng.shuffle(keys)
+        want = coo_pattern(keys // width, keys % width, (height, width), dtype)
+        sorted_keys = np.sort(keys)
+        got = key_pattern(keys, height, width, dtype)
+        assert_same_csr(got, want)
+        assert_keyed_layout(got)
+        assert keys.tolist() == sorted_keys.tolist()  # sorted in place
+
+    @pytest.mark.parametrize(("height", "width"), [(0, 0), (0, 3), (3, 0)])
+    def test_no_cells(self, height, width):
+        got = key_pattern(np.zeros(0, dtype=np.int64), height, width)
+        none = np.zeros(0, dtype=np.int64)
+        assert_same_csr(got, coo_pattern(none, none, (height, width)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_closure(self, monkeypatch, seed):
+        with monkeypatch.context() as patch:
+            forbid_sum_duplicates(patch)
+            h = mapped_tree(np.random.default_rng(seed))
+        pairs = [(i, h.position[a]) for i, code in enumerate(h.codes)
+                 for a in (code, *ancestors_of(code))]
+        rows, cols = np.array(pairs, dtype=np.int64).T
+        assert_same_csr(h.closure, coo_pattern(rows, cols, (len(h.codes),) * 2))
+        assert_keyed_layout(h.closure)
 
 
 class TestRoundTrip:
